@@ -16,7 +16,7 @@ from .codec import CodecError, encode_residual
 from .control import DeviceState
 from .netmodel import RunLog, simulate
 from .signals import (SYNTH_KINDS, FileSource, SyntheticSource, TraceSpec,
-                      load_trace, synth_samples)
+                      load_trace, read_column, synth_samples)
 from .sink import Packet, Sink
 
 EXIT_OK = 0
@@ -85,39 +85,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _read_codes(path: Path, column: int, adc_bits: int) -> list[int]:
-    if not path.exists():
-        raise FileNotFoundError(f"input file {path} does not exist")
-    with path.open(newline="") as handle:
-        rows = [row for row in csv.reader(handle)
-                if row and any(cell.strip() for cell in row)]
-    if not rows:
-        raise ValueError(f"{path}: no readings")
-    start = 0
-    try:
-        int(rows[0][column])
-    except (ValueError, IndexError):
-        start = 1
-    if start == len(rows):
-        raise ValueError(f"{path}: header but no data rows")
-    codes = []
-    limit = 1 << adc_bits
-    for lineno, row in enumerate(rows[start:], start=start + 1):
-        try:
-            code = int(row[column])
-        except (ValueError, IndexError):
-            raise ValueError(f"{path}:{lineno}: not an integer reading") from None
-        if not 0 <= code < limit:
-            raise ValueError(
-                f"{path}:{lineno}: reading {code} outside {adc_bits}-bit range")
-        codes.append(code)
-    return codes
-
-
 def cmd_encode(args) -> int:
     if args.out is None:
         raise UsageError("encode requires --out for the packet trace")
-    codes = _read_codes(Path(args.input), args.column, args.adc_bits)
+    codes = []
+    for lineno, code in read_column(Path(args.input), args.column, int):
+        if not 0 <= code < 1 << args.adc_bits:
+            raise ValueError(f"{args.input}:{lineno}: reading {code} outside "
+                             f"{args.adc_bits}-bit range")
+        codes.append(code)
     state = DeviceState(
         device_id=args.device_id,
         threshold=args.threshold,
@@ -247,67 +223,12 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_report(args) -> int:
-    rundir = Path(args.rundir)
-    events_path = rundir / "runlog_events.csv"
-    summary_path = rundir / "runlog.json"
-    if not events_path.exists() or not summary_path.exists():
-        raise FileNotFoundError(f"{rundir} is not a run directory")
-    runlog = _load_runlog(rundir)
-    text = metrics.report(runlog, args.format)
+    text = metrics.report(RunLog.load(Path(args.rundir)), args.format)
     if args.out:
         Path(args.out).write_text(text)
     else:
         sys.stdout.write(text)
     return EXIT_OK
-
-
-def _load_runlog(rundir: Path) -> RunLog:
-    import json
-
-    from .netmodel import DeviceRun, SampleEvent
-
-    summary = json.loads((rundir / "runlog.json").read_text())
-    devices = []
-    for entry in summary["devices"]:
-        dev = DeviceRun(
-            name=entry["name"],
-            device_id=entry["device_id"],
-            mode=entry["mode"],
-            threshold=entry["threshold"],
-            sample_period_ms=entry["sample_period_ms"],
-            signal=entry["signal"],
-            battery_mah=entry["battery_mah"],
-            samples=entry["samples"],
-            transmitted=entry["transmitted"],
-            payload_bits=entry["payload_bits"],
-            state_time_ms=entry["state_time_ms"],
-            state_charge_mah=entry["state_charge_mah"],
-        )
-        devices.append(dev)
-    events = []
-    with (rundir / "runlog_events.csv").open(newline="") as handle:
-        reader = csv.reader(handle)
-        header = next(reader)
-        if tuple(header) != RunLog.EVENT_FIELDS:
-            raise ValueError(f"{rundir}: unexpected event columns")
-        for row in reader:
-            events.append(SampleEvent(
-                device_id=int(row[0]), seq=int(row[1]),
-                time_ms=float(row[2]), value=int(row[3]),
-                transmitted=bool(int(row[4])),
-                residual=None if row[5] == "" else int(row[5]),
-                codeword_bits=int(row[6]), cd_ms=float(row[7]),
-                dtr_ms=float(row[8]), dd_ms=float(row[9]),
-                arrival_ms=None if row[10] == "" else float(row[10]),
-                reconstructed=int(row[11]),
-            ))
-    return RunLog(
-        duration_ms=summary["duration_ms"],
-        seed=summary["seed"],
-        events=events,
-        devices=devices,
-        packets=[],
-    )
 
 
 _COMMANDS = {

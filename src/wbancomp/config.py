@@ -24,7 +24,8 @@ from pathlib import Path
 
 from .netmodel import (ChannelModel, DeviceConfig, RadioEnergyModel, Scenario,
                        SleepPolicy)
-from .signals import SYNTH_KINDS, FileSource, SyntheticSource, TraceSpec
+from .signals import (PARAM_NAMES, SYNTH_KINDS, FileSource, SyntheticSource,
+                      TraceSpec)
 
 # Default per-sample processing costs by signal class, ms.
 DEFAULT_CD_MS = {"temperature": 1.0, "ecg": 3.0, "ppg": 2.0, "file": 3.0}
@@ -35,15 +36,10 @@ _CHANNEL_KEYS = {"base_latency_ms", "per_bit_delay_ms"}
 _ENERGY_KEYS = {"tx_ma", "rx_ma", "idle_ma", "sleep_ma", "cpu_active_ma",
                 "wake_latency_ms", "battery_mah"}
 _SLEEP_KEYS = {"enabled", "suppressions_before_sleep"}
+_SYNTH_PARAM_KEYS = set().union(*PARAM_NAMES.values())
 _DEVICE_KEYS = {"id", "mode", "threshold", "signal", "file", "value_column",
                 "sample_period_ms", "adc_bits", "adc_range", "cd_ms", "dd_ms",
-                "seed", "suppress_zero",
-                "start_code", "step_probability",
-                "base_code", "beat_period", "jitter_probability",
-                "amplitude", "pulse_period", "wander_amplitude"}
-_SYNTH_PARAM_KEYS = {"start_code", "step_probability", "base_code",
-                     "beat_period", "jitter_probability", "amplitude",
-                     "pulse_period", "wander_amplitude"}
+                "seed", "suppress_zero"} | _SYNTH_PARAM_KEYS
 
 
 class ConfigError(Exception):
@@ -130,8 +126,11 @@ def parse_scenario(path: str | Path, seed_override: int | None = None) -> Scenar
         except ValueError as exc:
             raise ConfigError(f"[channel]: {exc}") from None
 
-    energy = _parse_energy(parser["energy"] if "energy" in parser else None,
-                           "energy", RadioEnergyModel())
+    energy = RadioEnergyModel()
+    if "energy" in parser:
+        sec = parser["energy"]
+        _require_keys("energy", sec.keys(), _ENERGY_KEYS)
+        energy = _parse_energy(sec, "energy", energy)
 
     sleep = SleepPolicy()
     if "sleep" in parser:
@@ -170,9 +169,7 @@ def parse_scenario(path: str | Path, seed_override: int | None = None) -> Scenar
 
 
 def _parse_energy(section, name: str, base: RadioEnergyModel) -> RadioEnergyModel:
-    if section is None:
-        return base
-    _require_keys(name, section.keys(), _ENERGY_KEYS)
+    """The energy model with the section's keys overriding those of base."""
     values = {}
     for fld in dataclass_fields(RadioEnergyModel):
         values[fld.name] = _get_float(section, name, fld.name,
@@ -214,8 +211,14 @@ def _parse_device(section, name: str, base_dir: Path,
         if signal not in SYNTH_KINDS:
             raise ConfigError(
                 f"[{name}] signal: {signal!r} is not one of {SYNTH_KINDS}")
+        given = _SYNTH_PARAM_KEYS & set(section.keys())
+        foreign = given - PARAM_NAMES[signal]
+        if foreign:
+            raise ConfigError(
+                f"[{name}]: {sorted(foreign)} are not {signal} parameters "
+                f"(allowed: {sorted(PARAM_NAMES[signal])})")
         params = {}
-        for key in _SYNTH_PARAM_KEYS & set(section.keys()):
+        for key in given:
             params[key] = _get_float(section, name, key, 0.0)
         seed = _get_int(section, name, "seed", run_seed * 1000 + index)
         try:
@@ -238,9 +241,8 @@ def _parse_device(section, name: str, base_dir: Path,
     suppress_zero = _get_bool(section, name, "suppress_zero", True)
 
     energy = None
-    overrides = _ENERGY_KEYS & set(section.keys())
-    if overrides:
-        energy = _parse_energy_overrides(section, name, run_energy)
+    if _ENERGY_KEYS & set(section.keys()):
+        energy = _parse_energy(section, name, run_energy)
 
     try:
         trace = TraceSpec(
@@ -264,14 +266,3 @@ def _parse_device(section, name: str, base_dir: Path,
     except ValueError as exc:
         raise ConfigError(f"[{name}]: {exc}") from None
 
-
-def _parse_energy_overrides(section, name: str,
-                            base: RadioEnergyModel) -> RadioEnergyModel:
-    values = {}
-    for fld in dataclass_fields(RadioEnergyModel):
-        values[fld.name] = _get_float(section, name, fld.name,
-                                      getattr(base, fld.name))
-    try:
-        return RadioEnergyModel(**values)
-    except ValueError as exc:
-        raise ConfigError(f"[{name}]: {exc}") from None

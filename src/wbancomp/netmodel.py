@@ -1,18 +1,27 @@
 """Deterministic model of the star network: latency, energy states, sleep.
 
-One event loop advances simulated time over per-device sample events and
-packet arrivals at the sink. Each sample runs the threshold filter, encodes
-the residual when transmitted, and charges the device's energy ledger so the
-per-state residency times partition the run duration exactly. Currents are
-whole-device currents per state (tx, idle, sleep, cpu), so consumed charge is
-current times time summed over states.
+Devices share no channel and the sink keeps one reference value per device,
+so each device runs as its own loop over its samples. Each sample runs the
+threshold filter, encodes the residual when transmitted, decodes it at the
+sink, and charges the device's energy ledger so the per-state residency
+times partition the run duration exactly. Currents are whole-device
+currents per state (tx, idle, sleep, cpu), so consumed charge is current
+times time summed over states.
+
+The run log merges the devices' events by time. Events at equal times are
+ordered by when their devices' previous events were emitted; the first
+events follow the scenario's device order.
 """
 
 from __future__ import annotations
 
+import csv
 import heapq
+import itertools
 import json
-from dataclasses import dataclass, field, replace
+from collections.abc import Iterator
+from dataclasses import asdict, dataclass, field, fields, replace
+from pathlib import Path
 
 from .bitstream import BitReader, BitString
 from .codec import encode_residual
@@ -262,23 +271,7 @@ class RunLog:
         return {
             "duration_ms": self.duration_ms,
             "seed": self.seed,
-            "devices": [
-                {
-                    "name": dev.name,
-                    "device_id": dev.device_id,
-                    "mode": dev.mode,
-                    "threshold": dev.threshold,
-                    "sample_period_ms": dev.sample_period_ms,
-                    "signal": dev.signal,
-                    "battery_mah": dev.battery_mah,
-                    "samples": dev.samples,
-                    "transmitted": dev.transmitted,
-                    "payload_bits": dev.payload_bits,
-                    "state_time_ms": dict(dev.state_time_ms),
-                    "state_charge_mah": dict(dev.state_charge_mah),
-                }
-                for dev in self.devices
-            ],
+            "devices": [asdict(dev) for dev in self.devices],
         }
 
     EVENT_FIELDS = (
@@ -303,43 +296,172 @@ class RunLog:
     def to_json(self) -> str:
         return json.dumps(self.summary_dict(), indent=2, sort_keys=True)
 
+    @classmethod
+    def load(cls, rundir: Path) -> RunLog:
+        """Read a run directory back: the inverse of to_json and events_rows.
 
-class _DeviceRuntime:
-    def __init__(self, cfg: DeviceConfig, scenario: Scenario):
-        self.cfg = cfg
-        spec = replace(cfg.trace, duration_s=scenario.duration_s)
-        self.samples = trace_samples(spec)
-        self.adc_bits = spec.adc_bits
-        self.period_ms = spec.sample_period_ms
-        self.model = cfg.energy or scenario.energy
-        self.ledger = EnergyLedger(self.model)
-        self.filter = None
-        if cfg.mode != "CGWC":
-            self.filter = DeviceState(
-                device_id=cfg.device_id,
-                threshold=cfg.threshold,
-                suppress_zero=cfg.suppress_zero,
-                adc_bits=self.adc_bits,
-            )
-        kind = (cfg.trace.source.kind
-                if hasattr(cfg.trace.source, "kind") else "file")
-        self.run = DeviceRun(
-            name=cfg.name,
-            device_id=cfg.device_id,
-            mode=cfg.mode,
-            threshold=cfg.threshold,
-            sample_period_ms=self.period_ms,
-            signal=kind,
-            battery_mah=self.model.battery_mah,
+        Malformed files raise ValueError naming the file and the line or
+        device entry at fault. The packets are not read back.
+        """
+        summary_path = rundir / "runlog.json"
+        events_path = rundir / "runlog_events.csv"
+        if not events_path.exists() or not summary_path.exists():
+            raise FileNotFoundError(f"{rundir} is not a run directory")
+        try:
+            summary = json.loads(summary_path.read_text())
+        except json.JSONDecodeError as exc:
+            raise ValueError(f"{summary_path}: {exc}") from None
+        _require_keys(summary, {"duration_ms", "seed", "devices"},
+                      str(summary_path))
+        if not isinstance(summary["devices"], list):
+            raise ValueError(f"{summary_path}: devices is not a list")
+        devices = []
+        for index, entry in enumerate(summary["devices"]):
+            _require_keys(entry, _DEVICE_RUN_KEYS,
+                          f"{summary_path}: device {index}")
+            devices.append(DeviceRun(**entry))
+        device_ids = {dev.device_id for dev in devices}
+
+        events = []
+        with events_path.open(newline="") as handle:
+            reader = csv.reader(handle)
+            if tuple(next(reader, ())) != cls.EVENT_FIELDS:
+                raise ValueError(f"{events_path}: unexpected event columns")
+            for row in reader:
+                try:
+                    if len(row) != len(cls.EVENT_FIELDS):
+                        raise ValueError(f"{len(row)} cells, expected "
+                                         f"{len(cls.EVENT_FIELDS)}")
+                    event = SampleEvent(
+                        device_id=int(row[0]), seq=int(row[1]),
+                        time_ms=float(row[2]), value=int(row[3]),
+                        transmitted=bool(int(row[4])),
+                        residual=None if row[5] == "" else int(row[5]),
+                        codeword_bits=int(row[6]), cd_ms=float(row[7]),
+                        dtr_ms=float(row[8]), dd_ms=float(row[9]),
+                        arrival_ms=None if row[10] == "" else float(row[10]),
+                        reconstructed=int(row[11]),
+                    )
+                    if event.device_id not in device_ids:
+                        raise ValueError(f"device {event.device_id} is not "
+                                         f"in {summary_path.name}")
+                except ValueError as exc:
+                    raise ValueError(
+                        f"{events_path}:{reader.line_num}: {exc}") from None
+                events.append(event)
+        return cls(
+            duration_ms=summary["duration_ms"],
+            seed=summary["seed"],
+            events=events,
+            devices=devices,
+            packets=[],
         )
 
-    def sleeping(self, sleep: SleepPolicy) -> bool:
-        if not sleep.enabled or self.filter is None:
-            return False
-        return self.filter.consecutive_suppressed >= sleep.suppressions_before_sleep
+
+_DEVICE_RUN_KEYS = frozenset(fld.name for fld in fields(DeviceRun))
 
 
-_SAMPLE, _ARRIVAL = 0, 1
+def _require_keys(doc, keys: set | frozenset, where: str) -> None:
+    if not isinstance(doc, dict):
+        raise ValueError(f"{where}: not a JSON object")
+    if doc.keys() != keys:
+        raise ValueError(
+            f"{where}: expected keys {sorted(keys)}, got {sorted(doc)}")
+
+
+def _device_loop(cfg: DeviceConfig, scenario: Scenario, sink: Sink,
+                 run: DeviceRun) -> Iterator[tuple[SampleEvent, Packet | None]]:
+    """Run one device over its samples, yielding each finished event.
+
+    Every sample is filtered, encoded, decoded at the sink, checked and
+    charged to the device's ledger before its event and packet are yielded.
+    Decoding at send time gives the sink state that decoding at arrival
+    would, because Scenario.validate lands each arrival before the device's
+    next sample and no other device touches its sink reference.
+    """
+    spec = replace(cfg.trace, duration_s=scenario.duration_s)
+    samples = trace_samples(spec)
+    model = cfg.energy or scenario.energy
+    ledger = EnergyLedger(model)
+    sleep = scenario.sleep
+    device = None
+    if cfg.mode != "CGWC":
+        device = DeviceState(
+            device_id=cfg.device_id,
+            threshold=cfg.threshold,
+            suppress_zero=cfg.suppress_zero,
+            adc_bits=spec.adc_bits,
+        )
+        sink.register_device(cfg.device_id)
+    can_sleep = sleep.enabled and device is not None
+    asleep = False
+
+    for seq, sample in enumerate(samples):
+        t_ms = float(sample.timestamp_ms)
+        if device is None:
+            residual = None
+            word = BitString(sample.value, spec.adc_bits)
+            cd_ms = 0.0
+            reconstructed = sample.value
+        else:
+            residual = device.process_sample(sample.value)
+            word = None if residual is None else encode_residual(residual)
+            cd_ms = cfg.cd_ms
+            reconstructed = device.last_reading
+
+        packet = None
+        wake_ms = dtr_ms = dd_ms = 0.0
+        arrival_ms = None
+        if word is not None:
+            if asleep:
+                wake_ms = model.wake_latency_ms
+            dtr_ms = scenario.channel.transit_ms(len(word))
+            packet = Packet.from_bits(cfg.device_id, word)
+            if device is None:
+                # Raw payload: no decompression happens at the sink.
+                value = BitReader(packet.payload, packet.bit_count).read_uint(
+                    spec.adc_bits)
+            else:
+                value = sink.on_packet(packet)
+                dd_ms = cfg.dd_ms
+            if value != reconstructed:
+                raise RuntimeError(
+                    f"sink reconstruction {value} diverged from device-side "
+                    f"{reconstructed} (device {cfg.device_id})"
+                )
+            arrival_ms = t_ms + cd_ms + wake_ms + dtr_ms + dd_ms
+            run.payload_bits += len(word)
+            run.transmitted += 1
+        run.samples += 1
+
+        # Energy: the sample period splits into cpu, wake, tx, and rest.
+        asleep = (can_sleep and device.consecutive_suppressed
+                  >= sleep.suppressions_before_sleep)
+        rest_ms = spec.sample_period_ms - cd_ms - wake_ms - dtr_ms
+        ledger.charge("cpu", cd_ms)
+        if wake_ms:
+            ledger.charge("idle", wake_ms)
+        if dtr_ms:
+            ledger.charge("tx", dtr_ms)
+        ledger.charge("sleep" if asleep else "idle", rest_ms)
+
+        yield SampleEvent(
+            device_id=cfg.device_id, seq=seq, time_ms=t_ms,
+            value=sample.value, transmitted=word is not None,
+            residual=residual, codeword_bits=len(word) if word else 0,
+            cd_ms=cd_ms, dtr_ms=dtr_ms, dd_ms=dd_ms, arrival_ms=arrival_ms,
+            reconstructed=reconstructed,
+        ), packet
+
+    if device is not None:
+        held = sink.held_value(cfg.device_id)
+        if held != device.last_reading:
+            raise RuntimeError(
+                f"device {cfg.device_id}: sink reference {held} != "
+                f"device memory {device.last_reading}"
+            )
+    run.state_time_ms = dict(ledger.time_ms)
+    run.state_charge_mah = dict(ledger.charge_mah)
 
 
 def simulate(scenario: Scenario) -> RunLog:
@@ -350,117 +472,40 @@ def simulate(scenario: Scenario) -> RunLog:
     """
     scenario.validate()
     sink = Sink()
-    runtimes = [_DeviceRuntime(cfg, scenario) for cfg in scenario.devices]
-    for rt in runtimes:
-        if rt.cfg.mode != "CGWC":
-            sink.register_device(rt.cfg.device_id)
-
+    runs = [
+        DeviceRun(
+            name=cfg.name,
+            device_id=cfg.device_id,
+            mode=cfg.mode,
+            threshold=cfg.threshold,
+            sample_period_ms=cfg.trace.sample_period_ms,
+            signal=getattr(cfg.trace.source, "kind", "file"),
+            battery_mah=(cfg.energy or scenario.energy).battery_mah,
+        )
+        for cfg in scenario.devices
+    ]
+    # The key's counter is drawn when merge pulls a device's next event,
+    # right after that device's previous event is emitted, so equal times
+    # keep the order in which their devices' previous events were emitted.
+    # Packets are collected here, not in the device loops, because merge
+    # runs a device's next sample before that sample's turn comes.
+    order = itertools.count()
+    merged = heapq.merge(
+        *(_device_loop(cfg, scenario, sink, run)
+          for cfg, run in zip(scenario.devices, runs)),
+        key=lambda item: (item[0].time_ms, next(order)),
+    )
     events: list[SampleEvent] = []
     packets: list[tuple[int, int, Packet]] = []
-    heap: list[tuple] = []
-    push_order = 0
-
-    def push(time_ms: float, kind: int, payload) -> None:
-        nonlocal push_order
-        heapq.heappush(heap, (time_ms, push_order, kind, payload))
-        push_order += 1
-
-    for idx, rt in enumerate(runtimes):
-        push(float(rt.samples[0].timestamp_ms), _SAMPLE, (idx, 0))
-
-    while heap:
-        _, _, kind, payload = heapq.heappop(heap)
-        if kind == _SAMPLE:
-            idx, seq = payload
-            rt = runtimes[idx]
-            cfg = rt.cfg
-            sample = rt.samples[seq]
-            t_ms = float(sample.timestamp_ms)
-            was_sleeping = rt.sleeping(scenario.sleep)
-
-            if cfg.mode == "CGWC":
-                residual = None
-                transmitted = True
-                word = BitString(sample.value, rt.adc_bits)
-                cd_ms = 0.0
-                reconstructed = sample.value
-            else:
-                residual = rt.filter.process_sample(sample.value)
-                transmitted = residual is not None
-                word = encode_residual(residual) if transmitted else None
-                cd_ms = cfg.cd_ms
-                reconstructed = rt.filter.last_reading
-
-            wake_ms = 0.0
-            dtr_ms = 0.0
-            event = SampleEvent(
-                device_id=cfg.device_id, seq=seq, time_ms=t_ms,
-                value=sample.value, transmitted=transmitted,
-                residual=residual, codeword_bits=len(word) if word else 0,
-                cd_ms=cd_ms, dtr_ms=0.0, dd_ms=0.0, arrival_ms=None,
-                reconstructed=reconstructed,
-            )
-            if transmitted:
-                if was_sleeping:
-                    wake_ms = rt.model.wake_latency_ms
-                dtr_ms = scenario.channel.transit_ms(len(word))
-                event.dtr_ms = dtr_ms
-                packet = Packet.from_bits(cfg.device_id, word)
-                packets.append((cfg.device_id, seq, packet))
-                rt.run.payload_bits += len(word)
-                rt.run.transmitted += 1
-                arrival = t_ms + cd_ms + wake_ms + dtr_ms
-                push(arrival, _ARRIVAL, (idx, event, packet, arrival))
-            rt.run.samples += 1
-            events.append(event)
-
-            # Energy: the sample period splits into cpu, wake, tx, and rest.
-            asleep_after = rt.sleeping(scenario.sleep)
-            rest_ms = rt.period_ms - cd_ms - wake_ms - dtr_ms
-            rt.ledger.charge("cpu", cd_ms)
-            if wake_ms:
-                rt.ledger.charge("idle", wake_ms)
-            if dtr_ms:
-                rt.ledger.charge("tx", dtr_ms)
-            rt.ledger.charge("sleep" if asleep_after else "idle", rest_ms)
-
-            if seq + 1 < len(rt.samples):
-                push(float(rt.samples[seq + 1].timestamp_ms), _SAMPLE,
-                     (idx, seq + 1))
-        else:
-            idx, event, packet, sent_at = payload
-            rt = runtimes[idx]
-            if rt.cfg.mode == "CGWC":
-                # Raw payload: no decompression happens at the sink.
-                value = BitReader(packet.payload, packet.bit_count).read_uint(
-                    rt.adc_bits)
-                dd_ms = 0.0
-            else:
-                value = sink.on_packet(packet)
-                dd_ms = rt.cfg.dd_ms
-            if value != event.reconstructed:
-                raise RuntimeError(
-                    f"sink reconstruction {value} diverged from device-side "
-                    f"{event.reconstructed} (device {event.device_id})"
-                )
-            event.dd_ms = dd_ms
-            event.arrival_ms = sent_at + dd_ms
-
-    for rt in runtimes:
-        if rt.cfg.mode != "CGWC":
-            held = sink.held_value(rt.cfg.device_id)
-            if held != rt.filter.last_reading:
-                raise RuntimeError(
-                    f"device {rt.cfg.device_id}: sink reference {held} != "
-                    f"device memory {rt.filter.last_reading}"
-                )
-        rt.run.state_time_ms = dict(rt.ledger.time_ms)
-        rt.run.state_charge_mah = dict(rt.ledger.charge_mah)
+    for event, packet in merged:
+        events.append(event)
+        if packet is not None:
+            packets.append((event.device_id, event.seq, packet))
 
     return RunLog(
         duration_ms=scenario.duration_s * 1000.0,
         seed=scenario.seed,
         events=events,
-        devices=[rt.run for rt in runtimes],
+        devices=runs,
         packets=packets,
     )

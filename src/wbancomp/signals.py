@@ -15,6 +15,7 @@ from __future__ import annotations
 import csv
 import math
 import random
+from collections.abc import Callable, Iterator
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -97,6 +98,38 @@ class TraceLoad:
     clamp_count: int
 
 
+def read_column(path: Path, column: int,
+                parse: Callable[[str], float]) -> Iterator[tuple[int, float]]:
+    """Yield (line number, parse(cell)) for one column of a CSV file.
+
+    Blank rows are skipped. A first row whose cell `parse` rejects is taken
+    as a header, so one function decides both what is a header and what is a
+    value. Errors name the file and line.
+    """
+    if not path.exists():
+        raise FileNotFoundError(f"file {path} does not exist")
+    header = found = False
+    with path.open(newline="") as handle:
+        reader = csv.reader(handle)
+        for row in reader:
+            if not any(cell.strip() for cell in row):
+                continue
+            try:
+                value = parse(row[column])
+            except (ValueError, IndexError):
+                if header or found:
+                    raise ValueError(
+                        f"{path}:{reader.line_num}: non-numeric or missing "
+                        f"value in column {column}") from None
+                header = True
+                continue
+            found = True
+            yield reader.line_num, value
+    if not found:
+        raise ValueError(f"{path}: header but no readings" if header
+                         else f"{path}: empty, no readings")
+
+
 def load_trace(spec: TraceSpec) -> TraceLoad:
     """Read, quantize, and timestamp a CSV trace.
 
@@ -107,45 +140,16 @@ def load_trace(spec: TraceSpec) -> TraceLoad:
         raise ValueError("load_trace requires a FileSource")
     if spec.adc_range is None:
         raise ValueError("file traces need an adc_range to quantize against")
-    path = Path(spec.source.path)
-    if not path.exists():
-        raise FileNotFoundError(f"trace file {path} does not exist")
-    column = spec.source.value_column
     lo, hi = spec.adc_range
     full_scale = (1 << spec.adc_bits) - 1
-
-    values: list[float] = []
-    with path.open(newline="") as handle:
-        rows = list(csv.reader(handle))
-    rows = [row for row in rows if row and any(cell.strip() for cell in row)]
-    if not rows:
-        raise ValueError(f"trace file {path} is empty")
-    start = 0
-    try:
-        float(rows[0][column])
-    except (ValueError, IndexError):
-        start = 1  # header row
-    if start == len(rows):
-        raise ValueError(f"trace file {path} has a header but no data rows")
-    for lineno, row in enumerate(rows[start:], start=start + 1):
-        try:
-            cell = row[column]
-        except IndexError:
-            raise ValueError(
-                f"{path}:{lineno}: row has no column {column}"
-            ) from None
-        try:
-            values.append(float(cell))
-        except ValueError:
-            raise ValueError(
-                f"{path}:{lineno}: non-numeric value {cell!r}"
-            ) from None
+    values = [value for _, value in read_column(
+        Path(spec.source.path), spec.source.value_column, float)]
 
     wanted = spec.sample_count()
     if wanted is not None:
         if len(values) < wanted:
             raise ValueError(
-                f"trace file {path} holds {len(values)} samples, "
+                f"trace file {spec.source.path} holds {len(values)} samples, "
                 f"{wanted} requested"
             )
         values = values[:wanted]
@@ -167,7 +171,7 @@ def synth(kind: str, params: dict, seed: int, count: int, adc_bits: int = 10) ->
     if count < 0:
         raise ValueError("count must be non-negative")
     generator = _GENERATORS[kind]
-    known = _PARAM_NAMES[kind]
+    known = PARAM_NAMES[kind]
     unknown = set(params) - known
     if unknown:
         raise ValueError(f"unknown {kind} params: {sorted(unknown)}")
@@ -283,7 +287,8 @@ _GENERATORS = {
     "ppg": _gen_ppg,
 }
 
-_PARAM_NAMES = {
+# The parameters each synthetic generator reads; scenario files name them.
+PARAM_NAMES = {
     "temperature": {"start_code", "step_probability"},
     "ecg": {"base_code", "beat_period", "jitter_probability"},
     "ppg": {"base_code", "amplitude", "pulse_period", "wander_amplitude"},

@@ -1,6 +1,8 @@
 import json
 from pathlib import Path
 
+import pytest
+
 from conftest import SCENARIO_DIR
 from wbancomp.cli import EXIT_DATA, EXIT_OK, EXIT_USAGE, main
 from wbancomp.tracefile import read_trace
@@ -195,6 +197,38 @@ def test_report_csv_matches_simulate_output(tmp_path, capsys):
 
 def test_report_on_non_run_directory(tmp_path):
     assert main(["report", str(tmp_path)]) == EXIT_DATA
+
+
+def _edit_third_event_line(edit):
+    def mangle(rundir):
+        path = rundir / "runlog_events.csv"
+        lines = path.read_text().splitlines(keepends=True)
+        lines[2] = edit(lines[2])
+        path.write_text("".join(lines))
+    return mangle
+
+
+def _drop_payload_bits(rundir):
+    path = rundir / "runlog.json"
+    doc = json.loads(path.read_text())
+    del doc["devices"][1]["payload_bits"]
+    path.write_text(json.dumps(doc))
+
+
+@pytest.mark.parametrize("mangle, where", [
+    (_edit_third_event_line(lambda line: "1,2\n"), "runlog_events.csv:3:"),
+    (_edit_third_event_line(lambda line: "x" + line[line.index(","):]),
+     "runlog_events.csv:3:"),
+    (_drop_payload_bits, "runlog.json: device 1:"),
+], ids=["short-row", "non-numeric-cell", "missing-device-key"])
+def test_report_locates_malformed_run_dir(tmp_path, capsys, mangle, where):
+    out = tmp_path / "run"
+    main(["--out", str(out), "simulate",
+          str(SCENARIO_DIR / "temperature_sleep.cfg")])
+    mangle(out)
+    capsys.readouterr()
+    assert main(["report", str(out)]) == EXIT_DATA
+    assert where in capsys.readouterr().err
 
 
 def test_unknown_command_is_usage_error():

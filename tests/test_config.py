@@ -139,6 +139,12 @@ def test_synth_params_forwarded(tmp_path):
     assert source.params == {"step_probability": 0.25}
 
 
+def test_synth_param_of_another_signal_rejected(tmp_path):
+    text = MINIMAL.replace("signal = temperature", "signal = ecg")
+    with pytest.raises(ConfigError, match=r"\[device:temp\].*start_code"):
+        parse_scenario(write(tmp_path, text + "start_code = 5\n"))
+
+
 def test_device_energy_overrides(tmp_path):
     text = MINIMAL + "idle_ma = 38.0\ntx_ma = 39.0\n"
     sc = parse_scenario(write(tmp_path, text))

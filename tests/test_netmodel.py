@@ -244,3 +244,19 @@ class TestSimulate:
         dev = synth_device("t", 1, seed=2, period_ms=500)
         sc = scenario([dev], duration_s=10.0)
         assert simulate(sc).to_json() == simulate(sc).to_json()
+
+    def test_equal_times_follow_previous_emission_order(self):
+        # Device 3 samples every 300 ms and the others every 200 ms. At
+        # t=600 device 3 comes first: its previous event (t=300) was emitted
+        # before theirs (t=400), though its id and index are the largest.
+        devs = [synth_device("a", 1, period_ms=200),
+                synth_device("b", 2, period_ms=200),
+                synth_device("c", 3, period_ms=300)]
+        log = simulate(scenario(devs, duration_s=6.0))
+        order = [(ev.time_ms, ev.device_id) for ev in log.events[:11]]
+        assert order == [
+            (0.0, 1), (0.0, 2), (0.0, 3),
+            (200.0, 1), (200.0, 2), (300.0, 3),
+            (400.0, 1), (400.0, 2),
+            (600.0, 3), (600.0, 1), (600.0, 2),
+        ]
