@@ -32,13 +32,6 @@ class BitString:
             raise ValueError(f"not a bit literal: {text!r}")
         return cls(int(text, 2) if text else 0, len(text))
 
-    @classmethod
-    def from_bytes(cls, data: bytes, bit_count: int) -> "BitString":
-        if bit_count < 0 or bit_count > 8 * len(data):
-            raise ValueError(f"bit_count {bit_count} exceeds {len(data)} bytes")
-        pad = 8 * len(data) - bit_count
-        return cls(int.from_bytes(data, "big") >> pad, bit_count)
-
     @property
     def uint(self) -> int:
         """The bits interpreted as an unsigned integer."""
@@ -63,14 +56,6 @@ class BitString:
             self._length + other._length,
         )
 
-    def __bool__(self) -> bool:
-        return self._length > 0
-
-    def bit(self, index: int) -> int:
-        if not 0 <= index < self._length:
-            raise IndexError(f"bit index {index} out of range")
-        return (self._value >> (self._length - 1 - index)) & 1
-
     def to01(self) -> str:
         return format(self._value, f"0{self._length}b") if self._length else ""
 
@@ -83,11 +68,6 @@ class BitString:
         return f"BitString({self.to01()!r})"
 
 
-def append_bits(stream: BitString, word: BitString) -> BitString:
-    """Concatenate two bit strings; length adds exactly."""
-    return stream + word
-
-
 class BitWriter:
     """Accumulates bits MSB-first into a growing byte buffer."""
 
@@ -96,10 +76,6 @@ class BitWriter:
         self._acc = 0
         self._nacc = 0
         self._length = 0
-
-    @property
-    def bit_length(self) -> int:
-        return self._length
 
     def write_uint(self, value: int, width: int) -> None:
         if width < 0:
@@ -125,10 +101,6 @@ class BitWriter:
             data += bytes([self._acc << (8 - self._nacc)])
         return data, self._length
 
-    def to_bitstring(self) -> BitString:
-        data, length = self.getvalue()
-        return BitString.from_bytes(data, length)
-
 
 class BitReader:
     """Reads bits MSB-first from bytes or a BitString, tracking position."""
@@ -145,10 +117,6 @@ class BitReader:
             if self._bits < 0 or self._bits > 8 * len(self._data):
                 raise ValueError(f"bit_count {bit_count} exceeds {len(self._data)} bytes")
         self._pos = 0
-
-    @property
-    def position(self) -> int:
-        return self._pos
 
     @property
     def remaining(self) -> int:
@@ -177,7 +145,3 @@ class BitReader:
             pos += take
         self._pos = end
         return value
-
-    def read_bits(self, count: int) -> BitString:
-        """Consume exactly `count` bits or raise BitUnderflowError."""
-        return BitString(self.read_uint(count), count)

@@ -7,16 +7,15 @@ deterministic given their inputs and seed.
 from __future__ import annotations
 
 import argparse
-import csv
 import sys
 from pathlib import Path
 
 from . import config, metrics, tracefile
-from .codec import CodecError, encode_residual
+from .codec import MAX_GROUP, CodecError, encode_residual
 from .control import DeviceState
 from .netmodel import RunLog, simulate
 from .signals import (SYNTH_KINDS, FileSource, SyntheticSource, TraceSpec,
-                      load_trace, read_column, synth_samples)
+                      load_trace, parse_range, read_column, synth_samples)
 from .sink import Packet, Sink
 
 EXIT_OK = 0
@@ -88,6 +87,9 @@ def build_parser() -> argparse.ArgumentParser:
 def cmd_encode(args) -> int:
     if args.out is None:
         raise UsageError("encode requires --out for the packet trace")
+    if not 1 <= args.adc_bits <= MAX_GROUP:
+        raise ValueError(f"--adc-bits {args.adc_bits} outside [1, {MAX_GROUP}]: "
+                         f"the codec covers at most {MAX_GROUP}-bit readings")
     codes = []
     for lineno, code in read_column(Path(args.input), args.column, int):
         if not 0 <= code < 1 << args.adc_bits:
@@ -168,15 +170,16 @@ def cmd_signals_dump(args) -> int:
     else:
         if args.adc_range is None:
             raise UsageError("--file requires --range min,max")
-        parts = args.adc_range.split(",")
-        if len(parts) != 2:
-            raise UsageError("--range expects 'min,max'")
+        try:
+            adc_range = parse_range(args.adc_range)
+        except ValueError as exc:
+            raise UsageError(f"--range: {exc}") from None
         spec = TraceSpec(
             source=FileSource(path=args.file, value_column=args.column),
             sample_period_ms=args.period_ms,
             duration_s=None,
             adc_bits=args.adc_bits,
-            adc_range=(float(parts[0]), float(parts[1])),
+            adc_range=adc_range,
         )
         load = load_trace(spec)
         samples, clamps = load.samples, load.clamp_count
@@ -194,12 +197,7 @@ def cmd_signals_dump(args) -> int:
 
 
 def _write_run_outputs(outdir: Path, runlog: RunLog) -> None:
-    outdir.mkdir(parents=True, exist_ok=True)
-    with (outdir / "runlog_events.csv").open("w", newline="") as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(RunLog.EVENT_FIELDS)
-        writer.writerows(runlog.events_rows())
-    (outdir / "runlog.json").write_text(runlog.to_json() + "\n")
+    runlog.save(outdir)
     devices, run = metrics.compute(runlog)
     (outdir / "metrics.csv").write_text(metrics.to_csv(devices))
     (outdir / "metrics.json").write_text(metrics.to_json(devices, run) + "\n")

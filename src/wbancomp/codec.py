@@ -82,14 +82,6 @@ def encode_residual(residual: int) -> BitString:
     return encode_prefix(group) + encode_suffix(residual, group)
 
 
-def codeword_length(residual: int) -> int:
-    """Total codeword bit length without materializing it."""
-    group = group_of(residual)
-    if group <= _BINARY_PREFIX_MAX:
-        return 3 + group
-    return 2 * group - 2
-
-
 def decode_residual(reader: BitReader) -> int:
     """Consume exactly one codeword from the reader and return its residual.
 

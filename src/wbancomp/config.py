@@ -4,7 +4,7 @@ Layout:
 
     [run]            duration_s, seed
     [channel]        base_latency_ms, per_bit_delay_ms
-    [energy]         tx_ma, rx_ma, idle_ma, sleep_ma, cpu_active_ma,
+    [energy]         tx_ma, idle_ma, sleep_ma, cpu_active_ma,
                      wake_latency_ms, battery_mah
     [sleep]          enabled, suppressions_before_sleep
     [device:NAME]    id, mode, threshold, sample_period_ms, adc_bits,
@@ -25,7 +25,7 @@ from pathlib import Path
 from .netmodel import (ChannelModel, DeviceConfig, RadioEnergyModel, Scenario,
                        SleepPolicy)
 from .signals import (PARAM_NAMES, SYNTH_KINDS, FileSource, SyntheticSource,
-                      TraceSpec)
+                      TraceSpec, parse_range)
 
 # Default per-sample processing costs by signal class, ms.
 DEFAULT_CD_MS = {"temperature": 1.0, "ecg": 3.0, "ppg": 2.0, "file": 3.0}
@@ -33,7 +33,7 @@ DEFAULT_DD_MS = 1.0
 
 _RUN_KEYS = {"duration_s", "seed"}
 _CHANNEL_KEYS = {"base_latency_ms", "per_bit_delay_ms"}
-_ENERGY_KEYS = {"tx_ma", "rx_ma", "idle_ma", "sleep_ma", "cpu_active_ma",
+_ENERGY_KEYS = {"tx_ma", "idle_ma", "sleep_ma", "cpu_active_ma",
                 "wake_latency_ms", "battery_mah"}
 _SLEEP_KEYS = {"enabled", "suppressions_before_sleep"}
 _SYNTH_PARAM_KEYS = set().union(*PARAM_NAMES.values())
@@ -199,13 +199,10 @@ def _parse_device(section, name: str, base_dir: Path,
 
     adc_range = None
     if "adc_range" in section:
-        parts = section.get("adc_range").split(",")
-        if len(parts) != 2:
-            raise ConfigError(f"[{name}] adc_range: expected 'min,max'")
         try:
-            adc_range = (float(parts[0]), float(parts[1]))
-        except ValueError:
-            raise ConfigError(f"[{name}] adc_range: not numeric") from None
+            adc_range = parse_range(section.get("adc_range"))
+        except ValueError as exc:
+            raise ConfigError(f"[{name}] adc_range: {exc}") from None
 
     if signal:
         if signal not in SYNTH_KINDS:

@@ -63,9 +63,3 @@ class DeviceState:
             return residual
         self.consecutive_suppressed += 1
         return None
-
-    def reset(self) -> None:
-        """Forget all history; the next sample is treated as the first."""
-        self.first_reading = True
-        self.last_reading = 0
-        self.consecutive_suppressed = 0

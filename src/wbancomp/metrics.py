@@ -21,7 +21,7 @@ import json
 from dataclasses import dataclass
 from decimal import ROUND_HALF_UP, Decimal
 
-from .netmodel import MS_PER_HOUR, RunLog
+from .netmodel import MS_PER_HOUR, RunLog, lifetime
 
 CSV_COLUMNS = (
     "device_id", "mode", "orig_pkt", "comp_pkt", "pcr_pct",
@@ -98,7 +98,6 @@ def compute(runlog: RunLog) -> tuple[list[DeviceMetrics], RunMetrics]:
         dd = sum(ev.dd_ms for ev in sent) / len(sent)
         ad = sum(ev.cd_ms + ev.dd_ms + ev.dtr_ms for ev in sent) / len(sent)
         dec = dev.total_mah()
-        avg_ma = dec / duration_h
         out.append(DeviceMetrics(
             device_id=dev.device_id,
             mode=dev.mode,
@@ -109,7 +108,7 @@ def compute(runlog: RunLog) -> tuple[list[DeviceMetrics], RunMetrics]:
             dd_ms=dd,
             ad_ms=ad,
             dec_mah=dec,
-            lifetime_h=dev.battery_mah / avg_ma,
+            lifetime_h=lifetime(dev.battery_mah, dec / duration_h),
         ))
     run = RunMetrics(
         device_count=len(runlog.devices),
@@ -131,22 +130,6 @@ def to_csv(devices: list[DeviceMetrics]) -> str:
             f"{m.ad_ms:.4f}", f"{m.dec_mah:.4f}", f"{m.lifetime_h:.4f}",
         ])
     return buf.getvalue()
-
-
-def from_csv(text: str) -> list[DeviceMetrics]:
-    rows = list(csv.reader(io.StringIO(text)))
-    if not rows or tuple(rows[0]) != CSV_COLUMNS:
-        raise ValueError("not a metrics CSV document")
-    out = []
-    for row in rows[1:]:
-        out.append(DeviceMetrics(
-            device_id=int(row[0]), mode=row[1],
-            orig_pkt=int(row[2]), comp_pkt=int(row[3]),
-            pcr_pct=float(row[4]), cd_ms=float(row[5]), dd_ms=float(row[6]),
-            ad_ms=float(row[7]), dec_mah=float(row[8]),
-            lifetime_h=float(row[9]),
-        ))
-    return out
 
 
 def to_json(devices: list[DeviceMetrics], run: RunMetrics) -> str:

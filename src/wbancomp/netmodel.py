@@ -24,14 +24,14 @@ from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
 
 from .bitstream import BitReader, BitString
-from .codec import encode_residual
+from .codec import MAX_GROUP, encode_residual
 from .control import DeviceState
 from .signals import TraceSpec, trace_samples
 from .sink import Packet, Sink
 
 MODES = ("CGWC", "CGLL", "CGLS")  # no compression / lossless / lossy
 
-LEDGER_STATES = ("tx", "rx", "idle", "sleep", "cpu")
+LEDGER_STATES = ("tx", "idle", "sleep", "cpu")
 
 MS_PER_HOUR = 3_600_000.0
 
@@ -56,7 +56,6 @@ class RadioEnergyModel:
     """Whole-device current per radio/CPU state, plus the battery size."""
 
     tx_ma: float = 24.0
-    rx_ma: float = 24.0
     idle_ma: float = 8.0
     sleep_ma: float = 0.2
     cpu_active_ma: float = 10.0
@@ -64,8 +63,7 @@ class RadioEnergyModel:
     battery_mah: float = 400.0
 
     def __post_init__(self):
-        currents = (self.tx_ma, self.rx_ma, self.idle_ma, self.sleep_ma,
-                    self.cpu_active_ma)
+        currents = (self.tx_ma, self.idle_ma, self.sleep_ma, self.cpu_active_ma)
         if any(c < 0 for c in currents):
             raise ValueError("currents must be non-negative")
         if not self.sleep_ma < self.idle_ma < self.tx_ma:
@@ -79,7 +77,6 @@ class RadioEnergyModel:
         try:
             return {
                 "tx": self.tx_ma,
-                "rx": self.rx_ma,
                 "idle": self.idle_ma,
                 "sleep": self.sleep_ma,
                 "cpu": self.cpu_active_ma,
@@ -118,15 +115,6 @@ class EnergyLedger:
 
     def total_mah(self) -> float:
         return sum(self.charge_mah.values())
-
-    def total_time_ms(self) -> float:
-        return sum(self.time_ms.values())
-
-    def average_ma(self) -> float:
-        elapsed = self.total_time_ms()
-        if elapsed <= 0:
-            raise ValueError("ledger holds no elapsed time")
-        return self.total_mah() / (elapsed / MS_PER_HOUR)
 
 
 def lifetime(battery_mah: float, average_current_ma: float) -> float:
@@ -194,10 +182,9 @@ class Scenario:
                 raise ValueError(f"device {dev.name}: CGLL requires threshold 0")
             if dev.mode == "CGLS" and dev.threshold < 1:
                 raise ValueError(f"device {dev.name}: CGLS requires threshold >= 1")
-            if dev.mode != "CGWC" and spec.adc_bits > 11:
-                raise ValueError(
-                    f"device {dev.name}: codec covers at most 11-bit readings"
-                )
+            if dev.mode != "CGWC" and spec.adc_bits > MAX_GROUP:
+                raise ValueError(f"device {dev.name}: codec covers at most "
+                                 f"{MAX_GROUP}-bit readings")
             model = dev.energy or self.energy
             worst_bits = spec.adc_bits if dev.mode == "CGWC" else 20
             busy = dev.cd_ms + model.wake_latency_ms + self.channel.transit_ms(worst_bits)
@@ -267,44 +254,37 @@ class RunLog:
                 return dev
         raise KeyError(f"no device {device_id} in run")
 
-    def summary_dict(self) -> dict:
-        return {
+    def save(self, rundir: Path) -> None:
+        """Write the run directory's runlog_events.csv and runlog.json."""
+        rundir.mkdir(parents=True, exist_ok=True)
+        with (rundir / _EVENTS_FILE).open("w", newline="") as handle:
+            writer = csv.writer(handle, lineterminator="\n")
+            writer.writerow(_EVENT_FIELDS)
+            writer.writerows(
+                [ev.device_id, ev.seq, ev.time_ms, ev.value,
+                 int(ev.transmitted),
+                 "" if ev.residual is None else ev.residual,
+                 ev.codeword_bits, ev.cd_ms, ev.dtr_ms, ev.dd_ms,
+                 "" if ev.arrival_ms is None else ev.arrival_ms,
+                 ev.reconstructed]
+                for ev in self.events)
+        summary = {
             "duration_ms": self.duration_ms,
             "seed": self.seed,
             "devices": [asdict(dev) for dev in self.devices],
         }
-
-    EVENT_FIELDS = (
-        "device_id", "seq", "time_ms", "value", "transmitted", "residual",
-        "codeword_bits", "cd_ms", "dtr_ms", "dd_ms", "arrival_ms",
-        "reconstructed",
-    )
-
-    def events_rows(self) -> list[list]:
-        rows = []
-        for ev in self.events:
-            rows.append([
-                ev.device_id, ev.seq, ev.time_ms, ev.value,
-                int(ev.transmitted),
-                "" if ev.residual is None else ev.residual,
-                ev.codeword_bits, ev.cd_ms, ev.dtr_ms, ev.dd_ms,
-                "" if ev.arrival_ms is None else ev.arrival_ms,
-                ev.reconstructed,
-            ])
-        return rows
-
-    def to_json(self) -> str:
-        return json.dumps(self.summary_dict(), indent=2, sort_keys=True)
+        (rundir / _SUMMARY_FILE).write_text(
+            json.dumps(summary, indent=2, sort_keys=True) + "\n")
 
     @classmethod
     def load(cls, rundir: Path) -> RunLog:
-        """Read a run directory back: the inverse of to_json and events_rows.
+        """Read a run directory back: the inverse of save.
 
         Malformed files raise ValueError naming the file and the line or
         device entry at fault. The packets are not read back.
         """
-        summary_path = rundir / "runlog.json"
-        events_path = rundir / "runlog_events.csv"
+        summary_path = rundir / _SUMMARY_FILE
+        events_path = rundir / _EVENTS_FILE
         if not events_path.exists() or not summary_path.exists():
             raise FileNotFoundError(f"{rundir} is not a run directory")
         try:
@@ -313,25 +293,34 @@ class RunLog:
             raise ValueError(f"{summary_path}: {exc}") from None
         _require_keys(summary, {"duration_ms", "seed", "devices"},
                       str(summary_path))
+        duration_ms = summary["duration_ms"]
+        if not _is_number(duration_ms) or duration_ms <= 0:
+            raise ValueError(f"{summary_path}: duration_ms: not a positive "
+                             f"number")
+        if not _is_int(summary["seed"]):
+            raise ValueError(f"{summary_path}: seed: not an integer")
         if not isinstance(summary["devices"], list):
             raise ValueError(f"{summary_path}: devices is not a list")
         devices = []
         for index, entry in enumerate(summary["devices"]):
-            _require_keys(entry, _DEVICE_RUN_KEYS,
-                          f"{summary_path}: device {index}")
+            where = f"{summary_path}: device {index}"
+            _require_keys(entry, _DEVICE_RUN_CHECKS.keys(), where)
+            for key, (check, kind) in _DEVICE_RUN_CHECKS.items():
+                if not check(entry[key]):
+                    raise ValueError(f"{where}: {key}: not {kind}")
             devices.append(DeviceRun(**entry))
         device_ids = {dev.device_id for dev in devices}
 
         events = []
         with events_path.open(newline="") as handle:
             reader = csv.reader(handle)
-            if tuple(next(reader, ())) != cls.EVENT_FIELDS:
+            if tuple(next(reader, ())) != _EVENT_FIELDS:
                 raise ValueError(f"{events_path}: unexpected event columns")
             for row in reader:
                 try:
-                    if len(row) != len(cls.EVENT_FIELDS):
+                    if len(row) != len(_EVENT_FIELDS):
                         raise ValueError(f"{len(row)} cells, expected "
-                                         f"{len(cls.EVENT_FIELDS)}")
+                                         f"{len(_EVENT_FIELDS)}")
                     event = SampleEvent(
                         device_id=int(row[0]), seq=int(row[1]),
                         time_ms=float(row[2]), value=int(row[3]),
@@ -350,7 +339,7 @@ class RunLog:
                         f"{events_path}:{reader.line_num}: {exc}") from None
                 events.append(event)
         return cls(
-            duration_ms=summary["duration_ms"],
+            duration_ms=duration_ms,
             seed=summary["seed"],
             events=events,
             devices=devices,
@@ -358,10 +347,38 @@ class RunLog:
         )
 
 
-_DEVICE_RUN_KEYS = frozenset(fld.name for fld in fields(DeviceRun))
+_EVENTS_FILE = "runlog_events.csv"
+_SUMMARY_FILE = "runlog.json"
+
+_EVENT_FIELDS = (
+    "device_id", "seq", "time_ms", "value", "transmitted", "residual",
+    "codeword_bits", "cd_ms", "dtr_ms", "dd_ms", "arrival_ms",
+    "reconstructed",
+)
 
 
-def _require_keys(doc, keys: set | frozenset, where: str) -> None:
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_number(value) -> bool:
+    return _is_int(value) or isinstance(value, float)
+
+
+# What runlog.json may hold for each DeviceRun field, by its annotation.
+_TYPE_CHECKS = {
+    "str": (lambda value: isinstance(value, str), "a string"),
+    "int": (_is_int, "an integer"),
+    "float": (_is_number, "a number"),
+    "dict": (lambda value: (isinstance(value, dict)
+                            and all(map(_is_number, value.values()))),
+             "an object of numbers"),
+}
+_DEVICE_RUN_CHECKS = {fld.name: _TYPE_CHECKS[fld.type]
+                      for fld in fields(DeviceRun)}
+
+
+def _require_keys(doc, keys, where: str) -> None:
     if not isinstance(doc, dict):
         raise ValueError(f"{where}: not a JSON object")
     if doc.keys() != keys:

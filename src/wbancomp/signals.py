@@ -92,6 +92,20 @@ def quantize(physical: float, adc_range: tuple[float, float], adc_bits: int) -> 
     return math.floor((physical - lo) / (hi - lo) * full_scale)
 
 
+def parse_range(text: str) -> tuple[float, float]:
+    """The physical range 'min,max' as two finite numbers with min < max."""
+    parts = text.split(",")
+    if len(parts) != 2:
+        raise ValueError(f"expected 'min,max', got {text!r}")
+    try:
+        lo, hi = float(parts[0]), float(parts[1])
+    except ValueError:
+        raise ValueError(f"not numeric: {text!r}") from None
+    if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
+        raise ValueError(f"need finite min < max, got {text!r}")
+    return lo, hi
+
+
 @dataclass
 class TraceLoad:
     samples: list[Sample]

@@ -12,8 +12,6 @@ from dataclasses import dataclass
 from .bitstream import BitReader, BitString
 from .codec import decode_residual
 
-_HEADER_LEN = 3  # 1-byte device id + 2-byte big-endian bit count
-
 
 class UnknownDeviceError(Exception):
     """Packet from a device that was never registered."""
@@ -25,11 +23,11 @@ class DuplicateDeviceError(Exception):
 
 @dataclass(frozen=True)
 class Packet:
-    """Wire unit between device and sink.
+    """Unit of transfer between device and sink.
 
-    Layout: 1-byte device id, 2-byte big-endian bit count, then the payload
-    bytes holding exactly bit_count valid bits MSB-first, zero-padded to a
-    byte boundary.
+    The payload bytes hold exactly bit_count valid bits MSB-first,
+    zero-padded to a byte boundary. The id and bit-count ranges bound what
+    a packet trace line may carry.
     """
 
     device_id: int
@@ -51,33 +49,12 @@ class Packet:
     def from_bits(cls, device_id: int, bits: BitString) -> "Packet":
         return cls(device_id, len(bits), bits.to_bytes())
 
-    def bits(self) -> BitString:
-        return BitString.from_bytes(self.payload, self.bit_count)
-
-    def pack(self) -> bytes:
-        return (
-            bytes([self.device_id])
-            + self.bit_count.to_bytes(2, "big")
-            + self.payload
-        )
-
-    @classmethod
-    def unpack(cls, blob: bytes) -> "Packet":
-        if len(blob) < _HEADER_LEN:
-            raise ValueError(f"packet of {len(blob)} bytes is shorter than its header")
-        bit_count = int.from_bytes(blob[1:3], "big")
-        return cls(blob[0], bit_count, bytes(blob[_HEADER_LEN:]))
-
 
 class Sink:
     """Reference-list holder that turns residual packets back into readings."""
 
     def __init__(self):
         self._reference: dict[int, int] = {}
-
-    @property
-    def device_ids(self) -> tuple[int, ...]:
-        return tuple(self._reference)
 
     def register_device(self, device_id: int) -> None:
         """Add a device to the reference list with initial reading 0."""

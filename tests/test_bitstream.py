@@ -3,7 +3,7 @@ import random
 import pytest
 
 from wbancomp.bitstream import (BitReader, BitString, BitUnderflowError,
-                                BitWriter, append_bits)
+                                BitWriter)
 
 
 def test_empty_bitstring():
@@ -34,13 +34,13 @@ def test_value_must_fit_length():
 
 def test_append_empty_is_identity():
     word = BitString.from01("110")
-    appended = append_bits(BitString(), word)
-    assert appended == word
-    assert len(appended) == 3
+    assert BitString() + word == word
+    assert word + BitString() == word
+    assert len(BitString() + word) == 3
 
 
 def test_append_concatenates_in_order():
-    stream = append_bits(BitString.from01("110"), BitString.from01("100110"))
+    stream = BitString.from01("110") + BitString.from01("100110")
     assert stream.to01() == "110100110"
     assert len(stream) == 9
 
@@ -61,32 +61,34 @@ def test_leading_zeros_are_significant():
 
 
 def test_bit_indexing_msb_first():
-    bits = BitString.from01("10110")
-    assert [bits.bit(i) for i in range(5)] == [1, 0, 1, 1, 0]
-    with pytest.raises(IndexError):
-        bits.bit(5)
+    reader = BitReader(BitString.from01("10110"))
+    assert [reader.read_bit() for _ in range(5)] == [1, 0, 1, 1, 0]
+    with pytest.raises(BitUnderflowError):
+        reader.read_bit()
 
 
 def test_bytes_round_trip_with_padding():
     bits = BitString.from01("110100110")
     data = bits.to_bytes()
     assert data == bytes([0b11010011, 0b00000000])
-    assert BitString.from_bytes(data, 9) == bits
+    reader = BitReader(data, 9)
+    assert reader.read_uint(9) == bits.uint
+    assert reader.remaining == 0
 
 
 def test_reader_reads_exact_counts():
     reader = BitReader(BitString.from01("110100110"))
-    assert reader.read_bits(3).to01() == "110"
+    assert reader.read_uint(3) == 0b110
     assert reader.remaining == 6
-    assert reader.read_bits(6).to01() == "100110"
+    assert reader.read_uint(6) == 0b100110
     assert reader.remaining == 0
 
 
 def test_reader_underflow():
     reader = BitReader(BitString.from01("101"))
-    reader.read_bits(2)
+    reader.read_uint(2)
     with pytest.raises(BitUnderflowError):
-        reader.read_bits(2)
+        reader.read_uint(2)
     # the failed read consumed nothing
     assert reader.remaining == 1
 
@@ -105,7 +107,6 @@ def test_writer_packs_msb_first():
     data, count = writer.getvalue()
     assert count == 9
     assert data == bytes([0b11010011, 0b00000000])
-    assert writer.to_bitstring().to01() == "110100110"
 
 
 def test_writer_reader_stream_property():

@@ -1,10 +1,13 @@
+import hashlib
 import json
 from pathlib import Path
 
 import pytest
 
 from conftest import SCENARIO_DIR
+from wbancomp.bitstream import BitString
 from wbancomp.cli import EXIT_DATA, EXIT_OK, EXIT_USAGE, main
+from wbancomp.sink import Packet
 from wbancomp.tracefile import read_trace
 
 
@@ -32,8 +35,7 @@ def test_encode_golden_single_reading(tmp_path):
     trace = read_trace(out)
     (seq, packet), = trace.packets
     assert seq == 0
-    assert packet.bit_count == 9
-    assert packet.bits().to01() == "110100110"
+    assert packet == Packet.from_bits(1, BitString.from01("110100110"))
 
 
 def test_encode_empty_file_fails(tmp_path, capsys):
@@ -149,6 +151,25 @@ def test_signals_dump_file_requires_range(tmp_path):
     assert rc == EXIT_USAGE
 
 
+def test_signals_dump_bad_range_is_usage_error(tmp_path, capsys):
+    src = tmp_path / "t.csv"
+    src.write_text("37.0\n")
+    for bad in ("a,b", "2,1"):
+        rc = main(["signals", "dump", "--file", str(src), "--range", bad])
+        assert rc == EXIT_USAGE
+        assert "--range:" in capsys.readouterr().err
+
+
+def test_encode_rejects_adc_bits_beyond_codec(tmp_path, capsys):
+    src = tmp_path / "codes.csv"
+    write_codes(src, [3000])
+    out = tmp_path / "x.trace"
+    rc = main(["--out", str(out), "encode", str(src), "--adc-bits", "12"])
+    assert rc == EXIT_DATA
+    assert "--adc-bits" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_simulate_writes_outputs_deterministically(tmp_path):
     cfg = SCENARIO_DIR / "temperature_sleep.cfg"
     out1, out2 = tmp_path / "run1", tmp_path / "run2"
@@ -159,6 +180,58 @@ def test_simulate_writes_outputs_deterministically(tmp_path):
     for name in names:
         assert (out1 / name).exists()
         assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
+
+
+# SHA-256 of every file `simulate` writes, per shipped scenario. A change
+# that moves any of them must update the hash and say why in CHANGES.md.
+PINNED_OUTPUTS = {
+    "four_device": {
+        "metrics.csv":
+            "c99204bb17db5690bf2648d59dfb232677cc0e5c9d2632990b12e6581f9cfc16",
+        "metrics.json":
+            "39a1065991a1ffa6f9f51f66e093d555b2ff91a8905fac212bbb97cd2d557a17",
+        "packets.trace":
+            "39175c0beeba9f23c5c9c0fa2b380994bb4ebffafdb02d331d3de48422d7e9b0",
+        "runlog.json":
+            "bc7a83786c0c4c25016a6a5cee29340756760b59713cc47af6c40040b907f862",
+        "runlog_events.csv":
+            "ec45ea4a767fe9f317fb125b4395c95d5be7901e5098de86e41a34bf9bb6eb41",
+    },
+    "lifetime_table": {
+        "metrics.csv":
+            "2f6cbb3b11aaab1ce7c720e66a53feb6cf83b0f9aba216b08e86db103e4ce4d1",
+        "metrics.json":
+            "b1f6f908b69b40ed9b65a4435f9e22f4ae613032f766f919f7db4a13176760a6",
+        "packets.trace":
+            "bcaa29e86c3c23c6ff2050d6742470269c11ca67864d20bcf99a798964291dfc",
+        "runlog.json":
+            "57411fd9923f061b93d20d6d8756771242b0b5487b0e1b7cdbed2d616814e201",
+        "runlog_events.csv":
+            "602a3d0d5d41582a87dc7801217634ed3600cc9273efdd8932cf5c03d43802df",
+    },
+    "temperature_sleep": {
+        "metrics.csv":
+            "fd3c54653b6f01e9ed8f1829f583367df037f3fda17a6aad8d9f1111a3887636",
+        "metrics.json":
+            "3cf89d962cafa2856c63857e87fa880c9797989622e5753c95ae771dbac35d94",
+        "packets.trace":
+            "d1c750fcb2a45360f6af136bba9957e88e10439cb9105034727899f307883d8a",
+        "runlog.json":
+            "0a9ab848fa4cddcbdf342237b5d60d273fea0659cfa9e84a5fbe75d1bd7f355c",
+        "runlog_events.csv":
+            "bf31822e9a31665b6829afa7d668573a4a2bbe64c5e84d442a0a246623ebaec0",
+    },
+}
+
+
+@pytest.mark.parametrize("scenario", sorted(PINNED_OUTPUTS))
+def test_simulate_outputs_are_pinned(tmp_path, scenario):
+    out = tmp_path / "run"
+    cfg = SCENARIO_DIR / f"{scenario}.cfg"
+    assert main(["--out", str(out), "simulate", str(cfg)]) == EXIT_OK
+    written = {path.name: hashlib.sha256(path.read_bytes()).hexdigest()
+               for path in out.iterdir()}
+    assert written == PINNED_OUTPUTS[scenario]
 
 
 def test_simulate_missing_scenario(tmp_path):
@@ -208,19 +281,31 @@ def _edit_third_event_line(edit):
     return mangle
 
 
-def _drop_payload_bits(rundir):
-    path = rundir / "runlog.json"
-    doc = json.loads(path.read_text())
+def _edit_summary(edit):
+    def mangle(rundir):
+        path = rundir / "runlog.json"
+        doc = json.loads(path.read_text())
+        edit(doc)
+        path.write_text(json.dumps(doc))
+    return mangle
+
+
+def _drop_payload_bits(doc):
     del doc["devices"][1]["payload_bits"]
-    path.write_text(json.dumps(doc))
+
+
+def _string_samples(doc):
+    doc["devices"][2]["samples"] = "120"
 
 
 @pytest.mark.parametrize("mangle, where", [
     (_edit_third_event_line(lambda line: "1,2\n"), "runlog_events.csv:3:"),
     (_edit_third_event_line(lambda line: "x" + line[line.index(","):]),
      "runlog_events.csv:3:"),
-    (_drop_payload_bits, "runlog.json: device 1:"),
-], ids=["short-row", "non-numeric-cell", "missing-device-key"])
+    (_edit_summary(_drop_payload_bits), "runlog.json: device 1:"),
+    (_edit_summary(_string_samples), "runlog.json: device 2: samples"),
+], ids=["short-row", "non-numeric-cell", "missing-device-key",
+        "mistyped-device-value"])
 def test_report_locates_malformed_run_dir(tmp_path, capsys, mangle, where):
     out = tmp_path / "run"
     main(["--out", str(out), "simulate",
@@ -229,6 +314,23 @@ def test_report_locates_malformed_run_dir(tmp_path, capsys, mangle, where):
     capsys.readouterr()
     assert main(["report", str(out)]) == EXIT_DATA
     assert where in capsys.readouterr().err
+
+
+def test_report_reads_run_dir_with_rx_state(tmp_path, capsys):
+    # Run directories written before the never-charged rx state was dropped
+    # carry "rx": 0.0 in both state maps; they report the same metrics.
+    out = tmp_path / "run"
+    main(["--out", str(out), "simulate",
+          str(SCENARIO_DIR / "temperature_sleep.cfg")])
+
+    def add_rx(doc):
+        for dev in doc["devices"]:
+            dev["state_time_ms"]["rx"] = 0.0
+            dev["state_charge_mah"]["rx"] = 0.0
+    _edit_summary(add_rx)(out)
+    capsys.readouterr()
+    assert main(["report", str(out)]) == EXIT_OK
+    assert capsys.readouterr().out == (out / "metrics.csv").read_text()
 
 
 def test_unknown_command_is_usage_error():

@@ -119,6 +119,14 @@ def test_file_device_requires_range(tmp_path):
         parse_scenario(write(tmp_path, text))
 
 
+def test_reversed_adc_range_rejected(tmp_path):
+    (tmp_path / "trace.csv").write_text("37.0\n" * 120)
+    text = MINIMAL.replace("signal = temperature",
+                           "file = trace.csv\nadc_range = 2,1")
+    with pytest.raises(ConfigError, match=r"\[device:.*\] adc_range: "):
+        parse_scenario(write(tmp_path, text))
+
+
 def test_file_paths_resolve_relative_to_config(tmp_path):
     (tmp_path / "trace.csv").write_text("37.0\n" * 120)
     text = MINIMAL.replace(

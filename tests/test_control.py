@@ -84,19 +84,6 @@ def test_constant_stream_transmits_once():
     assert sent == 1
 
 
-def test_reset_forgets_history():
-    state = fresh(1)
-    state.process_sample(10)
-    state.process_sample(10)
-    state.reset()
-    assert state.first_reading
-    assert state.consecutive_suppressed == 0
-    assert state.process_sample(38) == 38
-    state.reset()
-    state.reset()  # idempotent
-    assert state.first_reading
-
-
 def test_out_of_range_reading_rejected():
     state = fresh(1)
     with pytest.raises(ValueError):

@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 
 import pytest
@@ -119,14 +121,14 @@ class TestReports:
         header = text.splitlines()[0]
         assert header == ("device_id,mode,orig_pkt,comp_pkt,pcr_pct,"
                           "cd_ms,dd_ms,ad_ms,dec_mah,lifetime_h")
-        parsed = metrics.from_csv(text)
+        parsed = list(csv.DictReader(io.StringIO(text)))
         assert len(parsed) == 1
         for name in ("pcr_pct", "cd_ms", "dd_ms", "ad_ms", "dec_mah",
                      "lifetime_h"):
-            assert getattr(parsed[0], name) == pytest.approx(
+            assert float(parsed[0][name]) == pytest.approx(
                 getattr(devices[0], name), abs=1e-4)
-        assert parsed[0].orig_pkt == devices[0].orig_pkt
-        assert parsed[0].comp_pkt == devices[0].comp_pkt
+        assert int(parsed[0]["orig_pkt"]) == devices[0].orig_pkt
+        assert int(parsed[0]["comp_pkt"]) == devices[0].comp_pkt
 
     def test_json_report(self):
         log = make_runlog()
