@@ -113,9 +113,6 @@ class EnergyLedger:
         self.time_ms[state] += duration_ms
         self.charge_mah[state] += current * (duration_ms / MS_PER_HOUR)
 
-    def total_mah(self) -> float:
-        return sum(self.charge_mah.values())
-
 
 def lifetime(battery_mah: float, average_current_ma: float) -> float:
     """Battery life in hours at a steady average current draw."""

@@ -59,7 +59,7 @@ class TestEnergyLedger:
     def test_zero_duration_is_noop(self):
         ledger = EnergyLedger(RadioEnergyModel())
         ledger.charge("idle", 0.0)
-        assert ledger.total_mah() == 0.0
+        assert sum(ledger.charge_mah.values()) == 0.0
 
     def test_average_current_matches_constant_draw(self):
         model = RadioEnergyModel(tx_ma=39.0, idle_ma=38.28, sleep_ma=1.0)
@@ -67,9 +67,10 @@ class TestEnergyLedger:
         for hours in (0.25, 1.0, 3.5):
             ledger = EnergyLedger(model)
             ledger.charge("idle", hours * 3_600_000)
-            assert math.isclose(ledger.total_mah(), 38.28 * hours)
+            total_mah = sum(ledger.charge_mah.values())
+            assert math.isclose(total_mah, 38.28 * hours)
             elapsed_h = sum(ledger.time_ms.values()) / MS_PER_HOUR
-            assert math.isclose(ledger.total_mah() / elapsed_h, 38.28)
+            assert math.isclose(total_mah / elapsed_h, 38.28)
 
     def test_unknown_state_rejected(self):
         ledger = EnergyLedger(RadioEnergyModel())
