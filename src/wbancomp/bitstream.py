@@ -129,19 +129,25 @@ class BitReader:
         self._pos += 1
         return bit
 
-    def read_uint(self, count: int) -> int:
+    def peek_uint(self, count: int) -> int:
+        """The next `count` bits as an unsigned integer, left unconsumed."""
         if count < 0:
             raise ValueError("count must be non-negative")
-        if count > self.remaining:
-            raise BitUnderflowError(f"requested {count} bits, {self.remaining} remain")
-        value = 0
         pos = self._pos
         end = pos + count
-        while pos < end:
-            offset = pos & 7
-            take = min(8 - offset, end - pos)
-            chunk = (self._data[pos >> 3] >> (8 - offset - take)) & ((1 << take) - 1)
-            value = (value << take) | chunk
-            pos += take
-        self._pos = end
+        if end > self._bits:
+            raise BitUnderflowError(f"requested {count} bits, {self.remaining} remain")
+        last = (end + 7) >> 3
+        chunk = int.from_bytes(self._data[pos >> 3:last], "big")
+        return (chunk >> (8 * last - end)) & ((1 << count) - 1)
+
+    def skip(self, count: int) -> None:
+        """Consume the next `count` bits unread."""
+        if not 0 <= count <= self._bits - self._pos:
+            raise BitUnderflowError(f"cannot skip {count} bits, {self.remaining} remain")
+        self._pos += count
+
+    def read_uint(self, count: int) -> int:
+        value = self.peek_uint(count)
+        self._pos += count
         return value

@@ -8,14 +8,16 @@ from __future__ import annotations
 
 import argparse
 import sys
+from operator import itemgetter
 from pathlib import Path
 
 from . import config, metrics, tracefile
-from .codec import MAX_GROUP, CodecError, encode_residual
+from .codec import MAX_GROUP, CodecError, codeword_bytes
 from .control import DeviceState
-from .netmodel import RunLog, simulate
-from .signals import (SYNTH_KINDS, FileSource, SyntheticSource, TraceSpec,
-                      load_trace, parse_range, read_column, synth_samples)
+from .netmodel import SUMMARY_FILE, RunLog, simulate
+from .signals import (MAX_ADC_BITS, SYNTH_KINDS, FileSource, SyntheticSource,
+                      TraceSpec, load_trace, parse_range, read_column,
+                      synth_samples)
 from .sink import Packet, Sink
 
 EXIT_OK = 0
@@ -90,6 +92,10 @@ def cmd_encode(args) -> int:
     if not 1 <= args.adc_bits <= MAX_GROUP:
         raise ValueError(f"--adc-bits {args.adc_bits} outside [1, {MAX_GROUP}]: "
                          f"the codec covers at most {MAX_GROUP}-bit readings")
+    if args.threshold < 0:
+        raise ValueError(f"--threshold {args.threshold}: must be non-negative")
+    if not 0 <= args.device_id <= 255:
+        raise ValueError(f"--device-id {args.device_id} outside [0, 255]")
     codes = []
     for lineno, code in read_column(Path(args.input), args.column, int):
         if not 0 <= code < 1 << args.adc_bits:
@@ -112,8 +118,8 @@ def cmd_encode(args) -> int:
         residual = state.process_sample(code)
         if residual is None:
             continue
-        packet = Packet.from_bits(args.device_id, encode_residual(residual))
-        trace.packets.append((seq, packet))
+        trace.packets.append(
+            (seq, Packet(args.device_id, *codeword_bytes(residual))))
     tracefile.write_trace(args.out, trace)
     ratio = metrics.compression_ratio(len(codes), len(trace.packets))
     print(f"original={len(codes)} transmitted={len(trace.packets)} "
@@ -123,31 +129,28 @@ def cmd_encode(args) -> int:
 
 def cmd_decode(args) -> int:
     trace = tracefile.read_trace(args.input)
-    sink = Sink()
-    by_seq: dict[int, list[Packet]] = {}
-    device_ids: list[int] = []
-    for seq, packet in trace.packets:
-        if packet.device_id not in device_ids:
-            device_ids.append(packet.device_id)
-            sink.register_device(packet.device_id)
-        by_seq.setdefault(seq, []).append(packet)
+    device_ids = list(dict.fromkeys(pkt.device_id for _, pkt in trace.packets))
     if len(device_ids) > 1:
         raise ValueError(
             f"{args.input}: trace holds {len(device_ids)} devices; decode "
             f"expects a single-device trace")
     if not device_ids:
         raise ValueError(f"{args.input}: trace holds no packets")
-    device_id = device_ids[0]
+    sink = Sink()
+    sink.register_device(device_ids[0])
 
-    lines = []
-    for seq in range(trace.samples):
-        for index, packet in enumerate(by_seq.get(seq, [])):
-            try:
-                sink.on_packet(packet)
-            except (CodecError, ValueError) as exc:
-                raise ValueError(
-                    f"{args.input}: packet at sample {seq}: {exc}") from None
-        lines.append(str(sink.held_value(device_id)))
+    # Each sample shows the value after every packet up to its index; the
+    # sort is stable, so packets at one sample apply in file order.
+    lines: list[str] = []
+    held = str(sink.held_value(device_ids[0]))
+    for seq, packet in sorted(trace.packets, key=itemgetter(0)):
+        lines.extend([held] * (seq - len(lines)))
+        try:
+            held = str(sink.on_packet(packet))
+        except (CodecError, ValueError) as exc:
+            raise ValueError(
+                f"{args.input}: packet at sample {seq}: {exc}") from None
+    lines.extend([held] * (trace.samples - len(lines)))
     text = "\n".join(lines) + "\n"
     if args.out:
         Path(args.out).write_text(text)
@@ -157,6 +160,13 @@ def cmd_decode(args) -> int:
 
 
 def cmd_signals_dump(args) -> int:
+    if not 1 <= args.adc_bits <= MAX_ADC_BITS:
+        raise ValueError(f"--adc-bits {args.adc_bits} outside "
+                         f"[1, {MAX_ADC_BITS}]")
+    if args.period_ms <= 0:
+        raise ValueError(f"--period-ms {args.period_ms}: must be positive")
+    if args.samples < 0:
+        raise ValueError(f"--samples {args.samples}: must be non-negative")
     if args.kind:
         spec = TraceSpec(
             source=SyntheticSource(kind=args.kind,
@@ -221,7 +231,12 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_report(args) -> int:
-    text = metrics.report(RunLog.load(Path(args.rundir)), args.format)
+    rundir = Path(args.rundir)
+    runlog = RunLog.load(rundir)
+    try:
+        text = metrics.report(runlog, args.format)
+    except ValueError as exc:
+        raise ValueError(f"{rundir / SUMMARY_FILE}: {exc}") from None
     if args.out:
         Path(args.out).write_text(text)
     else:

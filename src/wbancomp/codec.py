@@ -15,11 +15,20 @@ whole code is prefix-free, so concatenated codewords decode unambiguously.
 
 Supported residuals span [-2047, 2047] (groups 0..11), enough for full-scale
 deltas of anything up to an 11-bit ADC, first absolute readings included.
+
+encode_prefix and encode_suffix are the specification. Encoding indexes a
+table of all 4095 codewords built from them on first use. Decoding looks the
+next 9 bits (the longest prefix) up in a 512-entry table, built from
+encode_prefix, that gives the group and prefix length of the codeword
+starting there, or marks the start malformed with the number of bits it
+takes to see that; one masked shift then reads the suffix.
 """
 
 from __future__ import annotations
 
-from .bitstream import BitReader, BitString, BitUnderflowError
+from functools import cache
+
+from .bitstream import BitReader, BitString
 
 RESIDUAL_MIN = -2047
 RESIDUAL_MAX = 2047
@@ -42,12 +51,16 @@ class MalformedPrefixError(CodecError):
     """The bits at the read position cannot start any valid codeword."""
 
 
-def group_of(residual: int) -> int:
-    """Group index of a residual: 0 for 0, else floor(log2(|residual|)) + 1."""
+def _check_range(residual: int) -> None:
     if not RESIDUAL_MIN <= residual <= RESIDUAL_MAX:
         raise ValueError(
             f"residual {residual} outside [{RESIDUAL_MIN}, {RESIDUAL_MAX}]"
         )
+
+
+def group_of(residual: int) -> int:
+    """Group index of a residual: 0 for 0, else floor(log2(|residual|)) + 1."""
+    _check_range(residual)
     return abs(residual).bit_length()
 
 
@@ -76,51 +89,116 @@ def encode_suffix(residual: int, group: int) -> BitString:
     return BitString((residual - 1) & ((1 << group) - 1), group)
 
 
+@cache
+def _codewords() -> tuple[tuple[BitString, ...], tuple[tuple[int, bytes], ...]]:
+    """Every codeword as a BitString and as (bit_count, payload bytes).
+
+    Both are indexed by residual - RESIDUAL_MIN. They are built on first
+    use, not at import, because building them takes milliseconds.
+    """
+    words = tuple(encode_prefix(group_of(e)) + encode_suffix(e, group_of(e))
+                  for e in range(RESIDUAL_MIN, RESIDUAL_MAX + 1))
+    return words, tuple((len(word), word.to_bytes()) for word in words)
+
+
 def encode_residual(residual: int) -> BitString:
     """Full codeword for one residual: prefix followed by suffix."""
-    group = group_of(residual)
-    return encode_prefix(group) + encode_suffix(residual, group)
+    _check_range(residual)
+    return _codewords()[0][residual - RESIDUAL_MIN]
+
+
+def codeword_bytes(residual: int) -> tuple[int, bytes]:
+    """(bit_count, payload) of a packet carrying just the residual's codeword."""
+    _check_range(residual)
+    return _codewords()[1][residual - RESIDUAL_MIN]
+
+
+# The longest prefix, group 11's '111111110', fills the window exactly.
+_WINDOW_BITS = 9
+_WINDOW_MASK = (1 << _WINDOW_BITS) - 1
+
+# The two malformed starts, by the negative group their table entries hold.
+# '1110' would alias group 6, which uses the binary prefix '110'.
+_MALFORMED = {-1: "non-canonical prefix '1110'",
+              -2: f"prefix run of more than {_MAX_PREFIX_ONES} leading ones"}
+
+
+def _prefix_table() -> list[tuple[int, int]]:
+    """(group, prefix bits) for every window, indexed by the window's bits.
+
+    The windows no prefix claims start '1110' (malformed after 4 bits) or
+    are nine ones (malformed after 9): their entries hold a negative group
+    and those bit counts.
+    """
+    table = [(-1, 4)] * (1 << _WINDOW_BITS)
+    table[_WINDOW_MASK] = (-2, _WINDOW_BITS)
+    for group in range(MAX_GROUP + 1):
+        prefix = encode_prefix(group)
+        free = _WINDOW_BITS - len(prefix)
+        start = prefix.uint << free
+        table[start:start + (1 << free)] = [(group, len(prefix))] * (1 << free)
+    return table
+
+
+_PREFIXES = _prefix_table()
+
+
+def _decode_error(group: int, prefix_bits: int, left: int) -> CodecError:
+    """Why the codeword with this table entry does not fit in `left` bits."""
+    if prefix_bits > left:
+        return IncompleteCodewordError("stream ended inside a codeword prefix")
+    if group < 0:
+        return MalformedPrefixError(_MALFORMED[group])
+    return IncompleteCodewordError("stream ended inside a codeword suffix")
+
+
+def _next_codeword(value: int, left: int) -> tuple[int, int]:
+    """(residual, bits left) for the codeword at the top of a bit string.
+
+    `value` holds the string's last `left` bits, first bit most significant.
+    """
+    if left >= _WINDOW_BITS:
+        window = (value >> (left - _WINDOW_BITS)) & _WINDOW_MASK
+    else:
+        # The zeros shifted in past the end never complete a prefix: an
+        # entry whose prefix reaches them fails the length check.
+        window = (value << (_WINDOW_BITS - left)) & _WINDOW_MASK
+    group, prefix_bits = _PREFIXES[window]
+    if group < 0 or prefix_bits + group > left:
+        raise _decode_error(group, prefix_bits, left)
+    left -= prefix_bits + group
+    mask = (1 << group) - 1
+    suffix = (value >> left) & mask
+    # The suffix MSB is the sign: a group's upper half holds positives.
+    return (suffix if suffix > mask >> 1 else suffix - mask), left
+
+
+def decode_bits(value: int, bit_count: int) -> list[int]:
+    """Residuals of the codewords that exactly fill a bit string.
+
+    `value` holds the string's bit_count bits, first bit most significant.
+    Raises IncompleteCodewordError when the string ends mid-codeword and
+    MalformedPrefixError for bit patterns no encoder output starts with
+    (a run of more than 8 leading ones, or the non-canonical '1110').
+    """
+    residuals = []
+    left = bit_count
+    while left:
+        residual, left = _next_codeword(value, left)
+        residuals.append(residual)
+    return residuals
 
 
 def decode_residual(reader: BitReader) -> int:
     """Consume exactly one codeword from the reader and return its residual.
 
-    Raises IncompleteCodewordError when the stream ends mid-codeword and
-    MalformedPrefixError for bit patterns no encoder output starts with
-    (a run of more than 8 leading ones, or the non-canonical '1110').
+    Raises the errors decode_bits does for the codeword at the read position.
     """
-    try:
-        head = reader.read_uint(3)
-    except BitUnderflowError as exc:
-        raise IncompleteCodewordError("stream ended inside a codeword prefix") from exc
-    if head != 0b111:
-        group = head
-    else:
-        ones = 3
-        while True:
-            try:
-                bit = reader.read_bit()
-            except BitUnderflowError as exc:
-                raise IncompleteCodewordError(
-                    "stream ended inside a codeword prefix"
-                ) from exc
-            if not bit:
-                break
-            ones += 1
-            if ones > _MAX_PREFIX_ONES:
-                raise MalformedPrefixError(
-                    f"prefix run of more than {_MAX_PREFIX_ONES} leading ones"
-                )
-        if ones == 3:
-            # '1110' would alias group 6, which uses the binary prefix '110'.
-            raise MalformedPrefixError("non-canonical prefix '1110'")
-        group = ones + 3
-    try:
-        suffix = reader.read_uint(group)
-    except BitUnderflowError as exc:
-        raise IncompleteCodewordError("stream ended inside a codeword suffix") from exc
-    if group == 0:
-        return 0
-    if suffix >> (group - 1):
-        return suffix
-    return suffix + 1 - (1 << group)
+    # The longest codeword is group 11's 9-bit prefix and 11-bit suffix.
+    # (A conditional, not min(): this runs once per codeword.)
+    take = reader.remaining
+    if take > _WINDOW_BITS + MAX_GROUP:
+        take = _WINDOW_BITS + MAX_GROUP
+    residual, left = _next_codeword(reader.peek_uint(take), take)
+    reader.skip(take - left)
+    return residual

@@ -80,7 +80,11 @@ class RunMetrics:
 
 
 def compute(runlog: RunLog) -> tuple[list[DeviceMetrics], RunMetrics]:
-    """Per-device metrics plus the run-level summary."""
+    """Per-device metrics plus the run-level summary.
+
+    Device values that do not fit together raise ValueError naming the
+    device by its index in runlog.devices.
+    """
     if not runlog.devices:
         raise ValueError("run log holds no devices")
     per_device: dict[int, list] = {dev.device_id: [] for dev in runlog.devices}
@@ -90,25 +94,30 @@ def compute(runlog: RunLog) -> tuple[list[DeviceMetrics], RunMetrics]:
 
     duration_h = runlog.duration_ms / MS_PER_HOUR
     out = []
-    for dev in runlog.devices:
+    for index, dev in enumerate(runlog.devices):
         sent = per_device[dev.device_id]
-        if not sent:
-            raise ValueError(f"device {dev.device_id} transmitted nothing")
+        dec = dev.total_mah()
+        try:
+            if not sent:
+                raise ValueError("transmitted nothing")
+            pcr = compression_ratio(dev.samples, dev.transmitted)
+            life = lifetime(dev.battery_mah, dec / duration_h)
+        except ValueError as exc:
+            raise ValueError(f"device {index}: {exc}") from None
         cd = sum(ev.cd_ms for ev in sent) / len(sent)
         dd = sum(ev.dd_ms for ev in sent) / len(sent)
         ad = sum(ev.cd_ms + ev.dd_ms + ev.dtr_ms for ev in sent) / len(sent)
-        dec = dev.total_mah()
         out.append(DeviceMetrics(
             device_id=dev.device_id,
             mode=dev.mode,
             orig_pkt=dev.samples,
             comp_pkt=dev.transmitted,
-            pcr_pct=compression_ratio(dev.samples, dev.transmitted),
+            pcr_pct=pcr,
             cd_ms=cd,
             dd_ms=dd,
             ad_ms=ad,
             dec_mah=dec,
-            lifetime_h=lifetime(dev.battery_mah, dec / duration_h),
+            lifetime_h=life,
         ))
     run = RunMetrics(
         device_count=len(runlog.devices),

@@ -23,8 +23,7 @@ from collections.abc import Iterator
 from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
 
-from .bitstream import BitReader, BitString
-from .codec import MAX_GROUP, encode_residual
+from .codec import MAX_GROUP, codeword_bytes
 from .control import DeviceState
 from .signals import TraceSpec, trace_samples
 from .sink import Packet, Sink
@@ -104,12 +103,16 @@ class EnergyLedger:
         self.model = model
         self.time_ms = {state: 0.0 for state in LEDGER_STATES}
         self.charge_mah = {state: 0.0 for state in LEDGER_STATES}
+        self._current_ma = {state: model.current_ma(state)
+                            for state in LEDGER_STATES}
 
     def charge(self, state: str, duration_ms: float) -> None:
         """Add current(state) x duration to the ledger."""
         if duration_ms < 0:
             raise ValueError("duration must be non-negative")
-        current = self.model.current_ma(state)
+        current = self._current_ma.get(state)
+        if current is None:
+            current = self.model.current_ma(state)  # raises: unknown state
         self.time_ms[state] += duration_ms
         self.charge_mah[state] += current * (duration_ms / MS_PER_HOUR)
 
@@ -270,7 +273,7 @@ class RunLog:
             "seed": self.seed,
             "devices": [asdict(dev) for dev in self.devices],
         }
-        (rundir / _SUMMARY_FILE).write_text(
+        (rundir / SUMMARY_FILE).write_text(
             json.dumps(summary, indent=2, sort_keys=True) + "\n")
 
     @classmethod
@@ -280,7 +283,7 @@ class RunLog:
         Malformed files raise ValueError naming the file and the line or
         device entry at fault. The packets are not read back.
         """
-        summary_path = rundir / _SUMMARY_FILE
+        summary_path = rundir / SUMMARY_FILE
         events_path = rundir / _EVENTS_FILE
         if not events_path.exists() or not summary_path.exists():
             raise FileNotFoundError(f"{rundir} is not a run directory")
@@ -345,7 +348,7 @@ class RunLog:
 
 
 _EVENTS_FILE = "runlog_events.csv"
-_SUMMARY_FILE = "runlog.json"
+SUMMARY_FILE = "runlog.json"
 
 _EVENT_FIELDS = (
     "device_id", "seq", "time_ms", "value", "transmitted", "residual",
@@ -409,32 +412,36 @@ def _device_loop(cfg: DeviceConfig, scenario: Scenario, sink: Sink,
         sink.register_device(cfg.device_id)
     can_sleep = sleep.enabled and device is not None
     asleep = False
+    # A raw reading travels as adc_bits bits, zero-padded to whole bytes.
+    raw_bytes = (spec.adc_bits + 7) // 8
+    raw_pad = 8 * raw_bytes - spec.adc_bits
 
     for seq, sample in enumerate(samples):
         t_ms = float(sample.timestamp_ms)
         if device is None:
             residual = None
-            word = BitString(sample.value, spec.adc_bits)
+            bits = spec.adc_bits
+            payload = (sample.value << raw_pad).to_bytes(raw_bytes, "big")
             cd_ms = 0.0
             reconstructed = sample.value
         else:
             residual = device.process_sample(sample.value)
-            word = None if residual is None else encode_residual(residual)
+            bits, payload = ((0, None) if residual is None
+                             else codeword_bytes(residual))
             cd_ms = cfg.cd_ms
             reconstructed = device.last_reading
 
         packet = None
         wake_ms = dtr_ms = dd_ms = 0.0
         arrival_ms = None
-        if word is not None:
+        if payload is not None:
             if asleep:
                 wake_ms = model.wake_latency_ms
-            dtr_ms = scenario.channel.transit_ms(len(word))
-            packet = Packet.from_bits(cfg.device_id, word)
+            dtr_ms = scenario.channel.transit_ms(bits)
+            packet = Packet(cfg.device_id, bits, payload)
             if device is None:
                 # Raw payload: no decompression happens at the sink.
-                value = BitReader(packet.payload, packet.bit_count).read_uint(
-                    spec.adc_bits)
+                value = int.from_bytes(payload, "big") >> raw_pad
             else:
                 value = sink.on_packet(packet)
                 dd_ms = cfg.dd_ms
@@ -444,7 +451,7 @@ def _device_loop(cfg: DeviceConfig, scenario: Scenario, sink: Sink,
                     f"{reconstructed} (device {cfg.device_id})"
                 )
             arrival_ms = t_ms + cd_ms + wake_ms + dtr_ms + dd_ms
-            run.payload_bits += len(word)
+            run.payload_bits += bits
             run.transmitted += 1
         run.samples += 1
 
@@ -461,8 +468,8 @@ def _device_loop(cfg: DeviceConfig, scenario: Scenario, sink: Sink,
 
         yield SampleEvent(
             device_id=cfg.device_id, seq=seq, time_ms=t_ms,
-            value=sample.value, transmitted=word is not None,
-            residual=residual, codeword_bits=len(word) if word else 0,
+            value=sample.value, transmitted=packet is not None,
+            residual=residual, codeword_bits=bits,
             cd_ms=cd_ms, dtr_ms=dtr_ms, dd_ms=dd_ms, arrival_ms=arrival_ms,
             reconstructed=reconstructed,
         ), packet

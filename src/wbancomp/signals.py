@@ -20,6 +20,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 SYNTH_KINDS = ("temperature", "ecg", "ppg")
+MAX_ADC_BITS = 16
 
 
 @dataclass(frozen=True)
@@ -60,8 +61,8 @@ class TraceSpec:
     def __post_init__(self):
         if self.sample_period_ms <= 0:
             raise ValueError("sample_period_ms must be positive")
-        if not 1 <= self.adc_bits <= 16:
-            raise ValueError("adc_bits must be in [1, 16]")
+        if not 1 <= self.adc_bits <= MAX_ADC_BITS:
+            raise ValueError(f"adc_bits must be in [1, {MAX_ADC_BITS}]")
 
     def sample_count(self) -> int | None:
         """Number of samples implied by duration, or None when open-ended."""
@@ -80,8 +81,8 @@ class TraceSpec:
 def quantize(physical: float, adc_range: tuple[float, float], adc_bits: int) -> int:
     """Map a physical value onto [0, 2^bits - 1], floor-rounded, saturating."""
     lo, hi = adc_range
-    if not 1 <= adc_bits <= 16:
-        raise ValueError("adc_bits must be in [1, 16]")
+    if not 1 <= adc_bits <= MAX_ADC_BITS:
+        raise ValueError(f"adc_bits must be in [1, {MAX_ADC_BITS}]")
     if lo >= hi:
         raise ValueError(f"degenerate range ({lo}, {hi})")
     full_scale = (1 << adc_bits) - 1

@@ -9,8 +9,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .bitstream import BitReader, BitString
-from .codec import decode_residual
+from .bitstream import BitString
+from .codec import decode_bits
 
 
 class UnknownDeviceError(Exception):
@@ -71,15 +71,13 @@ class Sink:
         """
         if packet.device_id not in self._reference:
             raise UnknownDeviceError(f"device {packet.device_id} not registered")
-        reader = BitReader(packet.payload, packet.bit_count)
-        residuals = []
-        while reader.remaining:
-            residuals.append(decode_residual(reader))
+        payload = packet.payload
+        pad = 8 * len(payload) - packet.bit_count
+        residuals = decode_bits(int.from_bytes(payload, "big") >> pad,
+                                packet.bit_count)
         if not residuals:
             raise ValueError("packet carries no codewords")
-        value = self._reference[packet.device_id]
-        for residual in residuals:
-            value += residual
+        value = self._reference[packet.device_id] + sum(residuals)
         self._reference[packet.device_id] = value
         return value
 

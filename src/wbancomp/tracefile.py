@@ -70,24 +70,24 @@ def read_trace(path: str | Path) -> PacketTrace:
     except (KeyError, ValueError) as exc:
         raise ValueError(f"{path}: bad trace metadata ({exc})") from None
 
-    for index, line in enumerate(lines[body_start:], start=0):
-        if not line.strip() or line.startswith("#"):
-            continue
+    samples = trace.samples
+    packets = trace.packets
+    for index, line in enumerate(lines[body_start:]):
         parts = line.split(",")
-        if len(parts) != 4:
+        # Blank and comment lines are told apart only off the common path.
+        if len(parts) != 4 or line[0] == "#":
+            if not line.strip() or line.startswith("#"):
+                continue
             raise ValueError(f"{path}: packet {index}: expected 4 fields")
         try:
             seq = int(parts[0])
-            device_id = int(parts[1])
-            bit_count = int(parts[2])
-            payload = bytes.fromhex(parts[3])
-            packet = Packet(device_id, bit_count, payload)
+            packet = Packet(int(parts[1]), int(parts[2]), bytes.fromhex(parts[3]))
         except ValueError as exc:
             raise ValueError(f"{path}: packet {index}: {exc}") from None
-        if not 0 <= seq < trace.samples:
+        if not 0 <= seq < samples:
             raise ValueError(
                 f"{path}: packet {index}: sample index {seq} outside "
-                f"[0, {trace.samples})"
+                f"[0, {samples})"
             )
-        trace.packets.append((seq, packet))
+        packets.append((seq, packet))
     return trace

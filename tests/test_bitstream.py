@@ -93,6 +93,30 @@ def test_reader_underflow():
     assert reader.remaining == 1
 
 
+def test_peek_leaves_position_and_skip_advances():
+    reader = BitReader(bytes([0b10110011, 0b01000000]), bit_count=11)
+    reader.skip(2)
+    assert reader.peek_uint(7) == 0b1100110
+    assert reader.remaining == 9
+    assert reader.read_uint(9) == 0b110011010
+    with pytest.raises(BitUnderflowError):
+        reader.peek_uint(1)
+    with pytest.raises(BitUnderflowError):
+        reader.skip(1)
+
+
+@pytest.mark.parametrize("start", range(9))
+def test_reads_match_bit_by_bit_at_every_offset(start):
+    rng = random.Random(start)
+    data = bytes(rng.randrange(256) for _ in range(5))
+    bits = format(int.from_bytes(data, "big"), "040b")
+    for count in range(0, 40 - start + 1):
+        reader = BitReader(data)
+        reader.skip(start)
+        assert reader.read_uint(count) == int(bits[start:start + count] or "0", 2)
+        assert reader.remaining == 40 - start - count
+
+
 def test_reader_ignores_byte_padding_beyond_bit_count():
     reader = BitReader(bytes([0b10100000]), bit_count=3)
     assert reader.read_uint(3) == 0b101

@@ -7,6 +7,7 @@ import pytest
 from conftest import SCENARIO_DIR
 from wbancomp.bitstream import BitString
 from wbancomp.cli import EXIT_DATA, EXIT_OK, EXIT_USAGE, main
+from wbancomp.codec import encode_residual
 from wbancomp.sink import Packet
 from wbancomp.tracefile import read_trace
 
@@ -117,6 +118,66 @@ def test_decode_truncated_packet_reports_index(tmp_path, capsys):
     rc = main(["decode", str(trace)])
     assert rc == EXIT_DATA
     assert f"packet at sample {seq}" in capsys.readouterr().err
+
+
+def write_packet_trace(path: Path, samples: int, rows) -> None:
+    """A device-1 trace with one line per (sample index, *residuals) row."""
+    lines = ["#packet-trace v1", f"#samples={samples}"]
+    for seq, *residuals in rows:
+        bits = sum((encode_residual(e) for e in residuals), BitString())
+        lines.append(f"{seq},1,{len(bits)},{bits.to_bytes().hex()}")
+    path.write_text("\n".join(lines) + "\n")
+
+
+@pytest.mark.parametrize("samples,rows,held", [
+    (4, [(0, 10), (2, 5), (2, -3)], [10, 10, 12, 12]),
+    (5, [(3, 4), (0, 10), (1, -1)], [10, 9, 9, 13, 13]),
+    (4, [(2, 5), (0, 1), (2, -3, 1)], [1, 1, 4, 4]),
+    (4, [(2, 7)], [0, 0, 7, 7]),
+    (5, [(0, 1), (1, 1)], [1, 2, 2, 2, 2]),
+], ids=["two-packets-one-sample", "out-of-order-lines",
+        "out-of-order-at-one-sample", "first-packet-late",
+        "trailing-samples-without-packets"])
+def test_decode_holds_values_in_sample_order(tmp_path, samples, rows, held):
+    # Each sample shows the value after every packet up to its index;
+    # packets at one sample apply in file order.
+    trace = tmp_path / "t.trace"
+    write_packet_trace(trace, samples, rows)
+    out = tmp_path / "out.csv"
+    assert main(["--out", str(out), "decode", str(trace)]) == EXIT_OK
+    assert out.read_text() == "".join(f"{v}\n" for v in held)
+
+
+def test_decode_names_first_failing_packet_in_sample_order(tmp_path, capsys):
+    trace = tmp_path / "t.trace"
+    write_packet_trace(trace, 6, [(0, 10)])
+    # Two packets whose payload starts with the malformed prefix '1110',
+    # the later sample first in the file.
+    with trace.open("a") as handle:
+        handle.write("4,1,4,e0\n3,1,4,e0\n")
+    assert main(["decode", str(trace)]) == EXIT_DATA
+    err = capsys.readouterr().err
+    assert "packet at sample 3: non-canonical prefix '1110'" in err
+
+
+@pytest.mark.parametrize("argv,flag", [
+    (["encode", "{input}", "--threshold", "-1"], "--threshold -1"),
+    (["encode", "{input}", "--device-id", "300"], "--device-id 300"),
+    (["signals", "dump", "--file", "{input}", "--range", "0,1",
+      "--adc-bits", "20"], "--adc-bits 20"),
+    (["signals", "dump", "--file", "{input}", "--range", "0,1",
+      "--period-ms", "0"], "--period-ms 0"),
+    (["signals", "dump", "--kind", "ecg", "--samples", "-5"], "--samples -5"),
+], ids=["encode-threshold", "encode-device-id", "dump-adc-bits",
+        "dump-period-ms", "dump-samples"])
+def test_bad_flag_named_before_input_is_read(tmp_path, capsys, argv, flag):
+    # The input file does not exist: an error naming the flag shows the
+    # flag was checked first.
+    missing = str(tmp_path / "absent.csv")
+    argv = [missing if arg == "{input}" else arg for arg in argv]
+    rc = main(["--out", str(tmp_path / "out"), *argv])
+    assert rc == EXIT_DATA
+    assert flag in capsys.readouterr().err
 
 
 def test_decode_missing_file(tmp_path):
@@ -298,14 +359,20 @@ def _string_samples(doc):
     doc["devices"][2]["samples"] = "120"
 
 
+def _zero_samples(doc):
+    doc["devices"][0]["samples"] = 0
+
+
 @pytest.mark.parametrize("mangle, where", [
     (_edit_third_event_line(lambda line: "1,2\n"), "runlog_events.csv:3:"),
     (_edit_third_event_line(lambda line: "x" + line[line.index(","):]),
      "runlog_events.csv:3:"),
     (_edit_summary(_drop_payload_bits), "runlog.json: device 1:"),
     (_edit_summary(_string_samples), "runlog.json: device 2: samples"),
+    (_edit_summary(_zero_samples),
+     "runlog.json: device 0: orig_pkt must be positive"),
 ], ids=["short-row", "non-numeric-cell", "missing-device-key",
-        "mistyped-device-value"])
+        "mistyped-device-value", "inconsistent-device-values"])
 def test_report_locates_malformed_run_dir(tmp_path, capsys, mangle, where):
     out = tmp_path / "run"
     main(["--out", str(out), "simulate",

@@ -1,15 +1,83 @@
 import random
+import subprocess
+import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from wbancomp.bitstream import BitReader, BitString, BitWriter
-from wbancomp.codec import (RESIDUAL_MAX, RESIDUAL_MIN,
+from conftest import REPO_ROOT
+from wbancomp.bitstream import (BitReader, BitString, BitUnderflowError,
+                                BitWriter)
+from wbancomp.codec import (RESIDUAL_MAX, RESIDUAL_MIN, CodecError,
                             IncompleteCodewordError, MalformedPrefixError,
-                            decode_residual, encode_prefix,
-                            encode_residual, encode_suffix, group_of)
+                            codeword_bytes, decode_bits, decode_residual,
+                            encode_prefix, encode_residual, encode_suffix,
+                            group_of)
 
 # Total codeword length per group, for the groups the fixed table covers.
 TABLE_LENGTHS = [3, 4, 5, 6, 7, 8, 9, 12, 14, 16]
+
+
+def oracle_decode_residual(reader: BitReader) -> int:
+    """The codec's decoder written from the spec, one bit at a time.
+
+    The table-driven decoders must agree with it on every input: the same
+    residuals, or the same error class and message.
+    """
+    try:
+        head = reader.read_uint(3)
+    except BitUnderflowError as exc:
+        raise IncompleteCodewordError("stream ended inside a codeword prefix") from exc
+    if head != 0b111:
+        group = head
+    else:
+        ones = 3
+        while True:
+            try:
+                bit = reader.read_bit()
+            except BitUnderflowError as exc:
+                raise IncompleteCodewordError(
+                    "stream ended inside a codeword prefix") from exc
+            if not bit:
+                break
+            ones += 1
+            if ones > 8:
+                raise MalformedPrefixError(
+                    "prefix run of more than 8 leading ones")
+        if ones == 3:
+            raise MalformedPrefixError("non-canonical prefix '1110'")
+        group = ones + 3
+    try:
+        suffix = reader.read_uint(group)
+    except BitUnderflowError as exc:
+        raise IncompleteCodewordError("stream ended inside a codeword suffix") from exc
+    if group == 0:
+        return 0
+    if suffix >> (group - 1):
+        return suffix
+    return suffix + 1 - (1 << group)
+
+
+def outcome(decode, *args):
+    """The residual list a decode returns, or the class and text it raises."""
+    try:
+        return decode(*args)
+    except CodecError as exc:
+        return type(exc), str(exc)
+
+
+def oracle_decode(data: bytes, bit_count: int) -> list[int]:
+    reader = BitReader(data, bit_count)
+    out = []
+    while reader.remaining:
+        out.append(oracle_decode_residual(reader))
+    return out
+
+
+def payload_decode(data: bytes, bit_count: int) -> list[int]:
+    return decode_bits(int.from_bytes(data, "big") >> (8 * len(data) - bit_count),
+                       bit_count)
 
 
 def decode_all(bits: BitString) -> list[int]:
@@ -194,3 +262,75 @@ class TestDecodeResidual:
         decoded = [decode_residual(reader) for _ in residuals]
         assert decoded == residuals
         assert reader.remaining == 0
+
+
+class TestTables:
+    def test_encode_table_matches_spec(self):
+        for e in range(RESIDUAL_MIN, RESIDUAL_MAX + 1):
+            word = encode_prefix(group_of(e)) + encode_suffix(e, group_of(e))
+            assert encode_residual(e) == word
+            assert codeword_bytes(e) == (len(word), word.to_bytes())
+
+    def test_codeword_bytes_range_error(self):
+        for e in (RESIDUAL_MIN - 1, RESIDUAL_MAX + 1):
+            with pytest.raises(ValueError, match="outside"):
+                codeword_bytes(e)
+
+    def test_trailing_111_is_incomplete_but_1110_is_malformed(self):
+        with pytest.raises(IncompleteCodewordError):
+            decode_all(encode_residual(5) + BitString.from01("111"))
+        with pytest.raises(MalformedPrefixError):
+            decode_all(encode_residual(5) + BitString.from01("1110"))
+
+    def test_every_short_string_decodes_like_the_oracle(self):
+        # Every bit string of up to 12 bits: all window entries, every
+        # truncation point of every prefix, and the empty string.
+        for length in range(13):
+            for value in range(1 << length):
+                data = (value << (-length % 8)).to_bytes((length + 7) // 8, "big")
+                expected = outcome(oracle_decode, data, length)
+                assert outcome(payload_decode, data, length) == expected
+                assert outcome(decode_all, BitString(value, length)) == expected
+
+    def test_encode_tables_are_not_built_at_import(self):
+        # Building them costs milliseconds that every CLI start would pay.
+        check = ("import wbancomp.cli, wbancomp.codec as codec; "
+                 "assert codec._codewords.cache_info().currsize == 0")
+        subprocess.run([sys.executable, "-c", check], check=True,
+                       cwd=REPO_ROOT / "src")
+
+
+@st.composite
+def payloads(draw):
+    """Arbitrary bytes plus a bit count they can hold, pad bits included."""
+    data = draw(st.binary(max_size=12))
+    return data, draw(st.integers(0, 8 * len(data)))
+
+
+class TestAgainstOracle:
+    @settings(max_examples=300, deadline=None)
+    @given(payloads())
+    def test_payload_decode_matches_oracle(self, payload):
+        data, bit_count = payload
+        assert (outcome(payload_decode, data, bit_count)
+                == outcome(oracle_decode, data, bit_count))
+
+    @settings(max_examples=300, deadline=None)
+    @given(payloads())
+    def test_reader_decode_matches_oracle(self, payload):
+        data, bit_count = payload
+
+        def reader_decode(data, bit_count):
+            reader = BitReader(data, bit_count)
+            out = []
+            while reader.remaining:
+                out.append(decode_residual(reader))
+            return out
+        assert (outcome(reader_decode, data, bit_count)
+                == outcome(oracle_decode, data, bit_count))
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(st.integers(RESIDUAL_MIN, RESIDUAL_MAX), max_size=20))
+    def test_encoded_streams_round_trip(self, residuals):
+        bits = sum((encode_residual(e) for e in residuals), BitString())
+        assert payload_decode(bits.to_bytes(), len(bits)) == residuals

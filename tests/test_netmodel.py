@@ -74,8 +74,9 @@ class TestEnergyLedger:
 
     def test_unknown_state_rejected(self):
         ledger = EnergyLedger(RadioEnergyModel())
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="unknown energy state 'warp'"):
             ledger.charge("warp", 10.0)
+        assert sum(ledger.time_ms.values()) == 0.0
 
     def test_negative_duration_rejected(self):
         ledger = EnergyLedger(RadioEnergyModel())

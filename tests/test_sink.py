@@ -1,9 +1,11 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wbancomp.bitstream import BitString
-from wbancomp.codec import IncompleteCodewordError, encode_residual
+from wbancomp.codec import CodecError, IncompleteCodewordError, encode_residual
 from wbancomp.sink import (DuplicateDeviceError, Packet, Sink,
                            UnknownDeviceError)
 
@@ -133,3 +135,21 @@ class TestSink:
         sink.register_device(1)
         for e in range(-511, 512):
             sink.on_packet(packet_for(1, e))  # must never raise
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(-2047, 2047), st.integers(0, 64), st.data())
+    def test_failed_packet_leaves_reference_untouched(self, start, bit_count,
+                                                      data):
+        # Any payload bytes the bit count fits, pad bits included.
+        payload = data.draw(st.binary(min_size=(bit_count + 7) // 8,
+                                      max_size=(bit_count + 7) // 8))
+        packet = Packet(1, bit_count, payload)
+        sink = Sink()
+        sink.register_device(1)
+        sink.on_packet(packet_for(1, start))
+        try:
+            value = sink.on_packet(packet)
+        except (CodecError, ValueError):
+            assert sink.held_value(1) == start
+        else:
+            assert sink.held_value(1) == value
