@@ -86,6 +86,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _check_column(column: int) -> None:
+    # A negative index would read a row from the right.
+    if column < 0:
+        raise UsageError(f"--column {column}: must be non-negative")
+
+
 def cmd_encode(args) -> int:
     if args.out is None:
         raise UsageError("encode requires --out for the packet trace")
@@ -96,6 +102,7 @@ def cmd_encode(args) -> int:
         raise ValueError(f"--threshold {args.threshold}: must be non-negative")
     if not 0 <= args.device_id <= 255:
         raise ValueError(f"--device-id {args.device_id} outside [0, 255]")
+    _check_column(args.column)
     codes = []
     for lineno, code in read_column(Path(args.input), args.column, int):
         if not 0 <= code < 1 << args.adc_bits:
@@ -167,6 +174,7 @@ def cmd_signals_dump(args) -> int:
         raise ValueError(f"--period-ms {args.period_ms}: must be positive")
     if args.samples < 0:
         raise ValueError(f"--samples {args.samples}: must be non-negative")
+    _check_column(args.column)
     if args.kind:
         spec = TraceSpec(
             source=SyntheticSource(kind=args.kind,
@@ -206,9 +214,10 @@ def cmd_signals_dump(args) -> int:
     return EXIT_OK
 
 
-def _write_run_outputs(outdir: Path, runlog: RunLog) -> None:
+def _write_run_outputs(outdir: Path, runlog: RunLog,
+                       devices: list[metrics.DeviceMetrics],
+                       run: metrics.RunMetrics) -> None:
     runlog.save(outdir)
-    devices, run = metrics.compute(runlog)
     (outdir / "metrics.csv").write_text(metrics.to_csv(devices))
     (outdir / "metrics.json").write_text(metrics.to_json(devices, run) + "\n")
     packet_trace = tracefile.PacketTrace(
@@ -226,7 +235,7 @@ def cmd_simulate(args) -> int:
     devices, run = metrics.compute(runlog)
     print(metrics.format_table(devices, run))
     if args.out:
-        _write_run_outputs(Path(args.out), runlog)
+        _write_run_outputs(Path(args.out), runlog, devices, run)
     return EXIT_OK
 
 

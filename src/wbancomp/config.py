@@ -226,9 +226,10 @@ def _parse_device(section, name: str, base_dir: Path,
     else:
         resolved = (base_dir / file_path).resolve() if not Path(
             file_path).is_absolute() else Path(file_path)
-        source = FileSource(path=str(resolved),
-                            value_column=_get_int(section, name,
-                                                  "value_column", 0))
+        value_column = _get_int(section, name, "value_column", 0)
+        if value_column < 0:
+            raise ConfigError(f"[{name}] value_column: must be non-negative")
+        source = FileSource(path=str(resolved), value_column=value_column)
         if adc_range is None:
             raise ConfigError(f"[{name}]: file traces require adc_range")
         kind = "file"

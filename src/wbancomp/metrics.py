@@ -40,15 +40,10 @@ def compression_ratio(orig_pkt: int, comp_pkt: int) -> float:
 
 def average_delay(runlog: RunLog) -> float:
     """Mean CD + DD + DTR over all transmissions of all devices, in ms."""
-    total = 0.0
-    count = 0
-    for ev in runlog.events:
-        if ev.transmitted:
-            total += ev.cd_ms + ev.dd_ms + ev.dtr_ms
-            count += 1
+    count = sum(sums.transmitted for sums in runlog.sums.values())
     if count == 0:
         raise ValueError("run log holds no transmissions")
-    return total / count
+    return runlog.delay_ms / count
 
 
 def display_round(value: float, places: int = 2) -> float:
@@ -82,31 +77,33 @@ class RunMetrics:
 def compute(runlog: RunLog) -> tuple[list[DeviceMetrics], RunMetrics]:
     """Per-device metrics plus the run-level summary.
 
-    Device values that do not fit together raise ValueError naming the
-    device by its index in runlog.devices.
+    Device values that do not fit together, or that disagree with the
+    device's event rows, raise ValueError naming the device by its index in
+    runlog.devices.
     """
     if not runlog.devices:
         raise ValueError("run log holds no devices")
-    per_device: dict[int, list] = {dev.device_id: [] for dev in runlog.devices}
-    for ev in runlog.events:
-        if ev.transmitted:
-            per_device[ev.device_id].append(ev)
-
     duration_h = runlog.duration_ms / MS_PER_HOUR
     out = []
     for index, dev in enumerate(runlog.devices):
-        sent = per_device[dev.device_id]
+        sums = runlog.sums[dev.device_id]
+        sent = sums.transmitted
         dec = dev.total_mah()
         try:
             if not sent:
                 raise ValueError("transmitted nothing")
             pcr = compression_ratio(dev.samples, dev.transmitted)
             life = lifetime(dev.battery_mah, dec / duration_h)
+            if (sums.rows, sent) != (dev.samples, dev.transmitted):
+                raise ValueError(
+                    f"samples {dev.samples} and transmitted "
+                    f"{dev.transmitted}, but the events hold {sums.rows} "
+                    f"rows, {sent} transmitted")
         except ValueError as exc:
             raise ValueError(f"device {index}: {exc}") from None
-        cd = sum(ev.cd_ms for ev in sent) / len(sent)
-        dd = sum(ev.dd_ms for ev in sent) / len(sent)
-        ad = sum(ev.cd_ms + ev.dd_ms + ev.dtr_ms for ev in sent) / len(sent)
+        cd = sums.cd_ms / sent
+        dd = sums.dd_ms / sent
+        ad = sums.ad_ms / sent
         out.append(DeviceMetrics(
             device_id=dev.device_id,
             mode=dev.mode,

@@ -19,6 +19,7 @@ import csv
 import heapq
 import itertools
 import json
+from collections import defaultdict
 from collections.abc import Iterator
 from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
@@ -238,15 +239,56 @@ class DeviceRun:
         return sum(self.state_charge_mah.values())
 
 
+@dataclass(slots=True)
+class DelaySums:
+    """One device's event rows folded into counts and delay sums.
+
+    The sums cover transmitted rows only and are added with += in row order,
+    which is the device's seq order, so they do not depend on how the
+    interpreter's sum() adds floats.
+    """
+
+    rows: int = 0
+    transmitted: int = 0
+    cd_ms: float = 0.0
+    dd_ms: float = 0.0
+    ad_ms: float = 0.0  # cd + dd + dtr
+
+
 @dataclass
 class RunLog:
-    """Everything a simulation run produced, in deterministic order."""
+    """Everything a simulation run produced, in deterministic order.
+
+    Making the log folds its events into `sums`, per device id, and into
+    `delay_ms`, the run's cd + dd + dtr total over all transmissions.
+    """
 
     duration_ms: float
     seed: int
     events: list[SampleEvent]
     devices: list[DeviceRun]
     packets: list[tuple[int, int, Packet]]  # (device_id, seq, packet)
+    sums: defaultdict[int, DelaySums] = field(
+        default_factory=lambda: defaultdict(DelaySums))
+    delay_ms: float = 0.0
+
+    def __post_init__(self):
+        for ev in self.events:
+            self.add(ev.device_id, ev.transmitted, ev.cd_ms, ev.dtr_ms,
+                     ev.dd_ms)
+
+    def add(self, device_id: int, transmitted: int, cd_ms: float,
+            dtr_ms: float, dd_ms: float) -> None:
+        """Fold one event row into its device's sums and the run total."""
+        sums = self.sums[device_id]
+        sums.rows += 1
+        if transmitted:
+            delay = cd_ms + dd_ms + dtr_ms
+            sums.transmitted += 1
+            sums.cd_ms += cd_ms
+            sums.dd_ms += dd_ms
+            sums.ad_ms += delay
+            self.delay_ms += delay
 
     def device(self, device_id: int) -> DeviceRun:
         for dev in self.devices:
@@ -278,10 +320,12 @@ class RunLog:
 
     @classmethod
     def load(cls, rundir: Path) -> RunLog:
-        """Read a run directory back: the inverse of save.
+        """Read back what save wrote, as far as the metrics need it.
 
         Malformed files raise ValueError naming the file and the line or
-        device entry at fault. The packets are not read back.
+        device entry at fault. Every cell of the events file is checked,
+        but the rows are folded into the delay sums, not kept: the log
+        holds no events, and no packets.
         """
         summary_path = rundir / SUMMARY_FILE
         events_path = rundir / _EVENTS_FILE
@@ -311,7 +355,9 @@ class RunLog:
             devices.append(DeviceRun(**entry))
         device_ids = {dev.device_id for dev in devices}
 
-        events = []
+        runlog = cls(duration_ms=duration_ms, seed=summary["seed"], events=[],
+                     devices=devices, packets=[])
+        add = runlog.add
         with events_path.open(newline="") as handle:
             reader = csv.reader(handle)
             if tuple(next(reader, ())) != _EVENT_FIELDS:
@@ -321,30 +367,24 @@ class RunLog:
                     if len(row) != len(_EVENT_FIELDS):
                         raise ValueError(f"{len(row)} cells, expected "
                                          f"{len(_EVENT_FIELDS)}")
-                    event = SampleEvent(
-                        device_id=int(row[0]), seq=int(row[1]),
-                        time_ms=float(row[2]), value=int(row[3]),
-                        transmitted=bool(int(row[4])),
-                        residual=None if row[5] == "" else int(row[5]),
-                        codeword_bits=int(row[6]), cd_ms=float(row[7]),
-                        dtr_ms=float(row[8]), dd_ms=float(row[9]),
-                        arrival_ms=None if row[10] == "" else float(row[10]),
-                        reconstructed=int(row[11]),
-                    )
-                    if event.device_id not in device_ids:
-                        raise ValueError(f"device {event.device_id} is not "
+                    device_id = int(row[0])
+                    if device_id not in device_ids:
+                        raise ValueError(f"device {device_id} is not "
                                          f"in {summary_path.name}")
+                    # Five cells feed the fold; the rest are parsed only to
+                    # check them (residual and arrival_ms may be blank).
+                    int(row[1]), float(row[2]), int(row[3]), int(row[6])
+                    int(row[11])
+                    if row[5]:
+                        int(row[5])
+                    if row[10]:
+                        float(row[10])
+                    add(device_id, int(row[4]), float(row[7]), float(row[8]),
+                        float(row[9]))
                 except ValueError as exc:
                     raise ValueError(
                         f"{events_path}:{reader.line_num}: {exc}") from None
-                events.append(event)
-        return cls(
-            duration_ms=duration_ms,
-            seed=summary["seed"],
-            events=events,
-            devices=devices,
-            packets=[],
-        )
+        return runlog
 
 
 _EVENTS_FILE = "runlog_events.csv"

@@ -221,6 +221,22 @@ def test_signals_dump_bad_range_is_usage_error(tmp_path, capsys):
         assert "--range:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [
+    ["encode", "{input}"],
+    ["signals", "dump", "--file", "{input}", "--range", "0,1000"],
+], ids=["encode", "dump"])
+def test_negative_column_is_usage_error(tmp_path, capsys, argv):
+    # A negative index would read the last column of each row.
+    src = tmp_path / "two.csv"
+    src.write_text("1,500\n2,501\n")
+    out = tmp_path / "out"
+    argv = [str(src) if arg == "{input}" else arg for arg in argv]
+    rc = main(["--out", str(out), *argv, "--column", "-1"])
+    assert rc == EXIT_USAGE
+    assert "--column -1" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_encode_rejects_adc_bits_beyond_codec(tmp_path, capsys):
     src = tmp_path / "codes.csv"
     write_codes(src, [3000])
@@ -308,25 +324,19 @@ def test_simulate_invalid_config(tmp_path, capsys):
     assert "CGLS" in capsys.readouterr().err
 
 
-def test_report_round_trips_simulated_metrics(tmp_path, capsys):
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("scenario", sorted(PINNED_OUTPUTS))
+def test_report_reproduces_simulate_metrics(tmp_path, capsys, scenario, fmt):
+    # report folds the events file back into the sums simulate computed,
+    # so it prints the metrics file simulate wrote, byte for byte (the JSON
+    # without the file's final newline).
     out = tmp_path / "run"
-    main(["--out", str(out), "simulate",
-          str(SCENARIO_DIR / "temperature_sleep.cfg")])
+    main(["--out", str(out), "simulate", str(SCENARIO_DIR / f"{scenario}.cfg")])
     capsys.readouterr()
-    assert main(["--format", "json", "report", str(out)]) == EXIT_OK
-    doc = json.loads(capsys.readouterr().out)
-    assert doc["run"]["device_count"] == 3
-    written = json.loads((out / "metrics.json").read_text())
-    assert doc == written
-
-
-def test_report_csv_matches_simulate_output(tmp_path, capsys):
-    out = tmp_path / "run"
-    main(["--out", str(out), "simulate",
-          str(SCENARIO_DIR / "lifetime_table.cfg")])
-    capsys.readouterr()
-    assert main(["report", str(out)]) == EXIT_OK
-    assert capsys.readouterr().out == (out / "metrics.csv").read_text()
+    assert main(["--format", fmt, "report", str(out)]) == EXIT_OK
+    printed = capsys.readouterr().out
+    written = (out / f"metrics.{fmt}").read_text()
+    assert printed == (written if fmt == "csv" else written.rstrip("\n"))
 
 
 def test_report_on_non_run_directory(tmp_path):
@@ -363,15 +373,30 @@ def _zero_samples(doc):
     doc["devices"][0]["samples"] = 0
 
 
+def _set_cell(index, text):
+    def edit(line):
+        cells = line.rstrip("\n").split(",")
+        cells[index] = text
+        return ",".join(cells) + "\n"
+    return edit
+
+
 @pytest.mark.parametrize("mangle, where", [
     (_edit_third_event_line(lambda line: "1,2\n"), "runlog_events.csv:3:"),
     (_edit_third_event_line(lambda line: "x" + line[line.index(","):]),
      "runlog_events.csv:3:"),
+    # Cells the metrics do not use are checked all the same.
+    (_edit_third_event_line(_set_cell(3, "x")), "runlog_events.csv:3:"),
+    (_edit_third_event_line(_set_cell(10, "x")), "runlog_events.csv:3:"),
+    # Line 3 is the first row of the second device.
+    (_edit_third_event_line(lambda line: ""),
+     "runlog.json: device 1: samples 120 and transmitted"),
     (_edit_summary(_drop_payload_bits), "runlog.json: device 1:"),
     (_edit_summary(_string_samples), "runlog.json: device 2: samples"),
     (_edit_summary(_zero_samples),
      "runlog.json: device 0: orig_pkt must be positive"),
-], ids=["short-row", "non-numeric-cell", "missing-device-key",
+], ids=["short-row", "non-numeric-cell", "non-numeric-value",
+        "non-numeric-arrival", "deleted-event-row", "missing-device-key",
         "mistyped-device-value", "inconsistent-device-values"])
 def test_report_locates_malformed_run_dir(tmp_path, capsys, mangle, where):
     out = tmp_path / "run"

@@ -127,6 +127,16 @@ def test_reversed_adc_range_rejected(tmp_path):
         parse_scenario(write(tmp_path, text))
 
 
+def test_negative_value_column_rejected(tmp_path):
+    # A negative index would read the last column of each row.
+    (tmp_path / "trace.csv").write_text("1,37.0\n" * 120)
+    text = MINIMAL.replace(
+        "signal = temperature",
+        "file = trace.csv\nadc_range = 30,45\nvalue_column = -1")
+    with pytest.raises(ConfigError, match=r"\[device:temp\] value_column"):
+        parse_scenario(write(tmp_path, text))
+
+
 def test_file_paths_resolve_relative_to_config(tmp_path):
     (tmp_path / "trace.csv").write_text("37.0\n" * 120)
     text = MINIMAL.replace(

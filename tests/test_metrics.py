@@ -5,8 +5,8 @@ import json
 import pytest
 
 from wbancomp import metrics
-from wbancomp.netmodel import (DeviceConfig, RunLog, SampleEvent, Scenario,
-                               simulate)
+from wbancomp.netmodel import (ChannelModel, DeviceConfig, RunLog,
+                               SampleEvent, Scenario, simulate)
 from wbancomp.signals import SyntheticSource, TraceSpec
 
 
@@ -108,6 +108,41 @@ class TestReports:
         total = sum(ev.cd_ms + ev.dd_ms + ev.dtr_ms
                     for ev in log.events if ev.transmitted)
         assert run.ad_ms * run.transmissions == pytest.approx(total)
+
+    def test_delays_equal_a_plain_fold_of_the_events(self, tmp_path):
+        # The sums are added one row at a time in row order, so they equal
+        # this loop exactly, whatever the interpreter's sum() does, and the
+        # events file folds back to the same sums.
+        devs = tuple(
+            DeviceConfig(
+                name=f"d{i}", device_id=i, mode=mode,
+                trace=TraceSpec(source=SyntheticSource(kind, seed=i),
+                                sample_period_ms=period),
+                threshold=threshold,
+            )
+            for i, (mode, kind, period, threshold) in enumerate([
+                ("CGWC", "ecg", 80, 0), ("CGLL", "ppg", 100, 0),
+                ("CGLS", "temperature", 1000, 1)], start=1))
+        log = simulate(Scenario(duration_s=60.0, devices=devs,
+                                channel=ChannelModel(per_bit_delay_ms=0.1)))
+        total, count, sums = 0.0, 0, {}
+        for ev in log.events:
+            if ev.transmitted:
+                cd, dd, ad, sent = sums.get(ev.device_id, (0.0, 0.0, 0.0, 0))
+                delay = ev.cd_ms + ev.dd_ms + ev.dtr_ms
+                sums[ev.device_id] = (cd + ev.cd_ms, dd + ev.dd_ms,
+                                      ad + delay, sent + 1)
+                total += delay
+                count += 1
+        devices, run = metrics.compute(log)
+        assert run.ad_ms == total / count
+        for m in devices:
+            cd, dd, ad, sent = sums[m.device_id]
+            assert (m.cd_ms, m.dd_ms, m.ad_ms) == (cd / sent, dd / sent,
+                                                   ad / sent)
+        log.save(tmp_path)
+        loaded = RunLog.load(tmp_path)
+        assert (loaded.sums, loaded.delay_ms) == (log.sums, log.delay_ms)
 
     def test_dec_matches_ledger(self):
         log = make_runlog()
