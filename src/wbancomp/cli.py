@@ -16,8 +16,7 @@ from .codec import MAX_GROUP, CodecError, codeword_bytes
 from .control import DeviceState
 from .netmodel import SUMMARY_FILE, RunLog, simulate
 from .signals import (MAX_ADC_BITS, SYNTH_KINDS, FileSource, SyntheticSource,
-                      TraceSpec, load_trace, parse_range, read_column,
-                      synth_samples)
+                      TraceSpec, parse_range, read_column, trace_codes)
 from .sink import Packet, Sink
 
 EXIT_OK = 0
@@ -183,8 +182,6 @@ def cmd_signals_dump(args) -> int:
             duration_s=args.samples * args.period_ms / 1000.0,
             adc_bits=args.adc_bits,
         )
-        samples = synth_samples(spec)
-        clamps = 0
     else:
         if args.adc_range is None:
             raise UsageError("--file requires --range min,max")
@@ -199,10 +196,9 @@ def cmd_signals_dump(args) -> int:
             adc_bits=args.adc_bits,
             adc_range=adc_range,
         )
-        load = load_trace(spec)
-        samples, clamps = load.samples, load.clamp_count
+    codes, clamps = trace_codes(spec)
     lines = ["timestamp_ms,code"]
-    lines.extend(f"{s.timestamp_ms},{s.value}" for s in samples)
+    lines.extend(f"{i * args.period_ms},{code}" for i, code in enumerate(codes))
     text = "\n".join(lines) + "\n"
     if args.out:
         Path(args.out).write_text(text)
@@ -219,7 +215,7 @@ def _write_run_outputs(outdir: Path, runlog: RunLog,
                        run: metrics.RunMetrics) -> None:
     runlog.save(outdir)
     (outdir / "metrics.csv").write_text(metrics.to_csv(devices))
-    (outdir / "metrics.json").write_text(metrics.to_json(devices, run) + "\n")
+    (outdir / "metrics.json").write_text(metrics.to_json(devices, run))
     packet_trace = tracefile.PacketTrace(
         samples=max(dev.samples for dev in runlog.devices),
         adc_bits=0,

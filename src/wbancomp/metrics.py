@@ -162,7 +162,7 @@ def to_json(devices: list[DeviceMetrics], run: RunMetrics) -> str:
             for m in devices
         ],
     }
-    return json.dumps(doc, indent=2, sort_keys=True)
+    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
 def report(runlog: RunLog, fmt: str = "csv") -> str:

@@ -10,23 +10,30 @@ times time summed over states.
 
 The run log merges the devices' events by time. Events at equal times are
 ordered by when their devices' previous events were emitted; the first
-events follow the scenario's device order.
+events follow the scenario's device order. Every device samples at
+seq * period from t = 0, so that rule is a fixed order: at t = 0 scenario
+order, and later the longer period first, then scenario order. A device
+sampling at t > 0 emitted its previous event at t - period, which is
+earlier the longer its period; devices of equal period were tied there
+too, and so, back to t = 0, keep scenario order. Each device loop yields
+(time_ms, tie, event, packet) with `tie` encoding that order, so a plain
+tuple merge needs no key function.
 """
 
 from __future__ import annotations
 
 import csv
 import heapq
-import itertools
 import json
 from collections import defaultdict
 from collections.abc import Iterator
 from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
+from typing import NamedTuple
 
 from .codec import MAX_GROUP, codeword_bytes
 from .control import DeviceState
-from .signals import TraceSpec, trace_samples
+from .signals import TraceSpec, trace_codes
 from .sink import Packet, Sink
 
 MODES = ("CGWC", "CGLL", "CGLS")  # no compression / lossless / lossy
@@ -196,15 +203,18 @@ class Scenario:
                 )
 
 
-@dataclass
-class SampleEvent:
-    """One processed sample; the RunLog holds one of these per sample."""
+class SampleEvent(NamedTuple):
+    """One processed sample, as its runlog_events.csv row, in file order.
+
+    `transmitted` is 0 or 1; `residual` and `arrival_ms` are None (an empty
+    cell) for suppressed samples.
+    """
 
     device_id: int
     seq: int
     time_ms: float
     value: int
-    transmitted: bool
+    transmitted: int
     residual: int | None
     codeword_bits: int
     cd_ms: float
@@ -301,15 +311,8 @@ class RunLog:
         rundir.mkdir(parents=True, exist_ok=True)
         with (rundir / _EVENTS_FILE).open("w", newline="") as handle:
             writer = csv.writer(handle, lineterminator="\n")
-            writer.writerow(_EVENT_FIELDS)
-            writer.writerows(
-                [ev.device_id, ev.seq, ev.time_ms, ev.value,
-                 int(ev.transmitted),
-                 "" if ev.residual is None else ev.residual,
-                 ev.codeword_bits, ev.cd_ms, ev.dtr_ms, ev.dd_ms,
-                 "" if ev.arrival_ms is None else ev.arrival_ms,
-                 ev.reconstructed]
-                for ev in self.events)
+            writer.writerow(SampleEvent._fields)
+            writer.writerows(self.events)
         summary = {
             "duration_ms": self.duration_ms,
             "seed": self.seed,
@@ -360,13 +363,13 @@ class RunLog:
         add = runlog.add
         with events_path.open(newline="") as handle:
             reader = csv.reader(handle)
-            if tuple(next(reader, ())) != _EVENT_FIELDS:
+            if tuple(next(reader, ())) != SampleEvent._fields:
                 raise ValueError(f"{events_path}: unexpected event columns")
             for row in reader:
                 try:
-                    if len(row) != len(_EVENT_FIELDS):
+                    if len(row) != len(SampleEvent._fields):
                         raise ValueError(f"{len(row)} cells, expected "
-                                         f"{len(_EVENT_FIELDS)}")
+                                         f"{len(SampleEvent._fields)}")
                     device_id = int(row[0])
                     if device_id not in device_ids:
                         raise ValueError(f"device {device_id} is not "
@@ -389,12 +392,6 @@ class RunLog:
 
 _EVENTS_FILE = "runlog_events.csv"
 SUMMARY_FILE = "runlog.json"
-
-_EVENT_FIELDS = (
-    "device_id", "seq", "time_ms", "value", "transmitted", "residual",
-    "codeword_bits", "cd_ms", "dtr_ms", "dd_ms", "arrival_ms",
-    "reconstructed",
-)
 
 
 def _is_int(value) -> bool:
@@ -427,17 +424,20 @@ def _require_keys(doc, keys, where: str) -> None:
 
 
 def _device_loop(cfg: DeviceConfig, scenario: Scenario, sink: Sink,
-                 run: DeviceRun) -> Iterator[tuple[SampleEvent, Packet | None]]:
+                 run: DeviceRun, first_tie: int, tie: int,
+                 ) -> Iterator[tuple[float, int, SampleEvent, Packet | None]]:
     """Run one device over its samples, yielding each finished event.
 
     Every sample is filtered, encoded, decoded at the sink, checked and
-    charged to the device's ledger before its event and packet are yielded.
+    charged to the device's ledger before (time_ms, tie, event, packet) is
+    yielded; the seq-0 row carries `first_tie` and every later row `tie`.
     Decoding at send time gives the sink state that decoding at arrival
     would, because Scenario.validate lands each arrival before the device's
     next sample and no other device touches its sink reference.
     """
     spec = replace(cfg.trace, duration_s=scenario.duration_s)
-    samples = trace_samples(spec)
+    codes, _ = trace_codes(spec)
+    period = spec.sample_period_ms
     model = cfg.energy or scenario.energy
     ledger = EnergyLedger(model)
     sleep = scenario.sleep
@@ -456,22 +456,23 @@ def _device_loop(cfg: DeviceConfig, scenario: Scenario, sink: Sink,
     raw_bytes = (spec.adc_bits + 7) // 8
     raw_pad = 8 * raw_bytes - spec.adc_bits
 
-    for seq, sample in enumerate(samples):
-        t_ms = float(sample.timestamp_ms)
+    for seq, code in enumerate(codes):
+        t_ms = float(seq * period)
         if device is None:
             residual = None
             bits = spec.adc_bits
-            payload = (sample.value << raw_pad).to_bytes(raw_bytes, "big")
+            payload = (code << raw_pad).to_bytes(raw_bytes, "big")
             cd_ms = 0.0
-            reconstructed = sample.value
+            reconstructed = code
         else:
-            residual = device.process_sample(sample.value)
+            residual = device.process_sample(code)
             bits, payload = ((0, None) if residual is None
                              else codeword_bytes(residual))
             cd_ms = cfg.cd_ms
             reconstructed = device.last_reading
 
         packet = None
+        transmitted = 0
         wake_ms = dtr_ms = dd_ms = 0.0
         arrival_ms = None
         if payload is not None:
@@ -491,6 +492,7 @@ def _device_loop(cfg: DeviceConfig, scenario: Scenario, sink: Sink,
                     f"{reconstructed} (device {cfg.device_id})"
                 )
             arrival_ms = t_ms + cd_ms + wake_ms + dtr_ms + dd_ms
+            transmitted = 1
             run.payload_bits += bits
             run.transmitted += 1
         run.samples += 1
@@ -498,7 +500,7 @@ def _device_loop(cfg: DeviceConfig, scenario: Scenario, sink: Sink,
         # Energy: the sample period splits into cpu, wake, tx, and rest.
         asleep = (can_sleep and device.consecutive_suppressed
                   >= sleep.suppressions_before_sleep)
-        rest_ms = spec.sample_period_ms - cd_ms - wake_ms - dtr_ms
+        rest_ms = period - cd_ms - wake_ms - dtr_ms
         ledger.charge("cpu", cd_ms)
         if wake_ms:
             ledger.charge("idle", wake_ms)
@@ -506,13 +508,11 @@ def _device_loop(cfg: DeviceConfig, scenario: Scenario, sink: Sink,
             ledger.charge("tx", dtr_ms)
         ledger.charge("sleep" if asleep else "idle", rest_ms)
 
-        yield SampleEvent(
-            device_id=cfg.device_id, seq=seq, time_ms=t_ms,
-            value=sample.value, transmitted=packet is not None,
-            residual=residual, codeword_bits=bits,
-            cd_ms=cd_ms, dtr_ms=dtr_ms, dd_ms=dd_ms, arrival_ms=arrival_ms,
-            reconstructed=reconstructed,
-        ), packet
+        yield (t_ms, first_tie if seq == 0 else tie,
+               SampleEvent(cfg.device_id, seq, t_ms, code, transmitted,
+                           residual, bits, cd_ms, dtr_ms, dd_ms, arrival_ms,
+                           reconstructed),
+               packet)
 
     if device is not None:
         held = sink.held_value(cfg.device_id)
@@ -545,20 +545,19 @@ def simulate(scenario: Scenario) -> RunLog:
         )
         for cfg in scenario.devices
     ]
-    # The key's counter is drawn when merge pulls a device's next event,
-    # right after that device's previous event is emitted, so equal times
-    # keep the order in which their devices' previous events were emitted.
+    # Ties (see the module docstring): at t = 0 the scenario index; later
+    # index - count * period, so the longer period first, then the index.
+    # No two rows at one time share a tie, so merge never compares events.
     # Packets are collected here, not in the device loops, because merge
     # runs a device's next sample before that sample's turn comes.
-    order = itertools.count()
-    merged = heapq.merge(
-        *(_device_loop(cfg, scenario, sink, run)
-          for cfg, run in zip(scenario.devices, runs)),
-        key=lambda item: (item[0].time_ms, next(order)),
-    )
+    count = len(scenario.devices)
+    merged = heapq.merge(*(
+        _device_loop(cfg, scenario, sink, run, index,
+                     index - count * cfg.trace.sample_period_ms)
+        for index, (cfg, run) in enumerate(zip(scenario.devices, runs))))
     events: list[SampleEvent] = []
     packets: list[tuple[int, int, Packet]] = []
-    for event, packet in merged:
+    for _, _, event, packet in merged:
         events.append(event)
         if packet is not None:
             packets.append((event.device_id, event.seq, packet))

@@ -145,38 +145,57 @@ def read_column(path: Path, column: int,
                          else f"{path}: empty, no readings")
 
 
-def load_trace(spec: TraceSpec) -> TraceLoad:
-    """Read, quantize, and timestamp a CSV trace.
+def trace_codes(spec: TraceSpec) -> tuple[list[int], int]:
+    """The ADC codes of any TraceSpec, and how many readings clamped.
 
-    A non-numeric first row is treated as a header. Values outside the ADC
-    range saturate; the clamp count is reported for diagnostics.
+    Synthetic traces need a duration and never clamp. File traces are read,
+    cut to the duration when one is set, and quantized; a non-numeric first
+    row is treated as a header, and values outside the ADC range saturate.
     """
-    if not isinstance(spec.source, FileSource):
-        raise ValueError("load_trace requires a FileSource")
+    source = spec.source
+    if isinstance(source, SyntheticSource):
+        count = spec.sample_count()
+        if count is None:
+            raise ValueError("synthetic traces need a duration")
+        return synth(source.kind, source.params, source.seed, count,
+                     spec.adc_bits), 0
     if spec.adc_range is None:
         raise ValueError("file traces need an adc_range to quantize against")
     lo, hi = spec.adc_range
     full_scale = (1 << spec.adc_bits) - 1
     values = [value for _, value in read_column(
-        Path(spec.source.path), spec.source.value_column, float)]
+        Path(source.path), source.value_column, float)]
 
     wanted = spec.sample_count()
     if wanted is not None:
         if len(values) < wanted:
             raise ValueError(
-                f"trace file {spec.source.path} holds {len(values)} samples, "
+                f"trace file {source.path} holds {len(values)} samples, "
                 f"{wanted} requested"
             )
         values = values[:wanted]
 
     clamp_count = 0
-    samples = []
-    for i, physical in enumerate(values):
+    codes = []
+    for physical in values:
         code = quantize(physical, (lo, hi), spec.adc_bits)
         if (code == 0 and physical < lo) or (code == full_scale and physical > hi):
             clamp_count += 1
-        samples.append(Sample(i * spec.sample_period_ms, code))
-    return TraceLoad(samples, clamp_count)
+        codes.append(code)
+    return codes, clamp_count
+
+
+def _timestamped(spec: TraceSpec, codes: list[int]) -> list[Sample]:
+    period = spec.sample_period_ms
+    return [Sample(i * period, code) for i, code in enumerate(codes)]
+
+
+def load_trace(spec: TraceSpec) -> TraceLoad:
+    """A CSV trace as timestamped samples, with its clamp count."""
+    if not isinstance(spec.source, FileSource):
+        raise ValueError("load_trace requires a FileSource")
+    codes, clamp_count = trace_codes(spec)
+    return TraceLoad(_timestamped(spec, codes), clamp_count)
 
 
 def synth(kind: str, params: dict, seed: int, count: int, adc_bits: int = 10) -> list[int]:
@@ -196,23 +215,9 @@ def synth(kind: str, params: dict, seed: int, count: int, adc_bits: int = 10) ->
     return [min(max(code, 0), full_scale) for code in codes]
 
 
-def synth_samples(spec: TraceSpec) -> list[Sample]:
-    """Synthetic trace as timestamped samples; duration must be set."""
-    if not isinstance(spec.source, SyntheticSource):
-        raise ValueError("synth_samples requires a SyntheticSource")
-    count = spec.sample_count()
-    if count is None:
-        raise ValueError("synthetic traces need a duration")
-    codes = synth(spec.source.kind, spec.source.params, spec.source.seed,
-                  count, spec.adc_bits)
-    return [Sample(i * spec.sample_period_ms, code) for i, code in enumerate(codes)]
-
-
 def trace_samples(spec: TraceSpec) -> list[Sample]:
     """Materialize any TraceSpec into its sample sequence."""
-    if isinstance(spec.source, FileSource):
-        return load_trace(spec).samples
-    return synth_samples(spec)
+    return _timestamped(spec, trace_codes(spec)[0])
 
 
 def _gen_temperature(rng: random.Random, count: int, full_scale: int,

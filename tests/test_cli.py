@@ -1,10 +1,12 @@
 import hashlib
+import importlib.util
 import json
+import sys
 from pathlib import Path
 
 import pytest
 
-from conftest import SCENARIO_DIR
+from conftest import REPO_ROOT, SCENARIO_DIR
 from wbancomp.bitstream import BitString
 from wbancomp.cli import EXIT_DATA, EXIT_OK, EXIT_USAGE, main
 from wbancomp.codec import encode_residual
@@ -301,14 +303,60 @@ PINNED_OUTPUTS = {
 }
 
 
-@pytest.mark.parametrize("scenario", sorted(PINNED_OUTPUTS))
+# The same for the benchmark's two simulation workloads at seed 1, whose
+# inputs perfbench/workloads.py generates.
+PINNED_BENCH_OUTPUTS = {
+    "mixed_ward": {
+        "metrics.csv":
+            "868f4f852c49745cd7e505034ad9bf35edaf4b852cd957f92341fa67501ec61a",
+        "metrics.json":
+            "d2db7d641bf061dd0d21333201ad87229ccbf5cc66841be7955bfd647cdb33a4",
+        "packets.trace":
+            "dd1bf329e9c8339cdc0db926cd7b7c128b56799b62e7622560202fc30b84c3c6",
+        "runlog.json":
+            "fe89cc07f7898ec104f9f36cf486c60d4d83e67607bdcf62b73a9d181f6197d5",
+        "runlog_events.csv":
+            "a5372df8e7198060ea0e4404c0b944f54a765888b922b3386af9e3eb001aeb9b",
+    },
+    "sleep_ward": {
+        "metrics.csv":
+            "9b25d26c6ec47523286fd9649cd1cbe8f428792dd15993dec471ba78c6a4d81e",
+        "metrics.json":
+            "1b247a5a423691a1de8f568a9f6670dc82c57d5cb8877d07db90a50200750835",
+        "packets.trace":
+            "870f68e5352bc4d9555fbb8d56c64d7848ab0bde557a70ca417e62abe8339ada",
+        "runlog.json":
+            "d1fb7bb72506189346e226f71534a83fd25d1b968f89ccbf19fd369564d658f6",
+        "runlog_events.csv":
+            "ee881a93f480e872a55056d4066507f142727d16811ae2afd72a951689bd2838",
+    },
+}
+
+
+def bench_scenario(workload: str, seed: int, directory: Path) -> Path:
+    """Write a benchmark workload's inputs into `directory`; return its cfg."""
+    path = REPO_ROOT / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    # dataclasses resolve the module's annotations through sys.modules.
+    sys.modules[spec.name] = module
+    spec.loader.exec_module(module)
+    return module.generate(workload, seed, directory).scenario
+
+
+@pytest.mark.parametrize(
+    "scenario", sorted(PINNED_OUTPUTS) + sorted(PINNED_BENCH_OUTPUTS))
 def test_simulate_outputs_are_pinned(tmp_path, scenario):
     out = tmp_path / "run"
-    cfg = SCENARIO_DIR / f"{scenario}.cfg"
+    if scenario in PINNED_OUTPUTS:
+        cfg, pinned = SCENARIO_DIR / f"{scenario}.cfg", PINNED_OUTPUTS[scenario]
+    else:
+        cfg = bench_scenario(scenario, 1, tmp_path / "inputs")
+        pinned = PINNED_BENCH_OUTPUTS[scenario]
     assert main(["--out", str(out), "simulate", str(cfg)]) == EXIT_OK
     written = {path.name: hashlib.sha256(path.read_bytes()).hexdigest()
                for path in out.iterdir()}
-    assert written == PINNED_OUTPUTS[scenario]
+    assert written == pinned
 
 
 def test_simulate_missing_scenario(tmp_path):
@@ -328,15 +376,18 @@ def test_simulate_invalid_config(tmp_path, capsys):
 @pytest.mark.parametrize("scenario", sorted(PINNED_OUTPUTS))
 def test_report_reproduces_simulate_metrics(tmp_path, capsys, scenario, fmt):
     # report folds the events file back into the sums simulate computed,
-    # so it prints the metrics file simulate wrote, byte for byte (the JSON
-    # without the file's final newline).
+    # so it writes the metrics file simulate wrote, byte for byte, both to
+    # stdout and to --out.
     out = tmp_path / "run"
     main(["--out", str(out), "simulate", str(SCENARIO_DIR / f"{scenario}.cfg")])
     capsys.readouterr()
+    written = (out / f"metrics.{fmt}").read_bytes()
     assert main(["--format", fmt, "report", str(out)]) == EXIT_OK
-    printed = capsys.readouterr().out
-    written = (out / f"metrics.{fmt}").read_text()
-    assert printed == (written if fmt == "csv" else written.rstrip("\n"))
+    assert capsys.readouterr().out.encode() == written
+    copy = tmp_path / f"report.{fmt}"
+    assert main(["--format", fmt, "--out", str(copy), "report",
+                 str(out)]) == EXIT_OK
+    assert copy.read_bytes() == written
 
 
 def test_report_on_non_run_directory(tmp_path):

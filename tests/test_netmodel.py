@@ -1,6 +1,10 @@
+import heapq
+import itertools
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wbancomp.netmodel import (MS_PER_HOUR, ChannelModel, DeviceConfig,
                                EnergyLedger, RadioEnergyModel, Scenario,
@@ -264,3 +268,38 @@ class TestSimulate:
             (400.0, 1), (400.0, 2),
             (600.0, 3), (600.0, 1), (600.0, 2),
         ]
+
+
+# Every period divides the duration, so devices end together and ties occur
+# at every common multiple of their periods.
+MERGE_DURATION_MS = 6000
+MERGE_PERIODS = [p for p in range(50, MERGE_DURATION_MS + 1)
+                 if MERGE_DURATION_MS % p == 0]
+
+
+@st.composite
+def merge_scenarios(draw):
+    count = draw(st.integers(1, 4))
+    ids = draw(st.permutations(range(1, 5)))
+    devices = [
+        synth_device(f"d{i}", ids[i], kind=draw(st.sampled_from(
+                         ("temperature", "ecg", "ppg"))),
+                     period_ms=draw(st.sampled_from(MERGE_PERIODS)),
+                     seed=draw(st.integers(0, 3)))
+        for i in range(count)]
+    return scenario(devices, duration_s=MERGE_DURATION_MS / 1000)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(merge_scenarios())
+def test_merge_order_equals_previous_emission_rule(sc):
+    # Re-merge each device's events the way the simulator once ordered
+    # them: equal times by when the device's previous event was emitted.
+    events = simulate(sc).events
+    by_device = {dev.device_id: [] for dev in sc.devices}
+    for ev in events:
+        by_device[ev.device_id].append(ev)
+    counter = itertools.count()
+    remerged = heapq.merge(*by_device.values(),
+                           key=lambda e: (e.time_ms, next(counter)))
+    assert list(remerged) == events

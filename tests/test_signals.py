@@ -6,8 +6,7 @@ from conftest import DATA_DIR, run_pipeline
 from wbancomp.codec import group_of
 from wbancomp.control import DeviceState
 from wbancomp.signals import (FileSource, SyntheticSource, TraceSpec,
-                              load_trace, quantize, synth, synth_samples,
-                              trace_samples)
+                              load_trace, quantize, synth, trace_samples)
 
 
 class TestQuantize:
@@ -214,7 +213,7 @@ class TestTraceSpec:
     def test_synth_samples_timestamps(self):
         spec = TraceSpec(source=SyntheticSource("temperature", seed=4),
                          sample_period_ms=500, duration_s=60)
-        samples = synth_samples(spec)
+        samples = trace_samples(spec)
         assert len(samples) == 120
         assert samples[-1].timestamp_ms == 119 * 500
 
