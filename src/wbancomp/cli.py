@@ -91,6 +91,14 @@ def _check_column(column: int) -> None:
         raise UsageError(f"--column {column}: must be non-negative")
 
 
+def _write_out(args, text: str) -> None:
+    """Write a command's text output to --out, or to stdout without it."""
+    if args.out:
+        Path(args.out).write_text(text)
+    else:
+        sys.stdout.write(text)
+
+
 def cmd_encode(args) -> int:
     if args.out is None:
         raise UsageError("encode requires --out for the packet trace")
@@ -157,11 +165,7 @@ def cmd_decode(args) -> int:
             raise ValueError(
                 f"{args.input}: packet at sample {seq}: {exc}") from None
     lines.extend([held] * (trace.samples - len(lines)))
-    text = "\n".join(lines) + "\n"
-    if args.out:
-        Path(args.out).write_text(text)
-    else:
-        sys.stdout.write(text)
+    _write_out(args, "\n".join(lines) + "\n")
     return EXIT_OK
 
 
@@ -199,11 +203,7 @@ def cmd_signals_dump(args) -> int:
     codes, clamps = trace_codes(spec)
     lines = ["timestamp_ms,code"]
     lines.extend(f"{i * args.period_ms},{code}" for i, code in enumerate(codes))
-    text = "\n".join(lines) + "\n"
-    if args.out:
-        Path(args.out).write_text(text)
-    else:
-        sys.stdout.write(text)
+    _write_out(args, "\n".join(lines) + "\n")
     if clamps:
         print(f"warning: {clamps} readings clamped to the ADC range",
               file=sys.stderr)
@@ -242,10 +242,7 @@ def cmd_report(args) -> int:
         text = metrics.report(runlog, args.format)
     except ValueError as exc:
         raise ValueError(f"{rundir / SUMMARY_FILE}: {exc}") from None
-    if args.out:
-        Path(args.out).write_text(text)
-    else:
-        sys.stdout.write(text)
+    _write_out(args, text)
     return EXIT_OK
 
 

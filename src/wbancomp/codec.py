@@ -33,6 +33,8 @@ from .bitstream import BitReader, BitString
 RESIDUAL_MIN = -2047
 RESIDUAL_MAX = 2047
 MAX_GROUP = 11
+# The longest codeword: group 11's 9-bit prefix and 11-bit suffix.
+MAX_CODEWORD_BITS = 20
 
 # Groups 0..6 use the 3-bit binary prefix; 7..11 the unary-extended one.
 _BINARY_PREFIX_MAX = 6
@@ -194,11 +196,10 @@ def decode_residual(reader: BitReader) -> int:
 
     Raises the errors decode_bits does for the codeword at the read position.
     """
-    # The longest codeword is group 11's 9-bit prefix and 11-bit suffix.
-    # (A conditional, not min(): this runs once per codeword.)
+    # A conditional, not min(): this runs once per codeword.
     take = reader.remaining
-    if take > _WINDOW_BITS + MAX_GROUP:
-        take = _WINDOW_BITS + MAX_GROUP
+    if take > MAX_CODEWORD_BITS:
+        take = MAX_CODEWORD_BITS
     residual, left = _next_codeword(reader.peek_uint(take), take)
     reader.skip(take - left)
     return residual

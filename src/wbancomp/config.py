@@ -3,15 +3,16 @@
 Layout:
 
     [run]            duration_s, seed
-    [channel]        base_latency_ms, per_bit_delay_ms
-    [energy]         tx_ma, idle_ma, sleep_ma, cpu_active_ma,
-                     wake_latency_ms, battery_mah
-    [sleep]          enabled, suppressions_before_sleep
+    [channel]        the fields of netmodel.ChannelModel
+    [energy]         the fields of netmodel.RadioEnergyModel
+    [sleep]          the fields of netmodel.SleepPolicy
     [device:NAME]    id, mode, threshold, sample_period_ms, adc_bits,
                      one of signal=<temperature|ecg|ppg> or file=<path>,
                      and optional per-device tuning (cd_ms, dd_ms, seed,
-                     synth params, value_column, adc_range, energy overrides)
+                     synth params, value_column, adc_range, and
+                     RadioEnergyModel fields overriding [energy])
 
+Model sections take their keys, types and defaults from their dataclass.
 File paths are resolved relative to the config file. Unknown sections or
 keys are rejected outright.
 """
@@ -19,7 +20,7 @@ keys are rejected outright.
 from __future__ import annotations
 
 import configparser
-from dataclasses import fields as dataclass_fields
+from dataclasses import fields as dataclass_fields, replace
 from pathlib import Path
 
 from .netmodel import (ChannelModel, DeviceConfig, RadioEnergyModel, Scenario,
@@ -32,14 +33,21 @@ DEFAULT_CD_MS = {"temperature": 1.0, "ecg": 3.0, "ppg": 2.0, "file": 3.0}
 DEFAULT_DD_MS = 1.0
 
 _RUN_KEYS = {"duration_s", "seed"}
-_CHANNEL_KEYS = {"base_latency_ms", "per_bit_delay_ms"}
-_ENERGY_KEYS = {"tx_ma", "idle_ma", "sleep_ma", "cpu_active_ma",
-                "wake_latency_ms", "battery_mah"}
-_SLEEP_KEYS = {"enabled", "suppressions_before_sleep"}
+# Sections that set a model's fields, one key per field.
+_MODEL_SECTIONS = {"channel": ChannelModel, "energy": RadioEnergyModel,
+                   "sleep": SleepPolicy}
+_ENERGY_KEYS = {fld.name for fld in dataclass_fields(RadioEnergyModel)}
 _SYNTH_PARAM_KEYS = set().union(*PARAM_NAMES.values())
 _DEVICE_KEYS = {"id", "mode", "threshold", "signal", "file", "value_column",
                 "sample_period_ms", "adc_bits", "adc_range", "cd_ms", "dd_ms",
                 "seed", "suppress_zero"} | _SYNTH_PARAM_KEYS
+
+# The SectionProxy getter for each field annotation, and what it reads.
+_GETTERS = {
+    "float": ("getfloat", "a number"),
+    "int": ("getint", "an integer"),
+    "bool": ("getboolean", "a boolean"),
+}
 
 
 class ConfigError(Exception):
@@ -55,28 +63,30 @@ def _require_keys(section: str, present, allowed: set) -> None:
         )
 
 
-def _get_float(section, name: str, key: str, default: float) -> float:
+def _get(section, name: str, key: str, kind: str, default=None):
+    """The key's value read as `kind`; with no default the key is required."""
+    getter, noun = _GETTERS[kind]
     try:
-        return section.getfloat(key, default)
+        value = getattr(section, getter)(key, default)
     except ValueError:
-        raise ConfigError(f"[{name}] {key}: not a number") from None
-
-
-def _get_int(section, name: str, key: str, default: int | None = None) -> int:
-    try:
-        value = section.getint(key, default)
-    except ValueError:
-        raise ConfigError(f"[{name}] {key}: not an integer") from None
+        raise ConfigError(f"[{name}] {key}: not {noun}") from None
     if value is None:
         raise ConfigError(f"[{name}]: missing required key {key!r}")
     return value
 
 
-def _get_bool(section, name: str, key: str, default: bool) -> bool:
+def _parse_fields(section, name: str, base):
+    """A copy of the dataclass base, the section's keys overriding its fields.
+
+    Each key is a field name, read as the field's annotation says.
+    """
+    values = {fld.name: _get(section, name, fld.name, fld.type,
+                             getattr(base, fld.name))
+              for fld in dataclass_fields(base)}
     try:
-        return section.getboolean(key, default)
-    except ValueError:
-        raise ConfigError(f"[{name}] {key}: not a boolean") from None
+        return replace(base, **values)
+    except ValueError as exc:
+        raise ConfigError(f"[{name}]: {exc}") from None
 
 
 def parse_scenario(path: str | Path, seed_override: int | None = None) -> Scenario:
@@ -95,9 +105,9 @@ def parse_scenario(path: str | Path, seed_override: int | None = None) -> Scenar
     except configparser.Error as exc:
         raise ConfigError(f"{path}: {exc}") from None
 
-    known_sections = {"run", "channel", "energy", "sleep"}
     for name in parser.sections():
-        if name not in known_sections and not name.startswith("device:"):
+        if (name not in ("run", *_MODEL_SECTIONS)
+                and not name.startswith("device:")):
             raise ConfigError(f"unknown section [{name}]")
 
     if "run" not in parser:
@@ -108,58 +118,33 @@ def parse_scenario(path: str | Path, seed_override: int | None = None) -> Scenar
         duration_s = float(run.get("duration_s", ""))
     except ValueError:
         raise ConfigError("[run] duration_s: missing or not a number") from None
-    seed = _get_int(run, "run", "seed", 0)
+    seed = _get(run, "run", "seed", "int", 0)
     if seed_override is not None:
         seed = seed_override
 
-    channel = ChannelModel()
-    if "channel" in parser:
-        sec = parser["channel"]
-        _require_keys("channel", sec.keys(), _CHANNEL_KEYS)
-        try:
-            channel = ChannelModel(
-                base_latency_ms=_get_float(sec, "channel", "base_latency_ms",
-                                           channel.base_latency_ms),
-                per_bit_delay_ms=_get_float(sec, "channel", "per_bit_delay_ms",
-                                            channel.per_bit_delay_ms),
-            )
-        except ValueError as exc:
-            raise ConfigError(f"[channel]: {exc}") from None
-
-    energy = RadioEnergyModel()
-    if "energy" in parser:
-        sec = parser["energy"]
-        _require_keys("energy", sec.keys(), _ENERGY_KEYS)
-        energy = _parse_energy(sec, "energy", energy)
-
-    sleep = SleepPolicy()
-    if "sleep" in parser:
-        sec = parser["sleep"]
-        _require_keys("sleep", sec.keys(), _SLEEP_KEYS)
-        try:
-            sleep = SleepPolicy(
-                enabled=_get_bool(sec, "sleep", "enabled", False),
-                suppressions_before_sleep=_get_int(
-                    sec, "sleep", "suppressions_before_sleep", 2),
-            )
-        except ValueError as exc:
-            raise ConfigError(f"[sleep]: {exc}") from None
+    models = {}
+    for name, model in _MODEL_SECTIONS.items():
+        base = model()
+        if name in parser:
+            _require_keys(name, parser[name].keys(),
+                          {fld.name for fld in dataclass_fields(model)})
+            base = _parse_fields(parser[name], name, base)
+        models[name] = base
 
     devices = []
     for name in parser.sections():
         if name.startswith("device:"):
             devices.append(_parse_device(parser[name], name, path.parent,
-                                         energy, seed, len(devices)))
+                                         models["energy"], seed,
+                                         len(devices)))
     if not devices:
         raise ConfigError("scenario defines no [device:*] sections")
 
     scenario = Scenario(
         duration_s=duration_s,
         devices=tuple(devices),
-        channel=channel,
-        energy=energy,
-        sleep=sleep,
         seed=seed,
+        **models,
     )
     try:
         scenario.validate()
@@ -168,29 +153,17 @@ def parse_scenario(path: str | Path, seed_override: int | None = None) -> Scenar
     return scenario
 
 
-def _parse_energy(section, name: str, base: RadioEnergyModel) -> RadioEnergyModel:
-    """The energy model with the section's keys overriding those of base."""
-    values = {}
-    for fld in dataclass_fields(RadioEnergyModel):
-        values[fld.name] = _get_float(section, name, fld.name,
-                                      getattr(base, fld.name))
-    try:
-        return RadioEnergyModel(**values)
-    except ValueError as exc:
-        raise ConfigError(f"[{name}]: {exc}") from None
-
-
 def _parse_device(section, name: str, base_dir: Path,
                   run_energy: RadioEnergyModel, run_seed: int,
                   index: int) -> DeviceConfig:
     _require_keys(name, section.keys(), _DEVICE_KEYS | _ENERGY_KEYS)
-    device_id = _get_int(section, name, "id")
+    device_id = _get(section, name, "id", "int")
     mode = section.get("mode", "").strip()
     if not mode:
         raise ConfigError(f"[{name}]: missing required key 'mode'")
-    threshold = _get_int(section, name, "threshold", 0)
-    period = _get_int(section, name, "sample_period_ms")
-    adc_bits = _get_int(section, name, "adc_bits", 10)
+    threshold = _get(section, name, "threshold", "int", 0)
+    period = _get(section, name, "sample_period_ms", "int")
+    adc_bits = _get(section, name, "adc_bits", "int", 10)
 
     signal = section.get("signal", "").strip()
     file_path = section.get("file", "").strip()
@@ -208,16 +181,9 @@ def _parse_device(section, name: str, base_dir: Path,
         if signal not in SYNTH_KINDS:
             raise ConfigError(
                 f"[{name}] signal: {signal!r} is not one of {SYNTH_KINDS}")
-        given = _SYNTH_PARAM_KEYS & set(section.keys())
-        foreign = given - PARAM_NAMES[signal]
-        if foreign:
-            raise ConfigError(
-                f"[{name}]: {sorted(foreign)} are not {signal} parameters "
-                f"(allowed: {sorted(PARAM_NAMES[signal])})")
-        params = {}
-        for key in given:
-            params[key] = _get_float(section, name, key, 0.0)
-        seed = _get_int(section, name, "seed", run_seed * 1000 + index)
+        params = {key: _get(section, name, key, "float")
+                  for key in sorted(_SYNTH_PARAM_KEYS & set(section.keys()))}
+        seed = _get(section, name, "seed", "int", run_seed * 1000 + index)
         try:
             source = SyntheticSource(kind=signal, seed=seed, params=params)
         except ValueError as exc:
@@ -226,7 +192,7 @@ def _parse_device(section, name: str, base_dir: Path,
     else:
         resolved = (base_dir / file_path).resolve() if not Path(
             file_path).is_absolute() else Path(file_path)
-        value_column = _get_int(section, name, "value_column", 0)
+        value_column = _get(section, name, "value_column", "int", 0)
         if value_column < 0:
             raise ConfigError(f"[{name}] value_column: must be non-negative")
         source = FileSource(path=str(resolved), value_column=value_column)
@@ -234,13 +200,13 @@ def _parse_device(section, name: str, base_dir: Path,
             raise ConfigError(f"[{name}]: file traces require adc_range")
         kind = "file"
 
-    cd_ms = _get_float(section, name, "cd_ms", DEFAULT_CD_MS[kind])
-    dd_ms = _get_float(section, name, "dd_ms", DEFAULT_DD_MS)
-    suppress_zero = _get_bool(section, name, "suppress_zero", True)
+    cd_ms = _get(section, name, "cd_ms", "float", DEFAULT_CD_MS[kind])
+    dd_ms = _get(section, name, "dd_ms", "float", DEFAULT_DD_MS)
+    suppress_zero = _get(section, name, "suppress_zero", "bool", True)
 
     energy = None
     if _ENERGY_KEYS & set(section.keys()):
-        energy = _parse_energy(section, name, run_energy)
+        energy = _parse_fields(section, name, run_energy)
 
     try:
         trace = TraceSpec(

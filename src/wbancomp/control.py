@@ -10,6 +10,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from .signals import MAX_ADC_BITS
+
 
 @dataclass
 class DeviceState:
@@ -33,8 +35,8 @@ class DeviceState:
             raise ValueError(f"device_id {self.device_id} outside [0, 255]")
         if self.threshold < 0:
             raise ValueError("threshold must be non-negative")
-        if not 1 <= self.adc_bits <= 16:
-            raise ValueError("adc_bits must be in [1, 16]")
+        if not 1 <= self.adc_bits <= MAX_ADC_BITS:
+            raise ValueError(f"adc_bits must be in [1, {MAX_ADC_BITS}]")
 
     def process_sample(self, value: int) -> int | None:
         """Return the residual to transmit, or None when the sample is suppressed.

@@ -18,15 +18,10 @@ from __future__ import annotations
 import csv
 import io
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from decimal import ROUND_HALF_UP, Decimal
 
 from .netmodel import MS_PER_HOUR, RunLog, lifetime
-
-CSV_COLUMNS = (
-    "device_id", "mode", "orig_pkt", "comp_pkt", "pcr_pct",
-    "cd_ms", "dd_ms", "ad_ms", "dec_mah", "lifetime_h",
-)
 
 
 def compression_ratio(orig_pkt: int, comp_pkt: int) -> float:
@@ -125,16 +120,19 @@ def compute(runlog: RunLog) -> tuple[list[DeviceMetrics], RunMetrics]:
     return out, run
 
 
+def _fields_dict(m: DeviceMetrics, fmt) -> dict:
+    """m's fields by name, with fmt applied to those declared float."""
+    return {fld.name: fmt(getattr(m, fld.name)) if fld.type == "float"
+            else getattr(m, fld.name) for fld in fields(m)}
+
+
 def to_csv(devices: list[DeviceMetrics]) -> str:
     buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(CSV_COLUMNS)
-    for m in devices:
-        writer.writerow([
-            m.device_id, m.mode, m.orig_pkt, m.comp_pkt,
-            f"{m.pcr_pct:.4f}", f"{m.cd_ms:.4f}", f"{m.dd_ms:.4f}",
-            f"{m.ad_ms:.4f}", f"{m.dec_mah:.4f}", f"{m.lifetime_h:.4f}",
-        ])
+    writer = csv.DictWriter(buf, [fld.name for fld in fields(DeviceMetrics)],
+                            lineterminator="\n")
+    writer.writeheader()
+    writer.writerows(_fields_dict(m, lambda value: f"{value:.4f}")
+                     for m in devices)
     return buf.getvalue()
 
 
@@ -146,21 +144,8 @@ def to_json(devices: list[DeviceMetrics], run: RunMetrics) -> str:
             "ad_ms": round(run.ad_ms, 4),
             "duration_s": run.duration_s,
         },
-        "devices": [
-            {
-                "device_id": m.device_id,
-                "mode": m.mode,
-                "orig_pkt": m.orig_pkt,
-                "comp_pkt": m.comp_pkt,
-                "pcr_pct": round(m.pcr_pct, 4),
-                "cd_ms": round(m.cd_ms, 4),
-                "dd_ms": round(m.dd_ms, 4),
-                "ad_ms": round(m.ad_ms, 4),
-                "dec_mah": round(m.dec_mah, 4),
-                "lifetime_h": round(m.lifetime_h, 4),
-            }
-            for m in devices
-        ],
+        "devices": [_fields_dict(m, lambda value: round(value, 4))
+                    for m in devices],
     }
     return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 

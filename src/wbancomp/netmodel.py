@@ -31,7 +31,7 @@ from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
 from typing import NamedTuple
 
-from .codec import MAX_GROUP, codeword_bytes
+from .codec import MAX_CODEWORD_BITS, MAX_GROUP, codeword_bytes
 from .control import DeviceState
 from .signals import TraceSpec, trace_codes
 from .sink import Packet, Sink
@@ -194,7 +194,8 @@ class Scenario:
                 raise ValueError(f"device {dev.name}: codec covers at most "
                                  f"{MAX_GROUP}-bit readings")
             model = dev.energy or self.energy
-            worst_bits = spec.adc_bits if dev.mode == "CGWC" else 20
+            worst_bits = (spec.adc_bits if dev.mode == "CGWC"
+                          else MAX_CODEWORD_BITS)
             busy = dev.cd_ms + model.wake_latency_ms + self.channel.transit_ms(worst_bits)
             if busy > spec.sample_period_ms:
                 raise ValueError(
@@ -240,10 +241,6 @@ class DeviceRun:
     payload_bits: int = 0
     state_time_ms: dict = field(default_factory=dict)
     state_charge_mah: dict = field(default_factory=dict)
-
-    @property
-    def suppressed(self) -> int:
-        return self.samples - self.transmitted
 
     def total_mah(self) -> float:
         return sum(self.state_charge_mah.values())

@@ -44,8 +44,8 @@ class SyntheticSource:
     params: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        if self.kind not in SYNTH_KINDS:
-            raise ValueError(f"unknown synthetic kind {self.kind!r}")
+        # Check kind and parameters now, not when the trace is generated.
+        synth(self.kind, self.params, self.seed, 0)
 
 
 @dataclass(frozen=True)
@@ -199,19 +199,22 @@ def load_trace(spec: TraceSpec) -> TraceLoad:
 
 
 def synth(kind: str, params: dict, seed: int, count: int, adc_bits: int = 10) -> list[int]:
-    """Generate `count` ADC codes for one synthetic signal class."""
+    """Generate `count` ADC codes for one synthetic signal class.
+
+    The generators yield unclamped codes, and check their parameters before
+    the first one, so count 0 checks kind and parameters only.
+    """
     if kind not in SYNTH_KINDS:
         raise ValueError(f"unknown synthetic kind {kind!r}")
     if count < 0:
         raise ValueError("count must be non-negative")
-    generator = _GENERATORS[kind]
     known = PARAM_NAMES[kind]
     unknown = set(params) - known
     if unknown:
-        raise ValueError(f"unknown {kind} params: {sorted(unknown)}")
-    rng = random.Random(seed)
+        raise ValueError(f"{sorted(unknown)} are not {kind} parameters "
+                         f"(allowed: {sorted(known)})")
     full_scale = (1 << adc_bits) - 1
-    codes = generator(rng, count, full_scale, params)
+    codes = _GENERATORS[kind](random.Random(seed), count, params)
     return [min(max(code, 0), full_scale) for code in codes]
 
 
@@ -220,8 +223,8 @@ def trace_samples(spec: TraceSpec) -> list[Sample]:
     return _timestamped(spec, trace_codes(spec)[0])
 
 
-def _gen_temperature(rng: random.Random, count: int, full_scale: int,
-                     params: dict) -> list[int]:
+def _gen_temperature(rng: random.Random, count: int,
+                     params: dict) -> Iterator[int]:
     # Body temperature barely moves between consecutive readings: long flat
     # runs with the occasional one-code step.
     start = int(params.get("start_code", 477))
@@ -229,12 +232,10 @@ def _gen_temperature(rng: random.Random, count: int, full_scale: int,
     if not 0.0 <= step_probability <= 1.0:
         raise ValueError("step_probability must be in [0, 1]")
     code = start
-    codes = []
     for _ in range(count):
         if rng.random() < step_probability:
             code += rng.choice((-1, 1))
-        codes.append(code)
-    return codes
+        yield code
 
 
 # One beat as value offsets from the baseline. Flat stretches give the zero
@@ -252,33 +253,28 @@ _ECG_BEAT = (
 )
 
 
-def _gen_ecg(rng: random.Random, count: int, full_scale: int,
-             params: dict) -> list[int]:
+def _gen_ecg(rng: random.Random, count: int, params: dict) -> Iterator[int]:
     base = int(params.get("base_code", 300))
     beat_period = int(params.get("beat_period", len(_ECG_BEAT)))
     jitter_probability = float(params.get("jitter_probability", 0.0))
     if beat_period < len(_ECG_BEAT):
         raise ValueError(f"beat_period must be at least {len(_ECG_BEAT)}")
-    codes = []
     for i in range(count):
         phase = i % beat_period
         offset = _ECG_BEAT[phase] if phase < len(_ECG_BEAT) else 0
         code = base + offset
         if jitter_probability and rng.random() < jitter_probability:
             code += rng.choice((-1, 1))
-        codes.append(code)
-    return codes
+        yield code
 
 
-def _gen_ppg(rng: random.Random, count: int, full_scale: int,
-             params: dict) -> list[int]:
+def _gen_ppg(rng: random.Random, count: int, params: dict) -> Iterator[int]:
     base = int(params.get("base_code", 400))
     amplitude = float(params.get("amplitude", 110.0))
     pulse_period = int(params.get("pulse_period", 55))
     wander_amplitude = float(params.get("wander_amplitude", 4.0))
     if pulse_period < 8:
         raise ValueError("pulse_period must be at least 8")
-    codes = []
     for i in range(count):
         phase = (i % pulse_period) / pulse_period
         if phase < 0.15:
@@ -297,8 +293,7 @@ def _gen_ppg(rng: random.Random, count: int, full_scale: int,
             # end-diastolic hold
             level = 0.0
         wander = wander_amplitude * math.sin(2 * math.pi * i / (8 * pulse_period))
-        codes.append(int(round(base + amplitude * level + wander)))
-    return codes
+        yield int(round(base + amplitude * level + wander))
 
 
 _GENERATORS = {

@@ -372,6 +372,26 @@ def test_simulate_invalid_config(tmp_path, capsys):
     assert "CGLS" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("signal, param", [
+    ("temperature", "step_probability = 2"),
+    ("ecg", "beat_period = 3"),
+    ("ppg", "pulse_period = 4"),
+])
+def test_bad_synth_param_is_located(tmp_path, capsys, signal, param):
+    # Out-of-range synthetic parameters fail at parse time, naming the
+    # device section and the parameter, before anything is written.
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text("[run]\nduration_s = 60\n[device:wave]\nid = 1\n"
+                   f"mode = CGLL\nsignal = {signal}\n"
+                   f"sample_period_ms = 500\n{param}\n")
+    out = tmp_path / "run"
+    assert main(["--out", str(out), "simulate", str(cfg)]) == EXIT_DATA
+    err = capsys.readouterr().err
+    assert "[device:wave]: " in err
+    assert param.split()[0] in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("fmt", ["csv", "json"])
 @pytest.mark.parametrize("scenario", sorted(PINNED_OUTPUTS))
 def test_report_reproduces_simulate_metrics(tmp_path, capsys, scenario, fmt):

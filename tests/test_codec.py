@@ -9,8 +9,9 @@ from hypothesis import strategies as st
 from conftest import REPO_ROOT
 from wbancomp.bitstream import (BitReader, BitString, BitUnderflowError,
                                 BitWriter)
-from wbancomp.codec import (RESIDUAL_MAX, RESIDUAL_MIN, CodecError,
-                            IncompleteCodewordError, MalformedPrefixError,
+from wbancomp.codec import (MAX_CODEWORD_BITS, RESIDUAL_MAX, RESIDUAL_MIN,
+                            CodecError, IncompleteCodewordError,
+                            MalformedPrefixError,
                             codeword_bytes, decode_bits, decode_residual,
                             encode_prefix, encode_residual, encode_suffix,
                             group_of)
@@ -199,6 +200,10 @@ class TestEncodeResidual:
         assert lengths == sorted(lengths)
         for e in range(1, RESIDUAL_MAX + 1):
             assert len(encode_residual(-e)) == len(encode_residual(e))
+
+    def test_longest_codeword_is_max_codeword_bits(self):
+        assert max(len(encode_residual(e)) for e in
+                   range(RESIDUAL_MIN, RESIDUAL_MAX + 1)) == MAX_CODEWORD_BITS
 
     def test_range_error_propagates(self):
         with pytest.raises(ValueError):

@@ -1,7 +1,11 @@
+import re
+from dataclasses import fields
+
 import pytest
 
 from conftest import SCENARIO_DIR
 from wbancomp.config import ConfigError, parse_scenario
+from wbancomp.netmodel import ChannelModel, RadioEnergyModel, SleepPolicy
 from wbancomp.signals import FileSource, SyntheticSource
 
 MINIMAL = """\
@@ -172,6 +176,54 @@ def test_device_energy_overrides(tmp_path):
     assert dev.energy.tx_ma == 39.0
     # untouched fields inherit the run-level model
     assert dev.energy.battery_mah == sc.energy.battery_mah
+
+
+# A valid non-default value for every field a model section may set.
+SECTION_VALUES = {
+    "base_latency_ms": ("40.5", 40.5),
+    "per_bit_delay_ms": ("0.25", 0.25),
+    "tx_ma": ("30", 30.0),
+    "idle_ma": ("9.5", 9.5),
+    "sleep_ma": ("0.5", 0.5),
+    "cpu_active_ma": ("12", 12.0),
+    "wake_latency_ms": ("1.5", 1.5),
+    "battery_mah": ("500", 500.0),
+    "enabled": ("yes", True),
+    "suppressions_before_sleep": ("3", 3),
+}
+NOT_A = {"float": "not a number", "int": "not an integer",
+         "bool": "not a boolean"}
+
+
+def _section_fields():
+    for section, model, read in (
+            ("channel", ChannelModel, lambda sc: sc.channel),
+            ("energy", RadioEnergyModel, lambda sc: sc.energy),
+            ("device:temp", RadioEnergyModel, lambda sc: sc.devices[0].energy),
+            ("sleep", SleepPolicy, lambda sc: sc.sleep)):
+        for fld in fields(model):
+            yield pytest.param(section, fld, read, id=f"{section}-{fld.name}")
+
+
+@pytest.mark.parametrize("section, fld, read", _section_fields())
+def test_model_section_keys(tmp_path, section, fld, read):
+    # Each field is a key of its section: a value lands in the model, a
+    # mistyped value names the key and its type, a misspelled key is unknown.
+    assert fld.name in SECTION_VALUES, f"no test value for {fld.name}"
+    text, value = SECTION_VALUES[fld.name]
+    assert value != fld.default
+    header = "" if section.startswith("device:") else f"\n[{section}]\n"
+
+    def parse(line):
+        return parse_scenario(write(tmp_path, f"{MINIMAL}{header}{line}\n"))
+
+    assert getattr(read(parse(f"{fld.name} = {text}")), fld.name) == value
+    with pytest.raises(ConfigError, match=re.escape(
+            f"[{section}] {fld.name}: {NOT_A[fld.type]}")):
+        parse(f"{fld.name} = x1")
+    with pytest.raises(ConfigError, match=re.escape(
+            f"[{section}]: unknown keys ['{fld.name}s']")):
+        parse(f"{fld.name}s = {text}")
 
 
 def test_bad_number_reports_section_and_key(tmp_path):
