@@ -11,7 +11,7 @@ from .netmodel import (ChannelModel, DeviceConfig, EnergyLedger,
                        RadioEnergyModel, RunLog, Scenario, SleepPolicy,
                        lifetime, simulate)
 from .signals import (FileSource, Sample, SyntheticSource, TraceSpec,
-                      load_trace, quantize, synth, trace_samples)
+                      quantize, synth, trace_samples)
 from .sink import (DuplicateDeviceError, Packet, Sink, UnknownDeviceError)
 
 __version__ = "0.1.0"
@@ -24,8 +24,8 @@ __all__ = [
     "DeviceState",
     "ChannelModel", "DeviceConfig", "EnergyLedger", "RadioEnergyModel",
     "RunLog", "Scenario", "SleepPolicy", "lifetime", "simulate",
-    "FileSource", "Sample", "SyntheticSource", "TraceSpec", "load_trace",
-    "quantize", "synth", "trace_samples",
+    "FileSource", "Sample", "SyntheticSource", "TraceSpec", "quantize",
+    "synth", "trace_samples",
     "DuplicateDeviceError", "Packet", "Sink", "UnknownDeviceError",
     "__version__",
 ]

@@ -15,8 +15,8 @@ from . import config, metrics, tracefile
 from .codec import MAX_GROUP, CodecError, codeword_bytes
 from .control import DeviceState
 from .netmodel import SUMMARY_FILE, RunLog, simulate
-from .signals import (MAX_ADC_BITS, SYNTH_KINDS, FileSource, SyntheticSource,
-                      TraceSpec, parse_range, read_column, trace_codes)
+from .signals import (MAX_ADC_BITS, SYNTH_KINDS, FileSource, TraceSpec,
+                      parse_range, read_column, synth, trace_codes)
 from .sink import Packet, Sink
 
 EXIT_OK = 0
@@ -103,12 +103,12 @@ def cmd_encode(args) -> int:
     if args.out is None:
         raise UsageError("encode requires --out for the packet trace")
     if not 1 <= args.adc_bits <= MAX_GROUP:
-        raise ValueError(f"--adc-bits {args.adc_bits} outside [1, {MAX_GROUP}]: "
+        raise UsageError(f"--adc-bits {args.adc_bits} outside [1, {MAX_GROUP}]: "
                          f"the codec covers at most {MAX_GROUP}-bit readings")
     if args.threshold < 0:
-        raise ValueError(f"--threshold {args.threshold}: must be non-negative")
+        raise UsageError(f"--threshold {args.threshold}: must be non-negative")
     if not 0 <= args.device_id <= 255:
-        raise ValueError(f"--device-id {args.device_id} outside [0, 255]")
+        raise UsageError(f"--device-id {args.device_id} outside [0, 255]")
     _check_column(args.column)
     codes = []
     for lineno, code in read_column(Path(args.input), args.column, int):
@@ -171,21 +171,16 @@ def cmd_decode(args) -> int:
 
 def cmd_signals_dump(args) -> int:
     if not 1 <= args.adc_bits <= MAX_ADC_BITS:
-        raise ValueError(f"--adc-bits {args.adc_bits} outside "
+        raise UsageError(f"--adc-bits {args.adc_bits} outside "
                          f"[1, {MAX_ADC_BITS}]")
     if args.period_ms <= 0:
-        raise ValueError(f"--period-ms {args.period_ms}: must be positive")
+        raise UsageError(f"--period-ms {args.period_ms}: must be positive")
     if args.samples < 0:
-        raise ValueError(f"--samples {args.samples}: must be non-negative")
+        raise UsageError(f"--samples {args.samples}: must be non-negative")
     _check_column(args.column)
     if args.kind:
-        spec = TraceSpec(
-            source=SyntheticSource(kind=args.kind,
-                                   seed=args.seed if args.seed is not None else 0),
-            sample_period_ms=args.period_ms,
-            duration_s=args.samples * args.period_ms / 1000.0,
-            adc_bits=args.adc_bits,
-        )
+        codes, clamps = synth(args.kind, {}, args.seed or 0, args.samples,
+                              args.adc_bits), 0
     else:
         if args.adc_range is None:
             raise UsageError("--file requires --range min,max")
@@ -193,14 +188,12 @@ def cmd_signals_dump(args) -> int:
             adc_range = parse_range(args.adc_range)
         except ValueError as exc:
             raise UsageError(f"--range: {exc}") from None
-        spec = TraceSpec(
+        codes, clamps = trace_codes(TraceSpec(
             source=FileSource(path=args.file, value_column=args.column),
             sample_period_ms=args.period_ms,
-            duration_s=None,
             adc_bits=args.adc_bits,
             adc_range=adc_range,
-        )
-    codes, clamps = trace_codes(spec)
+        ))
     lines = ["timestamp_ms,code"]
     lines.extend(f"{i * args.period_ms},{code}" for i, code in enumerate(codes))
     _write_out(args, "\n".join(lines) + "\n")

@@ -20,6 +20,7 @@ keys are rejected outright.
 from __future__ import annotations
 
 import configparser
+import math
 from dataclasses import fields as dataclass_fields, replace
 from pathlib import Path
 
@@ -30,7 +31,6 @@ from .signals import (PARAM_NAMES, SYNTH_KINDS, FileSource, SyntheticSource,
 
 # Default per-sample processing costs by signal class, ms.
 DEFAULT_CD_MS = {"temperature": 1.0, "ecg": 3.0, "ppg": 2.0, "file": 3.0}
-DEFAULT_DD_MS = 1.0
 
 _RUN_KEYS = {"duration_s", "seed"}
 # Sections that set a model's fields, one key per field.
@@ -64,7 +64,8 @@ def _require_keys(section: str, present, allowed: set) -> None:
 
 
 def _get(section, name: str, key: str, kind: str, default=None):
-    """The key's value read as `kind`; with no default the key is required."""
+    """The key's value read as `kind`, floats finite; with no default the
+    key is required."""
     getter, noun = _GETTERS[kind]
     try:
         value = getattr(section, getter)(key, default)
@@ -72,6 +73,8 @@ def _get(section, name: str, key: str, kind: str, default=None):
         raise ConfigError(f"[{name}] {key}: not {noun}") from None
     if value is None:
         raise ConfigError(f"[{name}]: missing required key {key!r}")
+    if kind == "float" and not math.isfinite(value):
+        raise ConfigError(f"[{name}] {key}: not a finite number")
     return value
 
 
@@ -114,10 +117,7 @@ def parse_scenario(path: str | Path, seed_override: int | None = None) -> Scenar
         raise ConfigError("missing [run] section")
     run = parser["run"]
     _require_keys("run", run.keys(), _RUN_KEYS)
-    try:
-        duration_s = float(run.get("duration_s", ""))
-    except ValueError:
-        raise ConfigError("[run] duration_s: missing or not a number") from None
+    duration_s = _get(run, "run", "duration_s", "float")
     seed = _get(run, "run", "seed", "int", 0)
     if seed_override is not None:
         seed = seed_override
@@ -161,9 +161,9 @@ def _parse_device(section, name: str, base_dir: Path,
     mode = section.get("mode", "").strip()
     if not mode:
         raise ConfigError(f"[{name}]: missing required key 'mode'")
-    threshold = _get(section, name, "threshold", "int", 0)
+    threshold = _get(section, name, "threshold", "int", DeviceConfig.threshold)
     period = _get(section, name, "sample_period_ms", "int")
-    adc_bits = _get(section, name, "adc_bits", "int", 10)
+    adc_bits = _get(section, name, "adc_bits", "int", TraceSpec.adc_bits)
 
     signal = section.get("signal", "").strip()
     file_path = section.get("file", "").strip()
@@ -192,7 +192,8 @@ def _parse_device(section, name: str, base_dir: Path,
     else:
         resolved = (base_dir / file_path).resolve() if not Path(
             file_path).is_absolute() else Path(file_path)
-        value_column = _get(section, name, "value_column", "int", 0)
+        value_column = _get(section, name, "value_column", "int",
+                            FileSource.value_column)
         if value_column < 0:
             raise ConfigError(f"[{name}] value_column: must be non-negative")
         source = FileSource(path=str(resolved), value_column=value_column)
@@ -201,8 +202,9 @@ def _parse_device(section, name: str, base_dir: Path,
         kind = "file"
 
     cd_ms = _get(section, name, "cd_ms", "float", DEFAULT_CD_MS[kind])
-    dd_ms = _get(section, name, "dd_ms", "float", DEFAULT_DD_MS)
-    suppress_zero = _get(section, name, "suppress_zero", "bool", True)
+    dd_ms = _get(section, name, "dd_ms", "float", DeviceConfig.dd_ms)
+    suppress_zero = _get(section, name, "suppress_zero", "bool",
+                         DeviceConfig.suppress_zero)
 
     energy = None
     if _ENERGY_KEYS & set(section.keys()):
@@ -212,7 +214,6 @@ def _parse_device(section, name: str, base_dir: Path,
         trace = TraceSpec(
             source=source,
             sample_period_ms=period,
-            duration_s=None,
             adc_bits=adc_bits,
             adc_range=adc_range,
         )

@@ -25,6 +25,7 @@ from __future__ import annotations
 import csv
 import heapq
 import json
+import math
 from collections import defaultdict
 from collections.abc import Iterator
 from dataclasses import asdict, dataclass, field, fields, replace
@@ -147,6 +148,8 @@ class DeviceConfig:
     energy: RadioEnergyModel | None = None  # overrides the scenario model
 
     def __post_init__(self):
+        if not 0 <= self.device_id <= 255:
+            raise ValueError(f"device_id {self.device_id} outside [0, 255]")
         if self.mode not in MODES:
             raise ValueError(f"mode must be one of {MODES}, got {self.mode!r}")
         if self.threshold < 0:
@@ -396,7 +399,8 @@ def _is_int(value) -> bool:
 
 
 def _is_number(value) -> bool:
-    return _is_int(value) or isinstance(value, float)
+    # json reads NaN and Infinity as floats.
+    return _is_int(value) or (isinstance(value, float) and math.isfinite(value))
 
 
 # What runlog.json may hold for each DeviceRun field, by its annotation.

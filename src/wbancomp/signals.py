@@ -107,12 +107,6 @@ def parse_range(text: str) -> tuple[float, float]:
     return lo, hi
 
 
-@dataclass
-class TraceLoad:
-    samples: list[Sample]
-    clamp_count: int
-
-
 def read_column(path: Path, column: int,
                 parse: Callable[[str], float]) -> Iterator[tuple[int, float]]:
     """Yield (line number, parse(cell)) for one column of a CSV file.
@@ -150,7 +144,8 @@ def trace_codes(spec: TraceSpec) -> tuple[list[int], int]:
 
     Synthetic traces need a duration and never clamp. File traces are read,
     cut to the duration when one is set, and quantized; a non-numeric first
-    row is treated as a header, and values outside the ADC range saturate.
+    row is treated as a header, a non-finite reading elsewhere is an error,
+    and values outside the ADC range saturate.
     """
     source = spec.source
     if isinstance(source, SyntheticSource):
@@ -161,10 +156,13 @@ def trace_codes(spec: TraceSpec) -> tuple[list[int], int]:
                      spec.adc_bits), 0
     if spec.adc_range is None:
         raise ValueError("file traces need an adc_range to quantize against")
-    lo, hi = spec.adc_range
-    full_scale = (1 << spec.adc_bits) - 1
-    values = [value for _, value in read_column(
-        Path(source.path), source.value_column, float)]
+    values = []
+    for lineno, value in read_column(Path(source.path), source.value_column,
+                                     float):
+        if not math.isfinite(value):
+            raise ValueError(f"{source.path}:{lineno}: reading {value} is "
+                             f"not finite")
+        values.append(value)
 
     wanted = spec.sample_count()
     if wanted is not None:
@@ -175,27 +173,11 @@ def trace_codes(spec: TraceSpec) -> tuple[list[int], int]:
             )
         values = values[:wanted]
 
-    clamp_count = 0
-    codes = []
-    for physical in values:
-        code = quantize(physical, (lo, hi), spec.adc_bits)
-        if (code == 0 and physical < lo) or (code == full_scale and physical > hi):
-            clamp_count += 1
-        codes.append(code)
-    return codes, clamp_count
-
-
-def _timestamped(spec: TraceSpec, codes: list[int]) -> list[Sample]:
-    period = spec.sample_period_ms
-    return [Sample(i * period, code) for i, code in enumerate(codes)]
-
-
-def load_trace(spec: TraceSpec) -> TraceLoad:
-    """A CSV trace as timestamped samples, with its clamp count."""
-    if not isinstance(spec.source, FileSource):
-        raise ValueError("load_trace requires a FileSource")
-    codes, clamp_count = trace_codes(spec)
-    return TraceLoad(_timestamped(spec, codes), clamp_count)
+    # The readings outside [lo, hi] are exactly those quantize saturates.
+    lo, hi = spec.adc_range
+    codes = [quantize(physical, spec.adc_range, spec.adc_bits)
+             for physical in values]
+    return codes, sum(not lo <= physical <= hi for physical in values)
 
 
 def synth(kind: str, params: dict, seed: int, count: int, adc_bits: int = 10) -> list[int]:
@@ -220,7 +202,9 @@ def synth(kind: str, params: dict, seed: int, count: int, adc_bits: int = 10) ->
 
 def trace_samples(spec: TraceSpec) -> list[Sample]:
     """Materialize any TraceSpec into its sample sequence."""
-    return _timestamped(spec, trace_codes(spec)[0])
+    period = spec.sample_period_ms
+    return [Sample(i * period, code)
+            for i, code in enumerate(trace_codes(spec)[0])]
 
 
 def _gen_temperature(rng: random.Random, count: int,

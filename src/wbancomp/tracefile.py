@@ -10,7 +10,7 @@ the full sample cadence, holding the last value across suppressed samples.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field, fields
 from pathlib import Path
 
 from .sink import Packet
@@ -29,14 +29,13 @@ class PacketTrace:
     packets: list[tuple[int, Packet]] = field(default_factory=list)  # (seq, pkt)
 
 
+# The `#key=value` header lines, one per integer field, in file order.
+_HEADER = [fld for fld in fields(PacketTrace) if fld.name != "packets"]
+
+
 def write_trace(path: str | Path, trace: PacketTrace) -> None:
-    lines = [
-        MAGIC,
-        f"#samples={trace.samples}",
-        f"#threshold={trace.threshold}",
-        f"#adc_bits={trace.adc_bits}",
-        f"#sample_period_ms={trace.sample_period_ms}",
-    ]
+    lines = [MAGIC]
+    lines.extend(f"#{fld.name}={getattr(trace, fld.name)}" for fld in _HEADER)
     for seq, packet in trace.packets:
         lines.append(
             f"{seq},{packet.device_id},{packet.bit_count},{packet.payload.hex()}"
@@ -53,20 +52,15 @@ def read_trace(path: str | Path) -> PacketTrace:
         raise ValueError(f"{path}: not a packet trace file")
     meta = {}
     body_start = 1
-    for lineno, line in enumerate(lines[1:], start=2):
-        if not line.startswith("#"):
-            body_start = lineno - 1
-            break
-        key, _, value = line[1:].partition("=")
+    while body_start < len(lines) and lines[body_start].startswith("#"):
+        key, _, value = lines[body_start][1:].partition("=")
         meta[key.strip()] = value.strip()
-        body_start = lineno
+        body_start += 1
     try:
-        trace = PacketTrace(
-            samples=int(meta["samples"]),
-            threshold=int(meta.get("threshold", 0)),
-            adc_bits=int(meta.get("adc_bits", 10)),
-            sample_period_ms=int(meta.get("sample_period_ms", 0)),
-        )
+        trace = PacketTrace(**{
+            fld.name: int(meta[fld.name] if fld.default is MISSING
+                          else meta.get(fld.name, fld.default))
+            for fld in _HEADER})
     except (KeyError, ValueError) as exc:
         raise ValueError(f"{path}: bad trace metadata ({exc})") from None
 

@@ -19,7 +19,7 @@ from wbancomp.codec import decode_residual, encode_residual, group_of
 from wbancomp.config import parse_scenario
 from wbancomp.control import DeviceState
 from wbancomp.netmodel import SleepPolicy, lifetime, simulate
-from wbancomp.signals import FileSource, TraceSpec, load_trace, synth
+from wbancomp.signals import FileSource, TraceSpec, synth, trace_codes
 
 
 @contextmanager
@@ -107,7 +107,7 @@ def test_criterion_5_lossless_identity(tmp_path):
                                            value_column=1),
                          sample_period_ms=80, adc_bits=10,
                          adc_range=(-2.5, 2.5))
-        fixture_codes = [s.value for s in load_trace(spec).samples]
+        fixture_codes, _ = trace_codes(spec)
         rng = random.Random(55)
         streams = {
             "ecg_fixture": fixture_codes,

@@ -178,7 +178,7 @@ def test_bad_flag_named_before_input_is_read(tmp_path, capsys, argv, flag):
     missing = str(tmp_path / "absent.csv")
     argv = [missing if arg == "{input}" else arg for arg in argv]
     rc = main(["--out", str(tmp_path / "out"), *argv])
-    assert rc == EXIT_DATA
+    assert rc == EXIT_USAGE
     assert flag in capsys.readouterr().err
 
 
@@ -244,7 +244,7 @@ def test_encode_rejects_adc_bits_beyond_codec(tmp_path, capsys):
     write_codes(src, [3000])
     out = tmp_path / "x.trace"
     rc = main(["--out", str(out), "encode", str(src), "--adc-bits", "12"])
-    assert rc == EXIT_DATA
+    assert rc == EXIT_USAGE
     assert "--adc-bits" in capsys.readouterr().err
     assert not out.exists()
 
@@ -392,6 +392,40 @@ def test_bad_synth_param_is_located(tmp_path, capsys, signal, param):
     assert not out.exists()
 
 
+_ONE_DEVICE = ("[run]\nduration_s = 60\n[channel]\n[energy]\n"
+               "[device:t]\nid = 1\nmode = CGLL\nsample_period_ms = 500\n"
+               "signal = temperature\n")
+
+
+@pytest.mark.parametrize("edit, where", [
+    (("duration_s = 60", "duration_s = inf"),
+     "[run] duration_s: not a finite number"),
+    (("duration_s = 60", "duration_s = nan"),
+     "[run] duration_s: not a finite number"),
+    (("[channel]", "[channel]\nbase_latency_ms = nan"),
+     "[channel] base_latency_ms: not a finite number"),
+    (("signal = temperature", "signal = temperature\ncd_ms = nan"),
+     "[device:t] cd_ms: not a finite number"),
+    (("[energy]", "[energy]\nbattery_mah = inf"),
+     "[energy] battery_mah: not a finite number"),
+    (("id = 1", "id = 300"), "[device:t]: device_id 300 outside [0, 255]"),
+    (("signal = temperature", "file = trace.csv\nadc_range = 30,45"),
+     "trace.csv:3: reading nan is not finite"),
+], ids=["duration-inf", "duration-nan", "channel-nan", "device-cd-nan",
+        "battery-inf", "device-id-300", "trace-nan-row"])
+def test_bad_scenario_input_is_located(tmp_path, capsys, edit, where):
+    # Each input fails before anything is written, naming where it is; nan
+    # would pass every range check and an infinity would reach int() or
+    # Decimal.
+    (tmp_path / "trace.csv").write_text("37.0\n37.5\nnan\n" + "37.0\n" * 120)
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(_ONE_DEVICE.replace(*edit))
+    out = tmp_path / "run"
+    assert main(["--out", str(out), "simulate", str(cfg)]) == EXIT_DATA
+    assert where in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("fmt", ["csv", "json"])
 @pytest.mark.parametrize("scenario", sorted(PINNED_OUTPUTS))
 def test_report_reproduces_simulate_metrics(tmp_path, capsys, scenario, fmt):
@@ -444,6 +478,10 @@ def _zero_samples(doc):
     doc["devices"][0]["samples"] = 0
 
 
+def _infinite_battery(doc):
+    doc["devices"][0]["battery_mah"] = float("inf")
+
+
 def _set_cell(index, text):
     def edit(line):
         cells = line.rstrip("\n").split(",")
@@ -466,9 +504,13 @@ def _set_cell(index, text):
     (_edit_summary(_string_samples), "runlog.json: device 2: samples"),
     (_edit_summary(_zero_samples),
      "runlog.json: device 0: orig_pkt must be positive"),
+    # json writes and reads Infinity, which is not JSON.
+    (_edit_summary(_infinite_battery),
+     "runlog.json: device 0: battery_mah: not a number"),
 ], ids=["short-row", "non-numeric-cell", "non-numeric-value",
         "non-numeric-arrival", "deleted-event-row", "missing-device-key",
-        "mistyped-device-value", "inconsistent-device-values"])
+        "mistyped-device-value", "inconsistent-device-values",
+        "infinite-device-value"])
 def test_report_locates_malformed_run_dir(tmp_path, capsys, mangle, where):
     out = tmp_path / "run"
     main(["--out", str(out), "simulate",

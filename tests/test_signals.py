@@ -6,7 +6,7 @@ from conftest import DATA_DIR, run_pipeline
 from wbancomp.codec import group_of
 from wbancomp.control import DeviceState
 from wbancomp.signals import (FileSource, SyntheticSource, TraceSpec,
-                              load_trace, quantize, synth, trace_samples)
+                              quantize, synth, trace_codes, trace_samples)
 
 
 class TestQuantize:
@@ -52,6 +52,8 @@ class TestQuantize:
 
 
 class TestLoadTrace:
+    """File traces, read through trace_codes and trace_samples."""
+
     def spec(self, path, **kwargs):
         defaults = dict(sample_period_ms=100, adc_bits=10,
                         adc_range=(30.0, 45.0))
@@ -65,65 +67,86 @@ class TestLoadTrace:
                                 for i in range(600)))
         spec = TraceSpec(source=FileSource(str(path), value_column=1),
                          sample_period_ms=100, adc_range=(30.0, 45.0))
-        load = load_trace(spec)
-        assert len(load.samples) == 600
-        assert [s.timestamp_ms for s in load.samples[:3]] == [0, 100, 200]
+        samples = trace_samples(spec)
+        assert len(samples) == 600
+        assert [s.timestamp_ms for s in samples[:3]] == [0, 100, 200]
 
     def test_constant_column_quantizes_to_477(self, tmp_path):
         path = tmp_path / "trace.csv"
         path.write_text("37.0\n" * 10)
-        load = load_trace(self.spec(path))
-        assert all(s.value == 477 for s in load.samples)
-        assert load.clamp_count == 0
+        codes, clamp_count = trace_codes(self.spec(path))
+        assert all(code == 477 for code in codes)
+        assert clamp_count == 0
 
     def test_header_autodetected(self, tmp_path):
         path = tmp_path / "trace.csv"
         path.write_text("temp_c\n37.0\n37.5\n")
-        load = load_trace(self.spec(path))
-        assert len(load.samples) == 2
+        codes, _ = trace_codes(self.spec(path))
+        assert len(codes) == 2
 
     def test_clamp_diagnostic(self, tmp_path):
         path = tmp_path / "trace.csv"
         path.write_text("37.0\n99.0\n20.0\n")
-        load = load_trace(self.spec(path))
-        assert [s.value for s in load.samples] == [477, 1023, 0]
-        assert load.clamp_count == 2
+        codes, clamp_count = trace_codes(self.spec(path))
+        assert codes == [477, 1023, 0]
+        assert clamp_count == 2
+
+    def test_range_bounds_do_not_clamp(self, tmp_path):
+        path = tmp_path / "trace.csv"
+        path.write_text("30.0\n45.0\n")
+        codes, clamp_count = trace_codes(self.spec(path))
+        assert codes == [0, 1023]
+        assert clamp_count == 0
+
+    @pytest.mark.parametrize("text, line", [
+        ("37.0\nnan\n", 2), ("37.0\ninf\n", 2), ("37.0\n-inf\n", 2),
+        ("nan\n37.0\n", 1), ("temp_c\n37.0\nnan\n", 3),
+    ], ids=["nan", "inf", "-inf", "nan-first-line", "nan-after-header"])
+    def test_non_finite_reading_located(self, tmp_path, text, line):
+        # An infinity would saturate like any reading out of range, and nan
+        # has no code at all; both are errors naming the line, even on the
+        # first line, where a non-number would be taken as a header.
+        path = tmp_path / "trace.csv"
+        path.write_text(text)
+        with pytest.raises(ValueError, match=rf"trace\.csv:{line}: reading "
+                                             r"-?(nan|inf) is not finite"):
+            trace_codes(self.spec(path))
 
     def test_missing_file(self):
         with pytest.raises(FileNotFoundError):
-            load_trace(self.spec("/nonexistent/trace.csv"))
+            trace_codes(self.spec("/nonexistent/trace.csv"))
 
     def test_non_numeric_cell(self, tmp_path):
         path = tmp_path / "trace.csv"
         path.write_text("37.0\nbogus\n")
         with pytest.raises(ValueError, match="non-numeric"):
-            load_trace(self.spec(path))
+            trace_codes(self.spec(path))
 
     def test_empty_trace(self, tmp_path):
         path = tmp_path / "trace.csv"
         path.write_text("")
         with pytest.raises(ValueError, match="empty"):
-            load_trace(self.spec(path))
+            trace_codes(self.spec(path))
 
     def test_duration_truncates(self, tmp_path):
         path = tmp_path / "trace.csv"
         path.write_text("37.0\n" * 100)
-        load = load_trace(self.spec(path, duration_s=5.0))
-        assert len(load.samples) == 50
+        codes, _ = trace_codes(self.spec(path, duration_s=5.0))
+        assert len(codes) == 50
 
     def test_duration_longer_than_file_rejected(self, tmp_path):
         path = tmp_path / "trace.csv"
         path.write_text("37.0\n" * 10)
         with pytest.raises(ValueError, match="10 samples"):
-            load_trace(self.spec(path, duration_s=5.0))
+            trace_codes(self.spec(path, duration_s=5.0))
 
     def test_ecg_fixture_loads(self):
         spec = TraceSpec(source=FileSource(str(DATA_DIR / "ecg_trace.csv"),
                                            value_column=1),
                          sample_period_ms=80, adc_range=(-2.5, 2.5))
-        load = load_trace(spec)
-        assert len(load.samples) == 600
-        assert load.clamp_count == 0
+        codes, clamp_count = trace_codes(spec)
+        assert len(codes) == 600
+        assert clamp_count == 0
 
 
 class TestSynth:
