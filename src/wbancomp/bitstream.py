@@ -8,7 +8,7 @@ and the pad is outside the declared bit count.
 from __future__ import annotations
 
 
-class BitUnderflowError(Exception):
+class BitUnderflowError(ValueError):
     """A read asked for more bits than the stream still holds."""
 
 

@@ -1,7 +1,8 @@
 """Command-line front end: encode, decode, signals dump, simulate, report.
 
-Exit codes: 0 success, 1 usage error, 2 data error. All commands are
-deterministic given their inputs and seed.
+Exit codes: 0 success, 1 usage error, 2 data error: any OSError or
+ValueError (every error class of the package is one), mapped only in main.
+All commands are deterministic given their inputs and seed.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ from operator import itemgetter
 from pathlib import Path
 
 from . import config, metrics, tracefile
-from .codec import MAX_GROUP, CodecError, codeword_bytes
+from .codec import MAX_GROUP, codeword_bytes
 from .control import DeviceState
 from .netmodel import SUMMARY_FILE, RunLog, simulate
 from .signals import (MAX_ADC_BITS, SYNTH_KINDS, FileSource, TraceSpec,
@@ -161,7 +162,7 @@ def cmd_decode(args) -> int:
         lines.extend([held] * (seq - len(lines)))
         try:
             held = str(sink.on_packet(packet))
-        except (CodecError, ValueError) as exc:
+        except ValueError as exc:
             raise ValueError(
                 f"{args.input}: packet at sample {seq}: {exc}") from None
     lines.extend([held] * (trace.samples - len(lines)))
@@ -257,8 +258,7 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (FileNotFoundError, ValueError, CodecError,
-            config.ConfigError) as exc:
+    except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA
 

@@ -41,7 +41,7 @@ _BINARY_PREFIX_MAX = 6
 _MAX_PREFIX_ONES = MAX_GROUP - 3
 
 
-class CodecError(Exception):
+class CodecError(ValueError):
     """Base class for codeword decoding failures."""
 
 

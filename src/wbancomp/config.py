@@ -50,7 +50,7 @@ _GETTERS = {
 }
 
 
-class ConfigError(Exception):
+class ConfigError(ValueError):
     """A scenario file failed to parse or validate."""
 
 
@@ -99,9 +99,9 @@ def parse_scenario(path: str | Path, seed_override: int | None = None) -> Scenar
     derived from it; devices with an explicit seed keep theirs.
     """
     path = Path(path)
-    if not path.exists():
-        raise FileNotFoundError(f"scenario file {path} does not exist")
-    parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
+    # Values are literal: interpolation would make any '%' an error.
+    parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"),
+                                       interpolation=None)
     try:
         with path.open() as handle:
             parser.read_file(handle)

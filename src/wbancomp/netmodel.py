@@ -128,6 +128,8 @@ class EnergyLedger:
 
 def lifetime(battery_mah: float, average_current_ma: float) -> float:
     """Battery life in hours at a steady average current draw."""
+    if battery_mah <= 0:
+        raise ValueError("battery_mah must be positive")
     if average_current_ma <= 0:
         raise ValueError("average current must be positive")
     return battery_mah / average_current_ma
@@ -326,14 +328,13 @@ class RunLog:
         """Read back what save wrote, as far as the metrics need it.
 
         Malformed files raise ValueError naming the file and the line or
-        device entry at fault. Every cell of the events file is checked,
+        device entry at fault, and a file that cannot be opened raises the
+        OSError of its open. Every cell of the events file is checked,
         but the rows are folded into the delay sums, not kept: the log
         holds no events, and no packets.
         """
         summary_path = rundir / SUMMARY_FILE
         events_path = rundir / _EVENTS_FILE
-        if not events_path.exists() or not summary_path.exists():
-            raise FileNotFoundError(f"{rundir} is not a run directory")
         try:
             summary = json.loads(summary_path.read_text())
         except json.JSONDecodeError as exc:
@@ -349,18 +350,22 @@ class RunLog:
         if not isinstance(summary["devices"], list):
             raise ValueError(f"{summary_path}: devices is not a list")
         devices = []
+        device_ids: dict[int, int] = {}  # device id -> index of its entry
         for index, entry in enumerate(summary["devices"]):
             where = f"{summary_path}: device {index}"
             _require_keys(entry, _DEVICE_RUN_CHECKS.keys(), where)
             for key, (check, kind) in _DEVICE_RUN_CHECKS.items():
                 if not check(entry[key]):
                     raise ValueError(f"{where}: {key}: not {kind}")
+            first = device_ids.setdefault(entry["device_id"], index)
+            if first != index:
+                raise ValueError(f"{where}: device_id {entry['device_id']} "
+                                 f"repeats device {first}")
             devices.append(DeviceRun(**entry))
-        device_ids = {dev.device_id for dev in devices}
 
         runlog = cls(duration_ms=duration_ms, seed=summary["seed"], events=[],
                      devices=devices, packets=[])
-        add = runlog.add
+        add, isfinite = runlog.add, math.isfinite
         with events_path.open(newline="") as handle:
             reader = csv.reader(handle)
             if tuple(next(reader, ())) != SampleEvent._fields:
@@ -382,8 +387,17 @@ class RunLog:
                         int(row[5])
                     if row[10]:
                         float(row[10])
-                    add(device_id, int(row[4]), float(row[7]), float(row[8]),
-                        float(row[9]))
+                    transmitted = int(row[4])
+                    if transmitted not in (0, 1):
+                        raise ValueError(f"transmitted {transmitted}: not 0 "
+                                         f"or 1")
+                    cd_ms, dtr_ms, dd_ms = (float(row[7]), float(row[8]),
+                                            float(row[9]))
+                    # Only transmitted rows reach the sums.
+                    if transmitted and not isfinite(cd_ms + dd_ms + dtr_ms):
+                        raise ValueError("cd_ms + dd_ms + dtr_ms is not "
+                                         "finite")
+                    add(device_id, transmitted, cd_ms, dtr_ms, dd_ms)
                 except ValueError as exc:
                     raise ValueError(
                         f"{events_path}:{reader.line_num}: {exc}") from None

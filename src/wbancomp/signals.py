@@ -115,8 +115,6 @@ def read_column(path: Path, column: int,
     as a header, so one function decides both what is a header and what is a
     value. Errors name the file and line.
     """
-    if not path.exists():
-        raise FileNotFoundError(f"file {path} does not exist")
     header = found = False
     with path.open(newline="") as handle:
         reader = csv.reader(handle)

@@ -13,11 +13,11 @@ from .bitstream import BitString
 from .codec import decode_bits
 
 
-class UnknownDeviceError(Exception):
+class UnknownDeviceError(ValueError):
     """Packet from a device that was never registered."""
 
 
-class DuplicateDeviceError(Exception):
+class DuplicateDeviceError(ValueError):
     """A device id was registered twice."""
 
 

@@ -6,6 +6,8 @@ Line format, after `#`-prefixed metadata headers:
 
 The metadata carries the per-device sample count so a decoder can rebuild
 the full sample cadence, holding the last value across suppressed samples.
+Its keys are PacketTrace's integer fields; `#` lines without `=` are
+comments.
 """
 
 from __future__ import annotations
@@ -31,6 +33,7 @@ class PacketTrace:
 
 # The `#key=value` header lines, one per integer field, in file order.
 _HEADER = [fld for fld in fields(PacketTrace) if fld.name != "packets"]
+_HEADER_KEYS = {fld.name for fld in _HEADER}
 
 
 def write_trace(path: str | Path, trace: PacketTrace) -> None:
@@ -45,16 +48,19 @@ def write_trace(path: str | Path, trace: PacketTrace) -> None:
 
 def read_trace(path: str | Path) -> PacketTrace:
     path = Path(path)
-    if not path.exists():
-        raise FileNotFoundError(f"trace file {path} does not exist")
     lines = path.read_text().splitlines()
     if not lines or lines[0].strip() != MAGIC:
         raise ValueError(f"{path}: not a packet trace file")
     meta = {}
     body_start = 1
     while body_start < len(lines) and lines[body_start].startswith("#"):
-        key, _, value = lines[body_start][1:].partition("=")
-        meta[key.strip()] = value.strip()
+        key, eq, value = lines[body_start][1:].partition("=")
+        if eq:
+            key = key.strip()
+            if key not in _HEADER_KEYS:
+                raise ValueError(
+                    f"{path}: bad trace metadata (unknown key {key!r})")
+            meta[key] = value.strip()
         body_start += 1
     try:
         trace = PacketTrace(**{
@@ -70,7 +76,13 @@ def read_trace(path: str | Path) -> PacketTrace:
         parts = line.split(",")
         # Blank and comment lines are told apart only off the common path.
         if len(parts) != 4 or line[0] == "#":
-            if not line.strip() or line.startswith("#"):
+            if not line.strip():
+                continue
+            if line.startswith("#"):
+                key, eq, _ = line[1:].partition("=")
+                if eq and key.strip() in _HEADER_KEYS:
+                    raise ValueError(f"{path}: packet {index}: header key "
+                                     f"{key.strip()!r} outside the header")
                 continue
             raise ValueError(f"{path}: packet {index}: expected 4 fields")
         try:

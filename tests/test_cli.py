@@ -540,3 +540,78 @@ def test_report_reads_run_dir_with_rx_state(tmp_path, capsys):
 
 def test_unknown_command_is_usage_error():
     assert main(["frobnicate"]) == EXIT_USAGE
+
+
+def _repeat_first_device(doc):
+    doc["devices"].append(dict(doc["devices"][0]))
+
+
+def _zero_battery(doc):
+    doc["devices"][0]["battery_mah"] = 0
+
+
+@pytest.mark.parametrize("mangle, where", [
+    (_edit_third_event_line(_set_cell(7, "nan")),
+     "runlog_events.csv:3: cd_ms + dd_ms + dtr_ms is not finite"),
+    (_edit_third_event_line(_set_cell(9, "inf")),
+     "runlog_events.csv:3: cd_ms + dd_ms + dtr_ms is not finite"),
+    (_edit_third_event_line(_set_cell(4, "2")),
+     "runlog_events.csv:3: transmitted 2: not 0 or 1"),
+    (_edit_summary(_repeat_first_device),
+     "runlog.json: device 3: device_id 1 repeats device 0"),
+    (_edit_summary(_zero_battery),
+     "runlog.json: device 0: battery_mah must be positive"),
+], ids=["nan-delay", "inf-delay", "transmitted-2", "repeated-device",
+        "zero-battery"])
+def test_report_rejects_values_simulate_never_writes(tmp_path, capsys,
+                                                      mangle, where):
+    # Each of these once reported with exit 0: a NaN delay as "NaN" in the
+    # JSON, which is not JSON, and a repeated device twice.
+    out = tmp_path / "run"
+    main(["--out", str(out), "simulate",
+          str(SCENARIO_DIR / "temperature_sleep.cfg")])
+    mangle(out)
+    capsys.readouterr()
+    assert main(["--format", "json", "report", str(out)]) == EXIT_DATA
+    captured = capsys.readouterr()
+    assert where in captured.err
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("argv, culprit", [
+    (["simulate", "{dir}"], "{dir}"),
+    (["--out", "{tmp}/x.trace", "encode", "{dir}"], "{dir}"),
+    (["decode", "{dir}"], "{dir}"),
+    (["signals", "dump", "--file", "{dir}", "--range", "0,1"], "{dir}"),
+    (["--out", "{dir}", "encode", "{tmp}/codes.csv"], "{dir}"),
+    (["--out", "{dir}", "decode", "{tmp}/codes.trace"], "{dir}"),
+    (["--out", "{tmp}/taken.csv", "simulate", "{tmp}/one.cfg"],
+     "{tmp}/taken.csv"),
+], ids=["simulate-dir", "encode-dir", "decode-dir", "dump-dir",
+        "encode-out-dir", "decode-out-dir", "simulate-out-file"])
+def test_unusable_path_is_data_error(tmp_path, capsys, argv, culprit):
+    # The open or write that touches a path is its only check: the OSError
+    # it raises names the path and exits 2, like any other data error.
+    (tmp_path / "dir").mkdir()
+    write_codes(tmp_path / "codes.csv", [1, 2, 3])
+    assert main(["--out", str(tmp_path / "codes.trace"), "encode",
+                 str(tmp_path / "codes.csv")]) == EXIT_OK
+    (tmp_path / "taken.csv").write_text("")
+    (tmp_path / "one.cfg").write_text(_ONE_DEVICE)
+    capsys.readouterr()
+    names = {"dir": tmp_path / "dir", "tmp": tmp_path}
+    assert main([arg.format(**names) for arg in argv]) == EXIT_DATA
+    err = capsys.readouterr().err
+    assert err.startswith("error: [Errno ")
+    assert f"'{culprit.format(**names)}'" in err
+
+
+@pytest.mark.parametrize("value", ["60 % of an hour", "1%(x)s"])
+def test_percent_in_scenario_value_is_literal(tmp_path, capsys, value):
+    # Scenario values are read as written, so '%' is just a character and
+    # these are plain non-numbers, not interpolation failures.
+    cfg = tmp_path / "pct.cfg"
+    cfg.write_text(_ONE_DEVICE.replace("duration_s = 60",
+                                       f"duration_s = {value}"))
+    assert main(["simulate", str(cfg)]) == EXIT_DATA
+    assert capsys.readouterr().err == "error: [run] duration_s: not a number\n"

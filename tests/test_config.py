@@ -153,6 +153,15 @@ def test_file_paths_resolve_relative_to_config(tmp_path):
     assert sc.devices[0].cd_ms == 3.0  # file default
 
 
+def test_percent_in_value_is_literal(tmp_path):
+    # No interpolation: a '%' in a value is an ordinary character.
+    text = MINIMAL.replace(
+        "signal = temperature",
+        "file = 100%(x)s.csv\nadc_range = 30,45")
+    sc = parse_scenario(write(tmp_path, text))
+    assert sc.devices[0].trace.source.path == str(tmp_path / "100%(x)s.csv")
+
+
 def test_synth_params_forwarded(tmp_path):
     text = MINIMAL + "step_probability = 0.25\nseed = 9\n"
     sc = parse_scenario(write(tmp_path, text))

@@ -1,0 +1,190 @@
+"""Mutated inputs never end in a traceback.
+
+Each example takes one valid input (a scenario, a packet trace, an encode
+CSV or a run directory), applies one mutation and runs it through
+cli.main, which must return 0, 1 or 2 and, on failure, print a message
+starting `error:` or `usage error:`. Mutations delete a line, duplicate a
+line, or replace one value, cell or JSON scalar with a fixed token. No
+mutation grows a number, so no example can ask simulate for a huge run.
+"""
+
+import contextlib
+import io
+import json
+import shutil
+import tempfile
+from pathlib import Path
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from wbancomp.cli import EXIT_DATA, EXIT_OK, EXIT_USAGE, main
+
+TOKENS = ["", "x", "-1", "0", "1.5", "nan", "inf", "1e400", "2,1", "%(x)s",
+          "null", "[]"]
+
+SCENARIO = """\
+[run]
+duration_s = 10
+seed = 3
+
+[channel]
+base_latency_ms = 5
+
+[energy]
+battery_mah = 400
+
+[sleep]
+enabled = true
+suppressions_before_sleep = 2
+
+[device:temp]
+id = 1
+mode = CGLS
+threshold = 1
+signal = temperature
+sample_period_ms = 500
+
+[device:file]
+id = 2
+mode = CGLL
+file = trace.csv
+adc_range = 30,45
+sample_period_ms = 1000
+"""
+
+TRACE_CSV = "temp_c\n" + "".join(f"{36 + i % 4 * 0.5}\n" for i in range(12))
+CODES_CSV = "".join(f"{500 + (i * 7) % 40 - 20}\n" for i in range(30))
+
+SETTINGS = settings(max_examples=60, deadline=None, derandomize=True,
+                    database=None)
+
+
+@pytest.fixture(scope="module")
+def inputs(tmp_path_factory):
+    """Valid inputs: a scenario directory, a packet trace, a run dir."""
+    root = tmp_path_factory.mktemp("inputs")
+    (root / "scenario.cfg").write_text(SCENARIO)
+    (root / "trace.csv").write_text(TRACE_CSV)
+    (root / "codes.csv").write_text(CODES_CSV)
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["--out", str(root / "codes.trace"), "encode",
+                     str(root / "codes.csv"), "--threshold", "2"]) == EXIT_OK
+        assert main(["--out", str(root / "run"), "simulate",
+                     str(root / "scenario.cfg")]) == EXIT_OK
+    return root
+
+
+@st.composite
+def mutated(draw, text: str, is_json: bool = False) -> str:
+    """text with one line deleted or duplicated, or one value replaced.
+
+    A value is a JSON scalar, or else a comma-separated cell of what
+    follows a line's last `=` (the whole line when it has none).
+    """
+    lines = text.splitlines(keepends=True)
+    index = draw(st.integers(0, len(lines) - 1))
+    op = draw(st.sampled_from(["delete", "duplicate", "replace"]))
+    token = draw(st.sampled_from(TOKENS))
+    if op == "delete":
+        del lines[index]
+    elif op == "duplicate":
+        lines.insert(index, lines[index])
+    elif is_json:
+        doc = json.loads(text)
+        *parents, last = draw(st.sampled_from(list(_scalar_paths(doc))))
+        target = doc
+        for key in parents:
+            target = target[key]
+        try:
+            target[last] = json.loads(token)
+        except ValueError:
+            target[last] = token
+        return json.dumps(doc, indent=2)
+    else:
+        head, eq, value = lines[index].rstrip("\n").rpartition("=")
+        cells = value.split(",")
+        cells[draw(st.integers(0, len(cells) - 1))] = token
+        lines[index] = head + eq + ",".join(cells) + "\n"
+    return "".join(lines)
+
+
+def _scalar_paths(doc, path=()):
+    if isinstance(doc, dict):
+        for key, value in doc.items():
+            yield from _scalar_paths(value, (*path, key))
+    elif isinstance(doc, list):
+        for index, value in enumerate(doc):
+            yield from _scalar_paths(value, (*path, index))
+    else:
+        yield path
+
+
+def run_cli(argv) -> tuple[int, str]:
+    """main(argv)'s exit code and stdout, checking that it returned 0, 1 or
+    2 without raising and that a failure printed an error message."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        rc = main(argv)
+    assert rc in (EXIT_OK, EXIT_USAGE, EXIT_DATA)
+    if rc != EXIT_OK:
+        assert err.getvalue().startswith(("error:", "usage error:")), \
+            err.getvalue()
+    return rc, out.getvalue()
+
+
+@SETTINGS
+@given(st.data())
+def test_mutated_scenario(inputs, data):
+    name = data.draw(st.sampled_from(["scenario.cfg", "trace.csv"]))
+    text = data.draw(mutated((inputs / name).read_text()))
+    with tempfile.TemporaryDirectory() as tmp:
+        work = Path(tmp)
+        shutil.copy(inputs / "scenario.cfg", work)
+        shutil.copy(inputs / "trace.csv", work)
+        (work / name).write_text(text)
+        run_cli(["--out", str(work / "run"), "simulate",
+                 str(work / "scenario.cfg")])
+
+
+@SETTINGS
+@given(st.data())
+def test_mutated_packet_trace(inputs, data):
+    text = data.draw(mutated((inputs / "codes.trace").read_text()))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "codes.trace"
+        path.write_text(text)
+        run_cli(["--out", str(Path(tmp) / "codes.csv"), "decode", str(path)])
+
+
+@SETTINGS
+@given(st.data())
+def test_mutated_encode_csv(inputs, data):
+    text = data.draw(mutated((inputs / "codes.csv").read_text()))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "codes.csv"
+        path.write_text(text)
+        run_cli(["--out", str(Path(tmp) / "codes.trace"), "encode",
+                 str(path), "--threshold", "2"])
+
+
+@SETTINGS
+@given(st.data())
+def test_mutated_run_directory(inputs, data):
+    name = data.draw(st.sampled_from(["runlog_events.csv", "runlog.json"]))
+    text = data.draw(mutated((inputs / "run" / name).read_text(),
+                             is_json=name.endswith(".json")))
+    fmt = data.draw(st.sampled_from(["csv", "json"]))
+    with tempfile.TemporaryDirectory() as tmp:
+        rundir = Path(tmp) / "run"
+        shutil.copytree(inputs / "run", rundir)
+        (rundir / name).write_text(text)
+        rc, out = run_cli(["--format", fmt, "report", str(rundir)])
+    if rc == EXIT_OK and fmt == "json":
+        # Strict JSON: no NaN or Infinity.
+        json.loads(out, parse_constant=_reject)
+
+
+def _reject(constant):
+    raise AssertionError(f"report printed {constant}, which is not JSON")

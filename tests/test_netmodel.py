@@ -102,6 +102,12 @@ class TestLifetime:
         with pytest.raises(ValueError):
             lifetime(400.0, -3.0)
 
+    def test_non_positive_battery_rejected(self):
+        # A run log may carry any battery; zero would read as 0 h.
+        for battery in (0.0, -400.0):
+            with pytest.raises(ValueError, match="battery_mah must be positive"):
+                lifetime(battery, 10.0)
+
 
 class TestScenarioValidation:
     def test_duplicate_ids_rejected(self):

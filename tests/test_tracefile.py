@@ -50,6 +50,37 @@ def test_bad_metadata_rejected(tmp_path):
         read_trace(path)
 
 
+def test_unknown_header_key_rejected(tmp_path):
+    # A misspelled key would otherwise be dropped in silence.
+    path = tmp_path / "t.trace"
+    path.write_text("#packet-trace v1\n#samples=3\n#sampels=3\n")
+    with pytest.raises(ValueError,
+                       match=r"bad trace metadata \(unknown key 'sampels'\)"):
+        read_trace(path)
+
+
+def test_header_key_after_first_packet_rejected(tmp_path):
+    # Read as a comment, this line would leave adc_bits at its default.
+    path = tmp_path / "t.trace"
+    write_trace(path, sample_trace())
+    text = path.read_text().replace("#adc_bits=10\n", "")
+    path.write_text(text.replace("0,1,9,d300\n", "0,1,9,d300\n#adc_bits=4\n"))
+    with pytest.raises(ValueError,
+                       match="packet 1: header key 'adc_bits' outside the "
+                             "header"):
+        read_trace(path)
+
+
+def test_lines_without_equals_stay_comments(tmp_path):
+    path = tmp_path / "t.trace"
+    write_trace(path, sample_trace())
+    text = path.read_text().replace("#samples=", "# hand-made\n#samples=")
+    path.write_text(text.replace("0,1,9,d300\n", "0,1,9,d300\n# gap\n"))
+    loaded = read_trace(path)
+    assert (loaded.samples, loaded.adc_bits) == (10, 10)
+    assert loaded.packets == sample_trace().packets
+
+
 def test_malformed_row_reports_packet_index(tmp_path):
     path = tmp_path / "t.trace"
     write_trace(path, sample_trace())
