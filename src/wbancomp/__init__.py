@@ -2,7 +2,7 @@
 residual codec, plus a deterministic sensor-to-sink pipeline simulator with
 latency and energy accounting."""
 
-from .bitstream import BitReader, BitString, BitUnderflowError, BitWriter
+from .bitstream import BitReader, BitString, BitUnderflowError
 from .codec import (CodecError, IncompleteCodewordError, MalformedPrefixError,
                     decode_residual, encode_prefix, encode_residual,
                     encode_suffix, group_of)
@@ -17,7 +17,7 @@ from .sink import (DuplicateDeviceError, Packet, Sink, UnknownDeviceError)
 __version__ = "0.1.0"
 
 __all__ = [
-    "BitReader", "BitString", "BitUnderflowError", "BitWriter",
+    "BitReader", "BitString", "BitUnderflowError",
     "CodecError", "IncompleteCodewordError", "MalformedPrefixError",
     "decode_residual", "encode_prefix", "encode_residual", "encode_suffix",
     "group_of",

@@ -16,12 +16,13 @@ whole code is prefix-free, so concatenated codewords decode unambiguously.
 Supported residuals span [-2047, 2047] (groups 0..11), enough for full-scale
 deltas of anything up to an 11-bit ADC, first absolute readings included.
 
-encode_prefix and encode_suffix are the specification. Encoding indexes a
-table of all 4095 codewords built from them on first use. Decoding looks the
-next 9 bits (the longest prefix) up in a 512-entry table, built from
-encode_prefix, that gives the group and prefix length of the codeword
-starting there, or marks the start malformed with the number of bits it
-takes to see that; one masked shift then reads the suffix.
+encode_prefix and encode_suffix are the specification: each returns its
+bits as a (value, length) pair of ints. Encoding indexes a table of the
+(bit_count, payload bytes) of all 4095 codewords, built from them on first
+use. Decoding looks the next 9 bits (the longest prefix) up in a 512-entry
+table, built from encode_prefix, that gives the group and prefix length of
+the codeword starting there, or marks the start malformed with the number
+of bits it takes to see that; one masked shift then reads the suffix.
 """
 
 from __future__ import annotations
@@ -66,58 +67,67 @@ def group_of(residual: int) -> int:
     return abs(residual).bit_length()
 
 
-def encode_prefix(group: int) -> BitString:
-    """Group prefix: 3-bit binary for groups 0..6, (group-3) ones + 0 above."""
+def encode_prefix(group: int) -> tuple[int, int]:
+    """Group prefix as (value, length): 3-bit binary for groups 0..6,
+    (group-3) ones + 0 above."""
     if not 0 <= group <= MAX_GROUP:
         raise ValueError(f"group {group} outside [0, {MAX_GROUP}]")
     if group <= _BINARY_PREFIX_MAX:
-        return BitString(group, 3)
+        return group, 3
     ones = group - 3
-    return BitString(((1 << ones) - 1) << 1, ones + 1)
+    return ((1 << ones) - 1) << 1, ones + 1
 
 
-def encode_suffix(residual: int, group: int) -> BitString:
-    """Value suffix on exactly `group` bits (empty for residual 0).
+def encode_suffix(residual: int, group: int) -> tuple[int, int]:
+    """Value suffix as (value, length) on exactly `group` bits.
 
-    Positive residuals keep their plain binary form. Negative ones take the
-    two's complement on group+1 bits, minus one, truncated to `group` bits.
+    Positive residuals keep their plain binary form, and residual 0 has the
+    empty suffix. Negative ones take the two's complement on group+1 bits,
+    minus one, truncated to `group` bits.
     """
     if group != group_of(residual):
         raise ValueError(f"group {group} does not classify residual {residual}")
-    if residual == 0:
-        return BitString()
-    if residual > 0:
-        return BitString(residual, group)
-    return BitString((residual - 1) & ((1 << group) - 1), group)
+    if residual >= 0:
+        return residual, group
+    return (residual - 1) & ((1 << group) - 1), group
 
 
 @cache
-def _codewords() -> tuple[tuple[BitString, ...], tuple[tuple[int, bytes], ...]]:
-    """Every codeword as a BitString and as (bit_count, payload bytes).
+def _codewords() -> tuple[tuple[int, bytes], ...]:
+    """Every codeword as (bit_count, payload bytes), by residual - RESIDUAL_MIN.
 
-    Both are indexed by residual - RESIDUAL_MIN. They are built on first
-    use, not at import, because building them takes milliseconds.
+    Built on first use, not at import, because building it takes
+    milliseconds.
     """
-    words = tuple(encode_prefix(group_of(e)) + encode_suffix(e, group_of(e))
-                  for e in range(RESIDUAL_MIN, RESIDUAL_MAX + 1))
-    return words, tuple((len(word), word.to_bytes()) for word in words)
+    table = []
+    for e in range(RESIDUAL_MIN, RESIDUAL_MAX + 1):
+        group = group_of(e)
+        prefix, prefix_bits = encode_prefix(group)
+        suffix, suffix_bits = encode_suffix(e, group)
+        bit_count = prefix_bits + suffix_bits
+        word = BitString(prefix << suffix_bits | suffix, bit_count)
+        table.append((bit_count, word.to_bytes()))
+    return tuple(table)
 
 
 def encode_residual(residual: int) -> BitString:
     """Full codeword for one residual: prefix followed by suffix."""
-    _check_range(residual)
-    return _codewords()[0][residual - RESIDUAL_MIN]
+    bit_count, payload = codeword_bytes(residual)
+    return BitString(int.from_bytes(payload, "big") >> (-bit_count % 8),
+                     bit_count)
 
 
 def codeword_bytes(residual: int) -> tuple[int, bytes]:
     """(bit_count, payload) of a packet carrying just the residual's codeword."""
     _check_range(residual)
-    return _codewords()[1][residual - RESIDUAL_MIN]
+    return _codewords()[residual - RESIDUAL_MIN]
 
 
 # The longest prefix, group 11's '111111110', fills the window exactly.
 _WINDOW_BITS = 9
 _WINDOW_MASK = (1 << _WINDOW_BITS) - 1
+# The length above which decode_bits works through a string by chunks.
+_CHUNK_BITS = 4096
 
 # The two malformed starts, by the negative group their table entries hold.
 # '1110' would alias group 6, which uses the binary prefix '110'.
@@ -135,10 +145,10 @@ def _prefix_table() -> list[tuple[int, int]]:
     table = [(-1, 4)] * (1 << _WINDOW_BITS)
     table[_WINDOW_MASK] = (-2, _WINDOW_BITS)
     for group in range(MAX_GROUP + 1):
-        prefix = encode_prefix(group)
-        free = _WINDOW_BITS - len(prefix)
-        start = prefix.uint << free
-        table[start:start + (1 << free)] = [(group, len(prefix))] * (1 << free)
+        prefix, prefix_bits = encode_prefix(group)
+        free = _WINDOW_BITS - prefix_bits
+        start = prefix << free
+        table[start:start + (1 << free)] = [(group, prefix_bits)] * (1 << free)
     return table
 
 
@@ -185,6 +195,16 @@ def decode_bits(value: int, bit_count: int) -> list[int]:
     """
     residuals = []
     left = bit_count
+    while left > _CHUNK_BITS:
+        # Long strings decode by chunks cut off their top: shifting the whole
+        # string once per codeword would take time quadratic in its length.
+        rest = left - _CHUNK_BITS
+        chunk, chunk_left = value >> rest, _CHUNK_BITS
+        while chunk_left >= MAX_CODEWORD_BITS:
+            residual, chunk_left = _next_codeword(chunk, chunk_left)
+            residuals.append(residual)
+        left = rest + chunk_left
+        value &= (1 << left) - 1
     while left:
         residual, left = _next_codeword(value, left)
         residuals.append(residual)

@@ -105,7 +105,7 @@ def parse_scenario(path: str | Path, seed_override: int | None = None) -> Scenar
     try:
         with path.open() as handle:
             parser.read_file(handle)
-    except configparser.Error as exc:
+    except (configparser.Error, UnicodeDecodeError) as exc:
         raise ConfigError(f"{path}: {exc}") from None
 
     for name in parser.sections():

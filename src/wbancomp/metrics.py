@@ -20,6 +20,7 @@ import io
 import json
 from dataclasses import dataclass, fields
 from decimal import ROUND_HALF_UP, Decimal
+from math import isfinite
 
 from .netmodel import MS_PER_HOUR, RunLog, lifetime
 
@@ -94,6 +95,9 @@ def compute(runlog: RunLog) -> tuple[list[DeviceMetrics], RunMetrics]:
                     f"samples {dev.samples} and transmitted "
                     f"{dev.transmitted}, but the events hold {sums.rows} "
                     f"rows, {sent} transmitted")
+            # Finite delay cells can still add up past the float range.
+            if not all(map(isfinite, (sums.cd_ms, sums.dd_ms, sums.ad_ms))):
+                raise ValueError("delay sums are not finite")
         except ValueError as exc:
             raise ValueError(f"device {index}: {exc}") from None
         cd = sums.cd_ms / sent

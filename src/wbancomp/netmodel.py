@@ -302,12 +302,6 @@ class RunLog:
             sums.ad_ms += delay
             self.delay_ms += delay
 
-    def device(self, device_id: int) -> DeviceRun:
-        for dev in self.devices:
-            if dev.device_id == device_id:
-                return dev
-        raise KeyError(f"no device {device_id} in run")
-
     def save(self, rundir: Path) -> None:
         """Write the run directory's runlog_events.csv and runlog.json."""
         rundir.mkdir(parents=True, exist_ok=True)
@@ -337,7 +331,7 @@ class RunLog:
         events_path = rundir / _EVENTS_FILE
         try:
             summary = json.loads(summary_path.read_text())
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
             raise ValueError(f"{summary_path}: {exc}") from None
         _require_keys(summary, {"duration_ms", "seed", "devices"},
                       str(summary_path))
@@ -366,41 +360,46 @@ class RunLog:
         runlog = cls(duration_ms=duration_ms, seed=summary["seed"], events=[],
                      devices=devices, packets=[])
         add, isfinite = runlog.add, math.isfinite
-        with events_path.open(newline="") as handle:
-            reader = csv.reader(handle)
-            if tuple(next(reader, ())) != SampleEvent._fields:
-                raise ValueError(f"{events_path}: unexpected event columns")
-            for row in reader:
-                try:
-                    if len(row) != len(SampleEvent._fields):
-                        raise ValueError(f"{len(row)} cells, expected "
-                                         f"{len(SampleEvent._fields)}")
-                    device_id = int(row[0])
-                    if device_id not in device_ids:
-                        raise ValueError(f"device {device_id} is not "
-                                         f"in {summary_path.name}")
-                    # Five cells feed the fold; the rest are parsed only to
-                    # check them (residual and arrival_ms may be blank).
-                    int(row[1]), float(row[2]), int(row[3]), int(row[6])
-                    int(row[11])
-                    if row[5]:
-                        int(row[5])
-                    if row[10]:
-                        float(row[10])
-                    transmitted = int(row[4])
-                    if transmitted not in (0, 1):
-                        raise ValueError(f"transmitted {transmitted}: not 0 "
-                                         f"or 1")
-                    cd_ms, dtr_ms, dd_ms = (float(row[7]), float(row[8]),
-                                            float(row[9]))
-                    # Only transmitted rows reach the sums.
-                    if transmitted and not isfinite(cd_ms + dd_ms + dtr_ms):
-                        raise ValueError("cd_ms + dd_ms + dtr_ms is not "
-                                         "finite")
-                    add(device_id, transmitted, cd_ms, dtr_ms, dd_ms)
-                except ValueError as exc:
+        try:
+            with events_path.open(newline="") as handle:
+                reader = csv.reader(handle)
+                if tuple(next(reader, ())) != SampleEvent._fields:
                     raise ValueError(
-                        f"{events_path}:{reader.line_num}: {exc}") from None
+                        f"{events_path}: unexpected event columns")
+                for row in reader:
+                    try:
+                        if len(row) != len(SampleEvent._fields):
+                            raise ValueError(f"{len(row)} cells, expected "
+                                             f"{len(SampleEvent._fields)}")
+                        device_id = int(row[0])
+                        if device_id not in device_ids:
+                            raise ValueError(f"device {device_id} is not "
+                                             f"in {summary_path.name}")
+                        # Five cells feed the fold; the rest are only parsed
+                        # (residual and arrival_ms may be blank).
+                        int(row[1]), float(row[2]), int(row[3]), int(row[6])
+                        int(row[11])
+                        if row[5]:
+                            int(row[5])
+                        if row[10]:
+                            float(row[10])
+                        transmitted = int(row[4])
+                        if transmitted not in (0, 1):
+                            raise ValueError(f"transmitted {transmitted}: "
+                                             f"not 0 or 1")
+                        cd_ms, dtr_ms, dd_ms = (float(row[7]), float(row[8]),
+                                                float(row[9]))
+                        # Only transmitted rows reach the sums.
+                        if (transmitted
+                                and not isfinite(cd_ms + dd_ms + dtr_ms)):
+                            raise ValueError("cd_ms + dd_ms + dtr_ms is not "
+                                             "finite")
+                        add(device_id, transmitted, cd_ms, dtr_ms, dd_ms)
+                    except ValueError as exc:
+                        raise ValueError(f"{events_path}:{reader.line_num}: "
+                                         f"{exc}") from None
+        except UnicodeDecodeError as exc:
+            raise ValueError(f"{events_path}: {exc}") from None
         return runlog
 
 

@@ -116,22 +116,25 @@ def read_column(path: Path, column: int,
     value. Errors name the file and line.
     """
     header = found = False
-    with path.open(newline="") as handle:
-        reader = csv.reader(handle)
-        for row in reader:
-            if not any(cell.strip() for cell in row):
-                continue
-            try:
-                value = parse(row[column])
-            except (ValueError, IndexError):
-                if header or found:
-                    raise ValueError(
-                        f"{path}:{reader.line_num}: non-numeric or missing "
-                        f"value in column {column}") from None
-                header = True
-                continue
-            found = True
-            yield reader.line_num, value
+    try:
+        with path.open(newline="") as handle:
+            reader = csv.reader(handle)
+            for row in reader:
+                if not any(cell.strip() for cell in row):
+                    continue
+                try:
+                    value = parse(row[column])
+                except (ValueError, IndexError):
+                    if header or found:
+                        raise ValueError(
+                            f"{path}:{reader.line_num}: non-numeric or "
+                            f"missing value in column {column}") from None
+                    header = True
+                    continue
+                found = True
+                yield reader.line_num, value
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path}: {exc}") from None
     if not found:
         raise ValueError(f"{path}: header but no readings" if header
                          else f"{path}: empty, no readings")

@@ -46,21 +46,33 @@ def write_trace(path: str | Path, trace: PacketTrace) -> None:
     Path(path).write_text("\n".join(lines) + "\n")
 
 
+def _read_meta_line(line: str, meta: dict[str, str] | None, where: str) -> None:
+    """Read one `#` line: `#key=value` sets a header key in meta, and a line
+    without `=` is a comment. meta is None past the header, where a header
+    key is an error and any other key makes a comment.
+    """
+    key, eq, value = line[1:].partition("=")
+    key = key.strip()
+    if eq and meta is not None:
+        if key not in _HEADER_KEYS:
+            raise ValueError(f"{where}: bad trace metadata (unknown key {key!r})")
+        meta[key] = value.strip()
+    elif eq and key in _HEADER_KEYS:
+        raise ValueError(f"{where}: header key {key!r} outside the header")
+
+
 def read_trace(path: str | Path) -> PacketTrace:
     path = Path(path)
-    lines = path.read_text().splitlines()
+    try:
+        lines = path.read_text().splitlines()
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path}: {exc}") from None
     if not lines or lines[0].strip() != MAGIC:
         raise ValueError(f"{path}: not a packet trace file")
     meta = {}
     body_start = 1
     while body_start < len(lines) and lines[body_start].startswith("#"):
-        key, eq, value = lines[body_start][1:].partition("=")
-        if eq:
-            key = key.strip()
-            if key not in _HEADER_KEYS:
-                raise ValueError(
-                    f"{path}: bad trace metadata (unknown key {key!r})")
-            meta[key] = value.strip()
+        _read_meta_line(lines[body_start], meta, str(path))
         body_start += 1
     try:
         trace = PacketTrace(**{
@@ -79,10 +91,7 @@ def read_trace(path: str | Path) -> PacketTrace:
             if not line.strip():
                 continue
             if line.startswith("#"):
-                key, eq, _ = line[1:].partition("=")
-                if eq and key.strip() in _HEADER_KEYS:
-                    raise ValueError(f"{path}: packet {index}: header key "
-                                     f"{key.strip()!r} outside the header")
+                _read_meta_line(line, None, f"{path}: packet {index}")
                 continue
             raise ValueError(f"{path}: packet {index}: expected 4 fields")
         try:

@@ -1,12 +1,27 @@
 from pathlib import Path
 
-from wbancomp.codec import encode_residual
+from wbancomp.codec import codeword_bytes
 from wbancomp.control import DeviceState
 from wbancomp.sink import Packet, Sink
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 SCENARIO_DIR = REPO_ROOT / "scenarios"
 DATA_DIR = Path(__file__).resolve().parent / "data"
+
+
+def literal_bits(bits: str) -> tuple[int, bytes]:
+    """(bit_count, payload) of a bit literal like '110100110', as
+    codeword_bytes gives them: MSB first, zero-padded to a byte boundary."""
+    bit_count = len(bits)
+    value = int(bits or "0", 2) << (-bit_count % 8)
+    return bit_count, value.to_bytes((bit_count + 7) // 8, "big")
+
+
+def codeword_literal(residual: int) -> str:
+    """The residual's codeword as a bit literal."""
+    bit_count, payload = codeword_bytes(residual)
+    return format(int.from_bytes(payload, "big") >> (-bit_count % 8),
+                  f"0{bit_count}b")
 
 
 def run_pipeline(codes, threshold, suppress_zero=True, device_id=1, adc_bits=10):
@@ -23,7 +38,7 @@ def run_pipeline(codes, threshold, suppress_zero=True, device_id=1, adc_bits=10)
     for code in codes:
         residual = state.process_sample(code)
         if residual is not None:
-            packet = Packet.from_bits(device_id, encode_residual(residual))
+            packet = Packet(device_id, *codeword_bytes(residual))
             packets.append(packet)
             sink.on_packet(packet)
         reconstructed.append(sink.held_value(device_id))

@@ -6,10 +6,8 @@ from pathlib import Path
 
 import pytest
 
-from conftest import REPO_ROOT, SCENARIO_DIR
-from wbancomp.bitstream import BitString
+from conftest import REPO_ROOT, SCENARIO_DIR, codeword_literal, literal_bits
 from wbancomp.cli import EXIT_DATA, EXIT_OK, EXIT_USAGE, main
-from wbancomp.codec import encode_residual
 from wbancomp.sink import Packet
 from wbancomp.tracefile import read_trace
 
@@ -38,7 +36,7 @@ def test_encode_golden_single_reading(tmp_path):
     trace = read_trace(out)
     (seq, packet), = trace.packets
     assert seq == 0
-    assert packet == Packet.from_bits(1, BitString.from01("110100110"))
+    assert packet == Packet(1, *literal_bits("110100110"))
 
 
 def test_encode_empty_file_fails(tmp_path, capsys):
@@ -126,8 +124,9 @@ def write_packet_trace(path: Path, samples: int, rows) -> None:
     """A device-1 trace with one line per (sample index, *residuals) row."""
     lines = ["#packet-trace v1", f"#samples={samples}"]
     for seq, *residuals in rows:
-        bits = sum((encode_residual(e) for e in residuals), BitString())
-        lines.append(f"{seq},1,{len(bits)},{bits.to_bytes().hex()}")
+        bit_count, payload = literal_bits(
+            "".join(map(codeword_literal, residuals)))
+        lines.append(f"{seq},1,{bit_count},{payload.hex()}")
     path.write_text("\n".join(lines) + "\n")
 
 
@@ -550,6 +549,16 @@ def _zero_battery(doc):
     doc["devices"][0]["battery_mah"] = 0
 
 
+def _overflow_delay_sums(rundir):
+    # Each row's cd_ms + dd_ms + dtr_ms stays finite, but the cd_ms and
+    # dd_ms sums of device 1 (its rows on lines 2 and 5) overflow.
+    path = rundir / "runlog_events.csv"
+    lines = path.read_text().splitlines(keepends=True)
+    for index in (1, 4):
+        lines[index] = _set_cell(9, "-1e308")(_set_cell(7, "1e308")(lines[index]))
+    path.write_text("".join(lines))
+
+
 @pytest.mark.parametrize("mangle, where", [
     (_edit_third_event_line(_set_cell(7, "nan")),
      "runlog_events.csv:3: cd_ms + dd_ms + dtr_ms is not finite"),
@@ -561,8 +570,10 @@ def _zero_battery(doc):
      "runlog.json: device 3: device_id 1 repeats device 0"),
     (_edit_summary(_zero_battery),
      "runlog.json: device 0: battery_mah must be positive"),
+    (_overflow_delay_sums,
+     "runlog.json: device 0: delay sums are not finite"),
 ], ids=["nan-delay", "inf-delay", "transmitted-2", "repeated-device",
-        "zero-battery"])
+        "zero-battery", "overflowing-delay-sums"])
 def test_report_rejects_values_simulate_never_writes(tmp_path, capsys,
                                                       mangle, where):
     # Each of these once reported with exit 0: a NaN delay as "NaN" in the

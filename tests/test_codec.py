@@ -6,11 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import REPO_ROOT
-from wbancomp.bitstream import (BitReader, BitString, BitUnderflowError,
-                                BitWriter)
-from wbancomp.codec import (MAX_CODEWORD_BITS, RESIDUAL_MAX, RESIDUAL_MIN,
-                            CodecError, IncompleteCodewordError,
+from conftest import REPO_ROOT, codeword_literal, literal_bits
+from wbancomp.bitstream import BitReader
+from wbancomp.codec import (_CHUNK_BITS, MAX_CODEWORD_BITS, RESIDUAL_MAX,
+                            RESIDUAL_MIN, CodecError, IncompleteCodewordError,
                             MalformedPrefixError,
                             codeword_bytes, decode_bits, decode_residual,
                             encode_prefix, encode_residual, encode_suffix,
@@ -20,44 +19,50 @@ from wbancomp.codec import (MAX_CODEWORD_BITS, RESIDUAL_MAX, RESIDUAL_MIN,
 TABLE_LENGTHS = [3, 4, 5, 6, 7, 8, 9, 12, 14, 16]
 
 
-def oracle_decode_residual(reader: BitReader) -> int:
+def oracle_decode(value: int, bit_count: int) -> list[int]:
     """The codec's decoder written from the spec, one bit at a time.
 
+    `value` holds the string's bit_count bits, first bit most significant.
     The table-driven decoders must agree with it on every input: the same
     residuals, or the same error class and message.
     """
-    try:
-        head = reader.read_uint(3)
-    except BitUnderflowError as exc:
-        raise IncompleteCodewordError("stream ended inside a codeword prefix") from exc
-    if head != 0b111:
-        group = head
-    else:
-        ones = 3
-        while True:
-            try:
-                bit = reader.read_bit()
-            except BitUnderflowError as exc:
-                raise IncompleteCodewordError(
-                    "stream ended inside a codeword prefix") from exc
-            if not bit:
-                break
-            ones += 1
-            if ones > 8:
-                raise MalformedPrefixError(
-                    "prefix run of more than 8 leading ones")
-        if ones == 3:
-            raise MalformedPrefixError("non-canonical prefix '1110'")
-        group = ones + 3
-    try:
-        suffix = reader.read_uint(group)
-    except BitUnderflowError as exc:
-        raise IncompleteCodewordError("stream ended inside a codeword suffix") from exc
-    if group == 0:
-        return 0
-    if suffix >> (group - 1):
-        return suffix
-    return suffix + 1 - (1 << group)
+    bits = [(value >> i) & 1 for i in reversed(range(bit_count))]
+    pos = 0
+
+    def read(count, part):
+        nonlocal pos
+        if pos + count > bit_count:
+            raise IncompleteCodewordError(
+                f"stream ended inside a codeword {part}")
+        word = 0
+        for bit in bits[pos:pos + count]:
+            word = word << 1 | bit
+        pos += count
+        return word
+
+    out = []
+    while pos < bit_count:
+        head = read(3, "prefix")
+        if head != 0b111:
+            group = head
+        else:
+            ones = 3
+            while read(1, "prefix"):
+                ones += 1
+                if ones > 8:
+                    raise MalformedPrefixError(
+                        "prefix run of more than 8 leading ones")
+            if ones == 3:
+                raise MalformedPrefixError("non-canonical prefix '1110'")
+            group = ones + 3
+        suffix = read(group, "suffix")
+        if group == 0:
+            out.append(0)
+        elif suffix >> (group - 1):
+            out.append(suffix)
+        else:
+            out.append(suffix + 1 - (1 << group))
+    return out
 
 
 def outcome(decode, *args):
@@ -68,25 +73,29 @@ def outcome(decode, *args):
         return type(exc), str(exc)
 
 
-def oracle_decode(data: bytes, bit_count: int) -> list[int]:
+def payload_value(data: bytes, bit_count: int) -> int:
+    """The first bit_count bits of a payload as an int."""
+    return int.from_bytes(data, "big") >> (8 * len(data) - bit_count)
+
+
+def reader_decode(data: bytes, bit_count: int) -> list[int]:
     reader = BitReader(data, bit_count)
-    out = []
-    while reader.remaining:
-        out.append(oracle_decode_residual(reader))
-    return out
-
-
-def payload_decode(data: bytes, bit_count: int) -> list[int]:
-    return decode_bits(int.from_bytes(data, "big") >> (8 * len(data) - bit_count),
-                       bit_count)
-
-
-def decode_all(bits: BitString) -> list[int]:
-    reader = BitReader(bits)
     out = []
     while reader.remaining:
         out.append(decode_residual(reader))
     return out
+
+
+def decode_all(bits: str) -> list[int]:
+    """A bit literal decoded by decode_residual, one codeword per call."""
+    bit_count, payload = literal_bits(bits)
+    return reader_decode(payload, bit_count)
+
+
+def as_literal(pair: tuple[int, int]) -> str:
+    """A (value, length) pair of encode_prefix or encode_suffix as a literal."""
+    value, length = pair
+    return format(value, f"0{length}b") if length else ""
 
 
 class TestGroupOf:
@@ -124,7 +133,7 @@ class TestPrefix:
         (10, "11111110"), (11, "111111110"),
     ])
     def test_prefix_patterns(self, group, bits):
-        assert encode_prefix(group).to01() == bits
+        assert as_literal(encode_prefix(group)) == bits
 
     def test_unsupported_group(self):
         with pytest.raises(ValueError):
@@ -133,7 +142,7 @@ class TestPrefix:
             encode_prefix(-1)
 
     def test_prefixes_are_prefix_free(self):
-        prefixes = [encode_prefix(n).to01() for n in range(12)]
+        prefixes = [as_literal(encode_prefix(n)) for n in range(12)]
         for i, a in enumerate(prefixes):
             for j, b in enumerate(prefixes):
                 if i != j:
@@ -147,10 +156,10 @@ class TestSuffix:
         (-3, 2, "00"), (-2, 2, "01"), (2, 2, "10"), (3, 2, "11"),
     ])
     def test_known_suffixes(self, residual, group, bits):
-        assert encode_suffix(residual, group).to01() == bits
+        assert as_literal(encode_suffix(residual, group)) == bits
 
     def test_zero_suffix_is_empty(self):
-        assert len(encode_suffix(0, 0)) == 0
+        assert encode_suffix(0, 0) == (0, 0)
 
     def test_group_mismatch_rejected(self):
         with pytest.raises(ValueError):
@@ -166,10 +175,11 @@ class TestSuffix:
                       list(range(2 ** (n - 1), 2 ** n))
             suffixes = {}
             for e in members:
-                word = encode_suffix(e, n)
-                assert len(word) == n
-                assert word.uint not in suffixes
-                suffixes[word.uint] = e
+                value, length = encode_suffix(e, n)
+                assert length == n
+                assert 0 <= value < 2 ** n
+                assert value not in suffixes
+                suffixes[value] = e
             assert len(suffixes) == 2 ** n
             for value, e in suffixes.items():
                 assert (value >> (n - 1) == 1) == (e > 0)
@@ -177,32 +187,32 @@ class TestSuffix:
 
 class TestEncodeResidual:
     def test_golden_codeword(self):
+        assert codeword_literal(38) == "110100110"
         word = encode_residual(38)
-        assert word.to01() == "110100110"
-        assert len(word) == 9
+        assert (word.uint, len(word)) == (0b110100110, 9)
 
     def test_zero_is_three_bits(self):
-        assert encode_residual(0).to01() == "000"
+        assert codeword_literal(0) == "000"
 
     @pytest.mark.parametrize("residual,length", [
         (63, 9), (127, 12), (255, 14), (511, 16),
         (-64, 12), (-128, 14), (-512, 18), (1023, 18), (-1024, 20), (2047, 20),
     ])
     def test_codeword_lengths(self, residual, length):
-        assert len(encode_residual(residual)) == length
+        assert codeword_bytes(residual)[0] == length
 
     def test_length_table_for_covered_groups(self):
         for e in range(-511, 512):
-            assert len(encode_residual(e)) == TABLE_LENGTHS[group_of(e)]
+            assert codeword_bytes(e)[0] == TABLE_LENGTHS[group_of(e)]
 
     def test_monotone_cost(self):
-        lengths = [len(encode_residual(e)) for e in range(0, RESIDUAL_MAX + 1)]
+        lengths = [codeword_bytes(e)[0] for e in range(0, RESIDUAL_MAX + 1)]
         assert lengths == sorted(lengths)
         for e in range(1, RESIDUAL_MAX + 1):
-            assert len(encode_residual(-e)) == len(encode_residual(e))
+            assert codeword_bytes(-e)[0] == codeword_bytes(e)[0]
 
     def test_longest_codeword_is_max_codeword_bits(self):
-        assert max(len(encode_residual(e)) for e in
+        assert max(codeword_bytes(e)[0] for e in
                    range(RESIDUAL_MIN, RESIDUAL_MAX + 1)) == MAX_CODEWORD_BITS
 
     def test_range_error_propagates(self):
@@ -212,58 +222,57 @@ class TestEncodeResidual:
 
 class TestDecodeResidual:
     def test_golden_round_trip(self):
-        assert decode_all(BitString.from01("110100110")) == [38]
+        assert decode_all("110100110") == [38]
 
     def test_zero(self):
-        assert decode_all(BitString.from01("000")) == [0]
+        assert decode_all("000") == [0]
 
     def test_exhaustive_round_trip(self):
         for e in range(RESIDUAL_MIN, RESIDUAL_MAX + 1):
-            word = encode_residual(e)
-            reader = BitReader(word)
+            bit_count, payload = codeword_bytes(e)
+            reader = BitReader(payload, bit_count)
             assert decode_residual(reader) == e
             assert reader.remaining == 0
 
     def test_reader_advances_by_codeword_length(self):
-        stream = encode_residual(38) + encode_residual(-3) + encode_residual(0)
-        reader = BitReader(stream)
+        bit_count, payload = literal_bits(
+            codeword_literal(38) + codeword_literal(-3) + codeword_literal(0))
+        reader = BitReader(payload, bit_count)
         assert decode_residual(reader) == 38
-        assert len(stream) - reader.remaining == 9
+        assert bit_count - reader.remaining == 9
         assert decode_residual(reader) == -3
-        assert len(stream) - reader.remaining == 14
+        assert bit_count - reader.remaining == 14
         assert decode_residual(reader) == 0
         assert reader.remaining == 0
 
     def test_truncated_prefix(self):
         with pytest.raises(IncompleteCodewordError):
-            decode_all(BitString.from01("11"))
+            decode_all("11")
 
     def test_truncated_suffix(self):
         # group 6 prefix but only 3 of the 6 suffix bits present
         with pytest.raises(IncompleteCodewordError):
-            decode_all(BitString.from01("110100"))
+            decode_all("110100")
 
     def test_truncated_unary_prefix(self):
         with pytest.raises(IncompleteCodewordError):
-            decode_all(BitString.from01("11111"))
+            decode_all("11111")
 
     def test_too_many_leading_ones(self):
         with pytest.raises(MalformedPrefixError):
-            decode_all(BitString.from01("1" * 9 + "0" + "1" * 12))
+            decode_all("1" * 9 + "0" + "1" * 12)
 
     def test_non_canonical_1110_rejected(self):
         with pytest.raises(MalformedPrefixError):
-            decode_all(BitString.from01("1110" + "100110"))
+            decode_all("1110" + "100110")
 
     def test_prefix_free_stream(self):
         rng = random.Random(2024)
         residuals = [rng.randint(RESIDUAL_MIN, RESIDUAL_MAX)
                      for _ in range(10_000)]
-        writer = BitWriter()
-        for e in residuals:
-            writer.append(encode_residual(e))
-        data, count = writer.getvalue()
-        reader = BitReader(data, count)
+        bit_count, payload = literal_bits(
+            "".join(map(codeword_literal, residuals)))
+        reader = BitReader(payload, bit_count)
         decoded = [decode_residual(reader) for _ in residuals]
         assert decoded == residuals
         assert reader.remaining == 0
@@ -272,9 +281,11 @@ class TestDecodeResidual:
 class TestTables:
     def test_encode_table_matches_spec(self):
         for e in range(RESIDUAL_MIN, RESIDUAL_MAX + 1):
-            word = encode_prefix(group_of(e)) + encode_suffix(e, group_of(e))
-            assert encode_residual(e) == word
-            assert codeword_bytes(e) == (len(word), word.to_bytes())
+            word = (as_literal(encode_prefix(group_of(e)))
+                    + as_literal(encode_suffix(e, group_of(e))))
+            assert codeword_bytes(e) == literal_bits(word)
+            assert (encode_residual(e).uint, len(encode_residual(e))) == \
+                (int(word, 2), len(word))
 
     def test_codeword_bytes_range_error(self):
         for e in (RESIDUAL_MIN - 1, RESIDUAL_MAX + 1):
@@ -283,9 +294,9 @@ class TestTables:
 
     def test_trailing_111_is_incomplete_but_1110_is_malformed(self):
         with pytest.raises(IncompleteCodewordError):
-            decode_all(encode_residual(5) + BitString.from01("111"))
+            decode_all(codeword_literal(5) + "111")
         with pytest.raises(MalformedPrefixError):
-            decode_all(encode_residual(5) + BitString.from01("1110"))
+            decode_all(codeword_literal(5) + "1110")
 
     def test_every_short_string_decodes_like_the_oracle(self):
         # Every bit string of up to 12 bits: all window entries, every
@@ -293,9 +304,9 @@ class TestTables:
         for length in range(13):
             for value in range(1 << length):
                 data = (value << (-length % 8)).to_bytes((length + 7) // 8, "big")
-                expected = outcome(oracle_decode, data, length)
-                assert outcome(payload_decode, data, length) == expected
-                assert outcome(decode_all, BitString(value, length)) == expected
+                expected = outcome(oracle_decode, value, length)
+                assert outcome(decode_bits, value, length) == expected
+                assert outcome(reader_decode, data, length) == expected
 
     def test_encode_tables_are_not_built_at_import(self):
         # Building them costs milliseconds that every CLI start would pay.
@@ -312,30 +323,47 @@ def payloads(draw):
     return data, draw(st.integers(0, 8 * len(data)))
 
 
+@st.composite
+def long_streams(draw):
+    """Codewords past decode_bits' chunk length, with up to 24 stray bits
+    put between two of them: the errors of a chunked decode get checked
+    too, wherever they fall."""
+    rng = random.Random(draw(st.integers(0, 2 ** 32)))
+    words, length = [], 0
+    while length <= _CHUNK_BITS + MAX_CODEWORD_BITS:
+        words.append(codeword_literal(rng.randint(RESIDUAL_MIN, RESIDUAL_MAX)))
+        length += len(words[-1])
+    stray = draw(st.integers(0, 24))
+    words.insert(draw(st.integers(0, len(words))),
+                 format(rng.getrandbits(stray), f"0{stray}b") if stray else "")
+    stream = "".join(words)
+    return int(stream, 2), len(stream)
+
+
 class TestAgainstOracle:
     @settings(max_examples=300, deadline=None)
     @given(payloads())
     def test_payload_decode_matches_oracle(self, payload):
         data, bit_count = payload
-        assert (outcome(payload_decode, data, bit_count)
-                == outcome(oracle_decode, data, bit_count))
+        value = payload_value(data, bit_count)
+        assert (outcome(decode_bits, value, bit_count)
+                == outcome(oracle_decode, value, bit_count))
 
     @settings(max_examples=300, deadline=None)
     @given(payloads())
     def test_reader_decode_matches_oracle(self, payload):
         data, bit_count = payload
-
-        def reader_decode(data, bit_count):
-            reader = BitReader(data, bit_count)
-            out = []
-            while reader.remaining:
-                out.append(decode_residual(reader))
-            return out
         assert (outcome(reader_decode, data, bit_count)
-                == outcome(oracle_decode, data, bit_count))
+                == outcome(oracle_decode, payload_value(data, bit_count),
+                           bit_count))
+
+    @settings(max_examples=30, derandomize=True, deadline=None)
+    @given(long_streams())
+    def test_long_stream_decode_matches_oracle(self, stream):
+        assert outcome(decode_bits, *stream) == outcome(oracle_decode, *stream)
 
     @settings(max_examples=100, deadline=None)
     @given(st.lists(st.integers(RESIDUAL_MIN, RESIDUAL_MAX), max_size=20))
     def test_encoded_streams_round_trip(self, residuals):
-        bits = sum((encode_residual(e) for e in residuals), BitString())
-        assert payload_decode(bits.to_bytes(), len(bits)) == residuals
+        stream = "".join(map(codeword_literal, residuals))
+        assert decode_bits(int(stream or "0", 2), len(stream)) == residuals

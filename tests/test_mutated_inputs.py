@@ -6,6 +6,8 @@ cli.main, which must return 0, 1 or 2 and, on failure, print a message
 starting `error:` or `usage error:`. Mutations delete a line, duplicate a
 line, or replace one value, cell or JSON scalar with a fixed token. No
 mutation grows a number, so no example can ask simulate for a huge run.
+A 0xff byte, which no UTF-8 text holds, put anywhere in any input must
+fail with a message that names that file.
 """
 
 import contextlib
@@ -121,9 +123,9 @@ def _scalar_paths(doc, path=()):
         yield path
 
 
-def run_cli(argv) -> tuple[int, str]:
-    """main(argv)'s exit code and stdout, checking that it returned 0, 1 or
-    2 without raising and that a failure printed an error message."""
+def run_cli(argv) -> tuple[int, str, str]:
+    """main(argv)'s exit code, stdout and stderr, checking that it returned
+    0, 1 or 2 without raising and that a failure printed an error message."""
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         rc = main(argv)
@@ -131,7 +133,7 @@ def run_cli(argv) -> tuple[int, str]:
     if rc != EXIT_OK:
         assert err.getvalue().startswith(("error:", "usage error:")), \
             err.getvalue()
-    return rc, out.getvalue()
+    return rc, out.getvalue(), err.getvalue()
 
 
 @SETTINGS
@@ -180,7 +182,7 @@ def test_mutated_run_directory(inputs, data):
         rundir = Path(tmp) / "run"
         shutil.copytree(inputs / "run", rundir)
         (rundir / name).write_text(text)
-        rc, out = run_cli(["--format", fmt, "report", str(rundir)])
+        rc, out, _ = run_cli(["--format", fmt, "report", str(rundir)])
     if rc == EXIT_OK and fmt == "json":
         # Strict JSON: no NaN or Infinity.
         json.loads(out, parse_constant=_reject)
@@ -188,3 +190,31 @@ def test_mutated_run_directory(inputs, data):
 
 def _reject(constant):
     raise AssertionError(f"report printed {constant}, which is not JSON")
+
+
+# Each input file, and the command that reads it from a copy of the inputs
+# in {dir}.
+READERS = [
+    ("scenario.cfg", ["--out", "{dir}/out", "simulate", "{dir}/scenario.cfg"]),
+    ("trace.csv", ["--out", "{dir}/out", "simulate", "{dir}/scenario.cfg"]),
+    ("codes.trace", ["--out", "{dir}/out.csv", "decode", "{dir}/codes.trace"]),
+    ("codes.csv", ["--out", "{dir}/out.trace", "encode", "{dir}/codes.csv"]),
+    ("run/runlog.json", ["report", "{dir}/run"]),
+    ("run/runlog_events.csv", ["report", "{dir}/run"]),
+]
+
+
+@SETTINGS
+@given(st.data())
+def test_byte_that_is_not_utf8_names_its_file(inputs, data):
+    name, argv = data.draw(st.sampled_from(READERS))
+    with tempfile.TemporaryDirectory() as tmp:
+        work = Path(tmp)
+        shutil.copytree(inputs, work, dirs_exist_ok=True)
+        path = work / name
+        raw = path.read_bytes()
+        at = data.draw(st.integers(0, len(raw)))
+        path.write_bytes(raw[:at] + b"\xff" + raw[at:])
+        rc, _, err = run_cli([arg.format(dir=work) for arg in argv])
+    assert rc == EXIT_DATA
+    assert err.startswith(f"error: {path}: "), err

@@ -4,22 +4,21 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import codeword_literal, literal_bits
 from wbancomp.bitstream import BitString
-from wbancomp.codec import CodecError, IncompleteCodewordError, encode_residual
+from wbancomp.codec import CodecError, IncompleteCodewordError
 from wbancomp.sink import (DuplicateDeviceError, Packet, Sink,
                            UnknownDeviceError)
 
 
 def packet_for(device_id, *residuals):
-    bits = BitString()
-    for e in residuals:
-        bits += encode_residual(e)
-    return Packet.from_bits(device_id, bits)
+    return Packet(device_id,
+                  *literal_bits("".join(map(codeword_literal, residuals))))
 
 
 class TestPacket:
     def test_layout(self):
-        packet = Packet.from_bits(7, BitString.from01("110100110"))
+        packet = Packet.from_bits(7, BitString(0b110100110, 9))
         assert packet.bit_count == 9
         assert packet.payload == bytes([0b11010011, 0b00000000])
 
@@ -77,7 +76,7 @@ class TestSink:
         sink.register_device(1)
         sink.on_packet(packet_for(1, 38))
         packet = packet_for(1, 2)
-        assert packet == Packet.from_bits(1, BitString.from01("01010"))
+        assert packet == Packet(1, *literal_bits("01010"))
         assert sink.on_packet(packet) == 40
 
     def test_held_value_is_idempotent(self):

@@ -1,6 +1,6 @@
 import pytest
 
-from wbancomp.codec import encode_residual
+from wbancomp.codec import codeword_bytes
 from wbancomp.sink import Packet
 from wbancomp.tracefile import PacketTrace, read_trace, write_trace
 
@@ -9,9 +9,9 @@ def sample_trace():
     trace = PacketTrace(samples=10, threshold=1, adc_bits=10,
                         sample_period_ms=500)
     trace.packets = [
-        (0, Packet.from_bits(1, encode_residual(38))),
-        (4, Packet.from_bits(1, encode_residual(-3))),
-        (9, Packet.from_bits(1, encode_residual(120))),
+        (0, Packet(1, *codeword_bytes(38))),
+        (4, Packet(1, *codeword_bytes(-3))),
+        (9, Packet(1, *codeword_bytes(120))),
     ]
     return trace
 
@@ -93,7 +93,7 @@ def test_malformed_row_reports_packet_index(tmp_path):
 def test_sample_index_bounds_enforced(tmp_path):
     path = tmp_path / "t.trace"
     trace = sample_trace()
-    trace.packets.append((10, Packet.from_bits(1, encode_residual(1))))
+    trace.packets.append((10, Packet(1, *codeword_bytes(1))))
     write_trace(path, trace)
     with pytest.raises(ValueError, match="outside"):
         read_trace(path)
