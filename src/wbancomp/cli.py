@@ -221,11 +221,22 @@ def _write_run_outputs(outdir: Path, runlog: RunLog,
 
 def cmd_simulate(args) -> int:
     scenario = config.parse_scenario(args.scenario, seed_override=args.seed)
-    runlog = simulate(scenario)
-    devices, run = metrics.compute(runlog)
+    outdir = Path(args.out) if args.out else None
+    # An --out that cannot be a directory fails before the run, and one made
+    # here for a run that fails is removed again.
+    made = outdir is not None and not outdir.exists()
+    if outdir:
+        outdir.mkdir(parents=True, exist_ok=True)
+    try:
+        runlog = simulate(scenario)
+        devices, run = metrics.compute(runlog)
+    except BaseException:
+        if made:
+            outdir.rmdir()
+        raise
     print(metrics.format_table(devices, run))
-    if args.out:
-        _write_run_outputs(Path(args.out), runlog, devices, run)
+    if outdir:
+        _write_run_outputs(outdir, runlog, devices, run)
     return EXIT_OK
 
 

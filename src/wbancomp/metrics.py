@@ -35,11 +35,20 @@ def compression_ratio(orig_pkt: int, comp_pkt: int) -> float:
 
 
 def average_delay(runlog: RunLog) -> float:
-    """Mean CD + DD + DTR over all transmissions of all devices, in ms."""
-    count = sum(sums.transmitted for sums in runlog.sums.values())
+    """Mean CD + DD + DTR over all transmissions of all devices, in ms.
+
+    Adds the devices' delay sums with += in device order, the order of the
+    run log's rows, so simulate and a read-back log give the same mean.
+    """
+    total, count = 0.0, 0
+    for sums in runlog.sums.values():
+        total += sums.ad_ms
+        count += sums.transmitted
     if count == 0:
         raise ValueError("run log holds no transmissions")
-    return runlog.delay_ms / count
+    if not isfinite(total):
+        raise ValueError("run delay sum is not finite")
+    return total / count
 
 
 def display_round(value: float, places: int = 2) -> float:
@@ -95,9 +104,11 @@ def compute(runlog: RunLog) -> tuple[list[DeviceMetrics], RunMetrics]:
                     f"samples {dev.samples} and transmitted "
                     f"{dev.transmitted}, but the events hold {sums.rows} "
                     f"rows, {sent} transmitted")
-            # Finite delay cells can still add up past the float range.
+            # Finite delay cells and charges can add up past the float range.
             if not all(map(isfinite, (sums.cd_ms, sums.dd_ms, sums.ad_ms))):
                 raise ValueError("delay sums are not finite")
+            if not isfinite(dec):
+                raise ValueError("state_charge_mah sum is not finite")
         except ValueError as exc:
             raise ValueError(f"device {index}: {exc}") from None
         cd = sums.cd_ms / sent

@@ -8,26 +8,17 @@ times partition the run duration exactly. Currents are whole-device
 currents per state (tx, idle, sleep, cpu), so consumed charge is current
 times time summed over states.
 
-The run log merges the devices' events by time. Events at equal times are
-ordered by when their devices' previous events were emitted; the first
-events follow the scenario's device order. Every device samples at
-seq * period from t = 0, so that rule is a fixed order: at t = 0 scenario
-order, and later the longer period first, then scenario order. A device
-sampling at t > 0 emitted its previous event at t - period, which is
-earlier the longer its period; devices of equal period were tied there
-too, and so, back to t = 0, keep scenario order. Each device loop yields
-(time_ms, tie, event, packet) with `tie` encoding that order, so a plain
-tuple merge needs no key function.
+Each device runs to completion before the next, in scenario order, so the
+run log's rows and packets are grouped by device in scenario order, and by
+seq within a device.
 """
 
 from __future__ import annotations
 
 import csv
-import heapq
 import json
 import math
 from collections import defaultdict
-from collections.abc import Iterator
 from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
 from typing import NamedTuple
@@ -248,7 +239,12 @@ class DeviceRun:
     state_charge_mah: dict = field(default_factory=dict)
 
     def total_mah(self) -> float:
-        return sum(self.state_charge_mah.values())
+        # Added with += in state-name order, so the total does not depend on
+        # the map's key order or on how the interpreter's sum() adds floats.
+        total = 0.0
+        for state in sorted(self.state_charge_mah):
+            total += self.state_charge_mah[state]
+        return total
 
 
 @dataclass(slots=True)
@@ -269,10 +265,9 @@ class DelaySums:
 
 @dataclass
 class RunLog:
-    """Everything a simulation run produced, in deterministic order.
+    """Everything a simulation run produced, grouped by device.
 
-    Making the log folds its events into `sums`, per device id, and into
-    `delay_ms`, the run's cd + dd + dtr total over all transmissions.
+    Making the log folds its events into `sums`, per device id.
     """
 
     duration_ms: float
@@ -282,7 +277,6 @@ class RunLog:
     packets: list[tuple[int, int, Packet]]  # (device_id, seq, packet)
     sums: defaultdict[int, DelaySums] = field(
         default_factory=lambda: defaultdict(DelaySums))
-    delay_ms: float = 0.0
 
     def __post_init__(self):
         for ev in self.events:
@@ -291,20 +285,17 @@ class RunLog:
 
     def add(self, device_id: int, transmitted: int, cd_ms: float,
             dtr_ms: float, dd_ms: float) -> None:
-        """Fold one event row into its device's sums and the run total."""
+        """Fold one event row into its device's sums."""
         sums = self.sums[device_id]
         sums.rows += 1
         if transmitted:
-            delay = cd_ms + dd_ms + dtr_ms
             sums.transmitted += 1
             sums.cd_ms += cd_ms
             sums.dd_ms += dd_ms
-            sums.ad_ms += delay
-            self.delay_ms += delay
+            sums.ad_ms += cd_ms + dd_ms + dtr_ms
 
     def save(self, rundir: Path) -> None:
-        """Write the run directory's runlog_events.csv and runlog.json."""
-        rundir.mkdir(parents=True, exist_ok=True)
+        """Write runlog_events.csv and runlog.json into the directory rundir."""
         with (rundir / _EVENTS_FILE).open("w", newline="") as handle:
             writer = csv.writer(handle, lineterminator="\n")
             writer.writerow(SampleEvent._fields)
@@ -438,13 +429,12 @@ def _require_keys(doc, keys, where: str) -> None:
 
 
 def _device_loop(cfg: DeviceConfig, scenario: Scenario, sink: Sink,
-                 run: DeviceRun, first_tie: int, tie: int,
-                 ) -> Iterator[tuple[float, int, SampleEvent, Packet | None]]:
-    """Run one device over its samples, yielding each finished event.
+                 run: DeviceRun, events: list[SampleEvent],
+                 packets: list[tuple[int, int, Packet]]) -> None:
+    """Run one device over its samples, appending its rows and packets.
 
     Every sample is filtered, encoded, decoded at the sink, checked and
-    charged to the device's ledger before (time_ms, tie, event, packet) is
-    yielded; the seq-0 row carries `first_tie` and every later row `tie`.
+    charged to the device's ledger before its row is appended to `events`.
     Decoding at send time gives the sink state that decoding at arrival
     would, because Scenario.validate lands each arrival before the device's
     next sample and no other device touches its sink reference.
@@ -485,7 +475,6 @@ def _device_loop(cfg: DeviceConfig, scenario: Scenario, sink: Sink,
             cd_ms = cfg.cd_ms
             reconstructed = device.last_reading
 
-        packet = None
         transmitted = 0
         wake_ms = dtr_ms = dd_ms = 0.0
         arrival_ms = None
@@ -505,6 +494,7 @@ def _device_loop(cfg: DeviceConfig, scenario: Scenario, sink: Sink,
                     f"sink reconstruction {value} diverged from device-side "
                     f"{reconstructed} (device {cfg.device_id})"
                 )
+            packets.append((cfg.device_id, seq, packet))
             arrival_ms = t_ms + cd_ms + wake_ms + dtr_ms + dd_ms
             transmitted = 1
             run.payload_bits += bits
@@ -522,11 +512,9 @@ def _device_loop(cfg: DeviceConfig, scenario: Scenario, sink: Sink,
             ledger.charge("tx", dtr_ms)
         ledger.charge("sleep" if asleep else "idle", rest_ms)
 
-        yield (t_ms, first_tie if seq == 0 else tie,
-               SampleEvent(cfg.device_id, seq, t_ms, code, transmitted,
-                           residual, bits, cd_ms, dtr_ms, dd_ms, arrival_ms,
-                           reconstructed),
-               packet)
+        events.append(SampleEvent(cfg.device_id, seq, t_ms, code, transmitted,
+                                  residual, bits, cd_ms, dtr_ms, dd_ms,
+                                  arrival_ms, reconstructed))
 
     if device is not None:
         held = sink.held_value(cfg.device_id)
@@ -559,22 +547,10 @@ def simulate(scenario: Scenario) -> RunLog:
         )
         for cfg in scenario.devices
     ]
-    # Ties (see the module docstring): at t = 0 the scenario index; later
-    # index - count * period, so the longer period first, then the index.
-    # No two rows at one time share a tie, so merge never compares events.
-    # Packets are collected here, not in the device loops, because merge
-    # runs a device's next sample before that sample's turn comes.
-    count = len(scenario.devices)
-    merged = heapq.merge(*(
-        _device_loop(cfg, scenario, sink, run, index,
-                     index - count * cfg.trace.sample_period_ms)
-        for index, (cfg, run) in enumerate(zip(scenario.devices, runs))))
     events: list[SampleEvent] = []
     packets: list[tuple[int, int, Packet]] = []
-    for _, _, event, packet in merged:
-        events.append(event)
-        if packet is not None:
-            packets.append((event.device_id, event.seq, packet))
+    for cfg, run in zip(scenario.devices, runs):
+        _device_loop(cfg, scenario, sink, run, events, packets)
 
     return RunLog(
         duration_ms=scenario.duration_s * 1000.0,

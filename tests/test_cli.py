@@ -269,11 +269,11 @@ PINNED_OUTPUTS = {
         "metrics.json":
             "39a1065991a1ffa6f9f51f66e093d555b2ff91a8905fac212bbb97cd2d557a17",
         "packets.trace":
-            "39175c0beeba9f23c5c9c0fa2b380994bb4ebffafdb02d331d3de48422d7e9b0",
+            "cdeccced6479dfb9a33ad8786da803467fd9b50d2456b88b9a57147d363dadef",
         "runlog.json":
             "bc7a83786c0c4c25016a6a5cee29340756760b59713cc47af6c40040b907f862",
         "runlog_events.csv":
-            "ec45ea4a767fe9f317fb125b4395c95d5be7901e5098de86e41a34bf9bb6eb41",
+            "1c0cbf9db4f75fbe1d39a83a9ddbfea2dc839c925465d7b9215561ae1b5ffa03",
     },
     "lifetime_table": {
         "metrics.csv":
@@ -281,11 +281,11 @@ PINNED_OUTPUTS = {
         "metrics.json":
             "b1f6f908b69b40ed9b65a4435f9e22f4ae613032f766f919f7db4a13176760a6",
         "packets.trace":
-            "bcaa29e86c3c23c6ff2050d6742470269c11ca67864d20bcf99a798964291dfc",
+            "c00e8135200a162b58384ffe7a753379900349889666873713a2d4f131a83641",
         "runlog.json":
             "57411fd9923f061b93d20d6d8756771242b0b5487b0e1b7cdbed2d616814e201",
         "runlog_events.csv":
-            "602a3d0d5d41582a87dc7801217634ed3600cc9273efdd8932cf5c03d43802df",
+            "834f419bf32799a39bda894626ed3f42b436743bba9bab831931a91f26460c99",
     },
     "temperature_sleep": {
         "metrics.csv":
@@ -293,11 +293,11 @@ PINNED_OUTPUTS = {
         "metrics.json":
             "3cf89d962cafa2856c63857e87fa880c9797989622e5753c95ae771dbac35d94",
         "packets.trace":
-            "d1c750fcb2a45360f6af136bba9957e88e10439cb9105034727899f307883d8a",
+            "322da83b4fed89bff3cb8ca534124125ca07a309f89be71a413d2f4b4163d61f",
         "runlog.json":
             "0a9ab848fa4cddcbdf342237b5d60d273fea0659cfa9e84a5fbe75d1bd7f355c",
         "runlog_events.csv":
-            "bf31822e9a31665b6829afa7d668573a4a2bbe64c5e84d442a0a246623ebaec0",
+            "7ce2ff1db378a4d9f1b8ddb3dece51fc71442b6c741b74b532d59a7712d6316f",
     },
 }
 
@@ -311,11 +311,11 @@ PINNED_BENCH_OUTPUTS = {
         "metrics.json":
             "d2db7d641bf061dd0d21333201ad87229ccbf5cc66841be7955bfd647cdb33a4",
         "packets.trace":
-            "dd1bf329e9c8339cdc0db926cd7b7c128b56799b62e7622560202fc30b84c3c6",
+            "1b8161726d75faff3ff31f4fdb6624694fceac5fa5a69eaecd9dabe916386a28",
         "runlog.json":
             "fe89cc07f7898ec104f9f36cf486c60d4d83e67607bdcf62b73a9d181f6197d5",
         "runlog_events.csv":
-            "a5372df8e7198060ea0e4404c0b944f54a765888b922b3386af9e3eb001aeb9b",
+            "4227e439dd011dc504fce7e872ab0098004d15eccf3852a0ff7ad2f6becb067e",
     },
     "sleep_ward": {
         "metrics.csv":
@@ -323,11 +323,11 @@ PINNED_BENCH_OUTPUTS = {
         "metrics.json":
             "1b247a5a423691a1de8f568a9f6670dc82c57d5cb8877d07db90a50200750835",
         "packets.trace":
-            "870f68e5352bc4d9555fbb8d56c64d7848ab0bde557a70ca417e62abe8339ada",
+            "8d69134b5c532580c641c58b9f9f17432fd2f50dc8fe7c1d12623b362695f56f",
         "runlog.json":
             "d1fb7bb72506189346e226f71534a83fd25d1b968f89ccbf19fd369564d658f6",
         "runlog_events.csv":
-            "ee881a93f480e872a55056d4066507f142727d16811ae2afd72a951689bd2838",
+            "2ea24d033070d5c8d495d6c1c0b92dda867e6e9dd95ce639bf09afd8f122faa8",
     },
 }
 
@@ -425,6 +425,20 @@ def test_bad_scenario_input_is_located(tmp_path, capsys, edit, where):
     assert not out.exists()
 
 
+def test_failed_run_keeps_an_existing_out_dir(tmp_path, capsys):
+    # simulate makes --out before the run and removes it if the run fails,
+    # but only a directory it made.
+    (tmp_path / "trace.csv").write_text("37.0\nnan\n" + "37.0\n" * 120)
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(_ONE_DEVICE.replace(
+        "signal = temperature", "file = trace.csv\nadc_range = 30,45"))
+    out = tmp_path / "run"
+    out.mkdir()
+    assert main(["--out", str(out), "simulate", str(cfg)]) == EXIT_DATA
+    assert "trace.csv:2: reading nan is not finite" in capsys.readouterr().err
+    assert out.is_dir()
+
+
 @pytest.mark.parametrize("fmt", ["csv", "json"])
 @pytest.mark.parametrize("scenario", sorted(PINNED_OUTPUTS))
 def test_report_reproduces_simulate_metrics(tmp_path, capsys, scenario, fmt):
@@ -452,6 +466,17 @@ def _edit_third_event_line(edit):
         path = rundir / "runlog_events.csv"
         lines = path.read_text().splitlines(keepends=True)
         lines[2] = edit(lines[2])
+        path.write_text("".join(lines))
+    return mangle
+
+
+def _delete_first_row_of(device_id):
+    # Rows are grouped by device, so find the device's seq-0 row.
+    def mangle(rundir):
+        path = rundir / "runlog_events.csv"
+        lines = path.read_text().splitlines(keepends=True)
+        lines.remove(next(line for line in lines
+                          if line.startswith(f"{device_id},0,")))
         path.write_text("".join(lines))
     return mangle
 
@@ -496,8 +521,8 @@ def _set_cell(index, text):
     # Cells the metrics do not use are checked all the same.
     (_edit_third_event_line(_set_cell(3, "x")), "runlog_events.csv:3:"),
     (_edit_third_event_line(_set_cell(10, "x")), "runlog_events.csv:3:"),
-    # Line 3 is the first row of the second device.
-    (_edit_third_event_line(lambda line: ""),
+    # Device id 2 is the second device.
+    (_delete_first_row_of(2),
      "runlog.json: device 1: samples 120 and transmitted"),
     (_edit_summary(_drop_payload_bits), "runlog.json: device 1:"),
     (_edit_summary(_string_samples), "runlog.json: device 2: samples"),
@@ -559,6 +584,26 @@ def _overflow_delay_sums(rundir):
     path.write_text("".join(lines))
 
 
+def _overflow_run_delay_sum(rundir):
+    # Each device's delay sums stay finite, but not the run's: cd_ms is
+    # 1e308 on the first transmitted row of every device.
+    path = rundir / "runlog_events.csv"
+    lines = path.read_text().splitlines(keepends=True)
+    seen = set()
+    for index, line in enumerate(lines[1:], start=1):
+        cells = line.split(",")
+        if cells[4] == "1" and cells[0] not in seen:
+            seen.add(cells[0])
+            lines[index] = _set_cell(7, "1e308")(line)
+    path.write_text("".join(lines))
+
+
+def _overflow_charge_sum(doc):
+    # Each charge is a finite number; their sum is not.
+    charges = doc["devices"][0]["state_charge_mah"]
+    charges["idle"] = charges["sleep"] = 1e308
+
+
 @pytest.mark.parametrize("mangle, where", [
     (_edit_third_event_line(_set_cell(7, "nan")),
      "runlog_events.csv:3: cd_ms + dd_ms + dtr_ms is not finite"),
@@ -572,8 +617,12 @@ def _overflow_delay_sums(rundir):
      "runlog.json: device 0: battery_mah must be positive"),
     (_overflow_delay_sums,
      "runlog.json: device 0: delay sums are not finite"),
+    (_overflow_run_delay_sum, "runlog.json: run delay sum is not finite"),
+    (_edit_summary(_overflow_charge_sum),
+     "runlog.json: device 0: state_charge_mah sum is not finite"),
 ], ids=["nan-delay", "inf-delay", "transmitted-2", "repeated-device",
-        "zero-battery", "overflowing-delay-sums"])
+        "zero-battery", "overflowing-delay-sums", "overflowing-run-delay-sum",
+        "overflowing-charge-sum"])
 def test_report_rejects_values_simulate_never_writes(tmp_path, capsys,
                                                       mangle, where):
     # Each of these once reported with exit 0: a NaN delay as "NaN" in the
@@ -602,7 +651,8 @@ def test_report_rejects_values_simulate_never_writes(tmp_path, capsys,
         "encode-out-dir", "decode-out-dir", "simulate-out-file"])
 def test_unusable_path_is_data_error(tmp_path, capsys, argv, culprit):
     # The open or write that touches a path is its only check: the OSError
-    # it raises names the path and exits 2, like any other data error.
+    # it raises names the path and exits 2, like any other data error, and
+    # comes before any output (simulate makes --out before the run).
     (tmp_path / "dir").mkdir()
     write_codes(tmp_path / "codes.csv", [1, 2, 3])
     assert main(["--out", str(tmp_path / "codes.trace"), "encode",
@@ -612,9 +662,10 @@ def test_unusable_path_is_data_error(tmp_path, capsys, argv, culprit):
     capsys.readouterr()
     names = {"dir": tmp_path / "dir", "tmp": tmp_path}
     assert main([arg.format(**names) for arg in argv]) == EXIT_DATA
-    err = capsys.readouterr().err
-    assert err.startswith("error: [Errno ")
-    assert f"'{culprit.format(**names)}'" in err
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: [Errno ")
+    assert f"'{culprit.format(**names)}'" in captured.err
 
 
 @pytest.mark.parametrize("value", ["60 % of an hour", "1%(x)s"])

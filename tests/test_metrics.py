@@ -4,7 +4,8 @@ import json
 
 import pytest
 
-from wbancomp import metrics
+from conftest import SCENARIO_DIR
+from wbancomp import config, metrics
 from wbancomp.netmodel import (ChannelModel, DeviceConfig, RunLog,
                                SampleEvent, Scenario, simulate)
 from wbancomp.signals import SyntheticSource, TraceSpec
@@ -110,8 +111,9 @@ class TestReports:
         assert run.ad_ms * run.transmissions == pytest.approx(total)
 
     def test_delays_equal_a_plain_fold_of_the_events(self, tmp_path):
-        # The sums are added one row at a time in row order, so they equal
-        # this loop exactly, whatever the interpreter's sum() does, and the
+        # The sums are added one row at a time in row order, and the run
+        # total adds the device sums in device order, so they equal these
+        # loops exactly, whatever the interpreter's sum() does, and the
         # events file folds back to the same sums.
         devs = tuple(
             DeviceConfig(
@@ -125,15 +127,17 @@ class TestReports:
                 ("CGLS", "temperature", 1000, 1)], start=1))
         log = simulate(Scenario(duration_s=60.0, devices=devs,
                                 channel=ChannelModel(per_bit_delay_ms=0.1)))
-        total, count, sums = 0.0, 0, {}
+        sums = {}
         for ev in log.events:
             if ev.transmitted:
                 cd, dd, ad, sent = sums.get(ev.device_id, (0.0, 0.0, 0.0, 0))
-                delay = ev.cd_ms + ev.dd_ms + ev.dtr_ms
                 sums[ev.device_id] = (cd + ev.cd_ms, dd + ev.dd_ms,
-                                      ad + delay, sent + 1)
-                total += delay
-                count += 1
+                                      ad + (ev.cd_ms + ev.dd_ms + ev.dtr_ms),
+                                      sent + 1)
+        total, count = 0.0, 0
+        for _, _, ad, sent in sums.values():
+            total += ad
+            count += sent
         devices, run = metrics.compute(log)
         assert run.ad_ms == total / count
         for m in devices:
@@ -142,7 +146,17 @@ class TestReports:
                                                    ad / sent)
         log.save(tmp_path)
         loaded = RunLog.load(tmp_path)
-        assert (loaded.sums, loaded.delay_ms) == (log.sums, log.delay_ms)
+        assert loaded.sums == log.sums
+
+    @pytest.mark.parametrize("name", ["four_device", "lifetime_table",
+                                      "temperature_sleep"])
+    def test_read_back_metrics_equal_simulated_metrics(self, tmp_path, name):
+        # Exactly, not only to the 4 places the files keep: a device's state
+        # charges add in one order whether its map came from simulate or
+        # from the sorted keys of runlog.json.
+        log = simulate(config.parse_scenario(SCENARIO_DIR / f"{name}.cfg"))
+        log.save(tmp_path)
+        assert metrics.compute(RunLog.load(tmp_path)) == metrics.compute(log)
 
     def test_dec_matches_ledger(self):
         log = make_runlog()

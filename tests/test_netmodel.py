@@ -1,10 +1,6 @@
-import heapq
-import itertools
 import math
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from wbancomp.netmodel import (MS_PER_HOUR, ChannelModel, DeviceConfig,
                                EnergyLedger, RadioEnergyModel, Scenario,
@@ -259,53 +255,16 @@ class TestSimulate:
         assert a.devices == b.devices
         assert a.events == b.events
 
-    def test_equal_times_follow_previous_emission_order(self):
-        # Device 3 samples every 300 ms and the others every 200 ms. At
-        # t=600 device 3 comes first: its previous event (t=300) was emitted
-        # before theirs (t=400), though its id and index are the largest.
-        devs = [synth_device("a", 1, period_ms=200),
-                synth_device("b", 2, period_ms=200),
-                synth_device("c", 3, period_ms=300)]
+    def test_rows_are_grouped_by_device_in_scenario_order(self):
+        # Each device runs to completion in turn: its rows are contiguous
+        # and in seq order, devices follow the scenario rather than their
+        # ids or sample times, and packets follow the rows.
+        devs = [synth_device("c", 3, period_ms=300),
+                synth_device("a", 1, kind="ecg", period_ms=200),
+                synth_device("b", 2, mode="CGWC", threshold=0, period_ms=200)]
         log = simulate(scenario(devs, duration_s=6.0))
-        order = [(ev.time_ms, ev.device_id) for ev in log.events[:11]]
-        assert order == [
-            (0.0, 1), (0.0, 2), (0.0, 3),
-            (200.0, 1), (200.0, 2), (300.0, 3),
-            (400.0, 1), (400.0, 2),
-            (600.0, 3), (600.0, 1), (600.0, 2),
-        ]
-
-
-# Every period divides the duration, so devices end together and ties occur
-# at every common multiple of their periods.
-MERGE_DURATION_MS = 6000
-MERGE_PERIODS = [p for p in range(50, MERGE_DURATION_MS + 1)
-                 if MERGE_DURATION_MS % p == 0]
-
-
-@st.composite
-def merge_scenarios(draw):
-    count = draw(st.integers(1, 4))
-    ids = draw(st.permutations(range(1, 5)))
-    devices = [
-        synth_device(f"d{i}", ids[i], kind=draw(st.sampled_from(
-                         ("temperature", "ecg", "ppg"))),
-                     period_ms=draw(st.sampled_from(MERGE_PERIODS)),
-                     seed=draw(st.integers(0, 3)))
-        for i in range(count)]
-    return scenario(devices, duration_s=MERGE_DURATION_MS / 1000)
-
-
-@settings(max_examples=60, deadline=None, derandomize=True)
-@given(merge_scenarios())
-def test_merge_order_equals_previous_emission_rule(sc):
-    # Re-merge each device's events the way the simulator once ordered
-    # them: equal times by when the device's previous event was emitted.
-    events = simulate(sc).events
-    by_device = {dev.device_id: [] for dev in sc.devices}
-    for ev in events:
-        by_device[ev.device_id].append(ev)
-    counter = itertools.count()
-    remerged = heapq.merge(*by_device.values(),
-                           key=lambda e: (e.time_ms, next(counter)))
-    assert list(remerged) == events
+        assert [(ev.device_id, ev.seq) for ev in log.events] == [
+            (dev.device_id, seq) for dev, run in zip(devs, log.devices)
+            for seq in range(run.samples)]
+        assert [(device_id, seq) for device_id, seq, _ in log.packets] == [
+            (ev.device_id, ev.seq) for ev in log.events if ev.transmitted]
