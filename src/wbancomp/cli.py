@@ -222,17 +222,20 @@ def _write_run_outputs(outdir: Path, runlog: RunLog,
 def cmd_simulate(args) -> int:
     scenario = config.parse_scenario(args.scenario, seed_override=args.seed)
     outdir = Path(args.out) if args.out else None
-    # An --out that cannot be a directory fails before the run, and one made
-    # here for a run that fails is removed again.
-    made = outdir is not None and not outdir.exists()
+    # An --out that cannot be a directory fails before the run, and the
+    # directories made here for a run that fails are removed again, leaf
+    # first. A '..' names a directory that is listed or existed already.
+    made = []
     if outdir:
+        made = [path for path in (outdir, *outdir.parents)
+                if path.name != ".." and not path.exists()]
         outdir.mkdir(parents=True, exist_ok=True)
     try:
         runlog = simulate(scenario)
         devices, run = metrics.compute(runlog)
     except BaseException:
-        if made:
-            outdir.rmdir()
+        for directory in made:
+            directory.rmdir()
         raise
     print(metrics.format_table(devices, run))
     if outdir:

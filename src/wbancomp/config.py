@@ -140,17 +140,15 @@ def parse_scenario(path: str | Path, seed_override: int | None = None) -> Scenar
     if not devices:
         raise ConfigError("scenario defines no [device:*] sections")
 
-    scenario = Scenario(
-        duration_s=duration_s,
-        devices=tuple(devices),
-        seed=seed,
-        **models,
-    )
     try:
-        scenario.validate()
+        return Scenario(
+            duration_s=duration_s,
+            devices=tuple(devices),
+            seed=seed,
+            **models,
+        )
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
-    return scenario
 
 
 def _parse_device(section, name: str, base_dir: Path,

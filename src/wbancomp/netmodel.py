@@ -1,12 +1,13 @@
 """Deterministic model of the star network: latency, energy states, sleep.
 
 Devices share no channel and the sink keeps one reference value per device,
-so each device runs as its own loop over its samples. Each sample runs the
-threshold filter, encodes the residual when transmitted, decodes it at the
-sink, and charges the device's energy ledger so the per-state residency
-times partition the run duration exactly. Currents are whole-device
-currents per state (tx, idle, sleep, cpu), so consumed charge is current
-times time summed over states.
+so each device runs as its own loop, which owns the device's filter, sink,
+energy ledger and tallies. Each sample runs the filter, encodes the residual
+when transmitted, decodes it at the sink, charges the ledger so the
+per-state times partition the run duration exactly, and folds its row into
+the delay sums as it appends it. Currents are whole-device currents per
+state (tx, idle, sleep, cpu), so charge is current times time summed over
+states.
 
 Each device runs to completion before the next, in scenario order, so the
 run log's rows and packets are grouped by device in scenario order, and by
@@ -18,7 +19,6 @@ from __future__ import annotations
 import csv
 import json
 import math
-from collections import defaultdict
 from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
 from typing import NamedTuple
@@ -162,7 +162,7 @@ class Scenario:
     sleep: SleepPolicy = SleepPolicy()
     seed: int = 0
 
-    def validate(self) -> None:
+    def __post_init__(self):
         if self.duration_s <= 0:
             raise ValueError("duration_s must be positive")
         if not self.devices:
@@ -232,11 +232,11 @@ class DeviceRun:
     sample_period_ms: int
     signal: str
     battery_mah: float
-    samples: int = 0
-    transmitted: int = 0
-    payload_bits: int = 0
-    state_time_ms: dict = field(default_factory=dict)
-    state_charge_mah: dict = field(default_factory=dict)
+    samples: int
+    transmitted: int
+    payload_bits: int
+    state_time_ms: dict
+    state_charge_mah: dict
 
     def total_mah(self) -> float:
         # Added with += in state-name order, so the total does not depend on
@@ -262,37 +262,32 @@ class DelaySums:
     dd_ms: float = 0.0
     ad_ms: float = 0.0  # cd + dd + dtr
 
+    def add(self, transmitted: int, cd_ms: float, dtr_ms: float,
+            dd_ms: float) -> None:
+        """Fold one event row into the sums."""
+        self.rows += 1
+        if transmitted:
+            self.transmitted += 1
+            self.cd_ms += cd_ms
+            self.dd_ms += dd_ms
+            self.ad_ms += cd_ms + dd_ms + dtr_ms
+
 
 @dataclass
 class RunLog:
     """Everything a simulation run produced, grouped by device.
 
-    Making the log folds its events into `sums`, per device id.
+    `sums` holds each device's folded rows, by device id in device order. A
+    log read back from a run directory holds no events and no packets.
     """
 
     duration_ms: float
     seed: int
-    events: list[SampleEvent]
     devices: list[DeviceRun]
-    packets: list[tuple[int, int, Packet]]  # (device_id, seq, packet)
-    sums: defaultdict[int, DelaySums] = field(
-        default_factory=lambda: defaultdict(DelaySums))
-
-    def __post_init__(self):
-        for ev in self.events:
-            self.add(ev.device_id, ev.transmitted, ev.cd_ms, ev.dtr_ms,
-                     ev.dd_ms)
-
-    def add(self, device_id: int, transmitted: int, cd_ms: float,
-            dtr_ms: float, dd_ms: float) -> None:
-        """Fold one event row into its device's sums."""
-        sums = self.sums[device_id]
-        sums.rows += 1
-        if transmitted:
-            sums.transmitted += 1
-            sums.cd_ms += cd_ms
-            sums.dd_ms += dd_ms
-            sums.ad_ms += cd_ms + dd_ms + dtr_ms
+    sums: dict[int, DelaySums]
+    events: list[SampleEvent] = field(default_factory=list)
+    packets: list[tuple[int, int, Packet]] = field(  # (device_id, seq, packet)
+        default_factory=list)
 
     def save(self, rundir: Path) -> None:
         """Write runlog_events.csv and runlog.json into the directory rundir."""
@@ -335,22 +330,24 @@ class RunLog:
         if not isinstance(summary["devices"], list):
             raise ValueError(f"{summary_path}: devices is not a list")
         devices = []
-        device_ids: dict[int, int] = {}  # device id -> index of its entry
+        sums: dict[int, DelaySums] = {}
         for index, entry in enumerate(summary["devices"]):
             where = f"{summary_path}: device {index}"
             _require_keys(entry, _DEVICE_RUN_CHECKS.keys(), where)
-            for key, (check, kind) in _DEVICE_RUN_CHECKS.items():
+            for key, (check, kind, numbers) in _DEVICE_RUN_CHECKS.items():
                 if not check(entry[key]):
                     raise ValueError(f"{where}: {key}: not {kind}")
-            first = device_ids.setdefault(entry["device_id"], index)
-            if first != index:
-                raise ValueError(f"{where}: device_id {entry['device_id']} "
-                                 f"repeats device {first}")
+                if any(number < 0 for number in numbers(entry[key])):
+                    raise ValueError(f"{where}: {key}: holds a negative "
+                                     f"number")
+            device_id = entry["device_id"]
+            if device_id in sums:
+                raise ValueError(f"{where}: device_id {device_id} repeats "
+                                 f"device {list(sums).index(device_id)}")
+            sums[device_id] = DelaySums()
             devices.append(DeviceRun(**entry))
 
-        runlog = cls(duration_ms=duration_ms, seed=summary["seed"], events=[],
-                     devices=devices, packets=[])
-        add, isfinite = runlog.add, math.isfinite
+        isfinite = math.isfinite
         try:
             with events_path.open(newline="") as handle:
                 reader = csv.reader(handle)
@@ -363,7 +360,8 @@ class RunLog:
                             raise ValueError(f"{len(row)} cells, expected "
                                              f"{len(SampleEvent._fields)}")
                         device_id = int(row[0])
-                        if device_id not in device_ids:
+                        device_sums = sums.get(device_id)
+                        if device_sums is None:
                             raise ValueError(f"device {device_id} is not "
                                              f"in {summary_path.name}")
                         # Five cells feed the fold; the rest are only parsed
@@ -381,17 +379,21 @@ class RunLog:
                         cd_ms, dtr_ms, dd_ms = (float(row[7]), float(row[8]),
                                                 float(row[9]))
                         # Only transmitted rows reach the sums.
-                        if (transmitted
-                                and not isfinite(cd_ms + dd_ms + dtr_ms)):
-                            raise ValueError("cd_ms + dd_ms + dtr_ms is not "
-                                             "finite")
-                        add(device_id, transmitted, cd_ms, dtr_ms, dd_ms)
+                        if transmitted:
+                            if not isfinite(cd_ms + dd_ms + dtr_ms):
+                                raise ValueError("cd_ms + dd_ms + dtr_ms is "
+                                                 "not finite")
+                            if cd_ms < 0 or dtr_ms < 0 or dd_ms < 0:
+                                raise ValueError("cd_ms, dtr_ms or dd_ms is "
+                                                 "negative")
+                        device_sums.add(transmitted, cd_ms, dtr_ms, dd_ms)
                     except ValueError as exc:
                         raise ValueError(f"{events_path}:{reader.line_num}: "
                                          f"{exc}") from None
         except UnicodeDecodeError as exc:
             raise ValueError(f"{events_path}: {exc}") from None
-        return runlog
+        return cls(duration_ms=duration_ms, seed=summary["seed"],
+                   devices=devices, sums=sums)
 
 
 _EVENTS_FILE = "runlog_events.csv"
@@ -407,14 +409,16 @@ def _is_number(value) -> bool:
     return _is_int(value) or (isinstance(value, float) and math.isfinite(value))
 
 
-# What runlog.json may hold for each DeviceRun field, by its annotation.
+# What runlog.json may hold for each DeviceRun field, by its annotation, and
+# the numbers in it: simulate writes none below 0.
 _TYPE_CHECKS = {
-    "str": (lambda value: isinstance(value, str), "a string"),
-    "int": (_is_int, "an integer"),
-    "float": (_is_number, "a number"),
+    "str": (lambda value: isinstance(value, str), "a string",
+            lambda value: ()),
+    "int": (_is_int, "an integer", lambda value: (value,)),
+    "float": (_is_number, "a number", lambda value: (value,)),
     "dict": (lambda value: (isinstance(value, dict)
                             and all(map(_is_number, value.values()))),
-             "an object of numbers"),
+             "an object of numbers", dict.values),
 }
 _DEVICE_RUN_CHECKS = {fld.name: _TYPE_CHECKS[fld.type]
                       for fld in fields(DeviceRun)}
@@ -428,23 +432,27 @@ def _require_keys(doc, keys, where: str) -> None:
             f"{where}: expected keys {sorted(keys)}, got {sorted(doc)}")
 
 
-def _device_loop(cfg: DeviceConfig, scenario: Scenario, sink: Sink,
-                 run: DeviceRun, events: list[SampleEvent],
-                 packets: list[tuple[int, int, Packet]]) -> None:
+def _device_loop(cfg: DeviceConfig, scenario: Scenario,
+                 events: list[SampleEvent],
+                 packets: list[tuple[int, int, Packet]]
+                 ) -> tuple[DeviceRun, DelaySums]:
     """Run one device over its samples, appending its rows and packets.
 
-    Every sample is filtered, encoded, decoded at the sink, checked and
-    charged to the device's ledger before its row is appended to `events`.
-    Decoding at send time gives the sink state that decoding at arrival
-    would, because Scenario.validate lands each arrival before the device's
-    next sample and no other device touches its sink reference.
+    Every sample is filtered, encoded, decoded at the device's own sink,
+    checked and charged to its ledger before its row is folded into its
+    delay sums and appended to `events`. Decoding at send time gives the
+    sink state that decoding at arrival would, because Scenario checks that
+    each arrival lands before the device's next sample.
     """
     spec = replace(cfg.trace, duration_s=scenario.duration_s)
     codes, _ = trace_codes(spec)
     period = spec.sample_period_ms
     model = cfg.energy or scenario.energy
     ledger = EnergyLedger(model)
+    sums = DelaySums()
+    payload_bits = 0
     sleep = scenario.sleep
+    sink = Sink()
     device = None
     if cfg.mode != "CGWC":
         device = DeviceState(
@@ -497,9 +505,7 @@ def _device_loop(cfg: DeviceConfig, scenario: Scenario, sink: Sink,
             packets.append((cfg.device_id, seq, packet))
             arrival_ms = t_ms + cd_ms + wake_ms + dtr_ms + dd_ms
             transmitted = 1
-            run.payload_bits += bits
-            run.transmitted += 1
-        run.samples += 1
+            payload_bits += bits
 
         # Energy: the sample period splits into cpu, wake, tx, and rest.
         asleep = (can_sleep and device.consecutive_suppressed
@@ -512,6 +518,7 @@ def _device_loop(cfg: DeviceConfig, scenario: Scenario, sink: Sink,
             ledger.charge("tx", dtr_ms)
         ledger.charge("sleep" if asleep else "idle", rest_ms)
 
+        sums.add(transmitted, cd_ms, dtr_ms, dd_ms)
         events.append(SampleEvent(cfg.device_id, seq, t_ms, code, transmitted,
                                   residual, bits, cd_ms, dtr_ms, dd_ms,
                                   arrival_ms, reconstructed))
@@ -523,8 +530,15 @@ def _device_loop(cfg: DeviceConfig, scenario: Scenario, sink: Sink,
                 f"device {cfg.device_id}: sink reference {held} != "
                 f"device memory {device.last_reading}"
             )
-    run.state_time_ms = dict(ledger.time_ms)
-    run.state_charge_mah = dict(ledger.charge_mah)
+    run = DeviceRun(
+        name=cfg.name, device_id=cfg.device_id, mode=cfg.mode,
+        threshold=cfg.threshold, sample_period_ms=period,
+        signal=getattr(cfg.trace.source, "kind", "file"),
+        battery_mah=model.battery_mah, samples=sums.rows,
+        transmitted=sums.transmitted, payload_bits=payload_bits,
+        state_time_ms=dict(ledger.time_ms),
+        state_charge_mah=dict(ledger.charge_mah))
+    return run, sums
 
 
 def simulate(scenario: Scenario) -> RunLog:
@@ -533,29 +547,14 @@ def simulate(scenario: Scenario) -> RunLog:
     Deterministic: the same scenario (seeds included) produces an identical
     log, event for event.
     """
-    scenario.validate()
-    sink = Sink()
-    runs = [
-        DeviceRun(
-            name=cfg.name,
-            device_id=cfg.device_id,
-            mode=cfg.mode,
-            threshold=cfg.threshold,
-            sample_period_ms=cfg.trace.sample_period_ms,
-            signal=getattr(cfg.trace.source, "kind", "file"),
-            battery_mah=(cfg.energy or scenario.energy).battery_mah,
-        )
-        for cfg in scenario.devices
-    ]
+    devices: list[DeviceRun] = []
+    sums: dict[int, DelaySums] = {}
     events: list[SampleEvent] = []
     packets: list[tuple[int, int, Packet]] = []
-    for cfg, run in zip(scenario.devices, runs):
-        _device_loop(cfg, scenario, sink, run, events, packets)
-
-    return RunLog(
-        duration_ms=scenario.duration_s * 1000.0,
-        seed=scenario.seed,
-        events=events,
-        devices=runs,
-        packets=packets,
-    )
+    for cfg in scenario.devices:
+        run, sums[cfg.device_id] = _device_loop(cfg, scenario, events,
+                                                packets)
+        devices.append(run)
+    return RunLog(duration_ms=scenario.duration_s * 1000.0,
+                  seed=scenario.seed, devices=devices, sums=sums,
+                  events=events, packets=packets)

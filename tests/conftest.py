@@ -1,5 +1,7 @@
 from pathlib import Path
 
+from hypothesis import settings
+
 from wbancomp.codec import codeword_bytes
 from wbancomp.control import DeviceState
 from wbancomp.sink import Packet, Sink
@@ -7,6 +9,12 @@ from wbancomp.sink import Packet, Sink
 REPO_ROOT = Path(__file__).resolve().parents[1]
 SCENARIO_DIR = REPO_ROOT / "scenarios"
 DATA_DIR = Path(__file__).resolve().parent / "data"
+
+# Property tests draw the same examples on every run and keep no example
+# database, so a tier-1 result does not depend on earlier runs.
+settings.register_profile("deterministic", derandomize=True, deadline=None,
+                          database=None)
+settings.load_profile("deterministic")
 
 
 def literal_bits(bits: str) -> tuple[int, bytes]:

@@ -439,6 +439,21 @@ def test_failed_run_keeps_an_existing_out_dir(tmp_path, capsys):
     assert out.is_dir()
 
 
+@pytest.mark.parametrize("out", ["a/b/run", "a/../b/run"])
+def test_failed_run_removes_the_out_parents_it_made(tmp_path, capsys, out):
+    # --out is made with its parents before the run; a failed run removes
+    # every directory it made, and no directory that was there before.
+    (tmp_path / "trace.csv").write_text("37.0\nnan\n" + "37.0\n" * 120)
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(_ONE_DEVICE.replace(
+        "signal = temperature", "file = trace.csv\nadc_range = 30,45"))
+    assert main(["--out", str(tmp_path / out), "simulate",
+                 str(cfg)]) == EXIT_DATA
+    assert "trace.csv:2: reading nan is not finite" in capsys.readouterr().err
+    assert sorted(path.name for path in tmp_path.iterdir()) == [
+        "bad.cfg", "trace.csv"]
+
+
 @pytest.mark.parametrize("fmt", ["csv", "json"])
 @pytest.mark.parametrize("scenario", sorted(PINNED_OUTPUTS))
 def test_report_reproduces_simulate_metrics(tmp_path, capsys, scenario, fmt):
@@ -575,12 +590,12 @@ def _zero_battery(doc):
 
 
 def _overflow_delay_sums(rundir):
-    # Each row's cd_ms + dd_ms + dtr_ms stays finite, but the cd_ms and
-    # dd_ms sums of device 1 (its rows on lines 2 and 5) overflow.
+    # Each row's cd_ms + dd_ms + dtr_ms stays finite, but the cd_ms sum of
+    # device 1 (its rows on lines 2 and 5) overflows.
     path = rundir / "runlog_events.csv"
     lines = path.read_text().splitlines(keepends=True)
     for index in (1, 4):
-        lines[index] = _set_cell(9, "-1e308")(_set_cell(7, "1e308")(lines[index]))
+        lines[index] = _set_cell(7, "1e308")(lines[index])
     path.write_text("".join(lines))
 
 
@@ -596,6 +611,16 @@ def _overflow_run_delay_sum(rundir):
             seen.add(cells[0])
             lines[index] = _set_cell(7, "1e308")(line)
     path.write_text("".join(lines))
+
+
+def _set_first_device(key, value):
+    def edit(doc):
+        device = doc["devices"][0]
+        if isinstance(device[key], dict):
+            device[key]["idle"] = value
+        else:
+            device[key] = value
+    return edit
 
 
 def _overflow_charge_sum(doc):
@@ -620,13 +645,23 @@ def _overflow_charge_sum(doc):
     (_overflow_run_delay_sum, "runlog.json: run delay sum is not finite"),
     (_edit_summary(_overflow_charge_sum),
      "runlog.json: device 0: state_charge_mah sum is not finite"),
+    (_edit_third_event_line(_set_cell(7, "-500.0")),
+     "runlog_events.csv:3: cd_ms, dtr_ms or dd_ms is negative"),
+    (_edit_summary(_set_first_device("state_charge_mah", -0.001)),
+     "runlog.json: device 0: state_charge_mah: holds a negative number"),
+    (_edit_summary(_set_first_device("state_time_ms", -1.0)),
+     "runlog.json: device 0: state_time_ms: holds a negative number"),
+    (_edit_summary(_set_first_device("payload_bits", -1)),
+     "runlog.json: device 0: payload_bits: holds a negative number"),
 ], ids=["nan-delay", "inf-delay", "transmitted-2", "repeated-device",
         "zero-battery", "overflowing-delay-sums", "overflowing-run-delay-sum",
-        "overflowing-charge-sum"])
+        "overflowing-charge-sum", "negative-delay", "negative-charge",
+        "negative-state-time", "negative-payload-bits"])
 def test_report_rejects_values_simulate_never_writes(tmp_path, capsys,
                                                       mangle, where):
     # Each of these once reported with exit 0: a NaN delay as "NaN" in the
-    # JSON, which is not JSON, and a repeated device twice.
+    # JSON, which is not JSON, a repeated device twice, and a negative
+    # number as a negative delay or a smaller charge.
     out = tmp_path / "run"
     main(["--out", str(out), "simulate",
           str(SCENARIO_DIR / "temperature_sleep.cfg")])

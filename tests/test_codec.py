@@ -341,7 +341,7 @@ def long_streams(draw):
 
 
 class TestAgainstOracle:
-    @settings(max_examples=300, deadline=None)
+    @settings(max_examples=300)
     @given(payloads())
     def test_payload_decode_matches_oracle(self, payload):
         data, bit_count = payload
@@ -349,7 +349,7 @@ class TestAgainstOracle:
         assert (outcome(decode_bits, value, bit_count)
                 == outcome(oracle_decode, value, bit_count))
 
-    @settings(max_examples=300, deadline=None)
+    @settings(max_examples=300)
     @given(payloads())
     def test_reader_decode_matches_oracle(self, payload):
         data, bit_count = payload
@@ -357,12 +357,12 @@ class TestAgainstOracle:
                 == outcome(oracle_decode, payload_value(data, bit_count),
                            bit_count))
 
-    @settings(max_examples=30, derandomize=True, deadline=None)
+    @settings(max_examples=30)
     @given(long_streams())
     def test_long_stream_decode_matches_oracle(self, stream):
         assert outcome(decode_bits, *stream) == outcome(oracle_decode, *stream)
 
-    @settings(max_examples=100, deadline=None)
+    @settings(max_examples=100)
     @given(st.lists(st.integers(RESIDUAL_MIN, RESIDUAL_MAX), max_size=20))
     def test_encoded_streams_round_trip(self, residuals):
         stream = "".join(map(codeword_literal, residuals))

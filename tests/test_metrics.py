@@ -6,8 +6,8 @@ import pytest
 
 from conftest import SCENARIO_DIR
 from wbancomp import config, metrics
-from wbancomp.netmodel import (ChannelModel, DeviceConfig, RunLog,
-                               SampleEvent, Scenario, simulate)
+from wbancomp.netmodel import (ChannelModel, DelaySums, DeviceConfig, RunLog,
+                               Scenario, simulate)
 from wbancomp.signals import SyntheticSource, TraceSpec
 
 
@@ -51,12 +51,9 @@ class TestCompressionRatio:
 
 class TestAverageDelay:
     def single_event_log(self, cd, dd, dtr):
-        event = SampleEvent(device_id=1, seq=0, time_ms=0.0, value=10,
-                            transmitted=True, residual=10, codeword_bits=7,
-                            cd_ms=cd, dtr_ms=dtr, dd_ms=dd,
-                            arrival_ms=cd + dtr + dd, reconstructed=10)
-        return RunLog(duration_ms=1000.0, seed=0, events=[event], devices=[],
-                      packets=[])
+        sums = DelaySums()
+        sums.add(1, cd, dtr, dd)
+        return RunLog(duration_ms=1000.0, seed=0, devices=[], sums={1: sums})
 
     def test_single_transmission(self):
         assert metrics.average_delay(self.single_event_log(3, 1, 49)) == 53.0
@@ -68,8 +65,7 @@ class TestAverageDelay:
         assert metrics.average_delay(self.single_event_log(0, 0, 0)) == 0.0
 
     def test_empty_log_rejected(self):
-        log = RunLog(duration_ms=1.0, seed=0, events=[], devices=[],
-                     packets=[])
+        log = RunLog(duration_ms=1.0, seed=0, devices=[], sums={})
         with pytest.raises(ValueError):
             metrics.average_delay(log)
 
@@ -191,8 +187,7 @@ class TestReports:
             metrics.report(make_runlog(), "xml")
 
     def test_empty_run_rejected(self):
-        log = RunLog(duration_ms=1.0, seed=0, events=[], devices=[],
-                     packets=[])
+        log = RunLog(duration_ms=1.0, seed=0, devices=[], sums={})
         with pytest.raises(ValueError):
             metrics.report(log, "csv")
 

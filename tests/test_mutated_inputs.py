@@ -59,8 +59,7 @@ sample_period_ms = 1000
 TRACE_CSV = "temp_c\n" + "".join(f"{36 + i % 4 * 0.5}\n" for i in range(12))
 CODES_CSV = "".join(f"{500 + (i * 7) % 40 - 20}\n" for i in range(30))
 
-SETTINGS = settings(max_examples=60, deadline=None, derandomize=True,
-                    database=None)
+SETTINGS = settings(max_examples=60)
 
 
 @pytest.fixture(scope="module")

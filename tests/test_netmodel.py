@@ -1,11 +1,19 @@
 import math
+import tempfile
+from dataclasses import astuple
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from wbancomp.netmodel import (MS_PER_HOUR, ChannelModel, DeviceConfig,
-                               EnergyLedger, RadioEnergyModel, Scenario,
-                               SleepPolicy, lifetime, simulate)
-from wbancomp.signals import SyntheticSource, TraceSpec
+from conftest import DATA_DIR
+from wbancomp import metrics
+from wbancomp.netmodel import (MODES, MS_PER_HOUR, ChannelModel, DeviceConfig,
+                               EnergyLedger, RadioEnergyModel, RunLog,
+                               Scenario, SleepPolicy, lifetime, simulate)
+from wbancomp.signals import (SYNTH_KINDS, FileSource, SyntheticSource,
+                              TraceSpec)
 
 
 def synth_device(name, device_id, kind="temperature", mode="CGLS",
@@ -109,25 +117,25 @@ class TestScenarioValidation:
     def test_duplicate_ids_rejected(self):
         devices = [synth_device("a", 1), synth_device("b", 1)]
         with pytest.raises(ValueError, match="not unique"):
-            scenario(devices).validate()
+            scenario(devices)
 
     def test_mode_threshold_constraints(self):
         with pytest.raises(ValueError, match="CGLL"):
-            scenario([synth_device("a", 1, mode="CGLL", threshold=1)]).validate()
+            scenario([synth_device("a", 1, mode="CGLL", threshold=1)])
         with pytest.raises(ValueError, match="CGLS"):
-            scenario([synth_device("a", 1, mode="CGLS", threshold=0)]).validate()
+            scenario([synth_device("a", 1, mode="CGLS", threshold=0)])
 
     def test_coded_modes_cap_adc_bits(self):
         trace = TraceSpec(source=SyntheticSource("temperature"),
                           sample_period_ms=500, adc_bits=12)
         dev = DeviceConfig(name="a", device_id=1, mode="CGLL", trace=trace)
         with pytest.raises(ValueError, match="11-bit"):
-            scenario([dev]).validate()
+            scenario([dev])
 
     def test_period_must_fit_processing(self):
         dev = synth_device("a", 1, period_ms=50, cd_ms=10.0)
         with pytest.raises(ValueError, match="busy"):
-            scenario([dev], duration_s=1.0).validate()
+            scenario([dev], duration_s=1.0)
 
     def test_unknown_mode_rejected(self):
         with pytest.raises(ValueError, match="mode"):
@@ -135,7 +143,7 @@ class TestScenarioValidation:
 
     def test_empty_scenario_rejected(self):
         with pytest.raises(ValueError, match="at least one"):
-            scenario([]).validate()
+            scenario([])
 
 
 class TestSimulate:
@@ -268,3 +276,104 @@ class TestSimulate:
             for seq in range(run.samples)]
         assert [(device_id, seq) for device_id, seq, _ in log.packets] == [
             (ev.device_id, ev.seq) for ev in log.events if ev.transmitted]
+
+
+@st.composite
+def small_scenarios(draw):
+    """Valid scenarios of up to 4 devices and 30 s, every mode and source.
+
+    Every period divides 1000 ms and the slowest busy time (3 ms of cpu,
+    5 ms of wake, 49 ms of latency and 0.1 ms for each of 20 bits) fits the
+    shortest period, so any draw is valid.
+    """
+    ids = draw(st.lists(st.integers(0, 255), min_size=1, max_size=4,
+                        unique=True))
+    devices = []
+    for index, device_id in enumerate(ids):
+        mode = draw(st.sampled_from(MODES))
+        kind = draw(st.sampled_from(SYNTH_KINDS + ("file",)))
+        if kind == "file":  # 600 readings: enough for 30 s at 100 ms
+            source = FileSource(str(DATA_DIR / "ecg_trace.csv"),
+                                value_column=1)
+        else:
+            source = SyntheticSource(kind, seed=draw(st.integers(0, 9)))
+        trace = TraceSpec(
+            source=source,
+            sample_period_ms=draw(st.sampled_from([100, 200, 250, 500, 1000])),
+            adc_bits=draw(st.sampled_from(
+                [8, 10, 11, 12] if mode == "CGWC" else [8, 10, 11])),
+            adc_range=(-2.5, 2.5) if kind == "file" else None,
+        )
+        devices.append(DeviceConfig(
+            name=f"d{index}", device_id=device_id, mode=mode, trace=trace,
+            threshold=draw(st.integers(1, 5)) if mode == "CGLS" else 0,
+            cd_ms=draw(st.sampled_from([0.0, 1.0, 3.0])),
+            dd_ms=draw(st.sampled_from([0.0, 1.0])),
+            suppress_zero=draw(st.booleans()),
+        ))
+    return Scenario(
+        duration_s=float(draw(st.integers(1, 30))),
+        devices=tuple(devices),
+        channel=ChannelModel(
+            base_latency_ms=draw(st.sampled_from([0.0, 10.0, 49.0])),
+            per_bit_delay_ms=draw(st.sampled_from([0.0, 0.1]))),
+        energy=RadioEnergyModel(
+            wake_latency_ms=draw(st.sampled_from([0.0, 5.0]))),
+        sleep=SleepPolicy(enabled=draw(st.booleans()),
+                          suppressions_before_sleep=draw(st.integers(1, 3))),
+    )
+
+
+def plain_fold(events):
+    """Per device id: rows, transmitted, and the cd, dd and ad sums."""
+    sums = {}
+    for ev in events:
+        rows, sent, cd, dd, ad = sums.get(ev.device_id, (0, 0, 0.0, 0.0, 0.0))
+        if ev.transmitted:
+            sent += 1
+            cd += ev.cd_ms
+            dd += ev.dd_ms
+            ad += ev.cd_ms + ev.dd_ms + ev.dtr_ms
+        sums[ev.device_id] = (rows + 1, sent, cd, dd, ad)
+    return sums
+
+
+@settings(max_examples=100)
+@given(small_scenarios())
+def test_run_invariants(sc):
+    log = simulate(sc)
+
+    # Each device's loop folds the rows it appends.
+    assert list(log.sums) == [dev.device_id for dev in sc.devices]
+    assert {device_id: astuple(sums) for device_id, sums
+            in log.sums.items()} == plain_fold(log.events)
+
+    for cfg, run in zip(sc.devices, log.devices):
+        rows = [ev for ev in log.events if ev.device_id == cfg.device_id]
+        sent = [ev for ev in rows if ev.transmitted]
+        assert run.samples == len(rows)
+        assert run.transmitted == len(sent)
+        assert run.payload_bits == sum(ev.codeword_bits for ev in sent)
+        assert math.isclose(sum(run.state_time_ms.values()), log.duration_ms)
+        # The radio sleeps through the rest of each period that ends a run
+        # of at least suppressions_before_sleep suppressed rows.
+        sleep = sc.sleep
+        quiet, sleep_ms = 0, 0.0
+        for ev in rows:
+            quiet = 0 if ev.transmitted else quiet + 1
+            if sleep.enabled and quiet >= sleep.suppressions_before_sleep:
+                sleep_ms += run.sample_period_ms - ev.cd_ms
+        assert math.isclose(run.state_time_ms["sleep"], sleep_ms)
+        assert max(abs(ev.reconstructed - ev.value)
+                   for ev in rows) <= cfg.threshold
+
+    again = simulate(sc)
+    assert again.events == log.events
+    assert again.packets == log.packets
+    assert again.devices == log.devices
+
+    with tempfile.TemporaryDirectory() as rundir:
+        log.save(Path(rundir))
+        loaded = RunLog.load(Path(rundir))
+    assert loaded.sums == log.sums
+    assert metrics.compute(loaded) == metrics.compute(log)

@@ -135,7 +135,7 @@ class TestSink:
         for e in range(-511, 512):
             sink.on_packet(packet_for(1, e))  # must never raise
 
-    @settings(max_examples=300, deadline=None)
+    @settings(max_examples=300)
     @given(st.integers(-2047, 2047), st.integers(0, 64), st.data())
     def test_failed_packet_leaves_reference_untouched(self, start, bit_count,
                                                       data):
