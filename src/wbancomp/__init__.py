@@ -2,9 +2,8 @@
 residual codec, plus a deterministic sensor-to-sink pipeline simulator with
 latency and energy accounting."""
 
-from .bitstream import BitReader, BitString, BitUnderflowError
-from .codec import (CodecError, IncompleteCodewordError, MalformedPrefixError,
-                    decode_residual, encode_prefix, encode_residual,
+from .bitstream import BitReader, BitString
+from .codec import (decode_residual, encode_prefix, encode_residual,
                     encode_suffix, group_of)
 from .control import DeviceState
 from .netmodel import (ChannelModel, DeviceConfig, EnergyLedger,
@@ -12,13 +11,12 @@ from .netmodel import (ChannelModel, DeviceConfig, EnergyLedger,
                        lifetime, simulate)
 from .signals import (FileSource, Sample, SyntheticSource, TraceSpec,
                       quantize, synth, trace_samples)
-from .sink import (DuplicateDeviceError, Packet, Sink, UnknownDeviceError)
+from .sink import Packet, Sink
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "BitReader", "BitString", "BitUnderflowError",
-    "CodecError", "IncompleteCodewordError", "MalformedPrefixError",
+    "BitReader", "BitString",
     "decode_residual", "encode_prefix", "encode_residual", "encode_suffix",
     "group_of",
     "DeviceState",
@@ -26,6 +24,6 @@ __all__ = [
     "RunLog", "Scenario", "SleepPolicy", "lifetime", "simulate",
     "FileSource", "Sample", "SyntheticSource", "TraceSpec", "quantize",
     "synth", "trace_samples",
-    "DuplicateDeviceError", "Packet", "Sink", "UnknownDeviceError",
+    "Packet", "Sink",
     "__version__",
 ]

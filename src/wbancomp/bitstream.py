@@ -8,10 +8,6 @@ declared bit count.
 from __future__ import annotations
 
 
-class BitUnderflowError(ValueError):
-    """A read asked for more bits than the stream still holds."""
-
-
 class BitString:
     """Immutable bit sequence with explicit length, most-significant bit first."""
 
@@ -60,7 +56,7 @@ class BitReader:
         pos = self._pos
         end = pos + count
         if end > self._bits:
-            raise BitUnderflowError(f"requested {count} bits, {self.remaining} remain")
+            raise ValueError(f"requested {count} bits, {self.remaining} remain")
         last = (end + 7) >> 3
         chunk = int.from_bytes(self._data[pos >> 3:last], "big")
         return (chunk >> (8 * last - end)) & ((1 << count) - 1)
@@ -68,5 +64,5 @@ class BitReader:
     def skip(self, count: int) -> None:
         """Consume the next `count` bits unread."""
         if not 0 <= count <= self._bits - self._pos:
-            raise BitUnderflowError(f"cannot skip {count} bits, {self.remaining} remain")
+            raise ValueError(f"cannot skip {count} bits, {self.remaining} remain")
         self._pos += count

@@ -1,8 +1,9 @@
 """Command-line front end: encode, decode, signals dump, simulate, report.
 
 Exit codes: 0 success, 1 usage error, 2 data error: any OSError or
-ValueError (every error class of the package is one), mapped only in main.
-All commands are deterministic given their inputs and seed.
+ValueError, mapped only in main. Data errors are plain ValueErrors whose
+messages locate the fault; the package defines no error class but
+UsageError. All commands are deterministic given their inputs and seed.
 """
 
 from __future__ import annotations
@@ -58,10 +59,12 @@ def build_parser() -> argparse.ArgumentParser:
     enc.add_argument("--transmit-zeros", action="store_true",
                      help="at threshold 0, send zero deltas instead of "
                           "suppressing them")
+    enc.set_defaults(run=cmd_encode)
 
     dec = sub.add_parser("decode", help="rebuild the reading sequence from "
                                         "a packet trace")
     dec.add_argument("input", help="packet trace file")
+    dec.set_defaults(run=cmd_decode)
 
     sig = sub.add_parser("signals", help="signal utilities")
     sigsub = sig.add_subparsers(dest="signals_command", required=True)
@@ -75,13 +78,16 @@ def build_parser() -> argparse.ArgumentParser:
     dump.add_argument("--adc-bits", type=int, default=10)
     dump.add_argument("--range", dest="adc_range", default=None,
                       help="physical range as 'min,max' (file traces)")
+    dump.set_defaults(run=cmd_signals_dump)
 
     sim = sub.add_parser("simulate", help="run a scenario file")
     sim.add_argument("scenario", help="scenario config file")
+    sim.set_defaults(run=cmd_simulate)
 
     rep = sub.add_parser("report", help="re-render metrics from a run "
                                         "directory")
     rep.add_argument("rundir", help="directory written by simulate")
+    rep.set_defaults(run=cmd_report)
 
     return parser
 
@@ -110,6 +116,9 @@ def cmd_encode(args) -> int:
         raise UsageError(f"--threshold {args.threshold}: must be non-negative")
     if not 0 <= args.device_id <= 255:
         raise UsageError(f"--device-id {args.device_id} outside [0, 255]")
+    if args.sample_period_ms < 0:
+        raise UsageError(f"--sample-period-ms {args.sample_period_ms}: "
+                         f"must be non-negative")
     _check_column(args.column)
     codes = []
     for lineno, code in read_column(Path(args.input), args.column, int):
@@ -254,21 +263,11 @@ def cmd_report(args) -> int:
     return EXIT_OK
 
 
-_COMMANDS = {
-    "encode": cmd_encode,
-    "decode": cmd_decode,
-    "simulate": cmd_simulate,
-    "report": cmd_report,
-}
-
-
 def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        if args.command == "signals":
-            return cmd_signals_dump(args)
-        return _COMMANDS[args.command](args)
+        return args.run(args)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -42,18 +42,6 @@ _BINARY_PREFIX_MAX = 6
 _MAX_PREFIX_ONES = MAX_GROUP - 3
 
 
-class CodecError(ValueError):
-    """Base class for codeword decoding failures."""
-
-
-class IncompleteCodewordError(CodecError):
-    """The stream ended in the middle of a codeword."""
-
-
-class MalformedPrefixError(CodecError):
-    """The bits at the read position cannot start any valid codeword."""
-
-
 def _check_range(residual: int) -> None:
     if not RESIDUAL_MIN <= residual <= RESIDUAL_MAX:
         raise ValueError(
@@ -155,13 +143,13 @@ def _prefix_table() -> list[tuple[int, int]]:
 _PREFIXES = _prefix_table()
 
 
-def _decode_error(group: int, prefix_bits: int, left: int) -> CodecError:
+def _decode_error(group: int, prefix_bits: int, left: int) -> ValueError:
     """Why the codeword with this table entry does not fit in `left` bits."""
     if prefix_bits > left:
-        return IncompleteCodewordError("stream ended inside a codeword prefix")
+        return ValueError("stream ended inside a codeword prefix")
     if group < 0:
-        return MalformedPrefixError(_MALFORMED[group])
-    return IncompleteCodewordError("stream ended inside a codeword suffix")
+        return ValueError(_MALFORMED[group])
+    return ValueError("stream ended inside a codeword suffix")
 
 
 def _next_codeword(value: int, left: int) -> tuple[int, int]:
@@ -189,9 +177,10 @@ def decode_bits(value: int, bit_count: int) -> list[int]:
     """Residuals of the codewords that exactly fill a bit string.
 
     `value` holds the string's bit_count bits, first bit most significant.
-    Raises IncompleteCodewordError when the string ends mid-codeword and
-    MalformedPrefixError for bit patterns no encoder output starts with
-    (a run of more than 8 leading ones, or the non-canonical '1110').
+    Raises ValueError saying "stream ended inside a codeword prefix" (or
+    "suffix") when the string ends mid-codeword, and "non-canonical prefix
+    '1110'" or "prefix run of more than 8 leading ones" for bit patterns no
+    encoder output starts with.
     """
     residuals = []
     left = bit_count

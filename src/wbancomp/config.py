@@ -50,14 +50,10 @@ _GETTERS = {
 }
 
 
-class ConfigError(ValueError):
-    """A scenario file failed to parse or validate."""
-
-
 def _require_keys(section: str, present, allowed: set) -> None:
     unknown = set(present) - allowed
     if unknown:
-        raise ConfigError(
+        raise ValueError(
             f"[{section}]: unknown keys {sorted(unknown)} "
             f"(allowed: {sorted(allowed)})"
         )
@@ -70,11 +66,11 @@ def _get(section, name: str, key: str, kind: str, default=None):
     try:
         value = getattr(section, getter)(key, default)
     except ValueError:
-        raise ConfigError(f"[{name}] {key}: not {noun}") from None
+        raise ValueError(f"[{name}] {key}: not {noun}") from None
     if value is None:
-        raise ConfigError(f"[{name}]: missing required key {key!r}")
+        raise ValueError(f"[{name}]: missing required key {key!r}")
     if kind == "float" and not math.isfinite(value):
-        raise ConfigError(f"[{name}] {key}: not a finite number")
+        raise ValueError(f"[{name}] {key}: not a finite number")
     return value
 
 
@@ -89,7 +85,7 @@ def _parse_fields(section, name: str, base):
     try:
         return replace(base, **values)
     except ValueError as exc:
-        raise ConfigError(f"[{name}]: {exc}") from None
+        raise ValueError(f"[{name}]: {exc}") from None
 
 
 def parse_scenario(path: str | Path, seed_override: int | None = None) -> Scenario:
@@ -106,15 +102,15 @@ def parse_scenario(path: str | Path, seed_override: int | None = None) -> Scenar
         with path.open() as handle:
             parser.read_file(handle)
     except (configparser.Error, UnicodeDecodeError) as exc:
-        raise ConfigError(f"{path}: {exc}") from None
+        raise ValueError(f"{path}: {exc}") from None
 
     for name in parser.sections():
         if (name not in ("run", *_MODEL_SECTIONS)
                 and not name.startswith("device:")):
-            raise ConfigError(f"unknown section [{name}]")
+            raise ValueError(f"unknown section [{name}]")
 
     if "run" not in parser:
-        raise ConfigError("missing [run] section")
+        raise ValueError("missing [run] section")
     run = parser["run"]
     _require_keys("run", run.keys(), _RUN_KEYS)
     duration_s = _get(run, "run", "duration_s", "float")
@@ -138,17 +134,14 @@ def parse_scenario(path: str | Path, seed_override: int | None = None) -> Scenar
                                          models["energy"], seed,
                                          len(devices)))
     if not devices:
-        raise ConfigError("scenario defines no [device:*] sections")
+        raise ValueError("scenario defines no [device:*] sections")
 
-    try:
-        return Scenario(
-            duration_s=duration_s,
-            devices=tuple(devices),
-            seed=seed,
-            **models,
-        )
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
+    return Scenario(
+        duration_s=duration_s,
+        devices=tuple(devices),
+        seed=seed,
+        **models,
+    )
 
 
 def _parse_device(section, name: str, base_dir: Path,
@@ -158,7 +151,7 @@ def _parse_device(section, name: str, base_dir: Path,
     device_id = _get(section, name, "id", "int")
     mode = section.get("mode", "").strip()
     if not mode:
-        raise ConfigError(f"[{name}]: missing required key 'mode'")
+        raise ValueError(f"[{name}]: missing required key 'mode'")
     threshold = _get(section, name, "threshold", "int", DeviceConfig.threshold)
     period = _get(section, name, "sample_period_ms", "int")
     adc_bits = _get(section, name, "adc_bits", "int", TraceSpec.adc_bits)
@@ -166,18 +159,18 @@ def _parse_device(section, name: str, base_dir: Path,
     signal = section.get("signal", "").strip()
     file_path = section.get("file", "").strip()
     if bool(signal) == bool(file_path):
-        raise ConfigError(f"[{name}]: set exactly one of 'signal' or 'file'")
+        raise ValueError(f"[{name}]: set exactly one of 'signal' or 'file'")
 
     adc_range = None
     if "adc_range" in section:
         try:
             adc_range = parse_range(section.get("adc_range"))
         except ValueError as exc:
-            raise ConfigError(f"[{name}] adc_range: {exc}") from None
+            raise ValueError(f"[{name}] adc_range: {exc}") from None
 
     if signal:
         if signal not in SYNTH_KINDS:
-            raise ConfigError(
+            raise ValueError(
                 f"[{name}] signal: {signal!r} is not one of {SYNTH_KINDS}")
         params = {key: _get(section, name, key, "float")
                   for key in sorted(_SYNTH_PARAM_KEYS & set(section.keys()))}
@@ -185,7 +178,7 @@ def _parse_device(section, name: str, base_dir: Path,
         try:
             source = SyntheticSource(kind=signal, seed=seed, params=params)
         except ValueError as exc:
-            raise ConfigError(f"[{name}]: {exc}") from None
+            raise ValueError(f"[{name}]: {exc}") from None
         kind = signal
     else:
         resolved = (base_dir / file_path).resolve() if not Path(
@@ -193,10 +186,10 @@ def _parse_device(section, name: str, base_dir: Path,
         value_column = _get(section, name, "value_column", "int",
                             FileSource.value_column)
         if value_column < 0:
-            raise ConfigError(f"[{name}] value_column: must be non-negative")
+            raise ValueError(f"[{name}] value_column: must be non-negative")
         source = FileSource(path=str(resolved), value_column=value_column)
         if adc_range is None:
-            raise ConfigError(f"[{name}]: file traces require adc_range")
+            raise ValueError(f"[{name}]: file traces require adc_range")
         kind = "file"
 
     cd_ms = _get(section, name, "cd_ms", "float", DEFAULT_CD_MS[kind])
@@ -227,5 +220,5 @@ def _parse_device(section, name: str, base_dir: Path,
             energy=energy,
         )
     except ValueError as exc:
-        raise ConfigError(f"[{name}]: {exc}") from None
+        raise ValueError(f"[{name}]: {exc}") from None
 

@@ -104,6 +104,10 @@ def compute(runlog: RunLog) -> tuple[list[DeviceMetrics], RunMetrics]:
                     f"samples {dev.samples} and transmitted "
                     f"{dev.transmitted}, but the events hold {sums.rows} "
                     f"rows, {sent} transmitted")
+            if sums.payload_bits != dev.payload_bits:
+                raise ValueError(
+                    f"payload_bits {dev.payload_bits}, but the transmitted "
+                    f"rows hold {sums.payload_bits} codeword bits")
             # Finite delay cells and charges can add up past the float range.
             if not all(map(isfinite, (sums.cd_ms, sums.dd_ms, sums.ad_ms))):
                 raise ValueError("delay sums are not finite")

@@ -249,7 +249,8 @@ class DeviceRun:
 
 @dataclass(slots=True)
 class DelaySums:
-    """One device's event rows folded into counts and delay sums.
+    """One device's event rows folded into counts, payload bits and delay
+    sums.
 
     The sums cover transmitted rows only and are added with += in row order,
     which is the device's seq order, so they do not depend on how the
@@ -261,13 +262,15 @@ class DelaySums:
     cd_ms: float = 0.0
     dd_ms: float = 0.0
     ad_ms: float = 0.0  # cd + dd + dtr
+    payload_bits: int = 0
 
-    def add(self, transmitted: int, cd_ms: float, dtr_ms: float,
-            dd_ms: float) -> None:
+    def add(self, transmitted: int, codeword_bits: int, cd_ms: float,
+            dtr_ms: float, dd_ms: float) -> None:
         """Fold one event row into the sums."""
         self.rows += 1
         if transmitted:
             self.transmitted += 1
+            self.payload_bits += codeword_bits
             self.cd_ms += cd_ms
             self.dd_ms += dd_ms
             self.ad_ms += cd_ms + dd_ms + dtr_ms
@@ -364,9 +367,10 @@ class RunLog:
                         if device_sums is None:
                             raise ValueError(f"device {device_id} is not "
                                              f"in {summary_path.name}")
-                        # Five cells feed the fold; the rest are only parsed
+                        # Six cells feed the fold; the rest are only parsed
                         # (residual and arrival_ms may be blank).
-                        int(row[1]), float(row[2]), int(row[3]), int(row[6])
+                        int(row[1]), float(row[2]), int(row[3])
+                        codeword_bits = int(row[6])
                         int(row[11])
                         if row[5]:
                             int(row[5])
@@ -386,7 +390,8 @@ class RunLog:
                             if cd_ms < 0 or dtr_ms < 0 or dd_ms < 0:
                                 raise ValueError("cd_ms, dtr_ms or dd_ms is "
                                                  "negative")
-                        device_sums.add(transmitted, cd_ms, dtr_ms, dd_ms)
+                        device_sums.add(transmitted, codeword_bits, cd_ms,
+                                        dtr_ms, dd_ms)
                     except ValueError as exc:
                         raise ValueError(f"{events_path}:{reader.line_num}: "
                                          f"{exc}") from None
@@ -450,7 +455,6 @@ def _device_loop(cfg: DeviceConfig, scenario: Scenario,
     model = cfg.energy or scenario.energy
     ledger = EnergyLedger(model)
     sums = DelaySums()
-    payload_bits = 0
     sleep = scenario.sleep
     sink = Sink()
     device = None
@@ -505,7 +509,6 @@ def _device_loop(cfg: DeviceConfig, scenario: Scenario,
             packets.append((cfg.device_id, seq, packet))
             arrival_ms = t_ms + cd_ms + wake_ms + dtr_ms + dd_ms
             transmitted = 1
-            payload_bits += bits
 
         # Energy: the sample period splits into cpu, wake, tx, and rest.
         asleep = (can_sleep and device.consecutive_suppressed
@@ -518,7 +521,7 @@ def _device_loop(cfg: DeviceConfig, scenario: Scenario,
             ledger.charge("tx", dtr_ms)
         ledger.charge("sleep" if asleep else "idle", rest_ms)
 
-        sums.add(transmitted, cd_ms, dtr_ms, dd_ms)
+        sums.add(transmitted, bits, cd_ms, dtr_ms, dd_ms)
         events.append(SampleEvent(cfg.device_id, seq, t_ms, code, transmitted,
                                   residual, bits, cd_ms, dtr_ms, dd_ms,
                                   arrival_ms, reconstructed))
@@ -535,7 +538,7 @@ def _device_loop(cfg: DeviceConfig, scenario: Scenario,
         threshold=cfg.threshold, sample_period_ms=period,
         signal=getattr(cfg.trace.source, "kind", "file"),
         battery_mah=model.battery_mah, samples=sums.rows,
-        transmitted=sums.transmitted, payload_bits=payload_bits,
+        transmitted=sums.transmitted, payload_bits=sums.payload_bits,
         state_time_ms=dict(ledger.time_ms),
         state_charge_mah=dict(ledger.charge_mah))
     return run, sums

@@ -13,14 +13,6 @@ from .bitstream import BitString
 from .codec import decode_bits
 
 
-class UnknownDeviceError(ValueError):
-    """Packet from a device that was never registered."""
-
-
-class DuplicateDeviceError(ValueError):
-    """A device id was registered twice."""
-
-
 @dataclass(frozen=True)
 class Packet:
     """Unit of transfer between device and sink.
@@ -59,18 +51,18 @@ class Sink:
     def register_device(self, device_id: int) -> None:
         """Add a device to the reference list with initial reading 0."""
         if device_id in self._reference:
-            raise DuplicateDeviceError(f"device {device_id} already registered")
+            raise ValueError(f"device {device_id} already registered")
         self._reference[device_id] = 0
 
     def on_packet(self, packet: Packet) -> int:
         """Decode a packet's residuals and return the updated absolute reading.
 
         The payload must decode into a whole number of codewords consuming
-        exactly bit_count bits. Decode failures propagate as CodecError and
-        leave the reference list untouched.
+        exactly bit_count bits. Failures raise ValueError and leave the
+        reference list untouched.
         """
         if packet.device_id not in self._reference:
-            raise UnknownDeviceError(f"device {packet.device_id} not registered")
+            raise ValueError(f"device {packet.device_id} not registered")
         payload = packet.payload
         pad = 8 * len(payload) - packet.bit_count
         residuals = decode_bits(int.from_bytes(payload, "big") >> pad,
@@ -84,5 +76,5 @@ class Sink:
     def held_value(self, device_id: int) -> int:
         """Current reconstruction for a device; what suppressed samples hold at."""
         if device_id not in self._reference:
-            raise UnknownDeviceError(f"device {device_id} not registered")
+            raise ValueError(f"device {device_id} not registered")
         return self._reference[device_id]

@@ -164,13 +164,14 @@ def test_decode_names_first_failing_packet_in_sample_order(tmp_path, capsys):
 @pytest.mark.parametrize("argv,flag", [
     (["encode", "{input}", "--threshold", "-1"], "--threshold -1"),
     (["encode", "{input}", "--device-id", "300"], "--device-id 300"),
+    (["encode", "{input}", "--sample-period-ms", "-5"], "--sample-period-ms -5"),
     (["signals", "dump", "--file", "{input}", "--range", "0,1",
       "--adc-bits", "20"], "--adc-bits 20"),
     (["signals", "dump", "--file", "{input}", "--range", "0,1",
       "--period-ms", "0"], "--period-ms 0"),
     (["signals", "dump", "--kind", "ecg", "--samples", "-5"], "--samples -5"),
-], ids=["encode-threshold", "encode-device-id", "dump-adc-bits",
-        "dump-period-ms", "dump-samples"])
+], ids=["encode-threshold", "encode-device-id", "encode-sample-period-ms",
+        "dump-adc-bits", "dump-period-ms", "dump-samples"])
 def test_bad_flag_named_before_input_is_read(tmp_path, capsys, argv, flag):
     # The input file does not exist: an error naming the flag shows the
     # flag was checked first.
@@ -653,10 +654,18 @@ def _overflow_charge_sum(doc):
      "runlog.json: device 0: state_time_ms: holds a negative number"),
     (_edit_summary(_set_first_device("payload_bits", -1)),
      "runlog.json: device 0: payload_bits: holds a negative number"),
+    # Device 1 sends 120 raw 10-bit readings.
+    (_edit_summary(_set_first_device("payload_bits", 1201)),
+     "runlog.json: device 0: payload_bits 1201, but the transmitted rows "
+     "hold 1200 codeword bits"),
+    (_edit_third_event_line(_set_cell(6, "11")),
+     "runlog.json: device 0: payload_bits 1200, but the transmitted rows "
+     "hold 1201 codeword bits"),
 ], ids=["nan-delay", "inf-delay", "transmitted-2", "repeated-device",
         "zero-battery", "overflowing-delay-sums", "overflowing-run-delay-sum",
         "overflowing-charge-sum", "negative-delay", "negative-charge",
-        "negative-state-time", "negative-payload-bits"])
+        "negative-state-time", "negative-payload-bits",
+        "payload-bits-in-summary", "codeword-bits-in-events"])
 def test_report_rejects_values_simulate_never_writes(tmp_path, capsys,
                                                       mangle, where):
     # Each of these once reported with exit 0: a NaN delay as "NaN" in the

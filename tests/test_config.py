@@ -4,7 +4,7 @@ from dataclasses import fields
 import pytest
 
 from conftest import SCENARIO_DIR
-from wbancomp.config import ConfigError, parse_scenario
+from wbancomp.config import parse_scenario
 from wbancomp.netmodel import ChannelModel, RadioEnergyModel, SleepPolicy
 from wbancomp.signals import FileSource, SyntheticSource
 
@@ -66,17 +66,17 @@ def test_missing_file_raises_filenotfound(tmp_path):
 
 
 def test_unknown_section_rejected(tmp_path):
-    with pytest.raises(ConfigError, match="unknown section"):
+    with pytest.raises(ValueError, match="unknown section"):
         parse_scenario(write(tmp_path, MINIMAL + "\n[radio]\nx = 1\n"))
 
 
 def test_unknown_key_rejected(tmp_path):
-    with pytest.raises(ConfigError, match="unknown keys"):
+    with pytest.raises(ValueError, match="unknown keys"):
         parse_scenario(write(tmp_path, MINIMAL + "voltage = 9\n"))
 
 
 def test_missing_run_section(tmp_path):
-    with pytest.raises(ConfigError, match=r"\[run\]"):
+    with pytest.raises(ValueError, match=r"\[run\]"):
         parse_scenario(write(tmp_path, MINIMAL.split("[device", 1)[0]
                              .replace("[run]\nduration_s = 60\n", "")
                              + "[device:t]\nid = 1\nmode = CGWC\n"
@@ -92,25 +92,25 @@ mode = CGLL
 signal = ppg
 sample_period_ms = 500
 """
-    with pytest.raises(ConfigError, match="not unique"):
+    with pytest.raises(ValueError, match="not unique"):
         parse_scenario(write(tmp_path, text))
 
 
 def test_mode_threshold_validation(tmp_path):
     bad = MINIMAL.replace("mode = CGLS", "mode = CGLL")
-    with pytest.raises(ConfigError, match="CGLL"):
+    with pytest.raises(ValueError, match="CGLL"):
         parse_scenario(write(tmp_path, bad))
 
 
 def test_non_divisible_period_rejected(tmp_path):
     bad = MINIMAL.replace("sample_period_ms = 500", "sample_period_ms = 7000")
-    with pytest.raises(ConfigError, match="whole number"):
+    with pytest.raises(ValueError, match="whole number"):
         parse_scenario(write(tmp_path, bad))
 
 
 def test_signal_and_file_are_exclusive(tmp_path):
     bad = MINIMAL + "file = trace.csv\n"
-    with pytest.raises(ConfigError, match="exactly one"):
+    with pytest.raises(ValueError, match="exactly one"):
         parse_scenario(write(tmp_path, bad))
 
 
@@ -119,7 +119,7 @@ def test_file_device_requires_range(tmp_path):
     text = MINIMAL.replace("signal = temperature",
                            "file = trace.csv").replace(
         "sample_period_ms = 500", "sample_period_ms = 500\n")
-    with pytest.raises(ConfigError, match="adc_range"):
+    with pytest.raises(ValueError, match="adc_range"):
         parse_scenario(write(tmp_path, text))
 
 
@@ -127,7 +127,7 @@ def test_reversed_adc_range_rejected(tmp_path):
     (tmp_path / "trace.csv").write_text("37.0\n" * 120)
     text = MINIMAL.replace("signal = temperature",
                            "file = trace.csv\nadc_range = 2,1")
-    with pytest.raises(ConfigError, match=r"\[device:.*\] adc_range: "):
+    with pytest.raises(ValueError, match=r"\[device:.*\] adc_range: "):
         parse_scenario(write(tmp_path, text))
 
 
@@ -137,7 +137,7 @@ def test_negative_value_column_rejected(tmp_path):
     text = MINIMAL.replace(
         "signal = temperature",
         "file = trace.csv\nadc_range = 30,45\nvalue_column = -1")
-    with pytest.raises(ConfigError, match=r"\[device:temp\] value_column"):
+    with pytest.raises(ValueError, match=r"\[device:temp\] value_column"):
         parse_scenario(write(tmp_path, text))
 
 
@@ -172,7 +172,7 @@ def test_synth_params_forwarded(tmp_path):
 
 def test_synth_param_of_another_signal_rejected(tmp_path):
     text = MINIMAL.replace("signal = temperature", "signal = ecg")
-    with pytest.raises(ConfigError, match=r"\[device:temp\].*start_code"):
+    with pytest.raises(ValueError, match=r"\[device:temp\].*start_code"):
         parse_scenario(write(tmp_path, text + "start_code = 5\n"))
 
 
@@ -227,17 +227,17 @@ def test_model_section_keys(tmp_path, section, fld, read):
         return parse_scenario(write(tmp_path, f"{MINIMAL}{header}{line}\n"))
 
     assert getattr(read(parse(f"{fld.name} = {text}")), fld.name) == value
-    with pytest.raises(ConfigError, match=re.escape(
+    with pytest.raises(ValueError, match=re.escape(
             f"[{section}] {fld.name}: {NOT_A[fld.type]}")):
         parse(f"{fld.name} = x1")
-    with pytest.raises(ConfigError, match=re.escape(
+    with pytest.raises(ValueError, match=re.escape(
             f"[{section}]: unknown keys ['{fld.name}s']")):
         parse(f"{fld.name}s = {text}")
 
 
 def test_bad_number_reports_section_and_key(tmp_path):
     bad = MINIMAL + "cd_ms = fast\n"
-    with pytest.raises(ConfigError, match=r"\[device:temp\] cd_ms"):
+    with pytest.raises(ValueError, match=r"\[device:temp\] cd_ms"):
         parse_scenario(write(tmp_path, bad))
 
 

@@ -1,3 +1,5 @@
+import contextlib
+import io
 import math
 import tempfile
 from dataclasses import astuple
@@ -8,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import DATA_DIR
-from wbancomp import metrics
+from wbancomp import cli, metrics
 from wbancomp.netmodel import (MODES, MS_PER_HOUR, ChannelModel, DeviceConfig,
                                EnergyLedger, RadioEnergyModel, RunLog,
                                Scenario, SleepPolicy, lifetime, simulate)
@@ -325,16 +327,19 @@ def small_scenarios(draw):
 
 
 def plain_fold(events):
-    """Per device id: rows, transmitted, and the cd, dd and ad sums."""
+    """Per device id: rows, transmitted, the cd, dd and ad sums, and the
+    codeword bits of the transmitted rows."""
     sums = {}
     for ev in events:
-        rows, sent, cd, dd, ad = sums.get(ev.device_id, (0, 0, 0.0, 0.0, 0.0))
+        rows, sent, cd, dd, ad, bits = sums.get(
+            ev.device_id, (0, 0, 0.0, 0.0, 0.0, 0))
         if ev.transmitted:
             sent += 1
             cd += ev.cd_ms
             dd += ev.dd_ms
             ad += ev.cd_ms + ev.dd_ms + ev.dtr_ms
-        sums[ev.device_id] = (rows + 1, sent, cd, dd, ad)
+            bits += ev.codeword_bits
+        sums[ev.device_id] = (rows + 1, sent, cd, dd, ad, bits)
     return sums
 
 
@@ -377,3 +382,38 @@ def test_run_invariants(sc):
         loaded = RunLog.load(Path(rundir))
     assert loaded.sums == log.sums
     assert metrics.compute(loaded) == metrics.compute(log)
+
+
+def write_run(sc, rundir):
+    """simulate's run directory for a scenario, written by the calls that
+    cmd_simulate makes."""
+    runlog = simulate(sc)
+    devices, run = metrics.compute(runlog)
+    cli._write_run_outputs(rundir, runlog, devices, run)
+
+
+def dir_bytes(rundir):
+    return {path.name: path.read_bytes() for path in rundir.iterdir()}
+
+
+@settings(max_examples=30)
+@given(small_scenarios())
+def test_two_runs_write_identical_run_directories(sc):
+    with tempfile.TemporaryDirectory() as first, \
+            tempfile.TemporaryDirectory() as second:
+        write_run(sc, Path(first))
+        write_run(sc, Path(second))
+        assert dir_bytes(Path(first)) == dir_bytes(Path(second))
+
+
+@settings(max_examples=30)
+@given(small_scenarios())
+def test_report_prints_the_saved_metrics_files(sc):
+    with tempfile.TemporaryDirectory() as rundir:
+        write_run(sc, Path(rundir))
+        for fmt in ("csv", "json"):
+            with contextlib.redirect_stdout(io.StringIO()) as out:
+                assert cli.main(["--format", fmt, "report", rundir]) == \
+                    cli.EXIT_OK
+            assert out.getvalue().encode() == \
+                (Path(rundir) / f"metrics.{fmt}").read_bytes()

@@ -1,3 +1,5 @@
+import ast
+import importlib
 import io
 import tokenize
 
@@ -6,7 +8,8 @@ import pytest
 from conftest import REPO_ROOT
 import wbancomp
 
-CALLERS = sorted(path for path in (*(REPO_ROOT / "src" / "wbancomp").glob("*.py"),
+SOURCES = sorted((REPO_ROOT / "src" / "wbancomp").glob("*.py"))
+CALLERS = sorted(path for path in (*SOURCES,
                                    *(REPO_ROOT / "perfbench").glob("*.py"))
                  if path.name != "__init__.py")
 
@@ -31,3 +34,24 @@ def test_exported_name_has_a_caller_outside_tests(name):
     # A public name that only tests use is API surface to delete, not keep:
     # each export must be used by the package itself or by the benchmark.
     assert name in USED
+
+
+def is_exception_base(base, module):
+    """Whether a class's base expression names an exception class in the
+    class's module."""
+    value = eval(ast.unparse(base), vars(module))
+    return isinstance(value, type) and issubclass(value, BaseException)
+
+
+def test_the_only_exception_class_is_the_usage_error():
+    # Data errors are plain ValueErrors told apart by their messages, and
+    # only cli.main maps errors to exit codes: no handler needs a subclass.
+    found = []
+    for path in SOURCES:
+        module = importlib.import_module(
+            "wbancomp" if path.stem == "__init__" else f"wbancomp.{path.stem}")
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ClassDef) and any(
+                    is_exception_base(base, module) for base in node.bases):
+                found.append(f"{path.stem}.{node.name}")
+    assert found == ["cli.UsageError"]

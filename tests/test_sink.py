@@ -6,9 +6,7 @@ from hypothesis import strategies as st
 
 from conftest import codeword_literal, literal_bits
 from wbancomp.bitstream import BitString
-from wbancomp.codec import CodecError, IncompleteCodewordError
-from wbancomp.sink import (DuplicateDeviceError, Packet, Sink,
-                           UnknownDeviceError)
+from wbancomp.sink import Packet, Sink
 
 
 def packet_for(device_id, *residuals):
@@ -42,7 +40,7 @@ class TestSink:
     def test_duplicate_registration_rejected(self):
         sink = Sink()
         sink.register_device(7)
-        with pytest.raises(DuplicateDeviceError):
+        with pytest.raises(ValueError, match="already registered"):
             sink.register_device(7)
 
     def test_three_distinct_registrations(self):
@@ -54,9 +52,9 @@ class TestSink:
 
     def test_unknown_device_rejected(self):
         sink = Sink()
-        with pytest.raises(UnknownDeviceError):
+        with pytest.raises(ValueError, match="not registered"):
             sink.on_packet(packet_for(9, 38))
-        with pytest.raises(UnknownDeviceError):
+        with pytest.raises(ValueError, match="not registered"):
             sink.held_value(9)
 
     def test_golden_packet(self):
@@ -110,7 +108,7 @@ class TestSink:
         # drop the final bit: the last codeword is incomplete
         broken = Packet(1, good.bit_count - 1,
                         good.payload[:(good.bit_count - 1 + 7) // 8])
-        with pytest.raises(IncompleteCodewordError):
+        with pytest.raises(ValueError, match="stream ended inside a codeword"):
             sink.on_packet(broken)
         assert sink.held_value(1) == 38
 
@@ -148,7 +146,7 @@ class TestSink:
         sink.on_packet(packet_for(1, start))
         try:
             value = sink.on_packet(packet)
-        except (CodecError, ValueError):
+        except ValueError:
             assert sink.held_value(1) == start
         else:
             assert sink.held_value(1) == value
