@@ -19,10 +19,12 @@ deltas of anything up to an 11-bit ADC, first absolute readings included.
 encode_prefix and encode_suffix are the specification: each returns its
 bits as a (value, length) pair of ints. Encoding indexes a table of the
 (bit_count, payload bytes) of all 4095 codewords, built from them on first
-use. Decoding looks the next 9 bits (the longest prefix) up in a 512-entry
-table, built from encode_prefix, that gives the group and prefix length of
-the codeword starting there, or marks the start malformed with the number
-of bits it takes to see that; one masked shift then reads the suffix.
+use; codeword_residuals inverts it, so a packet of one codeword decodes by
+one lookup. Any other bit string goes through decode_bits, which looks the
+next 9 bits (the longest prefix) up in a 512-entry table, built from
+encode_prefix, that gives the group and prefix length of the codeword
+starting there, or marks the start malformed with the number of bits it
+takes to see that; one masked shift then reads the suffix.
 """
 
 from __future__ import annotations
@@ -93,9 +95,22 @@ def _codewords() -> tuple[tuple[int, bytes], ...]:
         prefix, prefix_bits = encode_prefix(group)
         suffix, suffix_bits = encode_suffix(e, group)
         bit_count = prefix_bits + suffix_bits
-        word = BitString(prefix << suffix_bits | suffix, bit_count)
-        table.append((bit_count, word.to_bytes()))
+        pad = -bit_count % 8
+        payload = ((prefix << suffix_bits | suffix) << pad).to_bytes(
+            (bit_count + pad) // 8, "big")
+        table.append((bit_count, payload))
     return tuple(table)
+
+
+@cache
+def codeword_residuals() -> dict[tuple[int, bytes], int]:
+    """The residual of each (bit_count, payload) in the encode table.
+
+    The code is prefix-free, so a packet whose bits are one of these entries
+    decodes to exactly that residual. Built on first use, like the table;
+    every caller shares the one dict and only reads it.
+    """
+    return {word: e for e, word in enumerate(_codewords(), RESIDUAL_MIN)}
 
 
 def encode_residual(residual: int) -> BitString:

@@ -120,11 +120,12 @@ def read_column(path: Path, column: int,
         with path.open(newline="") as handle:
             reader = csv.reader(handle)
             for row in reader:
-                if not any(cell.strip() for cell in row):
-                    continue
                 try:
                     value = parse(row[column])
                 except (ValueError, IndexError):
+                    # No blank cell parses, so blank rows land here too.
+                    if not any(cell.strip() for cell in row):
+                        continue
                     if header or found:
                         raise ValueError(
                             f"{path}:{reader.line_num}: non-numeric or "

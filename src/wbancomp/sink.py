@@ -2,7 +2,9 @@
 
 The sink keeps a reference list mapping each registered device to its last
 reconstructed reading (0 before any packet, so the first packet must carry an
-absolute value). Each decoded residual is added onto that reference.
+absolute value). Each decoded residual is added onto that reference. A packet
+holding one codeword as the encoder writes it decodes by one lookup in the
+inverted encode table; any other packet goes through decode_bits.
 """
 
 from __future__ import annotations
@@ -10,12 +12,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .bitstream import BitString
-from .codec import decode_bits
+from .codec import codeword_residuals, decode_bits
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class Packet:
-    """Unit of transfer between device and sink.
+    """Unit of transfer between device and sink: a record checked when made.
 
     The payload bytes hold exactly bit_count valid bits MSB-first,
     zero-padded to a byte boundary. The id and bit-count ranges bound what
@@ -61,16 +63,20 @@ class Sink:
         exactly bit_count bits. Failures raise ValueError and leave the
         reference list untouched.
         """
-        if packet.device_id not in self._reference:
-            raise ValueError(f"device {packet.device_id} not registered")
-        payload = packet.payload
-        pad = 8 * len(payload) - packet.bit_count
-        residuals = decode_bits(int.from_bytes(payload, "big") >> pad,
-                                packet.bit_count)
-        if not residuals:
-            raise ValueError("packet carries no codewords")
-        value = self._reference[packet.device_id] + sum(residuals)
-        self._reference[packet.device_id] = value
+        device_id = packet.device_id
+        if device_id not in self._reference:
+            raise ValueError(f"device {device_id} not registered")
+        bit_count, payload = packet.bit_count, packet.payload
+        residual = codeword_residuals().get((bit_count, payload))
+        if residual is None:
+            pad = 8 * len(payload) - bit_count
+            residuals = decode_bits(int.from_bytes(payload, "big") >> pad,
+                                    bit_count)
+            if not residuals:
+                raise ValueError("packet carries no codewords")
+            residual = sum(residuals)
+        value = self._reference[device_id] + residual
+        self._reference[device_id] = value
         return value
 
     def held_value(self, device_id: int) -> int:

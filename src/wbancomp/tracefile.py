@@ -6,8 +6,8 @@ Line format, after `#`-prefixed metadata headers:
 
 The metadata carries the per-device sample count so a decoder can rebuild
 the full sample cadence, holding the last value across suppressed samples.
-Its keys are PacketTrace's integer fields; `#` lines without `=` are
-comments.
+Its keys are PacketTrace's integer fields, and no value may be negative;
+`#` lines without `=` are comments.
 """
 
 from __future__ import annotations
@@ -75,10 +75,13 @@ def read_trace(path: str | Path) -> PacketTrace:
         _read_meta_line(lines[body_start], meta, str(path))
         body_start += 1
     try:
-        trace = PacketTrace(**{
-            fld.name: int(meta[fld.name] if fld.default is MISSING
-                          else meta.get(fld.name, fld.default))
-            for fld in _HEADER})
+        header = {fld.name: int(meta[fld.name] if fld.default is MISSING
+                                else meta.get(fld.name, fld.default))
+                  for fld in _HEADER}
+        for key, value in header.items():
+            if value < 0:
+                raise ValueError(f"{key} {value} is negative")
+        trace = PacketTrace(**header)
     except (KeyError, ValueError) as exc:
         raise ValueError(f"{path}: bad trace metadata ({exc})") from None
 

@@ -1,6 +1,7 @@
 import hashlib
 import importlib.util
 import json
+import random
 import sys
 from pathlib import Path
 
@@ -8,6 +9,7 @@ import pytest
 
 from conftest import REPO_ROOT, SCENARIO_DIR, codeword_literal, literal_bits
 from wbancomp.cli import EXIT_DATA, EXIT_OK, EXIT_USAGE, main
+from wbancomp.codec import MAX_GROUP, group_of
 from wbancomp.sink import Packet
 from wbancomp.tracefile import read_trace
 
@@ -64,7 +66,6 @@ def test_decode_golden_packet(tmp_path, capsys):
 
 
 def test_encode_decode_identity_lossless(tmp_path):
-    import random
     rng = random.Random(77)
     codes = [rng.randrange(1024) for _ in range(400)]
     src = tmp_path / "codes.csv"
@@ -77,7 +78,6 @@ def test_encode_decode_identity_lossless(tmp_path):
 
 
 def test_lossy_decode_reconstructs_within_threshold(tmp_path):
-    import random
     rng = random.Random(31)
     value, codes = 512, []
     for _ in range(500):
@@ -357,6 +357,51 @@ def test_simulate_outputs_are_pinned(tmp_path, scenario):
     written = {path.name: hashlib.sha256(path.read_bytes()).hexdigest()
                for path in out.iterdir()}
     assert written == pinned
+
+
+def pinned_readings():
+    """About 5,000 seeded 11-bit readings: 40% repeats, a walk of small and
+    some larger steps, and 1% full-range jumps, so the deltas reach every
+    codec group."""
+    rng = random.Random(2047)
+    value, codes = 1024, []
+    for _ in range(5000):
+        kind = rng.random()
+        if kind < 0.01:
+            value = rng.randrange(2048)
+        elif kind < 0.6:
+            step = rng.gauss(0, 48 if kind < 0.05 else 6)
+            value = min(2047, max(0, value + round(step)))
+        codes.append(value)
+    return codes
+
+
+# SHA-256 of `packets.trace` and of encode's stdout for pinned_readings(),
+# with zero deltas suppressed (the default) and sent.
+PINNED_CODEC_OUTPUTS = {
+    (): ("496ca2757e1b32cc55d53fbf92c529a5f8a55feedca721f41af3b62a94120339",
+         "7d9d95f168ff0db46bf7bbdfeccccf0eb4de43d0a2c1facb9b9e0716a571562b"),
+    ("--transmit-zeros",): (
+        "9337280ee7d3f9722c4491aaee7d192a7327f016076b7c5788af204134f98a1e",
+        "e576ee8874200b7e0b138f59196e0ddd6081a03b1cf6db0769622f3bc7c39af0"),
+}
+
+
+def test_encode_decode_outputs_are_pinned(tmp_path, capsys):
+    codes = pinned_readings()
+    deltas = [b - a for a, b in zip([0] + codes, codes)]
+    assert {group_of(delta) for delta in deltas} == set(range(MAX_GROUP + 1))
+    src = tmp_path / "codes.csv"
+    write_codes(src, codes)
+    for flags, pinned in PINNED_CODEC_OUTPUTS.items():
+        trace, recon = tmp_path / "packets.trace", tmp_path / "recon.csv"
+        assert main(["--out", str(trace), "encode", str(src), "--threshold",
+                     "0", "--adc-bits", "11", *flags]) == EXIT_OK
+        stdout = capsys.readouterr().out
+        assert (hashlib.sha256(trace.read_bytes()).hexdigest(),
+                hashlib.sha256(stdout.encode()).hexdigest()) == pinned
+        assert main(["--out", str(recon), "decode", str(trace)]) == EXIT_OK
+        assert recon.read_bytes() == src.read_bytes()
 
 
 def test_simulate_missing_scenario(tmp_path):

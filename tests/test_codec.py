@@ -1,3 +1,4 @@
+import hashlib
 import random
 import subprocess
 import sys
@@ -7,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import REPO_ROOT, codeword_literal, literal_bits
+from wbancomp import codec
 from wbancomp.bitstream import BitReader
 from wbancomp.codec import (_CHUNK_BITS, MAX_CODEWORD_BITS, RESIDUAL_MAX,
                             RESIDUAL_MIN, codeword_bytes, decode_bits,
@@ -309,9 +311,16 @@ class TestTables:
     def test_encode_tables_are_not_built_at_import(self):
         # Building them costs milliseconds that every CLI start would pay.
         check = ("import wbancomp.cli, wbancomp.codec as codec; "
-                 "assert codec._codewords.cache_info().currsize == 0")
+                 "assert codec._codewords.cache_info().currsize == 0; "
+                 "assert codec.codeword_residuals.cache_info().currsize == 0")
         subprocess.run([sys.executable, "-c", check], check=True,
                        cwd=REPO_ROOT / "src")
+
+    def test_encode_table_is_pinned(self):
+        # The bytes of every codeword any packet or trace carries.
+        digest = hashlib.sha256(repr(codec._codewords()).encode()).hexdigest()
+        assert digest == ("df8db2d841c94c1e2322682f2c75c7c6"
+                          "e1bd034835fad5231a89e2cb7ef2403b")
 
 
 @st.composite

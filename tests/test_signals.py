@@ -1,12 +1,16 @@
+import csv
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import DATA_DIR, run_pipeline
 from wbancomp.codec import group_of
 from wbancomp.control import DeviceState
 from wbancomp.signals import (FileSource, SyntheticSource, TraceSpec,
-                              quantize, synth, trace_codes, trace_samples)
+                              quantize, read_column, synth, trace_codes,
+                              trace_samples)
 
 
 class TestQuantize:
@@ -147,6 +151,60 @@ class TestLoadTrace:
         codes, clamp_count = trace_codes(spec)
         assert len(codes) == 600
         assert clamp_count == 0
+
+
+def reference_read_column(path, column, parse):
+    """read_column's rule read the plain way: skip blank rows, then parse;
+    a first unparsable row is a header, any later one an error."""
+    header = found = False
+    out = []
+    with path.open(newline="") as handle:
+        reader = csv.reader(handle)
+        for row in reader:
+            if not any(cell.strip() for cell in row):
+                continue
+            try:
+                value = parse(row[column])
+            except (ValueError, IndexError):
+                if header or found:
+                    raise ValueError(
+                        f"{path}:{reader.line_num}: non-numeric or missing "
+                        f"value in column {column}") from None
+                header = True
+                continue
+            found = True
+            out.append((reader.line_num, value))
+    if not found:
+        raise ValueError(f"{path}: header but no readings" if header
+                         else f"{path}: empty, no readings")
+    return out
+
+
+def read_outcome(read, *args):
+    """The (line, value) pairs a reader gives, or the text it raises."""
+    try:
+        return list(read(*args))
+    except ValueError as exc:
+        return str(exc)
+
+
+# Cells of every kind a reading file holds: numbers, blanks, whitespace,
+# header-like names and other text.
+CELLS = st.sampled_from(["12", " 7 ", "-3", "0", "3.5", "1e3", "-inf", "",
+                         " ", "\t", "temp_c", "value", "bogus", "1 2", "--"])
+ROWS = st.lists(CELLS, max_size=3).map(",".join)
+
+
+@settings(max_examples=200)
+@given(st.lists(ROWS, max_size=8), st.integers(0, 2),
+       st.sampled_from([int, float]))
+def test_read_column_matches_reference(tmp_path_factory, rows, column, parse):
+    # read_column parses first and looks for a blank row only when the parse
+    # fails; no blank cell parses, so it must read as the reference does.
+    path = tmp_path_factory.getbasetemp() / "readings.csv"
+    path.write_text("".join(f"{row}\n" for row in rows))
+    assert (read_outcome(read_column, path, column, parse)
+            == read_outcome(reference_read_column, path, column, parse))
 
 
 class TestSynth:

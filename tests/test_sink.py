@@ -6,12 +6,50 @@ from hypothesis import strategies as st
 
 from conftest import codeword_literal, literal_bits
 from wbancomp.bitstream import BitString
+from wbancomp.codec import (RESIDUAL_MAX, RESIDUAL_MIN, codeword_bytes,
+                            decode_bits)
 from wbancomp.sink import Packet, Sink
 
 
 def packet_for(device_id, *residuals):
     return Packet(device_id,
                   *literal_bits("".join(map(codeword_literal, residuals))))
+
+
+def decoded_value(start, packet):
+    """What the sink returns for a packet, written as a plain decode of all
+    its bits: the reference plus every residual, and no codeword an error."""
+    pad = 8 * len(packet.payload) - packet.bit_count
+    residuals = decode_bits(int.from_bytes(packet.payload, "big") >> pad,
+                            packet.bit_count)
+    if not residuals:
+        raise ValueError("packet carries no codewords")
+    return start + sum(residuals)
+
+
+def outcome(call, *args):
+    """What a call returns, or the text of the ValueError it raises."""
+    try:
+        return call(*args)
+    except ValueError as exc:
+        return str(exc)
+
+
+@st.composite
+def packets(draw):
+    """Arbitrary bits for a packet: up to three codewords with stray bits
+    after them and any pad bits, or arbitrary bytes and a bit count."""
+    if draw(st.booleans()):
+        data = draw(st.binary(max_size=8))
+        bit_count = draw(st.integers(max(0, 8 * len(data) - 7), 8 * len(data)))
+        return Packet(1, bit_count, data)
+    words = draw(st.lists(st.integers(RESIDUAL_MIN, RESIDUAL_MAX), max_size=3))
+    bits = "".join(map(codeword_literal, words))
+    bits += draw(st.text("01", max_size=12))
+    bit_count, payload = literal_bits(bits)
+    pad = draw(st.integers(0, (1 << (-bit_count % 8)) - 1))
+    value = int.from_bytes(payload, "big") | pad
+    return Packet(1, bit_count, value.to_bytes(len(payload), "big"))
 
 
 class TestPacket:
@@ -127,11 +165,28 @@ class TestSink:
         assert sink.held_value(1) == 100
         assert sink.held_value(2) == 7
 
-    def test_decode_totality_over_encoder_outputs(self):
+    @settings(max_examples=300)
+    @given(st.integers(-2047, 2047), packets())
+    def test_on_packet_decodes_as_its_bits_do(self, start, packet):
         sink = Sink()
         sink.register_device(1)
-        for e in range(-511, 512):
-            sink.on_packet(packet_for(1, e))  # must never raise
+        sink.on_packet(packet_for(1, start))
+        expected = outcome(decoded_value, start, packet)
+        assert outcome(sink.on_packet, packet) == expected
+        assert sink.held_value(1) == (start if isinstance(expected, str)
+                                      else expected)
+
+    def test_decode_totality_over_encoder_outputs(self):
+        # Every packet the encoder writes is a lookup hit, and must decode
+        # as its bits do.
+        sink = Sink()
+        sink.register_device(1)
+        value = 0
+        for e in range(RESIDUAL_MIN, RESIDUAL_MAX + 1):
+            packet = Packet(1, *codeword_bytes(e))
+            expected = decoded_value(value, packet)
+            value = sink.on_packet(packet)
+            assert value == expected == sink.held_value(1)
 
     @settings(max_examples=300)
     @given(st.integers(-2047, 2047), st.integers(0, 64), st.data())

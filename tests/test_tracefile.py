@@ -50,6 +50,30 @@ def test_bad_metadata_rejected(tmp_path):
         read_trace(path)
 
 
+@pytest.mark.parametrize("key, value", [
+    ("samples", -1), ("threshold", -4), ("adc_bits", -1),
+    ("sample_period_ms", -5),
+])
+def test_negative_header_value_rejected(tmp_path, key, value):
+    # encode and simulate never write one; a negative threshold or period
+    # would otherwise decode with exit 0.
+    path = tmp_path / "t.trace"
+    trace = sample_trace()
+    setattr(trace, key, value)
+    write_trace(path, trace)
+    with pytest.raises(ValueError,
+                       match=rf"t\.trace: bad trace metadata \({key} {value} "
+                             r"is negative\)"):
+        read_trace(path)
+
+
+def test_zero_adc_bits_header_is_read(tmp_path):
+    # simulate writes adc_bits=0 into its packet trace.
+    path = tmp_path / "t.trace"
+    write_trace(path, PacketTrace(samples=10, adc_bits=0))
+    assert read_trace(path).adc_bits == 0
+
+
 def test_unknown_header_key_rejected(tmp_path):
     # A misspelled key would otherwise be dropped in silence.
     path = tmp_path / "t.trace"
