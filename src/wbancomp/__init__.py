@@ -7,8 +7,9 @@ from .codec import (decode_residual, encode_prefix, encode_residual,
                     encode_suffix, group_of)
 from .control import DeviceState
 from .netmodel import (ChannelModel, DeviceConfig, EnergyLedger,
-                       RadioEnergyModel, RunLog, Scenario, SleepPolicy,
-                       lifetime, simulate)
+                       RadioEnergyModel, Scenario, SleepPolicy, lifetime,
+                       simulate)
+from .rundir import RunLog
 from .signals import (FileSource, Sample, SyntheticSource, TraceSpec,
                       quantize, synth, trace_samples)
 from .sink import Packet, Sink

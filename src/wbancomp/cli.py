@@ -16,7 +16,8 @@ from pathlib import Path
 from . import config, metrics, tracefile
 from .codec import MAX_GROUP, codeword_bytes
 from .control import DeviceState
-from .netmodel import SUMMARY_FILE, RunLog, simulate
+from .netmodel import simulate
+from .rundir import SUMMARY_FILE, RunLog
 from .signals import (MAX_ADC_BITS, SYNTH_KINDS, FileSource, TraceSpec,
                       parse_range, read_column, synth, trace_codes)
 from .sink import Packet, Sink
@@ -213,21 +214,6 @@ def cmd_signals_dump(args) -> int:
     return EXIT_OK
 
 
-def _write_run_outputs(outdir: Path, runlog: RunLog,
-                       devices: list[metrics.DeviceMetrics],
-                       run: metrics.RunMetrics) -> None:
-    runlog.save(outdir)
-    (outdir / "metrics.csv").write_text(metrics.to_csv(devices))
-    (outdir / "metrics.json").write_text(metrics.to_json(devices, run))
-    packet_trace = tracefile.PacketTrace(
-        samples=max(dev.samples for dev in runlog.devices),
-        adc_bits=0,
-        sample_period_ms=0,
-    )
-    packet_trace.packets = [(seq, pkt) for _, seq, pkt in runlog.packets]
-    tracefile.write_trace(outdir / "packets.trace", packet_trace)
-
-
 def cmd_simulate(args) -> int:
     scenario = config.parse_scenario(args.scenario, seed_override=args.seed)
     outdir = Path(args.out) if args.out else None
@@ -248,7 +234,9 @@ def cmd_simulate(args) -> int:
         raise
     print(metrics.format_table(devices, run))
     if outdir:
-        _write_run_outputs(outdir, runlog, devices, run)
+        runlog.save(outdir)
+        (outdir / "metrics.csv").write_text(metrics.to_csv(devices))
+        (outdir / "metrics.json").write_text(metrics.to_json(devices, run))
     return EXIT_OK
 
 

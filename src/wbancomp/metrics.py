@@ -22,7 +22,8 @@ from dataclasses import dataclass, fields
 from decimal import ROUND_HALF_UP, Decimal
 from math import isfinite
 
-from .netmodel import MS_PER_HOUR, RunLog, lifetime
+from .netmodel import MS_PER_HOUR, lifetime
+from .rundir import RunLog
 
 
 def compression_ratio(orig_pkt: int, comp_pkt: int) -> float:

@@ -11,20 +11,16 @@ states.
 
 Each device runs to completion before the next, in scenario order, so the
 run log's rows and packets are grouped by device in scenario order, and by
-seq within a device.
+seq within a device. The run log's records and files are rundir's.
 """
 
 from __future__ import annotations
 
-import csv
-import json
-import math
-from dataclasses import asdict, dataclass, field, fields, replace
-from pathlib import Path
-from typing import NamedTuple
+from dataclasses import dataclass, replace
 
 from .codec import MAX_CODEWORD_BITS, MAX_GROUP, codeword_bytes
 from .control import DeviceState
+from .rundir import DelaySums, DeviceRun, RunLog, SampleEvent
 from .signals import TraceSpec, trace_codes
 from .sink import Packet, Sink
 
@@ -198,243 +194,6 @@ class Scenario:
                     f"device {dev.name}: per-sample busy time {busy}ms exceeds "
                     f"the {spec.sample_period_ms}ms sample period"
                 )
-
-
-class SampleEvent(NamedTuple):
-    """One processed sample, as its runlog_events.csv row, in file order.
-
-    `transmitted` is 0 or 1; `residual` and `arrival_ms` are None (an empty
-    cell) for suppressed samples.
-    """
-
-    device_id: int
-    seq: int
-    time_ms: float
-    value: int
-    transmitted: int
-    residual: int | None
-    codeword_bits: int
-    cd_ms: float
-    dtr_ms: float
-    dd_ms: float
-    arrival_ms: float | None
-    reconstructed: int
-
-
-@dataclass
-class DeviceRun:
-    """Per-device outcome summary plus its energy ledger breakdown."""
-
-    name: str
-    device_id: int
-    mode: str
-    threshold: int
-    sample_period_ms: int
-    signal: str
-    battery_mah: float
-    samples: int
-    transmitted: int
-    payload_bits: int
-    state_time_ms: dict
-    state_charge_mah: dict
-
-    def total_mah(self) -> float:
-        # Added with += in state-name order, so the total does not depend on
-        # the map's key order or on how the interpreter's sum() adds floats.
-        total = 0.0
-        for state in sorted(self.state_charge_mah):
-            total += self.state_charge_mah[state]
-        return total
-
-
-@dataclass(slots=True)
-class DelaySums:
-    """One device's event rows folded into counts, payload bits and delay
-    sums.
-
-    The sums cover transmitted rows only and are added with += in row order,
-    which is the device's seq order, so they do not depend on how the
-    interpreter's sum() adds floats.
-    """
-
-    rows: int = 0
-    transmitted: int = 0
-    cd_ms: float = 0.0
-    dd_ms: float = 0.0
-    ad_ms: float = 0.0  # cd + dd + dtr
-    payload_bits: int = 0
-
-    def add(self, transmitted: int, codeword_bits: int, cd_ms: float,
-            dtr_ms: float, dd_ms: float) -> None:
-        """Fold one event row into the sums."""
-        self.rows += 1
-        if transmitted:
-            self.transmitted += 1
-            self.payload_bits += codeword_bits
-            self.cd_ms += cd_ms
-            self.dd_ms += dd_ms
-            self.ad_ms += cd_ms + dd_ms + dtr_ms
-
-
-@dataclass
-class RunLog:
-    """Everything a simulation run produced, grouped by device.
-
-    `sums` holds each device's folded rows, by device id in device order. A
-    log read back from a run directory holds no events and no packets.
-    """
-
-    duration_ms: float
-    seed: int
-    devices: list[DeviceRun]
-    sums: dict[int, DelaySums]
-    events: list[SampleEvent] = field(default_factory=list)
-    packets: list[tuple[int, int, Packet]] = field(  # (device_id, seq, packet)
-        default_factory=list)
-
-    def save(self, rundir: Path) -> None:
-        """Write runlog_events.csv and runlog.json into the directory rundir."""
-        with (rundir / _EVENTS_FILE).open("w", newline="") as handle:
-            writer = csv.writer(handle, lineterminator="\n")
-            writer.writerow(SampleEvent._fields)
-            writer.writerows(self.events)
-        summary = {
-            "duration_ms": self.duration_ms,
-            "seed": self.seed,
-            "devices": [asdict(dev) for dev in self.devices],
-        }
-        (rundir / SUMMARY_FILE).write_text(
-            json.dumps(summary, indent=2, sort_keys=True) + "\n")
-
-    @classmethod
-    def load(cls, rundir: Path) -> RunLog:
-        """Read back what save wrote, as far as the metrics need it.
-
-        Malformed files raise ValueError naming the file and the line or
-        device entry at fault, and a file that cannot be opened raises the
-        OSError of its open. Every cell of the events file is checked,
-        but the rows are folded into the delay sums, not kept: the log
-        holds no events, and no packets.
-        """
-        summary_path = rundir / SUMMARY_FILE
-        events_path = rundir / _EVENTS_FILE
-        try:
-            summary = json.loads(summary_path.read_text())
-        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
-            raise ValueError(f"{summary_path}: {exc}") from None
-        _require_keys(summary, {"duration_ms", "seed", "devices"},
-                      str(summary_path))
-        duration_ms = summary["duration_ms"]
-        if not _is_number(duration_ms) or duration_ms <= 0:
-            raise ValueError(f"{summary_path}: duration_ms: not a positive "
-                             f"number")
-        if not _is_int(summary["seed"]):
-            raise ValueError(f"{summary_path}: seed: not an integer")
-        if not isinstance(summary["devices"], list):
-            raise ValueError(f"{summary_path}: devices is not a list")
-        devices = []
-        sums: dict[int, DelaySums] = {}
-        for index, entry in enumerate(summary["devices"]):
-            where = f"{summary_path}: device {index}"
-            _require_keys(entry, _DEVICE_RUN_CHECKS.keys(), where)
-            for key, (check, kind, numbers) in _DEVICE_RUN_CHECKS.items():
-                if not check(entry[key]):
-                    raise ValueError(f"{where}: {key}: not {kind}")
-                if any(number < 0 for number in numbers(entry[key])):
-                    raise ValueError(f"{where}: {key}: holds a negative "
-                                     f"number")
-            device_id = entry["device_id"]
-            if device_id in sums:
-                raise ValueError(f"{where}: device_id {device_id} repeats "
-                                 f"device {list(sums).index(device_id)}")
-            sums[device_id] = DelaySums()
-            devices.append(DeviceRun(**entry))
-
-        isfinite = math.isfinite
-        try:
-            with events_path.open(newline="") as handle:
-                reader = csv.reader(handle)
-                if tuple(next(reader, ())) != SampleEvent._fields:
-                    raise ValueError(
-                        f"{events_path}: unexpected event columns")
-                for row in reader:
-                    try:
-                        if len(row) != len(SampleEvent._fields):
-                            raise ValueError(f"{len(row)} cells, expected "
-                                             f"{len(SampleEvent._fields)}")
-                        device_id = int(row[0])
-                        device_sums = sums.get(device_id)
-                        if device_sums is None:
-                            raise ValueError(f"device {device_id} is not "
-                                             f"in {summary_path.name}")
-                        # Six cells feed the fold; the rest are only parsed
-                        # (residual and arrival_ms may be blank).
-                        int(row[1]), float(row[2]), int(row[3])
-                        codeword_bits = int(row[6])
-                        int(row[11])
-                        if row[5]:
-                            int(row[5])
-                        if row[10]:
-                            float(row[10])
-                        transmitted = int(row[4])
-                        if transmitted not in (0, 1):
-                            raise ValueError(f"transmitted {transmitted}: "
-                                             f"not 0 or 1")
-                        cd_ms, dtr_ms, dd_ms = (float(row[7]), float(row[8]),
-                                                float(row[9]))
-                        # Only transmitted rows reach the sums.
-                        if transmitted:
-                            if not isfinite(cd_ms + dd_ms + dtr_ms):
-                                raise ValueError("cd_ms + dd_ms + dtr_ms is "
-                                                 "not finite")
-                            if cd_ms < 0 or dtr_ms < 0 or dd_ms < 0:
-                                raise ValueError("cd_ms, dtr_ms or dd_ms is "
-                                                 "negative")
-                        device_sums.add(transmitted, codeword_bits, cd_ms,
-                                        dtr_ms, dd_ms)
-                    except ValueError as exc:
-                        raise ValueError(f"{events_path}:{reader.line_num}: "
-                                         f"{exc}") from None
-        except UnicodeDecodeError as exc:
-            raise ValueError(f"{events_path}: {exc}") from None
-        return cls(duration_ms=duration_ms, seed=summary["seed"],
-                   devices=devices, sums=sums)
-
-
-_EVENTS_FILE = "runlog_events.csv"
-SUMMARY_FILE = "runlog.json"
-
-
-def _is_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
-def _is_number(value) -> bool:
-    # json reads NaN and Infinity as floats.
-    return _is_int(value) or (isinstance(value, float) and math.isfinite(value))
-
-
-# What runlog.json may hold for each DeviceRun field, by its annotation, and
-# the numbers in it: simulate writes none below 0.
-_TYPE_CHECKS = {
-    "str": (lambda value: isinstance(value, str), "a string",
-            lambda value: ()),
-    "int": (_is_int, "an integer", lambda value: (value,)),
-    "float": (_is_number, "a number", lambda value: (value,)),
-    "dict": (lambda value: (isinstance(value, dict)
-                            and all(map(_is_number, value.values()))),
-             "an object of numbers", dict.values),
-}
-_DEVICE_RUN_CHECKS = {fld.name: _TYPE_CHECKS[fld.type]
-                      for fld in fields(DeviceRun)}
-
-
-def _require_keys(doc, keys, where: str) -> None:
-    if not isinstance(doc, dict):
-        raise ValueError(f"{where}: not a JSON object")
-    if doc.keys() != keys:
-        raise ValueError(
-            f"{where}: expected keys {sorted(keys)}, got {sorted(doc)}")
 
 
 def _device_loop(cfg: DeviceConfig, scenario: Scenario,

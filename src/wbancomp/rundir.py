@@ -1,0 +1,264 @@
+"""The run directory: a run's records, and the three files save writes.
+
+runlog_events.csv holds one SampleEvent row per sample, runlog.json the
+run's DeviceRuns, and packets.trace the packets sent. load checks every
+events cell against its column's pattern, the shape of what the writer
+emits, and folds the rows into the metrics' delay sums.
+"""
+
+from __future__ import annotations
+
+import csv
+import json
+import math
+import re
+from dataclasses import asdict, dataclass, field, fields
+from pathlib import Path
+from typing import NamedTuple
+
+from .sink import Packet
+from .tracefile import PacketTrace, write_trace
+
+
+class SampleEvent(NamedTuple):
+    """One processed sample, as its runlog_events.csv row, in file order.
+
+    `transmitted` is 0 or 1; `residual` and `arrival_ms` are None (an empty
+    cell) for suppressed samples.
+    """
+
+    device_id: int
+    seq: int
+    time_ms: float
+    value: int
+    transmitted: int
+    residual: int | None
+    codeword_bits: int
+    cd_ms: float
+    dtr_ms: float
+    dd_ms: float
+    arrival_ms: float | None
+    reconstructed: int
+
+
+@dataclass
+class DeviceRun:
+    """Per-device outcome summary plus its energy ledger breakdown."""
+
+    name: str
+    device_id: int
+    mode: str
+    threshold: int
+    sample_period_ms: int
+    signal: str
+    battery_mah: float
+    samples: int
+    transmitted: int
+    payload_bits: int
+    state_time_ms: dict
+    state_charge_mah: dict
+
+    def total_mah(self) -> float:
+        # Added with += in state-name order, so the total does not depend on
+        # the map's key order or on how the interpreter's sum() adds floats.
+        total = 0.0
+        for state in sorted(self.state_charge_mah):
+            total += self.state_charge_mah[state]
+        return total
+
+
+@dataclass(slots=True)
+class DelaySums:
+    """One device's event rows folded into counts, payload bits and delay
+    sums. The sums cover transmitted rows only and are added with += in the
+    device's seq order, so they do not depend on how sum() adds floats."""
+
+    rows: int = 0
+    transmitted: int = 0
+    cd_ms: float = 0.0
+    dd_ms: float = 0.0
+    ad_ms: float = 0.0  # cd + dd + dtr
+    payload_bits: int = 0
+
+    def add(self, transmitted: int, codeword_bits: int, cd_ms: float,
+            dtr_ms: float, dd_ms: float) -> None:
+        """Fold one event row into the sums."""
+        self.rows += 1
+        if transmitted:
+            self.transmitted += 1
+            self.payload_bits += codeword_bits
+            self.cd_ms += cd_ms
+            self.dd_ms += dd_ms
+            self.ad_ms += cd_ms + dd_ms + dtr_ms
+
+
+@dataclass
+class RunLog:
+    """Everything a simulation run produced, grouped by device.
+
+    `sums` holds each device's folded rows, by device id in device order. A
+    log read back from a run directory holds no events and no packets.
+    """
+
+    duration_ms: float
+    seed: int
+    devices: list[DeviceRun]
+    sums: dict[int, DelaySums]
+    events: list[SampleEvent] = field(default_factory=list)
+    packets: list[tuple[int, int, Packet]] = field(  # (device_id, seq, packet)
+        default_factory=list)
+
+    def save(self, rundir: Path) -> None:
+        """Write runlog_events.csv, runlog.json and packets.trace into the
+        directory rundir."""
+        with (rundir / _EVENTS_FILE).open("w", newline="") as handle:
+            writer = csv.writer(handle, lineterminator="\n")
+            writer.writerow(SampleEvent._fields)
+            writer.writerows(self.events)
+        summary = {"duration_ms": self.duration_ms, "seed": self.seed,
+                   "devices": [asdict(dev) for dev in self.devices]}
+        (rundir / SUMMARY_FILE).write_text(
+            json.dumps(summary, indent=2, sort_keys=True) + "\n")
+        write_trace(rundir / _TRACE_FILE, PacketTrace(
+            samples=max(dev.samples for dev in self.devices), adc_bits=0,
+            packets=[(seq, packet) for _, seq, packet in self.packets]))
+
+    @classmethod
+    def load(cls, rundir: Path) -> RunLog:
+        """Read back runlog.json and runlog_events.csv into a log with no
+        events and no packets. Malformed files raise ValueError naming the
+        file and the line or device entry at fault; a file that cannot be
+        opened raises the OSError of its open."""
+        summary_path = rundir / SUMMARY_FILE
+        try:
+            summary = json.loads(summary_path.read_text())
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+            raise ValueError(f"{summary_path}: {exc}") from None
+        _require_keys(summary, {"duration_ms", "seed", "devices"},
+                      str(summary_path))
+        duration_ms = summary["duration_ms"]
+        if not _is_number(duration_ms) or duration_ms <= 0:
+            raise ValueError(f"{summary_path}: duration_ms: not a positive "
+                             f"number")
+        if not _is_int(summary["seed"]):
+            raise ValueError(f"{summary_path}: seed: not an integer")
+        if not isinstance(summary["devices"], list):
+            raise ValueError(f"{summary_path}: devices is not a list")
+        devices = []
+        sums: dict[int, DelaySums] = {}
+        for index, entry in enumerate(summary["devices"]):
+            where = f"{summary_path}: device {index}"
+            _require_keys(entry, _DEVICE_RUN_CHECKS.keys(), where)
+            for key, (check, kind, numbers) in _DEVICE_RUN_CHECKS.items():
+                if not check(entry[key]):
+                    raise ValueError(f"{where}: {key}: not {kind}")
+                if any(number < 0 for number in numbers(entry[key])):
+                    raise ValueError(f"{where}: {key}: holds a negative "
+                                     f"number")
+            device_id = entry["device_id"]
+            if device_id in sums:
+                raise ValueError(f"{where}: device_id {device_id} repeats "
+                                 f"device {list(sums).index(device_id)}")
+            sums[device_id] = DelaySums()
+            devices.append(DeviceRun(**entry))
+
+        _fold_events(rundir / _EVENTS_FILE, sums, summary_path.name)
+        return cls(duration_ms=duration_ms, seed=summary["seed"],
+                   devices=devices, sums=sums)
+
+
+_EVENTS_FILE = "runlog_events.csv"
+SUMMARY_FILE = "runlog.json"
+_TRACE_FILE = "packets.trace"
+
+# Each events column's pattern and description, in column order. A float is
+# repr's fixed form (at most 16 integer digits, no trailing zero past .0) or
+# exponent form (exponent at most +308), or -0.0.
+_INT = (r"0|[1-9][0-9]*", "a canonical non-negative integer")
+_FLOAT = (r"-0\.0|(?:0|[1-9][0-9]{0,15})\.(?:0|[0-9]*[1-9])|[1-9](?:\.[0-9]*"
+          r"[1-9])?e(?:-[0-9]{2,3}|\+(?:[0-9]{2}|[12][0-9]{2}|30[0-8]))",
+          "a finite non-negative float as repr writes it")
+_EVENT_COLUMNS = dict(zip(SampleEvent._fields, (
+    _INT, _INT, _FLOAT, _INT, (r"[01]", "0 or 1"),
+    (r"0|-?[1-9][0-9]*|", "a canonical integer, or blank"), _INT, _FLOAT,
+    _FLOAT, _FLOAT, (_FLOAT[0] + "|", _FLOAT[1] + ", or blank"), _INT)))
+# Compiled by the first load, so commands that read no run directory skip it.
+_ROW = ",".join(f"({pattern})" for pattern, _ in _EVENT_COLUMNS.values())
+
+
+def _row_fault(text: str) -> str:
+    """The first bad cell of an events line, or else its cell count."""
+    cells = text.split(",") if text else []
+    if len(cells) == len(_EVENT_COLUMNS):
+        for (name, (pattern, kind)), cell in zip(_EVENT_COLUMNS.items(),
+                                                 cells):
+            if not re.fullmatch(pattern, cell):
+                return f"{name} {cell}: not {kind}"
+    return f"{len(cells)} cells, expected {len(_EVENT_COLUMNS)}"
+
+
+def _fold_events(path: Path, sums: dict, summary: str) -> None:
+    """Fold the rows of the events file at path into their devices' sums."""
+    fullmatch = re.compile(_ROW + "\n?").fullmatch
+    lineno = 1
+    try:
+        with path.open() as handle:
+            if handle.readline().rstrip("\n") != ",".join(_EVENT_COLUMNS):
+                raise ValueError("unexpected event columns")
+            for lineno, line in enumerate(handle, start=2):
+                match = fullmatch(line)
+                if match is None:
+                    raise ValueError(_row_fault(line.rstrip("\n")))
+                (device_id, seq, _, _, transmitted, _, bits, cd_ms, dtr_ms,
+                 dd_ms, _, _) = match.groups()
+                device_sums = sums.get(int(device_id))
+                if device_sums is None:
+                    raise ValueError(f"device {device_id} is not in {summary}")
+                # Devices may interleave; each one's rows keep seq order.
+                if int(seq) != device_sums.rows:
+                    raise ValueError(f"seq {seq}: expected {device_sums.rows} "
+                                     f"for device {device_id}")
+                if transmitted == "0":
+                    device_sums.rows += 1
+                    continue
+                cd_ms, dtr_ms, dd_ms = map(float, (cd_ms, dtr_ms, dd_ms))
+                # Finite cells can add up past the float range.
+                if not math.isfinite(cd_ms + dd_ms + dtr_ms):
+                    raise ValueError("cd_ms + dd_ms + dtr_ms is not finite")
+                device_sums.add(1, int(bits), cd_ms, dtr_ms, dd_ms)
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path}: {exc}") from None
+    except ValueError as exc:
+        raise ValueError(f"{path}:{lineno}: {exc}") from None
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_number(value) -> bool:
+    # json reads NaN and Infinity as floats.
+    return _is_int(value) or (isinstance(value, float) and math.isfinite(value))
+
+
+# What runlog.json may hold for each DeviceRun field, by its annotation, and
+# the numbers in it: simulate writes none below 0.
+_TYPE_CHECKS = {
+    "str": (lambda value: isinstance(value, str), "a string",
+            lambda value: ()),
+    "int": (_is_int, "an integer", lambda value: (value,)),
+    "float": (_is_number, "a number", lambda value: (value,)),
+    "dict": (lambda value: (isinstance(value, dict)
+                            and all(map(_is_number, value.values()))),
+             "an object of numbers", dict.values),
+}
+_DEVICE_RUN_CHECKS = {fld.name: _TYPE_CHECKS[fld.type]
+                      for fld in fields(DeviceRun)}
+
+
+def _require_keys(doc, keys, where: str) -> None:
+    if not isinstance(doc, dict):
+        raise ValueError(f"{where}: not a JSON object")
+    if doc.keys() != keys:
+        raise ValueError(
+            f"{where}: expected keys {sorted(keys)}, got {sorted(doc)}")

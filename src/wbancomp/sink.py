@@ -60,8 +60,8 @@ class Sink:
         """Decode a packet's residuals and return the updated absolute reading.
 
         The payload must decode into a whole number of codewords consuming
-        exactly bit_count bits. Failures raise ValueError and leave the
-        reference list untouched.
+        exactly bit_count bits, with its pad bits clear. Failures raise
+        ValueError and leave the reference list untouched.
         """
         device_id = packet.device_id
         if device_id not in self._reference:
@@ -69,9 +69,12 @@ class Sink:
         bit_count, payload = packet.bit_count, packet.payload
         residual = codeword_residuals().get((bit_count, payload))
         if residual is None:
+            # Encoder payloads all hit the table, so only here can pads be set.
             pad = 8 * len(payload) - bit_count
-            residuals = decode_bits(int.from_bytes(payload, "big") >> pad,
-                                    bit_count)
+            word = int.from_bytes(payload, "big")
+            if word & ((1 << pad) - 1):
+                raise ValueError("pad bits past bit_count are set")
+            residuals = decode_bits(word >> pad, bit_count)
             if not residuals:
                 raise ValueError("packet carries no codewords")
             residual = sum(residuals)

@@ -101,6 +101,8 @@ def read_trace(path: str | Path) -> PacketTrace:
             seq = int(parts[0])
             packet = Packet(int(parts[1]), int(parts[2]), bytes.fromhex(parts[3]))
         except ValueError as exc:
+            if len("".join(parts[3].split())) % 2:  # fromhex skips spaces
+                exc = "payload hex has an odd number of digits"
             raise ValueError(f"{path}: packet {index}: {exc}") from None
         if not 0 <= seq < samples:
             raise ValueError(

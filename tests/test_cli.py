@@ -10,6 +10,7 @@ import pytest
 from conftest import REPO_ROOT, SCENARIO_DIR, codeword_literal, literal_bits
 from wbancomp.cli import EXIT_DATA, EXIT_OK, EXIT_USAGE, main
 from wbancomp.codec import MAX_GROUP, group_of
+from wbancomp.rundir import SampleEvent
 from wbancomp.sink import Packet
 from wbancomp.tracefile import read_trace
 
@@ -159,6 +160,22 @@ def test_decode_names_first_failing_packet_in_sample_order(tmp_path, capsys):
     assert main(["decode", str(trace)]) == EXIT_DATA
     err = capsys.readouterr().err
     assert "packet at sample 3: non-canonical prefix '1110'" in err
+
+
+@pytest.mark.parametrize("row, message", [
+    # A 9-bit codeword (39, as d380 carries it) with its 7 pad bits set.
+    ("0,1,9,d3ff", "packet at sample 0: pad bits past bit_count are set"),
+    # One hex digit short of 20 bits.
+    ("0,1,20,ffff0", "packet 0: payload hex has an odd number of digits"),
+], ids=["set-pad-bits", "odd-length-hex"])
+def test_decode_rejects_a_payload_no_encoder_writes(tmp_path, capsys, row,
+                                                    message):
+    trace = tmp_path / "t.trace"
+    trace.write_text(f"#packet-trace v1\n#samples=1\n{row}\n")
+    assert main(["decode", str(trace)]) == EXIT_DATA
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {trace}: {message}\n"
+    assert captured.out == ""
 
 
 @pytest.mark.parametrize("argv,flag", [
@@ -522,24 +539,29 @@ def test_report_on_non_run_directory(tmp_path):
     assert main(["report", str(tmp_path)]) == EXIT_DATA
 
 
+def _edit_events(edit):
+    """A run-directory mangler that edits the events file's lines in place."""
+    def mangle(rundir):
+        path = rundir / "runlog_events.csv"
+        lines = path.read_text().splitlines(keepends=True)
+        edit(lines)
+        path.write_text("".join(lines))
+    return mangle
+
+
 def _edit_third_event_line(edit):
-    def mangle(rundir):
-        path = rundir / "runlog_events.csv"
-        lines = path.read_text().splitlines(keepends=True)
+    def change(lines):
         lines[2] = edit(lines[2])
-        path.write_text("".join(lines))
-    return mangle
+    return _edit_events(change)
 
 
-def _delete_first_row_of(device_id):
-    # Rows are grouped by device, so find the device's seq-0 row.
-    def mangle(rundir):
-        path = rundir / "runlog_events.csv"
-        lines = path.read_text().splitlines(keepends=True)
-        lines.remove(next(line for line in lines
-                          if line.startswith(f"{device_id},0,")))
-        path.write_text("".join(lines))
-    return mangle
+def _delete_row_of(device_id, index):
+    # Rows are grouped by device: index 0 is the device's seq-0 row, and -1
+    # its last.
+    def delete(lines):
+        lines.remove([line for line in lines
+                      if line.startswith(f"{device_id},")][index])
+    return _edit_events(delete)
 
 
 def _edit_summary(edit):
@@ -575,6 +597,22 @@ def _set_cell(index, text):
     return edit
 
 
+def _set_event_cell(lineno, column, text):
+    # Line 1 is the header. Device 1 (raw, every row transmitted) is on
+    # lines 2-121, and device 2 (lossless) starts on line 122 with a
+    # transmitted row, then a suppressed one.
+    def edit(lines):
+        index = SampleEvent._fields.index(column)
+        lines[lineno - 1] = _set_cell(index, text)(lines[lineno - 1])
+    return _edit_events(edit)
+
+
+def _swap_rows(lines):
+    # Device 1's seq 1 and 2 rows: their cells are alike, so the counts
+    # and sums would still agree.
+    lines[2], lines[3] = lines[3], lines[2]
+
+
 @pytest.mark.parametrize("mangle, where", [
     (_edit_third_event_line(lambda line: "1,2\n"), "runlog_events.csv:3:"),
     (_edit_third_event_line(lambda line: "x" + line[line.index(","):]),
@@ -582,8 +620,11 @@ def _set_cell(index, text):
     # Cells the metrics do not use are checked all the same.
     (_edit_third_event_line(_set_cell(3, "x")), "runlog_events.csv:3:"),
     (_edit_third_event_line(_set_cell(10, "x")), "runlog_events.csv:3:"),
-    # Device id 2 is the second device.
-    (_delete_first_row_of(2),
+    # Device id 2 is the second device: its rows start on line 122, where
+    # seq 1 now comes first, and a missing last row shows in the counts.
+    (_delete_row_of(2, 0),
+     "runlog_events.csv:122: seq 1: expected 0 for device 2"),
+    (_delete_row_of(2, -1),
      "runlog.json: device 1: samples 120 and transmitted"),
     (_edit_summary(_drop_payload_bits), "runlog.json: device 1:"),
     (_edit_summary(_string_samples), "runlog.json: device 2: samples"),
@@ -593,9 +634,9 @@ def _set_cell(index, text):
     (_edit_summary(_infinite_battery),
      "runlog.json: device 0: battery_mah: not a number"),
 ], ids=["short-row", "non-numeric-cell", "non-numeric-value",
-        "non-numeric-arrival", "deleted-event-row", "missing-device-key",
-        "mistyped-device-value", "inconsistent-device-values",
-        "infinite-device-value"])
+        "non-numeric-arrival", "deleted-event-row", "deleted-last-row",
+        "missing-device-key", "mistyped-device-value",
+        "inconsistent-device-values", "infinite-device-value"])
 def test_report_locates_malformed_run_dir(tmp_path, capsys, mangle, where):
     out = tmp_path / "run"
     main(["--out", str(out), "simulate",
@@ -623,6 +664,23 @@ def test_report_reads_run_dir_with_rx_state(tmp_path, capsys):
     assert capsys.readouterr().out == (out / "metrics.csv").read_text()
 
 
+def test_report_reads_devices_interleaved_in_time(tmp_path, capsys):
+    # Run directories written before devices ran one after another hold
+    # their rows in time order; each device's rows are still in seq order.
+    out = tmp_path / "run"
+    main(["--out", str(out), "simulate",
+          str(SCENARIO_DIR / "temperature_sleep.cfg")])
+
+    def by_time(lines):
+        lines[1:] = sorted(lines[1:], key=lambda row: float(row.split(",")[2]))
+    _edit_events(by_time)(out)
+    rows = (out / "runlog_events.csv").read_text().splitlines()[1:4]
+    assert [row.split(",")[0] for row in rows] == ["1", "2", "3"]
+    capsys.readouterr()
+    assert main(["report", str(out)]) == EXIT_OK
+    assert capsys.readouterr().out == (out / "metrics.csv").read_text()
+
+
 def test_unknown_command_is_usage_error():
     assert main(["frobnicate"]) == EXIT_USAGE
 
@@ -641,13 +699,13 @@ def _overflow_delay_sums(rundir):
     path = rundir / "runlog_events.csv"
     lines = path.read_text().splitlines(keepends=True)
     for index in (1, 4):
-        lines[index] = _set_cell(7, "1e308")(lines[index])
+        lines[index] = _set_cell(7, "1e+308")(lines[index])
     path.write_text("".join(lines))
 
 
 def _overflow_run_delay_sum(rundir):
     # Each device's delay sums stay finite, but not the run's: cd_ms is
-    # 1e308 on the first transmitted row of every device.
+    # 1e+308 on the first transmitted row of every device.
     path = rundir / "runlog_events.csv"
     lines = path.read_text().splitlines(keepends=True)
     seen = set()
@@ -655,7 +713,7 @@ def _overflow_run_delay_sum(rundir):
         cells = line.split(",")
         if cells[4] == "1" and cells[0] not in seen:
             seen.add(cells[0])
-            lines[index] = _set_cell(7, "1e308")(line)
+            lines[index] = _set_cell(7, "1e+308")(line)
     path.write_text("".join(lines))
 
 
@@ -677,9 +735,9 @@ def _overflow_charge_sum(doc):
 
 @pytest.mark.parametrize("mangle, where", [
     (_edit_third_event_line(_set_cell(7, "nan")),
-     "runlog_events.csv:3: cd_ms + dd_ms + dtr_ms is not finite"),
+     "runlog_events.csv:3: cd_ms nan: not a finite non-negative float"),
     (_edit_third_event_line(_set_cell(9, "inf")),
-     "runlog_events.csv:3: cd_ms + dd_ms + dtr_ms is not finite"),
+     "runlog_events.csv:3: dd_ms inf: not a finite non-negative float"),
     (_edit_third_event_line(_set_cell(4, "2")),
      "runlog_events.csv:3: transmitted 2: not 0 or 1"),
     (_edit_summary(_repeat_first_device),
@@ -692,7 +750,7 @@ def _overflow_charge_sum(doc):
     (_edit_summary(_overflow_charge_sum),
      "runlog.json: device 0: state_charge_mah sum is not finite"),
     (_edit_third_event_line(_set_cell(7, "-500.0")),
-     "runlog_events.csv:3: cd_ms, dtr_ms or dd_ms is negative"),
+     "runlog_events.csv:3: cd_ms -500.0: not a finite non-negative float"),
     (_edit_summary(_set_first_device("state_charge_mah", -0.001)),
      "runlog.json: device 0: state_charge_mah: holds a negative number"),
     (_edit_summary(_set_first_device("state_time_ms", -1.0)),
@@ -706,11 +764,40 @@ def _overflow_charge_sum(doc):
     (_edit_third_event_line(_set_cell(6, "11")),
      "runlog.json: device 0: payload_bits 1200, but the transmitted rows "
      "hold 1201 codeword bits"),
+    # Spellings that read as the value simulate wrote, or sit in a cell the
+    # metrics do not use.
+    (_set_event_cell(2, "seq", "+0"), "runlog_events.csv:2: seq +0: not "),
+    (_set_event_cell(3, "seq", " 1"), "runlog_events.csv:3: seq  1: not "),
+    (_set_event_cell(3, "seq", "01"), "runlog_events.csv:3: seq 01: not "),
+    (_set_event_cell(3, "value", "1_0"),
+     "runlog_events.csv:3: value 1_0: not "),
+    (_set_event_cell(122, "value", "0477"),
+     "runlog_events.csv:122: value 0477: not "),
+    (_set_event_cell(122, "residual", " 477"),
+     "runlog_events.csv:122: residual  477: not "),
+    (_set_event_cell(2, "time_ms", "0."),
+     "runlog_events.csv:2: time_ms 0.: not "),
+    (_set_event_cell(123, "dtr_ms", "1e308"),
+     "runlog_events.csv:123: dtr_ms 1e308: not "),
+    (_set_event_cell(3, "arrival_ms", "nan"),
+     "runlog_events.csv:3: arrival_ms nan: not "),
+    (_set_event_cell(3, "time_ms", "inf"),
+     "runlog_events.csv:3: time_ms inf: not "),
+    (_set_event_cell(3, "arrival_ms", "-1.0"),
+     "runlog_events.csv:3: arrival_ms -1.0: not "),
+    (_set_event_cell(3, "device_id", '"1"'),
+     'runlog_events.csv:3: device_id "1": not '),
+    (_edit_events(_swap_rows),
+     "runlog_events.csv:3: seq 2: expected 1 for device 1"),
 ], ids=["nan-delay", "inf-delay", "transmitted-2", "repeated-device",
         "zero-battery", "overflowing-delay-sums", "overflowing-run-delay-sum",
         "overflowing-charge-sum", "negative-delay", "negative-charge",
         "negative-state-time", "negative-payload-bits",
-        "payload-bits-in-summary", "codeword-bits-in-events"])
+        "payload-bits-in-summary", "codeword-bits-in-events", "signed-seq",
+        "padded-seq", "zero-led-seq", "underscored-value", "zero-led-value",
+        "padded-residual", "bare-point-time", "unsigned-exponent-delay",
+        "nan-arrival", "inf-time", "negative-arrival", "quoted-device-id",
+        "swapped-rows"])
 def test_report_rejects_values_simulate_never_writes(tmp_path, capsys,
                                                       mangle, where):
     # Each of these once reported with exit 0: a NaN delay as "NaN" in the

@@ -6,8 +6,8 @@ import pytest
 
 from conftest import SCENARIO_DIR
 from wbancomp import config, metrics
-from wbancomp.netmodel import (ChannelModel, DelaySums, DeviceConfig, RunLog,
-                               Scenario, simulate)
+from wbancomp.netmodel import ChannelModel, DeviceConfig, Scenario, simulate
+from wbancomp.rundir import DelaySums, RunLog
 from wbancomp.signals import SyntheticSource, TraceSpec
 
 

@@ -12,8 +12,9 @@ from hypothesis import strategies as st
 from conftest import DATA_DIR
 from wbancomp import cli, metrics
 from wbancomp.netmodel import (MODES, MS_PER_HOUR, ChannelModel, DeviceConfig,
-                               EnergyLedger, RadioEnergyModel, RunLog,
-                               Scenario, SleepPolicy, lifetime, simulate)
+                               EnergyLedger, RadioEnergyModel, Scenario,
+                               SleepPolicy, lifetime, simulate)
+from wbancomp.rundir import RunLog
 from wbancomp.signals import (SYNTH_KINDS, FileSource, SyntheticSource,
                               TraceSpec)
 
@@ -309,16 +310,16 @@ def small_scenarios(draw):
         devices.append(DeviceConfig(
             name=f"d{index}", device_id=device_id, mode=mode, trace=trace,
             threshold=draw(st.integers(1, 5)) if mode == "CGLS" else 0,
-            cd_ms=draw(st.sampled_from([0.0, 1.0, 3.0])),
-            dd_ms=draw(st.sampled_from([0.0, 1.0])),
+            cd_ms=draw(st.sampled_from([0.0, -0.0, 1.0, 3.0])),
+            dd_ms=draw(st.sampled_from([0.0, -0.0, 1.0])),
             suppress_zero=draw(st.booleans()),
         ))
     return Scenario(
         duration_s=float(draw(st.integers(1, 30))),
         devices=tuple(devices),
         channel=ChannelModel(
-            base_latency_ms=draw(st.sampled_from([0.0, 10.0, 49.0])),
-            per_bit_delay_ms=draw(st.sampled_from([0.0, 0.1]))),
+            base_latency_ms=draw(st.sampled_from([0.0, -0.0, 10.0, 49.0])),
+            per_bit_delay_ms=draw(st.sampled_from([0.0, -0.0, 0.1]))),
         energy=RadioEnergyModel(
             wake_latency_ms=draw(st.sampled_from([0.0, 5.0]))),
         sleep=SleepPolicy(enabled=draw(st.booleans()),
@@ -389,7 +390,9 @@ def write_run(sc, rundir):
     cmd_simulate makes."""
     runlog = simulate(sc)
     devices, run = metrics.compute(runlog)
-    cli._write_run_outputs(rundir, runlog, devices, run)
+    runlog.save(rundir)
+    (rundir / "metrics.csv").write_text(metrics.to_csv(devices))
+    (rundir / "metrics.json").write_text(metrics.to_json(devices, run))
 
 
 def dir_bytes(rundir):

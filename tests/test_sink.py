@@ -18,10 +18,13 @@ def packet_for(device_id, *residuals):
 
 def decoded_value(start, packet):
     """What the sink returns for a packet, written as a plain decode of all
-    its bits: the reference plus every residual, and no codeword an error."""
+    its bits: the reference plus every residual, and set pad bits or no
+    codeword an error."""
     pad = 8 * len(packet.payload) - packet.bit_count
-    residuals = decode_bits(int.from_bytes(packet.payload, "big") >> pad,
-                            packet.bit_count)
+    word = int.from_bytes(packet.payload, "big")
+    if word % (1 << pad):
+        raise ValueError("pad bits past bit_count are set")
+    residuals = decode_bits(word >> pad, packet.bit_count)
     if not residuals:
         raise ValueError("packet carries no codewords")
     return start + sum(residuals)
@@ -142,13 +145,23 @@ class TestSink:
         sink = Sink()
         sink.register_device(1)
         sink.on_packet(packet_for(1, 38))
-        good = packet_for(1, 2, 5)
         # drop the final bit: the last codeword is incomplete
-        broken = Packet(1, good.bit_count - 1,
-                        good.payload[:(good.bit_count - 1 + 7) // 8])
+        bits = codeword_literal(2) + codeword_literal(5)
+        broken = Packet(1, *literal_bits(bits[:-1]))
         with pytest.raises(ValueError, match="stream ended inside a codeword"):
             sink.on_packet(broken)
         assert sink.held_value(1) == 38
+
+    def test_set_pad_bits_rejected(self):
+        # d380 is the codeword of 39; the same bits with the pads set are
+        # not a payload the encoder writes.
+        sink = Sink()
+        sink.register_device(1)
+        sink.on_packet(packet_for(1, 5))
+        with pytest.raises(ValueError, match="pad bits past bit_count"):
+            sink.on_packet(Packet(1, 9, bytes.fromhex("d3ff")))
+        assert sink.held_value(1) == 5
+        assert sink.on_packet(Packet(1, 9, bytes.fromhex("d380"))) == 44
 
     def test_empty_payload_rejected(self):
         sink = Sink()

@@ -20,3 +20,10 @@ def test_package_imports_only_the_standard_library(path):
     outside = {name for name in modules
                if name.partition(".")[0] not in sys.stdlib_module_names}
     assert not outside
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda path: path.name)
+def test_package_parses_as_python_3_10(path):
+    # The grammar floor of requires-python: syntax newer than 3.10, such as
+    # except* or a type statement, fails to parse here.
+    ast.parse(path.read_text(), filename=str(path), feature_version=(3, 10))

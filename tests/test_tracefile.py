@@ -114,6 +114,15 @@ def test_malformed_row_reports_packet_index(tmp_path):
         read_trace(path)
 
 
+@pytest.mark.parametrize("payload", ["ffff0", "ff ff 0"])
+def test_odd_length_hex_is_named(tmp_path, payload):
+    path = tmp_path / "t.trace"
+    path.write_text(f"#packet-trace v1\n#samples=2\n1,1,20,{payload}\n")
+    with pytest.raises(ValueError, match="packet 0: payload hex has an odd "
+                                         "number of digits"):
+        read_trace(path)
+
+
 def test_sample_index_bounds_enforced(tmp_path):
     path = tmp_path / "t.trace"
     trace = sample_trace()
