@@ -9,6 +9,7 @@ UsageError. All commands are deterministic given their inputs and seed.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from operator import itemgetter
 from pathlib import Path
@@ -168,10 +169,16 @@ def cmd_decode(args) -> int:
     # sort is stable, so packets at one sample apply in file order.
     lines: list[str] = []
     held = str(sink.held_value(device_ids[0]))
+    # A reading is an ADC code: adc_bits 0 (simulate's traces) sets no top.
+    width = trace.adc_bits or math.inf
     for seq, packet in sorted(trace.packets, key=itemgetter(0)):
         lines.extend([held] * (seq - len(lines)))
         try:
-            held = str(sink.on_packet(packet))
+            value = sink.on_packet(packet)
+            if value < 0 or value.bit_length() > width:
+                top = f"2**{trace.adc_bits}" if trace.adc_bits else "inf"
+                raise ValueError(f"reading {value} outside [0, {top})")
+            held = str(value)
         except ValueError as exc:
             raise ValueError(
                 f"{args.input}: packet at sample {seq}: {exc}") from None

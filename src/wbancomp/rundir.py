@@ -17,7 +17,7 @@ from pathlib import Path
 from typing import NamedTuple
 
 from .sink import Packet
-from .tracefile import PacketTrace, write_trace
+from .tracefile import _INT, PacketTrace, _row_fault, write_trace
 
 
 class SampleEvent(NamedTuple):
@@ -174,7 +174,6 @@ _TRACE_FILE = "packets.trace"
 # Each events column's pattern and description, in column order. A float is
 # repr's fixed form (at most 16 integer digits, no trailing zero past .0) or
 # exponent form (exponent at most +308), or -0.0.
-_INT = (r"0|[1-9][0-9]*", "a canonical non-negative integer")
 _FLOAT = (r"-0\.0|(?:0|[1-9][0-9]{0,15})\.(?:0|[0-9]*[1-9])|[1-9](?:\.[0-9]*"
           r"[1-9])?e(?:-[0-9]{2,3}|\+(?:[0-9]{2}|[12][0-9]{2}|30[0-8]))",
           "a finite non-negative float as repr writes it")
@@ -184,17 +183,6 @@ _EVENT_COLUMNS = dict(zip(SampleEvent._fields, (
     _FLOAT, _FLOAT, (_FLOAT[0] + "|", _FLOAT[1] + ", or blank"), _INT)))
 # Compiled by the first load, so commands that read no run directory skip it.
 _ROW = ",".join(f"({pattern})" for pattern, _ in _EVENT_COLUMNS.values())
-
-
-def _row_fault(text: str) -> str:
-    """The first bad cell of an events line, or else its cell count."""
-    cells = text.split(",") if text else []
-    if len(cells) == len(_EVENT_COLUMNS):
-        for (name, (pattern, kind)), cell in zip(_EVENT_COLUMNS.items(),
-                                                 cells):
-            if not re.fullmatch(pattern, cell):
-                return f"{name} {cell}: not {kind}"
-    return f"{len(cells)} cells, expected {len(_EVENT_COLUMNS)}"
 
 
 def _fold_events(path: Path, sums: dict, summary: str) -> None:
@@ -208,7 +196,13 @@ def _fold_events(path: Path, sums: dict, summary: str) -> None:
             for lineno, line in enumerate(handle, start=2):
                 match = fullmatch(line)
                 if match is None:
-                    raise ValueError(_row_fault(line.rstrip("\n")))
+                    raise ValueError(_row_fault(_EVENT_COLUMNS,
+                                                line.rstrip("\n")))
+                # The float pattern bounds the exponent, not the mantissa.
+                if "e+308" in line:
+                    for name, cell in zip(_EVENT_COLUMNS, match.groups()):
+                        if cell.endswith("e+308") and math.isinf(float(cell)):
+                            raise ValueError(f"{name} {cell}: not {_FLOAT[1]}")
                 (device_id, seq, _, _, transmitted, _, bits, cd_ms, dtr_ms,
                  dd_ms, _, _) = match.groups()
                 device_sums = sums.get(int(device_id))

@@ -1,18 +1,21 @@
 """Hex-encoded packet trace files.
 
-Line format, after `#`-prefixed metadata headers:
+read_trace accepts exactly what write_trace writes: the MAGIC line, one
+`#NAME=N` line per integer field of PacketTrace in field order, then one
+row per packet,
 
-    <sample_index>,<device_id>,<bit_count>,<payload_hex>
+    <seq>,<device_id>,<bit_count>,<payload_hex>
 
-The metadata carries the per-device sample count so a decoder can rebuild
-the full sample cadence, holding the last value across suppressed samples.
-Its keys are PacketTrace's integer fields, and no value may be negative;
-`#` lines without `=` are comments.
+with canonical non-negative integers and lowercase hex of whole bytes. The
+header carries the per-device sample count so a decoder can rebuild the full
+sample cadence, holding the last value across suppressed samples. rundir
+reads its events rows with this module's integer pattern and fault locator.
 """
 
 from __future__ import annotations
 
-from dataclasses import MISSING, dataclass, field, fields
+import re
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 from .sink import Packet
@@ -33,7 +36,24 @@ class PacketTrace:
 
 # The `#key=value` header lines, one per integer field, in file order.
 _HEADER = [fld for fld in fields(PacketTrace) if fld.name != "packets"]
-_HEADER_KEYS = {fld.name for fld in _HEADER}
+
+# A cell pattern and its description, as str() writes a non-negative int.
+_INT = (r"0|[1-9][0-9]*", "a canonical non-negative integer")
+_COLUMNS = {"seq": _INT, "device_id": _INT, "bit_count": _INT,
+            "payload": (r"(?:[0-9a-f]{2})*", "lowercase hex of whole bytes")}
+_match_row = re.compile(",".join(f"({pattern})" for pattern, _ in
+                                 _COLUMNS.values())).fullmatch
+
+
+def _row_fault(columns: dict, text: str) -> str:
+    """The first cell of a line that fails its column's pattern, or else the
+    line's cell count. columns maps each name to (pattern, description)."""
+    cells = text.split(",") if text else []
+    if len(cells) == len(columns):
+        for (name, (pattern, kind)), cell in zip(columns.items(), cells):
+            if not re.fullmatch(pattern, cell):
+                return f"{name} {cell}: not {kind}"
+    return f"{len(cells)} cells, expected {len(columns)}"
 
 
 def write_trace(path: str | Path, trace: PacketTrace) -> None:
@@ -46,68 +66,41 @@ def write_trace(path: str | Path, trace: PacketTrace) -> None:
     Path(path).write_text("\n".join(lines) + "\n")
 
 
-def _read_meta_line(line: str, meta: dict[str, str] | None, where: str) -> None:
-    """Read one `#` line: `#key=value` sets a header key in meta, and a line
-    without `=` is a comment. meta is None past the header, where a header
-    key is an error and any other key makes a comment.
-    """
-    key, eq, value = line[1:].partition("=")
-    key = key.strip()
-    if eq and meta is not None:
-        if key not in _HEADER_KEYS:
-            raise ValueError(f"{where}: bad trace metadata (unknown key {key!r})")
-        meta[key] = value.strip()
-    elif eq and key in _HEADER_KEYS:
-        raise ValueError(f"{where}: header key {key!r} outside the header")
-
-
 def read_trace(path: str | Path) -> PacketTrace:
+    """Read a trace file. A malformed one raises ValueError naming PATH:LINE
+    and the expected header line, or the row's bad cell or cell count."""
     path = Path(path)
     try:
-        lines = path.read_text().splitlines()
+        text = path.read_text()
     except UnicodeDecodeError as exc:
         raise ValueError(f"{path}: {exc}") from None
-    if not lines or lines[0].strip() != MAGIC:
-        raise ValueError(f"{path}: not a packet trace file")
-    meta = {}
-    body_start = 1
-    while body_start < len(lines) and lines[body_start].startswith("#"):
-        _read_meta_line(lines[body_start], meta, str(path))
-        body_start += 1
+    if not text.endswith("\n"):
+        text += "\n"
+    lines = text.split("\n")
+    lineno = 1
     try:
-        header = {fld.name: int(meta[fld.name] if fld.default is MISSING
-                                else meta.get(fld.name, fld.default))
-                  for fld in _HEADER}
-        for key, value in header.items():
-            if value < 0:
-                raise ValueError(f"{key} {value} is negative")
+        if lines[0] != MAGIC:
+            raise ValueError(f"not a packet trace file: expected {MAGIC!r}")
+        header = {}
+        # A short file's first missing line is the last, empty piece.
+        for lineno, fld in enumerate(_HEADER, start=2):
+            line = lines[lineno - 1]
+            if not re.fullmatch(f"#{fld.name}=(?:{_INT[0]})", line):
+                raise ValueError(f"expected '#{fld.name}=N', N {_INT[1]}")
+            header[fld.name] = int(line[len(fld.name) + 2:])
         trace = PacketTrace(**header)
-    except (KeyError, ValueError) as exc:
-        raise ValueError(f"{path}: bad trace metadata ({exc})") from None
 
-    samples = trace.samples
-    packets = trace.packets
-    for index, line in enumerate(lines[body_start:]):
-        parts = line.split(",")
-        # Blank and comment lines are told apart only off the common path.
-        if len(parts) != 4 or line[0] == "#":
-            if not line.strip():
-                continue
-            if line.startswith("#"):
-                _read_meta_line(line, None, f"{path}: packet {index}")
-                continue
-            raise ValueError(f"{path}: packet {index}: expected 4 fields")
-        try:
-            seq = int(parts[0])
-            packet = Packet(int(parts[1]), int(parts[2]), bytes.fromhex(parts[3]))
-        except ValueError as exc:
-            if len("".join(parts[3].split())) % 2:  # fromhex skips spaces
-                exc = "payload hex has an odd number of digits"
-            raise ValueError(f"{path}: packet {index}: {exc}") from None
-        if not 0 <= seq < samples:
-            raise ValueError(
-                f"{path}: packet {index}: sample index {seq} outside "
-                f"[0, {samples})"
-            )
-        packets.append((seq, packet))
+        samples, packets = trace.samples, trace.packets
+        for lineno, line in enumerate(lines[lineno:-1], start=lineno + 1):
+            match = _match_row(line)
+            if match is None:
+                raise ValueError(_row_fault(_COLUMNS, line))
+            seq, device_id, bit_count, payload = match.groups()
+            seq = int(seq)
+            if seq >= samples:
+                raise ValueError(f"seq {seq}: outside [0, {samples})")
+            packets.append((seq, Packet(int(device_id), int(bit_count),
+                                        bytes.fromhex(payload))))
+    except ValueError as exc:
+        raise ValueError(f"{path}:{lineno}: {exc}") from None
     return trace

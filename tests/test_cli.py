@@ -9,10 +9,10 @@ import pytest
 
 from conftest import REPO_ROOT, SCENARIO_DIR, codeword_literal, literal_bits
 from wbancomp.cli import EXIT_DATA, EXIT_OK, EXIT_USAGE, main
-from wbancomp.codec import MAX_GROUP, group_of
+from wbancomp.codec import MAX_GROUP, codeword_bytes, group_of
 from wbancomp.rundir import SampleEvent
 from wbancomp.sink import Packet
-from wbancomp.tracefile import read_trace
+from wbancomp.tracefile import PacketTrace, read_trace, write_trace
 
 
 def write_codes(path: Path, codes):
@@ -122,13 +122,11 @@ def test_decode_truncated_packet_reports_index(tmp_path, capsys):
 
 
 def write_packet_trace(path: Path, samples: int, rows) -> None:
-    """A device-1 trace with one line per (sample index, *residuals) row."""
-    lines = ["#packet-trace v1", f"#samples={samples}"]
-    for seq, *residuals in rows:
-        bit_count, payload = literal_bits(
-            "".join(map(codeword_literal, residuals)))
-        lines.append(f"{seq},1,{bit_count},{payload.hex()}")
-    path.write_text("\n".join(lines) + "\n")
+    """A device-1 trace with one packet per (sample index, *residuals) row."""
+    write_trace(path, PacketTrace(samples=samples, packets=[
+        (seq, Packet(1, *literal_bits("".join(map(codeword_literal,
+                                                  residuals)))))
+        for seq, *residuals in rows]))
 
 
 @pytest.mark.parametrize("samples,rows,held", [
@@ -162,20 +160,81 @@ def test_decode_names_first_failing_packet_in_sample_order(tmp_path, capsys):
     assert "packet at sample 3: non-canonical prefix '1110'" in err
 
 
+# What encode writes for the single reading 38 (codeword d300, 9 bits).
+GOLDEN_TRACE = ("#packet-trace v1\n#samples=1\n#threshold=0\n#adc_bits=10\n"
+                "#sample_period_ms=0\n0,1,9,d300\n")
+
+
 @pytest.mark.parametrize("row, message", [
     # A 9-bit codeword (39, as d380 carries it) with its 7 pad bits set.
-    ("0,1,9,d3ff", "packet at sample 0: pad bits past bit_count are set"),
+    ("0,1,9,d3ff", ": packet at sample 0: pad bits past bit_count are set"),
     # One hex digit short of 20 bits.
-    ("0,1,20,ffff0", "packet 0: payload hex has an odd number of digits"),
+    ("0,1,20,ffff0", ":6: payload ffff0: not lowercase hex of whole bytes"),
 ], ids=["set-pad-bits", "odd-length-hex"])
 def test_decode_rejects_a_payload_no_encoder_writes(tmp_path, capsys, row,
                                                     message):
     trace = tmp_path / "t.trace"
-    trace.write_text(f"#packet-trace v1\n#samples=1\n{row}\n")
+    trace.write_text(GOLDEN_TRACE.replace("0,1,9,d300", row))
     assert main(["decode", str(trace)]) == EXIT_DATA
     captured = capsys.readouterr()
-    assert captured.err == f"error: {trace}: {message}\n"
+    assert captured.err == f"error: {trace}{message}\n"
     assert captured.out == ""
+
+
+@pytest.mark.parametrize("old, new, where", [
+    ("0,1,9,d300", " 0,+1,9 ,d3 00", "6: seq  0: not "),
+    ("0,1,9,d300", "0,1,9,D300", "6: payload D300: not "),
+    ("0,1,9,d300", "00,1,9,d300", "6: seq 00: not "),
+    ("0,1,9,d300", "0,1_0,9,d300", "6: device_id 1_0: not "),
+    ("0,1,9,d300", "# note\n0,1,9,d300", "6: 1 cells, expected 4"),
+    ("0,1,9,d300", "\n0,1,9,d300", "6: 0 cells, expected 4"),
+    ("#samples=1\n#threshold=0", "#threshold=0\n#samples=1",
+     "2: expected '#samples=N'"),
+    ("#threshold=0\n#adc_bits=10\n#sample_period_ms=0\n", "",
+     "3: expected '#threshold=N'"),
+    ("#samples=1", "#samples=+1", "2: expected '#samples=N'"),
+    ("#samples=1", "#samples= 1", "2: expected '#samples=N'"),
+    ("#samples=1", "# note\n#samples=1", "2: expected '#samples=N'"),
+], ids=["padded-and-signed-cells", "uppercase-hex", "zero-led-seq",
+        "underscored-device-id", "comment-row", "blank-row", "header-order",
+        "header-of-samples-only", "signed-samples", "padded-samples",
+        "comment-in-header"])
+def test_decode_rejects_a_trace_no_writer_writes(tmp_path, capsys, old, new,
+                                                 where):
+    # Each of these once decoded to 38 with exit 0.
+    trace = tmp_path / "t.trace"
+    trace.write_text(GOLDEN_TRACE.replace(old, new))
+    assert main(["decode", str(trace)]) == EXIT_DATA
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"error: {trace}:{where}")
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("adc_bits, residual, message", [
+    # The codeword 011010 carries -5.
+    (3, -5, "reading -5 outside [0, 2**3)"),
+    (0, -5, "reading -5 outside [0, inf)"),
+    (3, 8, "reading 8 outside [0, 2**3)"),
+])
+def test_decode_rejects_a_reading_no_adc_makes(tmp_path, capsys, adc_bits,
+                                               residual, message):
+    trace = tmp_path / "t.trace"
+    write_trace(trace, PacketTrace(samples=2, adc_bits=adc_bits, packets=[
+        (0, Packet(1, *codeword_bytes(residual)))]))
+    assert main(["decode", str(trace)]) == EXIT_DATA
+    assert capsys.readouterr().err == (
+        f"error: {trace}: packet at sample 0: {message}\n")
+
+
+@pytest.mark.parametrize("adc_bits, residual", [(3, 7), (0, 2000)])
+def test_decode_keeps_readings_in_the_adc_range(tmp_path, capsys, adc_bits,
+                                                residual):
+    # adc_bits 0, as simulate writes it, sets no upper bound.
+    trace = tmp_path / "t.trace"
+    write_trace(trace, PacketTrace(samples=2, adc_bits=adc_bits, packets=[
+        (0, Packet(1, *codeword_bytes(residual)))]))
+    assert main(["decode", str(trace)]) == EXIT_OK
+    assert capsys.readouterr().out == f"{residual}\n{residual}\n"
 
 
 @pytest.mark.parametrize("argv,flag", [
@@ -789,6 +848,13 @@ def _overflow_charge_sum(doc):
      'runlog_events.csv:3: device_id "1": not '),
     (_edit_events(_swap_rows),
      "runlog_events.csv:3: seq 2: expected 1 for device 1"),
+    # Past the float range, though the exponent is at most +308.
+    (_set_event_cell(2, "time_ms", "9e+308"),
+     "runlog_events.csv:2: time_ms 9e+308: not "),
+    (_set_event_cell(3, "arrival_ms", "2.5e+308"),
+     "runlog_events.csv:3: arrival_ms 2.5e+308: not "),
+    (_set_event_cell(123, "cd_ms", "1.8e+308"),
+     "runlog_events.csv:123: cd_ms 1.8e+308: not "),
 ], ids=["nan-delay", "inf-delay", "transmitted-2", "repeated-device",
         "zero-battery", "overflowing-delay-sums", "overflowing-run-delay-sum",
         "overflowing-charge-sum", "negative-delay", "negative-charge",
@@ -797,7 +863,8 @@ def _overflow_charge_sum(doc):
         "padded-seq", "zero-led-seq", "underscored-value", "zero-led-value",
         "padded-residual", "bare-point-time", "unsigned-exponent-delay",
         "nan-arrival", "inf-time", "negative-arrival", "quoted-device-id",
-        "swapped-rows"])
+        "swapped-rows", "huge-mantissa-time", "huge-mantissa-arrival",
+        "huge-mantissa-suppressed-delay"])
 def test_report_rejects_values_simulate_never_writes(tmp_path, capsys,
                                                       mangle, where):
     # Each of these once reported with exit 0: a NaN delay as "NaN" in the

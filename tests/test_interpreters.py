@@ -1,0 +1,61 @@
+"""The pinned outputs hold under every Python 3.10+ interpreter on PATH.
+
+pyproject.toml allows Python 3.10 and later, but the other tests run under
+one interpreter. Each python3.N that shutil.which finds and that starts
+runs simulate, encode and decode in a subprocess, and must write the bytes
+test_cli pins. The test ids name the interpreters; one that is absent, does
+not start, or is the running one skips with that reason.
+"""
+
+import hashlib
+import os
+import shutil
+import subprocess
+import sys
+
+import pytest
+
+from conftest import REPO_ROOT, SCENARIO_DIR
+from test_cli import (PINNED_CODEC_OUTPUTS, PINNED_OUTPUTS, pinned_readings,
+                      write_codes)
+
+SCENARIO = "temperature_sleep"
+
+
+def sha256(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+@pytest.mark.parametrize("minor", range(10, 14),
+                         ids=lambda minor: f"python3.{minor}")
+def test_interpreter_writes_the_pinned_outputs(tmp_path, minor):
+    name = f"python3.{minor}"
+    if sys.version_info[:2] == (3, minor):
+        pytest.skip(f"{name} is the running interpreter")
+    exe = shutil.which(name)
+    if exe is None:
+        pytest.skip(f"{name} is not on PATH")
+    if subprocess.run([exe, "-c", "pass"], capture_output=True).returncode:
+        pytest.skip(f"{exe} does not start")
+    env = {**os.environ, "PYTHONPATH": str(REPO_ROOT / "src")}
+
+    def cli(*argv) -> bytes:
+        done = subprocess.run([exe, "-m", "wbancomp.cli", *map(str, argv)],
+                              capture_output=True, env=env)
+        assert done.returncode == 0, done.stderr.decode()
+        return done.stdout
+
+    run = tmp_path / "run"
+    cli("--out", run, "simulate", SCENARIO_DIR / f"{SCENARIO}.cfg")
+    assert {path.name: sha256(path.read_bytes())
+            for path in run.iterdir()} == PINNED_OUTPUTS[SCENARIO]
+
+    src = tmp_path / "codes.csv"
+    write_codes(src, pinned_readings())
+    trace, recon = tmp_path / "packets.trace", tmp_path / "recon.csv"
+    for flags, pinned in PINNED_CODEC_OUTPUTS.items():
+        stdout = cli("--out", trace, "encode", src, "--threshold", "0",
+                     "--adc-bits", "11", *flags)
+        assert (sha256(trace.read_bytes()), sha256(stdout)) == pinned
+        cli("--out", recon, "decode", trace)
+        assert recon.read_bytes() == src.read_bytes()
