@@ -1,30 +1,45 @@
 """Threshold-delta compression of body-sensor streams with a prefix-free
 residual codec, plus a deterministic sensor-to-sink pipeline simulator with
-latency and energy accounting."""
+latency and energy accounting.
 
-from .bitstream import BitReader, BitString
-from .codec import (decode_residual, encode_prefix, encode_residual,
-                    encode_suffix, group_of)
-from .control import DeviceState
-from .netmodel import (ChannelModel, DeviceConfig, EnergyLedger,
-                       RadioEnergyModel, Scenario, SleepPolicy, lifetime,
-                       simulate)
-from .rundir import RunLog
-from .signals import (FileSource, Sample, SyntheticSource, TraceSpec,
-                      quantize, synth, trace_samples)
-from .sink import Packet, Sink
+The package imports no module of its own until one of its names is read.
+"""
+
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BitReader", "BitString",
-    "decode_residual", "encode_prefix", "encode_residual", "encode_suffix",
-    "group_of",
-    "DeviceState",
-    "ChannelModel", "DeviceConfig", "EnergyLedger", "RadioEnergyModel",
-    "RunLog", "Scenario", "SleepPolicy", "lifetime", "simulate",
-    "FileSource", "Sample", "SyntheticSource", "TraceSpec", "quantize",
-    "synth", "trace_samples",
-    "Packet", "Sink",
-    "__version__",
-]
+# Limits that the command-line parser shares with the modules that check
+# them, kept here so that building the parser loads none of those modules.
+SYNTH_KINDS = ("temperature", "ecg", "ppg")
+MAX_ADC_BITS = 16
+
+# Each public name, by the module that defines it.
+_HOMES = {
+    "bitstream": ("BitReader", "BitString"),
+    "codec": ("decode_residual", "encode_prefix", "encode_residual",
+              "encode_suffix", "group_of"),
+    "control": ("DeviceState",),
+    "metrics": ("lifetime",),
+    "netmodel": ("ChannelModel", "DeviceConfig", "EnergyLedger",
+                 "RadioEnergyModel", "Scenario", "SleepPolicy", "simulate"),
+    "rundir": ("RunLog",),
+    "signals": ("FileSource", "Sample", "SyntheticSource", "TraceSpec",
+                "quantize", "synth", "trace_samples"),
+    "sink": ("Packet", "Sink"),
+}
+_HOME_OF = {name: module for module, names in _HOMES.items() for name in names}
+__all__ = [*_HOME_OF, "__version__"]
+
+
+def __getattr__(name):
+    """Import a public name from its module on first access (PEP 562)."""
+    if name not in _HOME_OF:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{_HOME_OF[name]}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted({*globals(), *__all__})

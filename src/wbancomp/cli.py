@@ -4,6 +4,8 @@ Exit codes: 0 success, 1 usage error, 2 data error: any OSError or
 ValueError, mapped only in main. Data errors are plain ValueErrors whose
 messages locate the fault; the package defines no error class but
 UsageError. All commands are deterministic given their inputs and seed.
+Each command imports the modules it runs when it runs, so decode loads
+neither the simulator nor the signal generators.
 """
 
 from __future__ import annotations
@@ -14,14 +16,7 @@ import sys
 from operator import itemgetter
 from pathlib import Path
 
-from . import config, metrics, tracefile
-from .codec import MAX_GROUP, codeword_bytes
-from .control import DeviceState
-from .netmodel import simulate
-from .rundir import SUMMARY_FILE, RunLog
-from .signals import (MAX_ADC_BITS, SYNTH_KINDS, FileSource, TraceSpec,
-                      parse_range, read_column, synth, trace_codes)
-from .sink import Packet, Sink
+from . import MAX_ADC_BITS, SYNTH_KINDS
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -109,6 +104,12 @@ def _write_out(args, text: str) -> None:
 
 
 def cmd_encode(args) -> int:
+    from . import metrics, tracefile
+    from .codec import MAX_GROUP, codeword_bytes
+    from .control import DeviceState
+    from .signals import read_column
+    from .sink import Packet
+
     if args.out is None:
         raise UsageError("encode requires --out for the packet trace")
     if not 1 <= args.adc_bits <= MAX_GROUP:
@@ -154,6 +155,9 @@ def cmd_encode(args) -> int:
 
 
 def cmd_decode(args) -> int:
+    from . import tracefile
+    from .sink import Sink
+
     trace = tracefile.read_trace(args.input)
     device_ids = list(dict.fromkeys(pkt.device_id for _, pkt in trace.packets))
     if len(device_ids) > 1:
@@ -171,23 +175,31 @@ def cmd_decode(args) -> int:
     held = str(sink.held_value(device_ids[0]))
     # A reading is an ADC code: adc_bits 0 (simulate's traces) sets no top.
     width = trace.adc_bits or math.inf
-    for seq, packet in sorted(trace.packets, key=itemgetter(0)):
-        lines.extend([held] * (seq - len(lines)))
-        try:
-            value = sink.on_packet(packet)
-            if value < 0 or value.bit_length() > width:
-                top = f"2**{trace.adc_bits}" if trace.adc_bits else "inf"
-                raise ValueError(f"reading {value} outside [0, {top})")
-            held = str(value)
-        except ValueError as exc:
-            raise ValueError(
-                f"{args.input}: packet at sample {seq}: {exc}") from None
-    lines.extend([held] * (trace.samples - len(lines)))
-    _write_out(args, "\n".join(lines) + "\n")
+    # The output is built whole: a #samples too large to hold is a data error.
+    try:
+        for seq, packet in sorted(trace.packets, key=itemgetter(0)):
+            lines.extend([held] * (seq - len(lines)))
+            try:
+                value = sink.on_packet(packet)
+                if value < 0 or value.bit_length() > width:
+                    top = f"2**{trace.adc_bits}" if trace.adc_bits else "inf"
+                    raise ValueError(f"reading {value} outside [0, {top})")
+                held = str(value)
+            except ValueError as exc:
+                raise ValueError(
+                    f"{args.input}: packet at sample {seq}: {exc}") from None
+        lines.extend([held] * (trace.samples - len(lines)))
+        text = "\n".join(lines) + "\n"
+    except MemoryError:
+        raise ValueError(f"{args.input}: #samples={trace.samples}: too many "
+                         f"samples to decode in memory") from None
+    _write_out(args, text)
     return EXIT_OK
 
 
 def cmd_signals_dump(args) -> int:
+    from .signals import FileSource, TraceSpec, parse_range, synth, trace_codes
+
     if not 1 <= args.adc_bits <= MAX_ADC_BITS:
         raise UsageError(f"--adc-bits {args.adc_bits} outside "
                          f"[1, {MAX_ADC_BITS}]")
@@ -222,6 +234,9 @@ def cmd_signals_dump(args) -> int:
 
 
 def cmd_simulate(args) -> int:
+    from . import config, metrics
+    from .netmodel import simulate
+
     scenario = config.parse_scenario(args.scenario, seed_override=args.seed)
     outdir = Path(args.out) if args.out else None
     # An --out that cannot be a directory fails before the run, and the
@@ -248,6 +263,9 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_report(args) -> int:
+    from . import metrics
+    from .rundir import SUMMARY_FILE, RunLog
+
     rundir = Path(args.rundir)
     runlog = RunLog.load(rundir)
     try:

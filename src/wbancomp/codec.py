@@ -30,8 +30,10 @@ takes to see that; one masked shift then reads the suffix.
 from __future__ import annotations
 
 from functools import cache
+from typing import TYPE_CHECKING
 
-from .bitstream import BitReader, BitString
+if TYPE_CHECKING:
+    from .bitstream import BitReader, BitString
 
 RESIDUAL_MIN = -2047
 RESIDUAL_MAX = 2047
@@ -113,11 +115,21 @@ def codeword_residuals() -> dict[tuple[int, bytes], int]:
     return {word: e for e, word in enumerate(_codewords(), RESIDUAL_MIN)}
 
 
+@cache
+def _bit_string() -> type[BitString]:
+    """The BitString class, imported on first use, so that the commands,
+    which call neither encode_residual nor decode_residual, load no
+    bitstream. Cached: an import statement in encode_residual would cost
+    more than the rest of each call."""
+    from .bitstream import BitString
+    return BitString
+
+
 def encode_residual(residual: int) -> BitString:
     """Full codeword for one residual: prefix followed by suffix."""
     bit_count, payload = codeword_bytes(residual)
-    return BitString(int.from_bytes(payload, "big") >> (-bit_count % 8),
-                     bit_count)
+    return _bit_string()(int.from_bytes(payload, "big") >> (-bit_count % 8),
+                         bit_count)
 
 
 def codeword_bytes(residual: int) -> tuple[int, bytes]:

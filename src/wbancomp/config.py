@@ -24,10 +24,11 @@ import math
 from dataclasses import fields as dataclass_fields, replace
 from pathlib import Path
 
+from . import SYNTH_KINDS
 from .netmodel import (ChannelModel, DeviceConfig, RadioEnergyModel, Scenario,
                        SleepPolicy)
-from .signals import (PARAM_NAMES, SYNTH_KINDS, FileSource, SyntheticSource,
-                      TraceSpec, parse_range)
+from .signals import (PARAM_NAMES, FileSource, SyntheticSource, TraceSpec,
+                      parse_range)
 
 # Default per-sample processing costs by signal class, ms.
 DEFAULT_CD_MS = {"temperature": 1.0, "ecg": 3.0, "ppg": 2.0, "file": 3.0}

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .signals import MAX_ADC_BITS
+from . import MAX_ADC_BITS
 
 
 @dataclass

@@ -21,9 +21,12 @@ import json
 from dataclasses import dataclass, fields
 from decimal import ROUND_HALF_UP, Decimal
 from math import isfinite
+from typing import TYPE_CHECKING
 
-from .netmodel import MS_PER_HOUR, lifetime
-from .rundir import RunLog
+if TYPE_CHECKING:
+    from .rundir import RunLog
+
+MS_PER_HOUR = 3_600_000.0
 
 
 def compression_ratio(orig_pkt: int, comp_pkt: int) -> float:
@@ -33,6 +36,15 @@ def compression_ratio(orig_pkt: int, comp_pkt: int) -> float:
     if comp_pkt < 0 or comp_pkt > orig_pkt:
         raise ValueError(f"comp_pkt {comp_pkt} outside [0, {orig_pkt}]")
     return (1.0 - comp_pkt / orig_pkt) * 100.0
+
+
+def lifetime(battery_mah: float, average_current_ma: float) -> float:
+    """Battery life in hours at a steady average current draw."""
+    if battery_mah <= 0:
+        raise ValueError("battery_mah must be positive")
+    if average_current_ma <= 0:
+        raise ValueError("average current must be positive")
+    return battery_mah / average_current_ma
 
 
 def average_delay(runlog: RunLog) -> float:

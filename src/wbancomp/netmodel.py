@@ -20,6 +20,7 @@ from dataclasses import dataclass, replace
 
 from .codec import MAX_CODEWORD_BITS, MAX_GROUP, codeword_bytes
 from .control import DeviceState
+from .metrics import MS_PER_HOUR, lifetime  # lifetime: read from here too
 from .rundir import DelaySums, DeviceRun, RunLog, SampleEvent
 from .signals import TraceSpec, trace_codes
 from .sink import Packet, Sink
@@ -27,8 +28,6 @@ from .sink import Packet, Sink
 MODES = ("CGWC", "CGLL", "CGLS")  # no compression / lossless / lossy
 
 LEDGER_STATES = ("tx", "idle", "sleep", "cpu")
-
-MS_PER_HOUR = 3_600_000.0
 
 
 @dataclass(frozen=True)
@@ -111,15 +110,6 @@ class EnergyLedger:
             current = self.model.current_ma(state)  # raises: unknown state
         self.time_ms[state] += duration_ms
         self.charge_mah[state] += current * (duration_ms / MS_PER_HOUR)
-
-
-def lifetime(battery_mah: float, average_current_ma: float) -> float:
-    """Battery life in hours at a steady average current draw."""
-    if battery_mah <= 0:
-        raise ValueError("battery_mah must be positive")
-    if average_current_ma <= 0:
-        raise ValueError("average current must be positive")
-    return battery_mah / average_current_ma
 
 
 @dataclass(frozen=True)

@@ -14,10 +14,12 @@ import math
 import re
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
-from .sink import Packet
 from .tracefile import _INT, PacketTrace, _row_fault, write_trace
+
+if TYPE_CHECKING:
+    from .sink import Packet
 
 
 class SampleEvent(NamedTuple):

@@ -19,8 +19,7 @@ from collections.abc import Callable, Iterator
 from dataclasses import dataclass, field
 from pathlib import Path
 
-SYNTH_KINDS = ("temperature", "ecg", "ppg")
-MAX_ADC_BITS = 16
+from . import MAX_ADC_BITS, SYNTH_KINDS
 
 
 @dataclass(frozen=True)

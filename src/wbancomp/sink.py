@@ -10,9 +10,12 @@ inverted encode table; any other packet goes through decode_bits.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
-from .bitstream import BitString
 from .codec import codeword_residuals, decode_bits
+
+if TYPE_CHECKING:
+    from .bitstream import BitString
 
 
 @dataclass(slots=True)

@@ -1,7 +1,9 @@
 import hashlib
 import importlib.util
 import json
+import os
 import random
+import subprocess
 import sys
 from pathlib import Path
 
@@ -260,6 +262,32 @@ def test_bad_flag_named_before_input_is_read(tmp_path, capsys, argv, flag):
 
 def test_decode_missing_file(tmp_path):
     assert main(["decode", str(tmp_path / "absent.trace")]) == EXIT_DATA
+
+
+def test_decode_of_more_samples_than_fit_in_memory_is_data_error(tmp_path):
+    # A list of 10**15 readings fails to allocate at once, so this holds no
+    # memory; a subprocess shows that no traceback reaches the user.
+    trace = tmp_path / "huge.trace"
+    trace.write_text("#packet-trace v1\n#samples=1000000000000000\n"
+                     "#threshold=0\n#adc_bits=10\n#sample_period_ms=0\n"
+                     "0,1,9,d300\n")
+    done = subprocess.run(
+        [sys.executable, "-m", "wbancomp.cli", "decode", str(trace)],
+        capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": str(REPO_ROOT / "src")})
+    assert done.returncode == EXIT_DATA
+    assert done.stderr == (f"error: {trace}: #samples=1000000000000000: too "
+                           f"many samples to decode in memory\n")
+
+
+@pytest.mark.parametrize("argv,named", [
+    (["--kind", "bogus"], ["'temperature'", "'ecg'", "'ppg'"]),
+    (["--kind", "ecg", "--adc-bits", "17"], ["--adc-bits 17", "[1, 16]"]),
+], ids=["kind", "adc-bits"])
+def test_signals_dump_names_its_limits(capsys, argv, named):
+    assert main(["signals", "dump", *argv]) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert all(text in err for text in named), err
 
 
 def test_signals_dump_synthetic(tmp_path):

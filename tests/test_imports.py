@@ -1,0 +1,81 @@
+"""Each command loads only the modules it runs, and no import order cycles.
+
+Every check runs in a fresh interpreter, since the test process has already
+imported the whole package.
+"""
+
+import os
+import subprocess
+import sys
+from concurrent.futures import ThreadPoolExecutor
+
+import pytest
+
+from conftest import REPO_ROOT, SCENARIO_DIR
+from test_cli import pinned_readings, write_codes
+from wbancomp.cli import EXIT_OK, main
+
+ENV = {**os.environ, "PYTHONPATH": str(REPO_ROOT / "src")}
+MODULES = sorted("wbancomp" if path.stem == "__init__" else f"wbancomp.{path.stem}"
+                 for path in (REPO_ROOT / "src" / "wbancomp").glob("*.py"))
+
+# Runs the command line in-process, then prints the package modules loaded.
+RUN_AND_LIST = """\
+import contextlib, io, sys
+from wbancomp.cli import main
+with contextlib.redirect_stdout(io.StringIO()):
+    code = main(sys.argv[1:])
+print(code, *sorted(name for name in sys.modules if name.startswith("wbancomp.")))
+"""
+
+
+def python(*argv) -> subprocess.CompletedProcess:
+    return subprocess.run([sys.executable, *map(str, argv)],
+                          capture_output=True, text=True, env=ENV)
+
+
+def test_every_module_imports_first_and_alone():
+    # An import cycle can pass in one import order and fail in another, so
+    # each module is the first one a fresh interpreter imports.
+    with ThreadPoolExecutor(max_workers=3) as pool:
+        done = dict(zip(MODULES, pool.map(
+            lambda module: python("-S", "-c", f"import {module}"), MODULES)))
+    assert {module: run.stderr for module, run in done.items()
+            if run.returncode} == {}
+
+
+def loaded_after(*argv) -> set[str]:
+    run = python("-c", RUN_AND_LIST, *argv)
+    assert run.returncode == 0, run.stderr
+    code, *modules = run.stdout.split()
+    assert int(code) == EXIT_OK, run.stderr
+    return {module.removeprefix("wbancomp.") for module in modules}
+
+
+@pytest.fixture(scope="module")
+def codec_imports(tmp_path_factory):
+    tmp = tmp_path_factory.mktemp("codec")
+    src, trace = tmp / "codes.csv", tmp / "packets.trace"
+    write_codes(src, pinned_readings())
+    encode = loaded_after("--out", trace, "encode", src, "--adc-bits", "11")
+    decode = loaded_after("--out", tmp / "recon.csv", "decode", trace)
+    return encode, decode
+
+
+def test_codec_commands_load_no_simulator(codec_imports):
+    for loaded in codec_imports:
+        assert loaded.isdisjoint({"netmodel", "config", "rundir"})
+
+
+def test_decode_loads_only_the_sink_side(codec_imports):
+    _, decode = codec_imports
+    assert decode.isdisjoint({"metrics", "signals", "bitstream"})
+    assert decode <= {"cli", "tracefile", "sink", "codec"}
+
+
+def test_report_loads_no_model_or_signals(tmp_path):
+    run = tmp_path / "run"
+    assert main(["--out", str(run), "simulate",
+                 str(SCENARIO_DIR / "temperature_sleep.cfg")]) == EXIT_OK
+    loaded = loaded_after("--format", "json", "report", run)
+    assert loaded.isdisjoint({"netmodel", "config", "signals", "control"})

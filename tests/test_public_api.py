@@ -1,6 +1,9 @@
 import ast
 import importlib
 import io
+import os
+import subprocess
+import sys
 import tokenize
 
 import pytest
@@ -27,6 +30,38 @@ def code_names(path):
 
 
 USED = set().union(*map(code_names, CALLERS))
+
+
+# Run in a fresh interpreter, where no test has imported a module yet.
+LAZY_PACKAGE_CHECKS = """\
+import importlib, sys
+import wbancomp
+
+assert [name for name in sys.modules if name.startswith("wbancomp.")] == []
+for name in wbancomp.__all__:
+    if name != "__version__":
+        value = getattr(wbancomp, name)
+        home = importlib.import_module(value.__module__)
+        assert home.__name__.startswith("wbancomp."), name
+        assert getattr(home, name) is value, name
+assert set(wbancomp.__all__) <= set(dir(wbancomp))
+try:
+    wbancomp.no_such_name
+except AttributeError as exc:
+    assert "no_such_name" in str(exc)
+else:
+    raise AssertionError("an unknown name resolved")
+namespace = {}
+exec("from wbancomp import *", namespace)
+assert set(wbancomp.__all__) <= set(namespace)
+"""
+
+
+def test_package_resolves_its_names_on_first_access():
+    done = subprocess.run(
+        [sys.executable, "-c", LAZY_PACKAGE_CHECKS], capture_output=True,
+        text=True, env={**os.environ, "PYTHONPATH": str(REPO_ROOT / "src")})
+    assert done.returncode == 0, done.stderr
 
 
 @pytest.mark.parametrize("name", sorted(set(wbancomp.__all__) - {"__version__"}))
