@@ -16,9 +16,9 @@ MAX_ADC_BITS = 16
 
 # Each public name, by the module that defines it.
 _HOMES = {
-    "bitstream": ("BitReader", "BitString"),
-    "codec": ("decode_residual", "encode_prefix", "encode_residual",
-              "encode_suffix", "group_of"),
+    "bitstream": ("BitReader", "BitString", "decode_residual",
+                  "encode_residual"),
+    "codec": ("encode_prefix", "encode_suffix", "group_of"),
     "control": ("DeviceState",),
     "metrics": ("lifetime",),
     "netmodel": ("ChannelModel", "DeviceConfig", "EnergyLedger",

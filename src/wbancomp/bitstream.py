@@ -1,4 +1,4 @@
-"""Bit-exact sequences and an MSB-first reader.
+"""Codewords as bit-exact sequences, and an MSB-first reader for them.
 
 A BitString knows its length exactly: nothing ever pads inside a value.
 Byte conversion zero-pads only at the end, and the pad is outside the
@@ -6,6 +6,8 @@ declared bit count.
 """
 
 from __future__ import annotations
+
+from .codec import MAX_CODEWORD_BITS, _next_codeword, codeword_bytes
 
 
 class BitString:
@@ -20,11 +22,6 @@ class BitString:
             raise ValueError(f"value {value} does not fit in {length} bits")
         self._value = value
         self._length = length
-
-    @property
-    def uint(self) -> int:
-        """The bits interpreted as an unsigned integer."""
-        return self._value
 
     def __len__(self) -> int:
         return self._length
@@ -66,3 +63,24 @@ class BitReader:
         if not 0 <= count <= self._bits - self._pos:
             raise ValueError(f"cannot skip {count} bits, {self.remaining} remain")
         self._pos += count
+
+
+def encode_residual(residual: int) -> BitString:
+    """Full codeword for one residual: prefix followed by suffix."""
+    bit_count, payload = codeword_bytes(residual)
+    return BitString(int.from_bytes(payload, "big") >> (-bit_count % 8),
+                     bit_count)
+
+
+def decode_residual(reader: BitReader) -> int:
+    """Consume exactly one codeword from the reader and return its residual.
+
+    Raises decode_bits' errors for the codeword at the read position.
+    """
+    # A conditional, not min(): this runs once per codeword.
+    take = reader.remaining
+    if take > MAX_CODEWORD_BITS:
+        take = MAX_CODEWORD_BITS
+    residual, left = _next_codeword(reader.peek_uint(take), take)
+    reader.skip(take - left)
+    return residual

@@ -11,7 +11,6 @@ neither the simulator nor the signal generators.
 from __future__ import annotations
 
 import argparse
-import math
 import sys
 from operator import itemgetter
 from pathlib import Path
@@ -123,33 +122,33 @@ def cmd_encode(args) -> int:
         raise UsageError(f"--sample-period-ms {args.sample_period_ms}: "
                          f"must be non-negative")
     _check_column(args.column)
-    codes = []
-    for lineno, code in read_column(Path(args.input), args.column, int):
-        if not 0 <= code < 1 << args.adc_bits:
-            raise ValueError(f"{args.input}:{lineno}: reading {code} outside "
-                             f"{args.adc_bits}-bit range")
-        codes.append(code)
     state = DeviceState(
         device_id=args.device_id,
         threshold=args.threshold,
         suppress_zero=not args.transmit_zeros,
         adc_bits=args.adc_bits,
     )
+    packets = []
+    # read_column yields at least one reading or raises.
+    for seq, (lineno, code) in enumerate(
+            read_column(Path(args.input), args.column, int)):
+        try:
+            residual = state.process_sample(code)
+        except ValueError as exc:
+            raise ValueError(f"{args.input}:{lineno}: {exc}") from None
+        if residual is not None:
+            packets.append(
+                (seq, Packet(args.device_id, *codeword_bytes(residual))))
     trace = tracefile.PacketTrace(
-        samples=len(codes),
+        samples=seq + 1,
         threshold=args.threshold,
         adc_bits=args.adc_bits,
         sample_period_ms=args.sample_period_ms,
+        packets=packets,
     )
-    for seq, code in enumerate(codes):
-        residual = state.process_sample(code)
-        if residual is None:
-            continue
-        trace.packets.append(
-            (seq, Packet(args.device_id, *codeword_bytes(residual))))
     tracefile.write_trace(args.out, trace)
-    ratio = metrics.compression_ratio(len(codes), len(trace.packets))
-    print(f"original={len(codes)} transmitted={len(trace.packets)} "
+    ratio = metrics.compression_ratio(trace.samples, len(packets))
+    print(f"original={trace.samples} transmitted={len(packets)} "
           f"pcr={metrics.display_round(ratio):.2f}%")
     return EXIT_OK
 
@@ -159,6 +158,12 @@ def cmd_decode(args) -> int:
     from .sink import Sink
 
     trace = tracefile.read_trace(args.input)
+    # A reading is an ADC code of adc_bits bits. simulate's run-directory
+    # traces write 0 there, and mix codec payloads with raw CGWC ones.
+    adc_bits = trace.adc_bits
+    if not adc_bits:
+        raise ValueError(f"{args.input}: #adc_bits=0: a run directory's "
+                         f"trace, which holds no ADC width to decode with")
     device_ids = list(dict.fromkeys(pkt.device_id for _, pkt in trace.packets))
     if len(device_ids) > 1:
         raise ValueError(
@@ -173,17 +178,15 @@ def cmd_decode(args) -> int:
     # sort is stable, so packets at one sample apply in file order.
     lines: list[str] = []
     held = str(sink.held_value(device_ids[0]))
-    # A reading is an ADC code: adc_bits 0 (simulate's traces) sets no top.
-    width = trace.adc_bits or math.inf
     # The output is built whole: a #samples too large to hold is a data error.
     try:
         for seq, packet in sorted(trace.packets, key=itemgetter(0)):
             lines.extend([held] * (seq - len(lines)))
             try:
                 value = sink.on_packet(packet)
-                if value < 0 or value.bit_length() > width:
-                    top = f"2**{trace.adc_bits}" if trace.adc_bits else "inf"
-                    raise ValueError(f"reading {value} outside [0, {top})")
+                if value < 0 or value.bit_length() > adc_bits:
+                    raise ValueError(
+                        f"reading {value} outside [0, 2**{adc_bits})")
                 held = str(value)
             except ValueError as exc:
                 raise ValueError(
@@ -208,6 +211,8 @@ def cmd_signals_dump(args) -> int:
     if args.samples < 0:
         raise UsageError(f"--samples {args.samples}: must be non-negative")
     _check_column(args.column)
+    if args.kind and args.adc_range is not None:
+        raise UsageError("--range applies to --file traces only")
     if args.kind:
         codes, clamps = synth(args.kind, {}, args.seed or 0, args.samples,
                               args.adc_bits), 0
@@ -249,16 +254,14 @@ def cmd_simulate(args) -> int:
         outdir.mkdir(parents=True, exist_ok=True)
     try:
         runlog = simulate(scenario)
-        devices, run = metrics.compute(runlog)
+        table = metrics.format_table(*metrics.compute(runlog))
     except BaseException:
         for directory in made:
             directory.rmdir()
         raise
-    print(metrics.format_table(devices, run))
+    print(table)
     if outdir:
         runlog.save(outdir)
-        (outdir / "metrics.csv").write_text(metrics.to_csv(devices))
-        (outdir / "metrics.json").write_text(metrics.to_json(devices, run))
     return EXIT_OK
 
 

@@ -30,10 +30,6 @@ takes to see that; one masked shift then reads the suffix.
 from __future__ import annotations
 
 from functools import cache
-from typing import TYPE_CHECKING
-
-if TYPE_CHECKING:
-    from .bitstream import BitReader, BitString
 
 RESIDUAL_MIN = -2047
 RESIDUAL_MAX = 2047
@@ -113,23 +109,6 @@ def codeword_residuals() -> dict[tuple[int, bytes], int]:
     every caller shares the one dict and only reads it.
     """
     return {word: e for e, word in enumerate(_codewords(), RESIDUAL_MIN)}
-
-
-@cache
-def _bit_string() -> type[BitString]:
-    """The BitString class, imported on first use, so that the commands,
-    which call neither encode_residual nor decode_residual, load no
-    bitstream. Cached: an import statement in encode_residual would cost
-    more than the rest of each call."""
-    from .bitstream import BitString
-    return BitString
-
-
-def encode_residual(residual: int) -> BitString:
-    """Full codeword for one residual: prefix followed by suffix."""
-    bit_count, payload = codeword_bytes(residual)
-    return _bit_string()(int.from_bytes(payload, "big") >> (-bit_count % 8),
-                         bit_count)
 
 
 def codeword_bytes(residual: int) -> tuple[int, bytes]:
@@ -226,16 +205,3 @@ def decode_bits(value: int, bit_count: int) -> list[int]:
         residuals.append(residual)
     return residuals
 
-
-def decode_residual(reader: BitReader) -> int:
-    """Consume exactly one codeword from the reader and return its residual.
-
-    Raises the errors decode_bits does for the codeword at the read position.
-    """
-    # A conditional, not min(): this runs once per codeword.
-    take = reader.remaining
-    if take > MAX_CODEWORD_BITS:
-        take = MAX_CODEWORD_BITS
-    residual, left = _next_codeword(reader.peek_uint(take), take)
-    reader.skip(take - left)
-    return residual

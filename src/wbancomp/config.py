@@ -6,15 +6,14 @@ Layout:
     [channel]        the fields of netmodel.ChannelModel
     [energy]         the fields of netmodel.RadioEnergyModel
     [sleep]          the fields of netmodel.SleepPolicy
-    [device:NAME]    id, mode, threshold, sample_period_ms, adc_bits,
-                     one of signal=<temperature|ecg|ppg> or file=<path>,
-                     and optional per-device tuning (cd_ms, dd_ms, seed,
-                     synth params, value_column, adc_range, and
-                     RadioEnergyModel fields overriding [energy])
+    [device:NAME]    id, mode, threshold, sample_period_ms, adc_bits, cd_ms,
+                     dd_ms, suppress_zero, RadioEnergyModel fields overriding
+                     [energy], and signal=<temperature|ecg|ppg> with seed and
+                     synth params, or file=<path> with adc_range, value_column
 
 Model sections take their keys, types and defaults from their dataclass.
 File paths are resolved relative to the config file. Unknown sections or
-keys are rejected outright.
+keys, and keys of the other source kind, are rejected outright.
 """
 
 from __future__ import annotations
@@ -39,9 +38,12 @@ _MODEL_SECTIONS = {"channel": ChannelModel, "energy": RadioEnergyModel,
                    "sleep": SleepPolicy}
 _ENERGY_KEYS = {fld.name for fld in dataclass_fields(RadioEnergyModel)}
 _SYNTH_PARAM_KEYS = set().union(*PARAM_NAMES.values())
-_DEVICE_KEYS = {"id", "mode", "threshold", "signal", "file", "value_column",
-                "sample_period_ms", "adc_bits", "adc_range", "cd_ms", "dd_ms",
-                "seed", "suppress_zero"} | _SYNTH_PARAM_KEYS
+# The keys only one source kind reads, by the key that selects it.
+_SOURCE_KEYS = {"signal": {"seed"} | _SYNTH_PARAM_KEYS,
+                "file": {"value_column", "adc_range"}}
+_DEVICE_KEYS = {"id", "mode", "threshold", "signal", "file",
+                "sample_period_ms", "adc_bits", "cd_ms", "dd_ms",
+                "suppress_zero"}.union(*_SOURCE_KEYS.values())
 
 # The SectionProxy getter for each field annotation, and what it reads.
 _GETTERS = {
@@ -161,14 +163,14 @@ def _parse_device(section, name: str, base_dir: Path,
     file_path = section.get("file", "").strip()
     if bool(signal) == bool(file_path):
         raise ValueError(f"[{name}]: set exactly one of 'signal' or 'file'")
+    # A key the device's source never reads would be ignored in silence.
+    other = "file" if signal else "signal"
+    foreign = _SOURCE_KEYS[other] & set(section.keys())
+    if foreign:
+        raise ValueError(f"[{name}]: {sorted(foreign)} are read only by "
+                         f"{other} devices")
 
     adc_range = None
-    if "adc_range" in section:
-        try:
-            adc_range = parse_range(section.get("adc_range"))
-        except ValueError as exc:
-            raise ValueError(f"[{name}] adc_range: {exc}") from None
-
     if signal:
         if signal not in SYNTH_KINDS:
             raise ValueError(
@@ -189,8 +191,12 @@ def _parse_device(section, name: str, base_dir: Path,
         if value_column < 0:
             raise ValueError(f"[{name}] value_column: must be non-negative")
         source = FileSource(path=str(resolved), value_column=value_column)
-        if adc_range is None:
+        if "adc_range" not in section:
             raise ValueError(f"[{name}]: file traces require adc_range")
+        try:
+            adc_range = parse_range(section.get("adc_range"))
+        except ValueError as exc:
+            raise ValueError(f"[{name}] adc_range: {exc}") from None
         kind = "file"
 
     cd_ms = _get(section, name, "cd_ms", "float", DEFAULT_CD_MS[kind])

@@ -1,9 +1,10 @@
-"""The run directory: a run's records, and the three files save writes.
+"""The run directory: a run's records, and the five files save writes.
 
 runlog_events.csv holds one SampleEvent row per sample, runlog.json the
-run's DeviceRuns, and packets.trace the packets sent. load checks every
-events cell against its column's pattern, the shape of what the writer
-emits, and folds the rows into the metrics' delay sums.
+run's DeviceRuns, packets.trace the packets sent, and metrics.csv and
+metrics.json the metrics computed from them. load reads back the first two:
+it checks every events cell against its column's pattern, the shape of what
+the writer emits, and folds the rows into the metrics' delay sums.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 from typing import TYPE_CHECKING, NamedTuple
 
+from . import metrics
 from .tracefile import _INT, PacketTrace, _row_fault, write_trace
 
 if TYPE_CHECKING:
@@ -111,8 +113,8 @@ class RunLog:
         default_factory=list)
 
     def save(self, rundir: Path) -> None:
-        """Write runlog_events.csv, runlog.json and packets.trace into the
-        directory rundir."""
+        """Write the run directory's five files into the directory rundir."""
+        devices, run = metrics.compute(self)
         with (rundir / _EVENTS_FILE).open("w", newline="") as handle:
             writer = csv.writer(handle, lineterminator="\n")
             writer.writerow(SampleEvent._fields)
@@ -124,6 +126,8 @@ class RunLog:
         write_trace(rundir / _TRACE_FILE, PacketTrace(
             samples=max(dev.samples for dev in self.devices), adc_bits=0,
             packets=[(seq, packet) for _, seq, packet in self.packets]))
+        (rundir / "metrics.csv").write_text(metrics.to_csv(devices))
+        (rundir / "metrics.json").write_text(metrics.to_json(devices, run))
 
     @classmethod
     def load(cls, rundir: Path) -> RunLog:

@@ -1,8 +1,18 @@
+"""The bit-string form of the codec: BitString, BitReader, encode_residual,
+decode_residual and Packet.from_bits, which only the benchmark's traced
+replay calls."""
+
 import random
 
 import pytest
+from hypothesis import given, settings
 
-from wbancomp.bitstream import BitReader, BitString
+from conftest import codeword_literal, literal_bits
+from test_codec import oracle_decode, outcome, payload_value, payloads
+from wbancomp.bitstream import (BitReader, BitString, decode_residual,
+                                encode_residual)
+from wbancomp.codec import RESIDUAL_MAX, RESIDUAL_MIN, codeword_bytes
+from wbancomp.sink import Packet
 
 
 def test_empty_bitstring():
@@ -22,16 +32,15 @@ def test_value_must_fit_length():
 
 def test_leading_zeros_are_significant():
     bits = BitString(0b0001, 4)
-    assert (bits.uint, len(bits)) == (1, 4)
+    assert len(bits) == 4
     assert bits.to_bytes() == bytes([0b00010000])
 
 
 def test_bytes_round_trip_with_padding():
-    bits = BitString(0b110100110, 9)
-    data = bits.to_bytes()
+    data = BitString(0b110100110, 9).to_bytes()
     assert data == bytes([0b11010011, 0b00000000])
     reader = BitReader(data, 9)
-    assert reader.peek_uint(9) == bits.uint
+    assert reader.peek_uint(9) == 0b110100110
     reader.skip(9)
     assert reader.remaining == 0
 
@@ -107,3 +116,63 @@ def test_reader_ignores_byte_padding_beyond_bit_count():
     assert reader.peek_uint(3) == 0b101
     with pytest.raises(ValueError, match="requested"):
         reader.peek_uint(4)
+
+
+def reader_decode(data: bytes, bit_count: int) -> list[int]:
+    """A payload decoded by decode_residual, one codeword per call."""
+    reader = BitReader(data, bit_count)
+    out = []
+    while reader.remaining:
+        out.append(decode_residual(reader))
+    return out
+
+
+def test_encode_residual_matches_the_table():
+    for e in range(RESIDUAL_MIN, RESIDUAL_MAX + 1):
+        bits = encode_residual(e)
+        assert (len(bits), bits.to_bytes()) == codeword_bytes(e)
+    with pytest.raises(ValueError, match="outside"):
+        encode_residual(RESIDUAL_MAX + 1)
+
+
+def test_packet_from_bits():
+    packet = Packet.from_bits(7, encode_residual(38))
+    assert packet == Packet(7, *literal_bits("110100110"))
+
+
+def test_exhaustive_reader_round_trip():
+    for e in range(RESIDUAL_MIN, RESIDUAL_MAX + 1):
+        bit_count, payload = codeword_bytes(e)
+        reader = BitReader(payload, bit_count)
+        assert decode_residual(reader) == e
+        assert reader.remaining == 0
+
+
+def test_reader_advances_by_codeword_length():
+    bit_count, payload = literal_bits(
+        codeword_literal(38) + codeword_literal(-3) + codeword_literal(0))
+    reader = BitReader(payload, bit_count)
+    assert decode_residual(reader) == 38
+    assert bit_count - reader.remaining == 9
+    assert decode_residual(reader) == -3
+    assert bit_count - reader.remaining == 14
+    assert decode_residual(reader) == 0
+    assert reader.remaining == 0
+
+
+def test_every_short_string_reads_like_the_oracle():
+    # Every bit string of up to 12 bits, as test_codec checks decode_bits.
+    for length in range(13):
+        for value in range(1 << length):
+            data = (value << (-length % 8)).to_bytes((length + 7) // 8, "big")
+            assert (outcome(reader_decode, data, length)
+                    == outcome(oracle_decode, value, length))
+
+
+@settings(max_examples=300)
+@given(payloads())
+def test_reader_decode_matches_oracle(payload):
+    data, bit_count = payload
+    assert (outcome(reader_decode, data, bit_count)
+            == outcome(oracle_decode, payload_value(data, bit_count),
+                       bit_count))

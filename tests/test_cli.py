@@ -215,7 +215,6 @@ def test_decode_rejects_a_trace_no_writer_writes(tmp_path, capsys, old, new,
 @pytest.mark.parametrize("adc_bits, residual, message", [
     # The codeword 011010 carries -5.
     (3, -5, "reading -5 outside [0, 2**3)"),
-    (0, -5, "reading -5 outside [0, inf)"),
     (3, 8, "reading 8 outside [0, 2**3)"),
 ])
 def test_decode_rejects_a_reading_no_adc_makes(tmp_path, capsys, adc_bits,
@@ -228,15 +227,36 @@ def test_decode_rejects_a_reading_no_adc_makes(tmp_path, capsys, adc_bits,
         f"error: {trace}: packet at sample 0: {message}\n")
 
 
-@pytest.mark.parametrize("adc_bits, residual", [(3, 7), (0, 2000)])
+@pytest.mark.parametrize("adc_bits, residual", [(3, 7)])
 def test_decode_keeps_readings_in_the_adc_range(tmp_path, capsys, adc_bits,
                                                 residual):
-    # adc_bits 0, as simulate writes it, sets no upper bound.
     trace = tmp_path / "t.trace"
     write_trace(trace, PacketTrace(samples=2, adc_bits=adc_bits, packets=[
         (0, Packet(1, *codeword_bytes(residual)))]))
     assert main(["decode", str(trace)]) == EXIT_OK
     assert capsys.readouterr().out == f"{residual}\n{residual}\n"
+
+
+@pytest.mark.parametrize("residual", [-5, 2000])
+def test_decode_refuses_an_adc_bits_0_trace(tmp_path, capsys, residual):
+    # Only simulate writes adc_bits 0, and its CGWC payloads carry raw
+    # readings, not residuals. A 2000 once decoded with exit 0.
+    trace = tmp_path / "t.trace"
+    write_trace(trace, PacketTrace(samples=2, adc_bits=0, packets=[
+        (0, Packet(1, *codeword_bytes(residual)))]))
+    assert main(["decode", str(trace)]) == EXIT_DATA
+    assert capsys.readouterr().err == (
+        f"error: {trace}: #adc_bits=0: a run directory's trace, which holds "
+        f"no ADC width to decode with\n")
+
+
+def test_decode_refuses_a_run_directorys_trace(tmp_path, capsys):
+    run = tmp_path / "run"
+    assert main(["--out", str(run), "simulate",
+                 str(SCENARIO_DIR / "temperature_sleep.cfg")]) == EXIT_OK
+    capsys.readouterr()
+    assert main(["decode", str(run / "packets.trace")]) == EXIT_DATA
+    assert "#adc_bits=0: a run directory's trace" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("argv,flag", [
@@ -283,7 +303,9 @@ def test_decode_of_more_samples_than_fit_in_memory_is_data_error(tmp_path):
 @pytest.mark.parametrize("argv,named", [
     (["--kind", "bogus"], ["'temperature'", "'ecg'", "'ppg'"]),
     (["--kind", "ecg", "--adc-bits", "17"], ["--adc-bits 17", "[1, 16]"]),
-], ids=["kind", "adc-bits"])
+    # A synthetic signal reads no physical range: --range would be ignored.
+    (["--kind", "ecg", "--range", "0,1"], ["--range", "--file"]),
+], ids=["kind", "adc-bits", "range-on-kind"])
 def test_signals_dump_names_its_limits(capsys, argv, named):
     assert main(["signals", "dump", *argv]) == EXIT_USAGE
     err = capsys.readouterr().err
@@ -572,6 +594,27 @@ def test_bad_scenario_input_is_located(tmp_path, capsys, edit, where):
     out = tmp_path / "run"
     assert main(["--out", str(out), "simulate", str(cfg)]) == EXIT_DATA
     assert where in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("source, key", [
+    ("signal = temperature", "value_column = 1"),
+    ("signal = temperature", "adc_range = 30,45"),
+    ("file = trace.csv\nadc_range = 30,45", "seed = 4"),
+    ("file = trace.csv\nadc_range = 30,45", "start_code = 400"),
+    ("file = trace.csv\nadc_range = 30,45", "beat_period = 60"),
+], ids=["signal-value_column", "signal-adc_range", "file-seed",
+        "file-start_code", "file-beat_period"])
+def test_key_the_source_never_reads_is_located(tmp_path, capsys, source, key):
+    # Each of these once ran to exit 0 with the key ignored.
+    (tmp_path / "trace.csv").write_text("37.0\n" * 120)
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(_ONE_DEVICE.replace("signal = temperature",
+                                       f"{source}\n{key}"))
+    out = tmp_path / "run"
+    assert main(["--out", str(out), "simulate", str(cfg)]) == EXIT_DATA
+    err = capsys.readouterr().err
+    assert "[device:t]" in err and key.split()[0] in err, err
     assert not out.exists()
 
 

@@ -9,11 +9,9 @@ from hypothesis import strategies as st
 
 from conftest import REPO_ROOT, codeword_literal, literal_bits
 from wbancomp import codec
-from wbancomp.bitstream import BitReader
 from wbancomp.codec import (_CHUNK_BITS, MAX_CODEWORD_BITS, RESIDUAL_MAX,
                             RESIDUAL_MIN, codeword_bytes, decode_bits,
-                            decode_residual, encode_prefix, encode_residual,
-                            encode_suffix, group_of)
+                            encode_prefix, encode_suffix, group_of)
 
 # Total codeword length per group, for the groups the fixed table covers.
 TABLE_LENGTHS = [3, 4, 5, 6, 7, 8, 9, 12, 14, 16]
@@ -78,18 +76,9 @@ def payload_value(data: bytes, bit_count: int) -> int:
     return int.from_bytes(data, "big") >> (8 * len(data) - bit_count)
 
 
-def reader_decode(data: bytes, bit_count: int) -> list[int]:
-    reader = BitReader(data, bit_count)
-    out = []
-    while reader.remaining:
-        out.append(decode_residual(reader))
-    return out
-
-
 def decode_all(bits: str) -> list[int]:
-    """A bit literal decoded by decode_residual, one codeword per call."""
-    bit_count, payload = literal_bits(bits)
-    return reader_decode(payload, bit_count)
+    """A bit literal decoded by decode_bits."""
+    return decode_bits(int(bits or "0", 2), len(bits))
 
 
 def as_literal(pair: tuple[int, int]) -> str:
@@ -188,8 +177,7 @@ class TestSuffix:
 class TestEncodeResidual:
     def test_golden_codeword(self):
         assert codeword_literal(38) == "110100110"
-        word = encode_residual(38)
-        assert (word.uint, len(word)) == (0b110100110, 9)
+        assert codeword_bytes(38) == (9, bytes([0b11010011, 0b00000000]))
 
     def test_zero_is_three_bits(self):
         assert codeword_literal(0) == "000"
@@ -217,10 +205,12 @@ class TestEncodeResidual:
 
     def test_range_error_propagates(self):
         with pytest.raises(ValueError):
-            encode_residual(2048)
+            codeword_bytes(2048)
 
 
 class TestDecodeResidual:
+    """Residuals decoded from bit literals by decode_bits."""
+
     def test_golden_round_trip(self):
         assert decode_all("110100110") == [38]
 
@@ -230,20 +220,8 @@ class TestDecodeResidual:
     def test_exhaustive_round_trip(self):
         for e in range(RESIDUAL_MIN, RESIDUAL_MAX + 1):
             bit_count, payload = codeword_bytes(e)
-            reader = BitReader(payload, bit_count)
-            assert decode_residual(reader) == e
-            assert reader.remaining == 0
-
-    def test_reader_advances_by_codeword_length(self):
-        bit_count, payload = literal_bits(
-            codeword_literal(38) + codeword_literal(-3) + codeword_literal(0))
-        reader = BitReader(payload, bit_count)
-        assert decode_residual(reader) == 38
-        assert bit_count - reader.remaining == 9
-        assert decode_residual(reader) == -3
-        assert bit_count - reader.remaining == 14
-        assert decode_residual(reader) == 0
-        assert reader.remaining == 0
+            assert decode_bits(payload_value(payload, bit_count),
+                               bit_count) == [e]
 
     def test_truncated_prefix(self):
         with pytest.raises(ValueError, match="stream ended inside a codeword prefix"):
@@ -270,12 +248,8 @@ class TestDecodeResidual:
         rng = random.Random(2024)
         residuals = [rng.randint(RESIDUAL_MIN, RESIDUAL_MAX)
                      for _ in range(10_000)]
-        bit_count, payload = literal_bits(
-            "".join(map(codeword_literal, residuals)))
-        reader = BitReader(payload, bit_count)
-        decoded = [decode_residual(reader) for _ in residuals]
-        assert decoded == residuals
-        assert reader.remaining == 0
+        assert decode_all("".join(map(codeword_literal, residuals))) == \
+            residuals
 
 
 class TestTables:
@@ -284,8 +258,6 @@ class TestTables:
             word = (as_literal(encode_prefix(group_of(e)))
                     + as_literal(encode_suffix(e, group_of(e))))
             assert codeword_bytes(e) == literal_bits(word)
-            assert (encode_residual(e).uint, len(encode_residual(e))) == \
-                (int(word, 2), len(word))
 
     def test_codeword_bytes_range_error(self):
         for e in (RESIDUAL_MIN - 1, RESIDUAL_MAX + 1):
@@ -303,10 +275,8 @@ class TestTables:
         # truncation point of every prefix, and the empty string.
         for length in range(13):
             for value in range(1 << length):
-                data = (value << (-length % 8)).to_bytes((length + 7) // 8, "big")
-                expected = outcome(oracle_decode, value, length)
-                assert outcome(decode_bits, value, length) == expected
-                assert outcome(reader_decode, data, length) == expected
+                assert (outcome(decode_bits, value, length)
+                        == outcome(oracle_decode, value, length))
 
     def test_encode_tables_are_not_built_at_import(self):
         # Building them costs milliseconds that every CLI start would pay.
@@ -355,14 +325,6 @@ class TestAgainstOracle:
         value = payload_value(data, bit_count)
         assert (outcome(decode_bits, value, bit_count)
                 == outcome(oracle_decode, value, bit_count))
-
-    @settings(max_examples=300)
-    @given(payloads())
-    def test_reader_decode_matches_oracle(self, payload):
-        data, bit_count = payload
-        assert (outcome(reader_decode, data, bit_count)
-                == outcome(oracle_decode, payload_value(data, bit_count),
-                           bit_count))
 
     @settings(max_examples=30)
     @given(long_streams())

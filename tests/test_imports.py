@@ -1,9 +1,11 @@
-"""Each command loads only the modules it runs, and no import order cycles.
+"""Each command loads only the modules it runs, no import order cycles, and
+the layering of codec and bitstream holds.
 
-Every check runs in a fresh interpreter, since the test process has already
-imported the whole package.
+Every run-time check runs in a fresh interpreter, since the test process has
+already imported the whole package.
 """
 
+import ast
 import os
 import subprocess
 import sys
@@ -16,8 +18,9 @@ from test_cli import pinned_readings, write_codes
 from wbancomp.cli import EXIT_OK, main
 
 ENV = {**os.environ, "PYTHONPATH": str(REPO_ROOT / "src")}
+SRC = REPO_ROOT / "src" / "wbancomp"
 MODULES = sorted("wbancomp" if path.stem == "__init__" else f"wbancomp.{path.stem}"
-                 for path in (REPO_ROOT / "src" / "wbancomp").glob("*.py"))
+                 for path in SRC.glob("*.py"))
 
 # Runs the command line in-process, then prints the package modules loaded.
 RUN_AND_LIST = """\
@@ -79,3 +82,32 @@ def test_report_loads_no_model_or_signals(tmp_path):
                  str(SCENARIO_DIR / "temperature_sleep.cfg")]) == EXIT_OK
     loaded = loaded_after("--format", "json", "report", run)
     assert loaded.isdisjoint({"netmodel", "config", "signals", "control"})
+
+
+def import_statements(path) -> list[tuple[str, bool]]:
+    """Each import statement of a source file as (its text, whether it sits
+    in an `if TYPE_CHECKING:` block)."""
+    tree = ast.parse(path.read_text())
+    typing_only = {id(node) for block in ast.walk(tree)
+                   if isinstance(block, ast.If)
+                   and ast.unparse(block.test) == "TYPE_CHECKING"
+                   for node in ast.walk(block)}
+    return [(ast.unparse(node), id(node) in typing_only)
+            for node in ast.walk(tree)
+            if isinstance(node, (ast.Import, ast.ImportFrom))]
+
+
+def test_codec_imports_no_package_module():
+    # Every other module builds on the codec's (bit_count, payload) ints.
+    assert [text for text, _ in import_statements(SRC / "codec.py")
+            if text.startswith("from .") or "wbancomp" in text] == []
+
+
+def test_only_sink_annotations_name_bitstream():
+    # bitstream sits on top of codec, and only the benchmark's traced replay
+    # runs it; the package __init__ resolves its names by module name.
+    found = {(path.stem, text, typing_only)
+             for path in SRC.glob("*.py") if path.stem != "bitstream"
+             for text, typing_only in import_statements(path)
+             if "bitstream" in text}
+    assert found == {("sink", "from .bitstream import BitString", True)}

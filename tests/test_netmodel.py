@@ -386,13 +386,9 @@ def test_run_invariants(sc):
 
 
 def write_run(sc, rundir):
-    """simulate's run directory for a scenario, written by the calls that
+    """simulate's run directory for a scenario, written by the call that
     cmd_simulate makes."""
-    runlog = simulate(sc)
-    devices, run = metrics.compute(runlog)
-    runlog.save(rundir)
-    (rundir / "metrics.csv").write_text(metrics.to_csv(devices))
-    (rundir / "metrics.json").write_text(metrics.to_json(devices, run))
+    simulate(sc).save(rundir)
 
 
 def dir_bytes(rundir):

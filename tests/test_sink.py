@@ -5,7 +5,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import codeword_literal, literal_bits
-from wbancomp.bitstream import BitString
 from wbancomp.codec import (RESIDUAL_MAX, RESIDUAL_MIN, codeword_bytes,
                             decode_bits)
 from wbancomp.sink import Packet, Sink
@@ -57,7 +56,7 @@ def packets(draw):
 
 class TestPacket:
     def test_layout(self):
-        packet = Packet.from_bits(7, BitString(0b110100110, 9))
+        packet = Packet(7, *literal_bits("110100110"))
         assert packet.bit_count == 9
         assert packet.payload == bytes([0b11010011, 0b00000000])
 
