@@ -68,7 +68,8 @@ def build_parser() -> argparse.ArgumentParser:
     src = dump.add_mutually_exclusive_group(required=True)
     src.add_argument("--kind", choices=SYNTH_KINDS, help="synthetic signal")
     src.add_argument("--file", help="CSV trace to quantize")
-    dump.add_argument("--column", type=int, default=0)
+    dump.add_argument("--column", type=int, default=None,
+                      help="value column index (file traces, default 0)")
     dump.add_argument("--samples", type=int, default=120)
     dump.add_argument("--period-ms", type=int, default=1000)
     dump.add_argument("--adc-bits", type=int, default=10)
@@ -210,13 +211,16 @@ def cmd_signals_dump(args) -> int:
         raise UsageError(f"--period-ms {args.period_ms}: must be positive")
     if args.samples < 0:
         raise UsageError(f"--samples {args.samples}: must be non-negative")
-    _check_column(args.column)
-    if args.kind and args.adc_range is not None:
-        raise UsageError("--range applies to --file traces only")
     if args.kind:
+        for flag, value in (("--range", args.adc_range),
+                            ("--column", args.column)):
+            if value is not None:
+                raise UsageError(f"{flag} applies to --file traces only")
         codes, clamps = synth(args.kind, {}, args.seed or 0, args.samples,
                               args.adc_bits), 0
     else:
+        column = 0 if args.column is None else args.column
+        _check_column(column)
         if args.adc_range is None:
             raise UsageError("--file requires --range min,max")
         try:
@@ -224,7 +228,7 @@ def cmd_signals_dump(args) -> int:
         except ValueError as exc:
             raise UsageError(f"--range: {exc}") from None
         codes, clamps = trace_codes(TraceSpec(
-            source=FileSource(path=args.file, value_column=args.column),
+            source=FileSource(path=args.file, value_column=column),
             sample_period_ms=args.period_ms,
             adc_bits=args.adc_bits,
             adc_range=adc_range,

@@ -1,13 +1,13 @@
 """Deterministic model of the star network: latency, energy states, sleep.
 
 Devices share no channel and the sink keeps one reference value per device,
-so each device runs as its own loop, which owns the device's filter, sink,
-energy ledger and tallies. Each sample runs the filter, encodes the residual
-when transmitted, decodes it at the sink, charges the ledger so the
-per-state times partition the run duration exactly, and folds its row into
-the delay sums as it appends it. Currents are whole-device currents per
-state (tx, idle, sleep, cpu), so charge is current times time summed over
-states.
+so each device runs as its own loop, which owns the device's filter and
+sink, and keeps its energy ledger and delay sums in locals. Each sample runs
+the filter, encodes the residual when transmitted, decodes it at the sink,
+charges the ledger so the per-state times partition the run duration
+exactly, folds its row into the delay sums, and appends the row as its
+runlog_events.csv line. Currents are whole-device currents per state (tx,
+idle, sleep, cpu), so charge is current times time summed over states.
 
 Each device runs to completion before the next, in scenario order, so the
 run log's rows and packets are grouped by device in scenario order, and by
@@ -21,7 +21,7 @@ from dataclasses import dataclass, replace
 from .codec import MAX_CODEWORD_BITS, MAX_GROUP, codeword_bytes
 from .control import DeviceState
 from .metrics import MS_PER_HOUR, lifetime  # lifetime: read from here too
-from .rundir import DelaySums, DeviceRun, RunLog, SampleEvent
+from .rundir import DelaySums, DeviceRun, RunLog
 from .signals import TraceSpec, trace_codes
 from .sink import Packet, Sink
 
@@ -92,7 +92,11 @@ class SleepPolicy:
 
 
 class EnergyLedger:
-    """Accumulated time and charge per energy state for one device."""
+    """Accumulated time and charge per energy state for one device.
+
+    The device loop adds the same sums in locals, in the same order, so
+    replaying a run's charges through this class gives its ledger exactly.
+    """
 
     def __init__(self, model: RadioEnergyModel):
         self.model = model
@@ -186,25 +190,24 @@ class Scenario:
                 )
 
 
-def _device_loop(cfg: DeviceConfig, scenario: Scenario,
-                 events: list[SampleEvent],
+def _device_loop(cfg: DeviceConfig, scenario: Scenario, rows: list[str],
                  packets: list[tuple[int, int, Packet]]
                  ) -> tuple[DeviceRun, DelaySums]:
     """Run one device over its samples, appending its rows and packets.
 
     Every sample is filtered, encoded, decoded at the device's own sink,
     checked and charged to its ledger before its row is folded into its
-    delay sums and appended to `events`. Decoding at send time gives the
-    sink state that decoding at arrival would, because Scenario checks that
-    each arrival lands before the device's next sample.
+    delay sums and appended to `rows` as its events-file line. Decoding at
+    send time gives the sink state that decoding at arrival would, because
+    Scenario checks that each arrival lands before the device's next sample.
+    The ledger is EnergyLedger's arithmetic in locals: each state's time and
+    charge add `d` and `current * (d / MS_PER_HOUR)` in the same order.
     """
     spec = replace(cfg.trace, duration_s=scenario.duration_s)
     codes, _ = trace_codes(spec)
     period = spec.sample_period_ms
     model = cfg.energy or scenario.energy
-    ledger = EnergyLedger(model)
-    sums = DelaySums()
-    sleep = scenario.sleep
+    transit_ms = scenario.channel.transit_ms
     sink = Sink()
     device = None
     if cfg.mode != "CGWC":
@@ -215,65 +218,101 @@ def _device_loop(cfg: DeviceConfig, scenario: Scenario,
             adc_bits=spec.adc_bits,
         )
         sink.register_device(cfg.device_id)
-    can_sleep = sleep.enabled and device is not None
+    can_sleep = scenario.sleep.enabled and device is not None
+    quiet_to_sleep = scenario.sleep.suppressions_before_sleep
     asleep = False
-    # A raw reading travels as adc_bits bits, zero-padded to whole bytes.
+    # A raw reading travels as adc_bits bits, zero-padded to whole bytes,
+    # and costs no compression or decompression delay.
     raw_bytes = (spec.adc_bits + 7) // 8
     raw_pad = 8 * raw_bytes - spec.adc_bits
+    cd_ms, dd_ms = (0.0, 0.0) if device is None else (cfg.cd_ms, cfg.dd_ms)
+    # Row cells as csv.writer writes them: repr for floats, blank for None.
+    # Caches are keyed by int only: -0.0 == 0.0, and each writes its own repr.
+    head = f"{cfg.device_id},"
+    cd_cell, dd_cell = repr(cd_ms), repr(dd_ms)
+    dtr_cells: dict[int, tuple[float, str]] = {}
+
+    tx_ma, idle_ma = model.tx_ma, model.idle_ma
+    cpu_step_mah = model.cpu_active_ma * (cd_ms / MS_PER_HOUR)
+    # A suppressed sample spends its period as cpu time, then rest.
+    quiet_rest_ms = period - cd_ms
+    quiet_sleep_mah = model.sleep_ma * (quiet_rest_ms / MS_PER_HOUR)
+    quiet_idle_mah = idle_ma * (quiet_rest_ms / MS_PER_HOUR)
+    tx_ms = idle_ms = sleep_ms = cpu_ms = 0.0
+    tx_mah = idle_mah = sleep_mah = cpu_mah = 0.0
+    sent = payload_bits = 0
+    cd_sum = dd_sum = ad_sum = 0.0
 
     for seq, code in enumerate(codes):
         t_ms = float(seq * period)
+        cpu_ms += cd_ms
+        cpu_mah += cpu_step_mah
         if device is None:
-            residual = None
+            residual = ""  # the row's blank residual cell
             bits = spec.adc_bits
             payload = (code << raw_pad).to_bytes(raw_bytes, "big")
-            cd_ms = 0.0
             reconstructed = code
         else:
             residual = device.process_sample(code)
-            bits, payload = ((0, None) if residual is None
-                             else codeword_bytes(residual))
-            cd_ms = cfg.cd_ms
             reconstructed = device.last_reading
+            if residual is None:
+                asleep = can_sleep and (device.consecutive_suppressed
+                                        >= quiet_to_sleep)
+                if quiet_rest_ms < 0:
+                    raise ValueError("duration must be non-negative")
+                if asleep:
+                    sleep_ms += quiet_rest_ms
+                    sleep_mah += quiet_sleep_mah
+                else:
+                    idle_ms += quiet_rest_ms
+                    idle_mah += quiet_idle_mah
+                rows.append(f"{head}{seq},{t_ms!r},{code},0,,0,{cd_cell},"
+                            f"0.0,0.0,,{reconstructed}\n")
+                continue
+            bits, payload = codeword_bytes(residual)
 
-        transmitted = 0
-        wake_ms = dtr_ms = dd_ms = 0.0
-        arrival_ms = None
-        if payload is not None:
-            if asleep:
-                wake_ms = model.wake_latency_ms
-            dtr_ms = scenario.channel.transit_ms(bits)
-            packet = Packet(cfg.device_id, bits, payload)
-            if device is None:
-                # Raw payload: no decompression happens at the sink.
-                value = int.from_bytes(payload, "big") >> raw_pad
-            else:
-                value = sink.on_packet(packet)
-                dd_ms = cfg.dd_ms
-            if value != reconstructed:
-                raise RuntimeError(
-                    f"sink reconstruction {value} diverged from device-side "
-                    f"{reconstructed} (device {cfg.device_id})"
-                )
-            packets.append((cfg.device_id, seq, packet))
-            arrival_ms = t_ms + cd_ms + wake_ms + dtr_ms + dd_ms
-            transmitted = 1
+        wake_ms = model.wake_latency_ms if asleep else 0.0
+        dtr = dtr_cells.get(bits)
+        if dtr is None:
+            dtr_ms = transit_ms(bits)
+            dtr = dtr_cells[bits] = (dtr_ms, repr(dtr_ms))
+        dtr_ms, dtr_cell = dtr
+        packet = Packet(cfg.device_id, bits, payload)
+        if device is None:
+            # Raw payload: no decompression happens at the sink.
+            value = int.from_bytes(payload, "big") >> raw_pad
+        else:
+            value = sink.on_packet(packet)
+        if value != reconstructed:
+            raise RuntimeError(
+                f"sink reconstruction {value} diverged from device-side "
+                f"{reconstructed} (device {cfg.device_id})"
+            )
+        packets.append((cfg.device_id, seq, packet))
+        arrival_ms = t_ms + cd_ms + wake_ms + dtr_ms + dd_ms
+        sent += 1
+        payload_bits += bits
+        cd_sum += cd_ms
+        dd_sum += dd_ms
+        ad_sum += cd_ms + dd_ms + dtr_ms
 
-        # Energy: the sample period splits into cpu, wake, tx, and rest.
-        asleep = (can_sleep and device.consecutive_suppressed
-                  >= sleep.suppressions_before_sleep)
+        # Energy: the sample period splits into cpu, wake, tx, and rest. A
+        # sent sample ends the quiet run, so the radio idles through the rest.
+        asleep = False
         rest_ms = period - cd_ms - wake_ms - dtr_ms
-        ledger.charge("cpu", cd_ms)
+        if rest_ms < 0:
+            raise ValueError("duration must be non-negative")
         if wake_ms:
-            ledger.charge("idle", wake_ms)
+            idle_ms += wake_ms
+            idle_mah += idle_ma * (wake_ms / MS_PER_HOUR)
         if dtr_ms:
-            ledger.charge("tx", dtr_ms)
-        ledger.charge("sleep" if asleep else "idle", rest_ms)
-
-        sums.add(transmitted, bits, cd_ms, dtr_ms, dd_ms)
-        events.append(SampleEvent(cfg.device_id, seq, t_ms, code, transmitted,
-                                  residual, bits, cd_ms, dtr_ms, dd_ms,
-                                  arrival_ms, reconstructed))
+            tx_ms += dtr_ms
+            tx_mah += tx_ma * (dtr_ms / MS_PER_HOUR)
+        idle_ms += rest_ms
+        idle_mah += idle_ma * (rest_ms / MS_PER_HOUR)
+        rows.append(f"{head}{seq},{t_ms!r},{code},1,{residual},{bits},"
+                    f"{cd_cell},{dtr_cell},{dd_cell},{arrival_ms!r},"
+                    f"{reconstructed}\n")
 
     if device is not None:
         held = sink.held_value(cfg.device_id)
@@ -282,14 +321,18 @@ def _device_loop(cfg: DeviceConfig, scenario: Scenario,
                 f"device {cfg.device_id}: sink reference {held} != "
                 f"device memory {device.last_reading}"
             )
+    sums = DelaySums(rows=len(codes), transmitted=sent, cd_ms=cd_sum,
+                     dd_ms=dd_sum, ad_ms=ad_sum, payload_bits=payload_bits)
     run = DeviceRun(
         name=cfg.name, device_id=cfg.device_id, mode=cfg.mode,
         threshold=cfg.threshold, sample_period_ms=period,
         signal=getattr(cfg.trace.source, "kind", "file"),
         battery_mah=model.battery_mah, samples=sums.rows,
-        transmitted=sums.transmitted, payload_bits=sums.payload_bits,
-        state_time_ms=dict(ledger.time_ms),
-        state_charge_mah=dict(ledger.charge_mah))
+        transmitted=sent, payload_bits=payload_bits,
+        state_time_ms={"tx": tx_ms, "idle": idle_ms, "sleep": sleep_ms,
+                       "cpu": cpu_ms},
+        state_charge_mah={"tx": tx_mah, "idle": idle_mah, "sleep": sleep_mah,
+                          "cpu": cpu_mah})
     return run, sums
 
 
@@ -301,12 +344,11 @@ def simulate(scenario: Scenario) -> RunLog:
     """
     devices: list[DeviceRun] = []
     sums: dict[int, DelaySums] = {}
-    events: list[SampleEvent] = []
+    rows: list[str] = []
     packets: list[tuple[int, int, Packet]] = []
     for cfg in scenario.devices:
-        run, sums[cfg.device_id] = _device_loop(cfg, scenario, events,
-                                                packets)
+        run, sums[cfg.device_id] = _device_loop(cfg, scenario, rows, packets)
         devices.append(run)
     return RunLog(duration_ms=scenario.duration_s * 1000.0,
                   seed=scenario.seed, devices=devices, sums=sums,
-                  events=events, packets=packets)
+                  rows=rows, packets=packets)

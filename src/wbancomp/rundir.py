@@ -2,14 +2,16 @@
 
 runlog_events.csv holds one SampleEvent row per sample, runlog.json the
 run's DeviceRuns, packets.trace the packets sent, and metrics.csv and
-metrics.json the metrics computed from them. load reads back the first two:
-it checks every events cell against its column's pattern, the shape of what
-the writer emits, and folds the rows into the metrics' delay sums.
+metrics.json the metrics computed from them. A RunLog holds its events as
+those rows' text, which the simulator writes as csv.writer would. load
+reads back the first two files: it checks every events cell against its
+column's pattern, the shape of what the writer emits, and folds the rows
+into the metrics' delay sums. The same pattern parses a log's rows back
+into SampleEvents.
 """
 
 from __future__ import annotations
 
-import csv
 import json
 import math
 import re
@@ -100,25 +102,34 @@ class DelaySums:
 class RunLog:
     """Everything a simulation run produced, grouped by device.
 
-    `sums` holds each device's folded rows, by device id in device order. A
-    log read back from a run directory holds no events and no packets.
+    `sums` holds each device's folded rows, by device id in device order, and
+    `rows` the runlog_events.csv lines below its header. A log read back
+    from a run directory holds no rows and no packets.
     """
 
     duration_ms: float
     seed: int
     devices: list[DeviceRun]
     sums: dict[int, DelaySums]
-    events: list[SampleEvent] = field(default_factory=list)
+    rows: list[str] = field(default_factory=list)
     packets: list[tuple[int, int, Packet]] = field(  # (device_id, seq, packet)
         default_factory=list)
+
+    @property
+    def events(self) -> list[SampleEvent]:
+        """The rows parsed back into SampleEvents, in file order."""
+        fullmatch = re.compile(_ROW + "\n").fullmatch
+        return [SampleEvent._make(
+                    cast(cell) for cast, cell
+                    in zip(_EVENT_TYPES, fullmatch(row).groups()))
+                for row in self.rows]
 
     def save(self, rundir: Path) -> None:
         """Write the run directory's five files into the directory rundir."""
         devices, run = metrics.compute(self)
         with (rundir / _EVENTS_FILE).open("w", newline="") as handle:
-            writer = csv.writer(handle, lineterminator="\n")
-            writer.writerow(SampleEvent._fields)
-            writer.writerows(self.events)
+            handle.write(",".join(SampleEvent._fields) + "\n")
+            handle.write("".join(self.rows))
         summary = {"duration_ms": self.duration_ms, "seed": self.seed,
                    "devices": [asdict(dev) for dev in self.devices]}
         (rundir / SUMMARY_FILE).write_text(
@@ -132,7 +143,7 @@ class RunLog:
     @classmethod
     def load(cls, rundir: Path) -> RunLog:
         """Read back runlog.json and runlog_events.csv into a log with no
-        events and no packets. Malformed files raise ValueError naming the
+        rows and no packets. Malformed files raise ValueError naming the
         file and the line or device entry at fault; a file that cannot be
         opened raises the OSError of its open."""
         summary_path = rundir / SUMMARY_FILE
@@ -187,8 +198,12 @@ _EVENT_COLUMNS = dict(zip(SampleEvent._fields, (
     _INT, _INT, _FLOAT, _INT, (r"[01]", "0 or 1"),
     (r"0|-?[1-9][0-9]*|", "a canonical integer, or blank"), _INT, _FLOAT,
     _FLOAT, _FLOAT, (_FLOAT[0] + "|", _FLOAT[1] + ", or blank"), _INT)))
-# Compiled by the first load, so commands that read no run directory skip it.
+# Compiled on first use, so commands that read no run directory skip it.
 _ROW = ",".join(f"({pattern})" for pattern, _ in _EVENT_COLUMNS.values())
+# Each events column's cell as its SampleEvent field, blank as None.
+_EVENT_TYPES = (int, int, float, int, int,
+                lambda cell: int(cell) if cell else None, int, float, float,
+                float, lambda cell: float(cell) if cell else None, int)
 
 
 def _fold_events(path: Path, sums: dict, summary: str) -> None:

@@ -305,7 +305,9 @@ def test_decode_of_more_samples_than_fit_in_memory_is_data_error(tmp_path):
     (["--kind", "ecg", "--adc-bits", "17"], ["--adc-bits 17", "[1, 16]"]),
     # A synthetic signal reads no physical range: --range would be ignored.
     (["--kind", "ecg", "--range", "0,1"], ["--range", "--file"]),
-], ids=["kind", "adc-bits", "range-on-kind"])
+    # Nor does it read a column.
+    (["--kind", "ecg", "--column", "7"], ["--column", "--file"]),
+], ids=["kind", "adc-bits", "range-on-kind", "column-on-kind"])
 def test_signals_dump_names_its_limits(capsys, argv, named):
     assert main(["signals", "dump", *argv]) == EXIT_USAGE
     err = capsys.readouterr().err
@@ -645,6 +647,29 @@ def test_failed_run_removes_the_out_parents_it_made(tmp_path, capsys, out):
     assert "trace.csv:2: reading nan is not finite" in capsys.readouterr().err
     assert sorted(path.name for path in tmp_path.iterdir()) == [
         "bad.cfg", "trace.csv"]
+
+
+def test_negative_zero_delays_keep_their_sign(tmp_path, capsys):
+    # -0.0 == 0.0, so a cell cached by float value would write one device's
+    # zero with another's sign. Each device's rows spell its own.
+    devices = "".join(
+        f"[device:t{i}]\nid = {i}\nmode = CGLL\nsample_period_ms = 5000\n"
+        f"signal = temperature\nseed = 7\ncd_ms = {ms}\ndd_ms = {ms}\n"
+        for i, ms in ((1, "0.0"), (2, "-0.0"), (3, "0.0")))
+    cfg = tmp_path / "zeros.cfg"
+    cfg.write_text("[run]\nduration_s = 15\n[channel]\n[energy]\n" + devices)
+    out = tmp_path / "run"
+    assert main(["--out", str(out), "simulate", str(cfg)]) == EXIT_OK
+    rows = [f"{i},0,0.0,477,1,477,16,{ms},49.0,{ms},49.0,477\n"
+            f"{i},1,5000.0,477,0,,0,{ms},0.0,0.0,,477\n"
+            f"{i},2,10000.0,477,0,,0,{ms},0.0,0.0,,477\n"
+            for i, ms in ((1, "0.0"), (2, "-0.0"), (3, "0.0"))]
+    assert (out / "runlog_events.csv").read_text() == (
+        ",".join(SampleEvent._fields) + "\n" + "".join(rows))
+    capsys.readouterr()
+    assert main(["report", str(out)]) == EXIT_OK
+    assert capsys.readouterr().out.encode() == \
+        (out / "metrics.csv").read_bytes()
 
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])

@@ -1,4 +1,5 @@
 import contextlib
+import csv
 import io
 import math
 import tempfile
@@ -9,12 +10,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import DATA_DIR
+from conftest import DATA_DIR, SCENARIO_DIR
 from wbancomp import cli, metrics
+from wbancomp.config import parse_scenario
 from wbancomp.netmodel import (MODES, MS_PER_HOUR, ChannelModel, DeviceConfig,
                                EnergyLedger, RadioEnergyModel, Scenario,
                                SleepPolicy, lifetime, simulate)
-from wbancomp.rundir import RunLog
+from wbancomp.rundir import RunLog, SampleEvent
 from wbancomp.signals import (SYNTH_KINDS, FileSource, SyntheticSource,
                               TraceSpec)
 
@@ -320,7 +322,12 @@ def small_scenarios(draw):
         channel=ChannelModel(
             base_latency_ms=draw(st.sampled_from([0.0, -0.0, 10.0, 49.0])),
             per_bit_delay_ms=draw(st.sampled_from([0.0, -0.0, 0.1]))),
+        # tx, idle, sleep and cpu currents: some whose charges round in most
+        # steps, temperature_sleep's calibration, and the defaults.
         energy=RadioEnergyModel(
+            *draw(st.sampled_from([(37.3, 11.1, 0.7, 13.3),
+                                   (38.8, 38.26, 24.7, 39.0),
+                                   (24.0, 8.0, 0.2, 10.0)])),
             wake_latency_ms=draw(st.sampled_from([0.0, 5.0]))),
         sleep=SleepPolicy(enabled=draw(st.booleans()),
                           suppressions_before_sleep=draw(st.integers(1, 3))),
@@ -342,6 +349,67 @@ def plain_fold(events):
             bits += ev.codeword_bits
         sums[ev.device_id] = (rows + 1, sent, cd, dd, ad, bits)
     return sums
+
+
+def replayed_ledger(sc, cfg, rows):
+    """The device's ledger rebuilt from its event rows through
+    EnergyLedger.charge, in the device loop's order: cpu, wake as idle, tx,
+    then the rest of the period as sleep or idle."""
+    model = cfg.energy or sc.energy
+    can_sleep = sc.sleep.enabled and cfg.mode != "CGWC"
+    ledger = EnergyLedger(model)
+    quiet, asleep = 0, False
+    for ev in rows:
+        wake_ms = model.wake_latency_ms if ev.transmitted and asleep else 0.0
+        quiet = 0 if ev.transmitted else quiet + 1
+        asleep = can_sleep and quiet >= sc.sleep.suppressions_before_sleep
+        ledger.charge("cpu", ev.cd_ms)
+        if wake_ms:
+            ledger.charge("idle", wake_ms)
+        if ev.dtr_ms:
+            ledger.charge("tx", ev.dtr_ms)
+        ledger.charge("sleep" if asleep else "idle",
+                      cfg.trace.sample_period_ms - ev.cd_ms - wake_ms
+                      - ev.dtr_ms)
+    return ledger
+
+
+def assert_ledgers_replay(sc, log):
+    # The loop keeps EnergyLedger's sums in locals; replayed through the
+    # class, the rows give the same floats, not merely close ones.
+    events = log.events
+    for cfg, run in zip(sc.devices, log.devices):
+        ledger = replayed_ledger(
+            sc, cfg, [ev for ev in events if ev.device_id == cfg.device_id])
+        assert ledger.time_ms == run.state_time_ms
+        assert ledger.charge_mah == run.state_charge_mah
+
+
+def csv_writer_bytes(log):
+    """The events file as csv.writer writes the log's SampleEvents."""
+    text = io.StringIO()
+    writer = csv.writer(text, lineterminator="\n")
+    writer.writerow(SampleEvent._fields)
+    writer.writerows(log.events)
+    return text.getvalue().encode()
+
+
+@pytest.fixture(scope="module",
+                params=["four_device", "lifetime_table", "temperature_sleep"])
+def shipped_run(request):
+    sc = parse_scenario(SCENARIO_DIR / f"{request.param}.cfg")
+    return sc, simulate(sc)
+
+
+def test_shipped_ledgers_replay_through_energy_ledger(shipped_run):
+    assert_ledgers_replay(*shipped_run)
+
+
+def test_shipped_events_file_is_what_csv_writer_writes(shipped_run, tmp_path):
+    _, log = shipped_run
+    log.save(tmp_path)
+    assert (tmp_path / "runlog_events.csv").read_bytes() == \
+        csv_writer_bytes(log)
 
 
 @settings(max_examples=100)
@@ -372,6 +440,7 @@ def test_run_invariants(sc):
         assert math.isclose(run.state_time_ms["sleep"], sleep_ms)
         assert max(abs(ev.reconstructed - ev.value)
                    for ev in rows) <= cfg.threshold
+    assert_ledgers_replay(sc, log)
 
     again = simulate(sc)
     assert again.events == log.events
@@ -381,6 +450,8 @@ def test_run_invariants(sc):
     with tempfile.TemporaryDirectory() as rundir:
         log.save(Path(rundir))
         loaded = RunLog.load(Path(rundir))
+        assert (Path(rundir) / "runlog_events.csv").read_bytes() == \
+            csv_writer_bytes(log)
     assert loaded.sums == log.sums
     assert metrics.compute(loaded) == metrics.compute(log)
 
