@@ -16,8 +16,7 @@ MAX_ADC_BITS = 16
 
 # Each public name, by the module that defines it.
 _HOMES = {
-    "bitstream": ("BitReader", "BitString", "decode_residual",
-                  "encode_residual"),
+    "bitstream": ("BitReader", "decode_residual", "encode_residual"),
     "codec": ("encode_prefix", "encode_suffix", "group_of"),
     "control": ("DeviceState",),
     "metrics": ("lifetime",),

@@ -1,8 +1,7 @@
-"""Codewords as bit-exact sequences, and an MSB-first reader for them.
+"""The codec one codeword at a time: encode_residual, and decode_residual
+from a BitReader over a payload's bits.
 
-A BitString knows its length exactly: nothing ever pads inside a value.
-Byte conversion zero-pads only at the end, and the pad is outside the
-declared bit count.
+Both work on codec's (bit_count, payload) pairs. No command runs them.
 """
 
 from __future__ import annotations
@@ -10,30 +9,8 @@ from __future__ import annotations
 from .codec import MAX_CODEWORD_BITS, _next_codeword, codeword_bytes
 
 
-class BitString:
-    """Immutable bit sequence with explicit length, most-significant bit first."""
-
-    __slots__ = ("_value", "_length")
-
-    def __init__(self, value: int, length: int):
-        if length < 0:
-            raise ValueError("bit length must be non-negative")
-        if value < 0 or value >> length:
-            raise ValueError(f"value {value} does not fit in {length} bits")
-        self._value = value
-        self._length = length
-
-    def __len__(self) -> int:
-        return self._length
-
-    def to_bytes(self) -> bytes:
-        """MSB-first bytes, zero-padded at the tail to a byte boundary."""
-        nbytes = (self._length + 7) // 8
-        return (self._value << (8 * nbytes - self._length)).to_bytes(nbytes, "big")
-
-
 class BitReader:
-    """Reads bits MSB-first from a payload's first bit_count bits."""
+    """A read position in a payload's first bit_count bits, MSB first."""
 
     def __init__(self, payload: bytes, bit_count: int):
         self._data = bytes(payload)
@@ -46,30 +23,10 @@ class BitReader:
     def remaining(self) -> int:
         return self._bits - self._pos
 
-    def peek_uint(self, count: int) -> int:
-        """The next `count` bits as an unsigned integer, left unconsumed."""
-        if count < 0:
-            raise ValueError("count must be non-negative")
-        pos = self._pos
-        end = pos + count
-        if end > self._bits:
-            raise ValueError(f"requested {count} bits, {self.remaining} remain")
-        last = (end + 7) >> 3
-        chunk = int.from_bytes(self._data[pos >> 3:last], "big")
-        return (chunk >> (8 * last - end)) & ((1 << count) - 1)
 
-    def skip(self, count: int) -> None:
-        """Consume the next `count` bits unread."""
-        if not 0 <= count <= self._bits - self._pos:
-            raise ValueError(f"cannot skip {count} bits, {self.remaining} remain")
-        self._pos += count
-
-
-def encode_residual(residual: int) -> BitString:
-    """Full codeword for one residual: prefix followed by suffix."""
-    bit_count, payload = codeword_bytes(residual)
-    return BitString(int.from_bytes(payload, "big") >> (-bit_count % 8),
-                     bit_count)
+def encode_residual(residual: int) -> tuple[int, bytes]:
+    """(bit_count, payload) of the residual's codeword."""
+    return codeword_bytes(residual)
 
 
 def decode_residual(reader: BitReader) -> int:
@@ -77,10 +34,16 @@ def decode_residual(reader: BitReader) -> int:
 
     Raises decode_bits' errors for the codeword at the read position.
     """
+    pos = reader._pos
     # A conditional, not min(): this runs once per codeword.
-    take = reader.remaining
+    take = reader._bits - pos
     if take > MAX_CODEWORD_BITS:
         take = MAX_CODEWORD_BITS
-    residual, left = _next_codeword(reader.peek_uint(take), take)
-    reader.skip(take - left)
+    # The bytes holding bits [pos, end): at most 20 bits, so O(1). Bits of
+    # the first byte before pos stay in, since _next_codeword masks them off.
+    end = pos + take
+    last = (end + 7) >> 3
+    chunk = int.from_bytes(reader._data[pos >> 3:last], "big")
+    residual, left = _next_codeword(chunk >> (8 * last - end), take)
+    reader._pos = end - left
     return residual

@@ -41,7 +41,8 @@ class DeviceState:
     def process_sample(self, value: int) -> int | None:
         """Return the residual to transmit, or None when the sample is suppressed.
 
-        The first reading is transmitted as an absolute value. Afterwards a
+        The first reading is transmitted as an absolute value: its residual
+        from the initial last_reading of 0 is the reading itself. Afterwards a
         reading transmits its delta from the last transmitted reading when the
         variation strictly exceeds the threshold (or always at threshold 0,
         zero deltas excepted under suppress_zero). Suppression leaves
@@ -49,17 +50,10 @@ class DeviceState:
         """
         if not 0 <= value < (1 << self.adc_bits):
             raise ValueError(f"reading {value} outside {self.adc_bits}-bit range")
-        if self.first_reading:
+        residual = value - self.last_reading
+        if (self.first_reading or abs(residual) > self.threshold
+                or (self.threshold == 0 and not self.suppress_zero)):
             self.first_reading = False
-            self.last_reading = value
-            self.consecutive_suppressed = 0
-            return value
-        variation = abs(self.last_reading - value)
-        if (self.threshold > 0 and variation > self.threshold) or self.threshold == 0:
-            residual = value - self.last_reading
-            if residual == 0 and self.suppress_zero:
-                self.consecutive_suppressed += 1
-                return None
             self.last_reading = value
             self.consecutive_suppressed = 0
             return residual

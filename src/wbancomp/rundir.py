@@ -86,16 +86,15 @@ class DelaySums:
     ad_ms: float = 0.0  # cd + dd + dtr
     payload_bits: int = 0
 
-    def add(self, transmitted: int, codeword_bits: int, cd_ms: float,
-            dtr_ms: float, dd_ms: float) -> None:
-        """Fold one event row into the sums."""
+    def add(self, codeword_bits: int, cd_ms: float, dtr_ms: float,
+            dd_ms: float) -> None:
+        """Fold one transmitted event row into the sums."""
         self.rows += 1
-        if transmitted:
-            self.transmitted += 1
-            self.payload_bits += codeword_bits
-            self.cd_ms += cd_ms
-            self.dd_ms += dd_ms
-            self.ad_ms += cd_ms + dd_ms + dtr_ms
+        self.transmitted += 1
+        self.payload_bits += codeword_bits
+        self.cd_ms += cd_ms
+        self.dd_ms += dd_ms
+        self.ad_ms += cd_ms + dd_ms + dtr_ms
 
 
 @dataclass
@@ -240,7 +239,7 @@ def _fold_events(path: Path, sums: dict, summary: str) -> None:
                 # Finite cells can add up past the float range.
                 if not math.isfinite(cd_ms + dd_ms + dtr_ms):
                     raise ValueError("cd_ms + dd_ms + dtr_ms is not finite")
-                device_sums.add(1, int(bits), cd_ms, dtr_ms, dd_ms)
+                device_sums.add(int(bits), cd_ms, dtr_ms, dd_ms)
     except UnicodeDecodeError as exc:
         raise ValueError(f"{path}: {exc}") from None
     except ValueError as exc:

@@ -10,12 +10,8 @@ inverted encode table; any other packet goes through decode_bits.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
 from .codec import codeword_residuals, decode_bits
-
-if TYPE_CHECKING:
-    from .bitstream import BitString
 
 
 @dataclass(slots=True)
@@ -43,8 +39,8 @@ class Packet:
             )
 
     @classmethod
-    def from_bits(cls, device_id: int, bits: BitString) -> "Packet":
-        return cls(device_id, len(bits), bits.to_bytes())
+    def from_bits(cls, device_id: int, bits: tuple[int, bytes]) -> "Packet":
+        return cls(device_id, *bits)
 
 
 class Sink:

@@ -84,30 +84,22 @@ def test_report_loads_no_model_or_signals(tmp_path):
     assert loaded.isdisjoint({"netmodel", "config", "signals", "control"})
 
 
-def import_statements(path) -> list[tuple[str, bool]]:
-    """Each import statement of a source file as (its text, whether it sits
-    in an `if TYPE_CHECKING:` block)."""
-    tree = ast.parse(path.read_text())
-    typing_only = {id(node) for block in ast.walk(tree)
-                   if isinstance(block, ast.If)
-                   and ast.unparse(block.test) == "TYPE_CHECKING"
-                   for node in ast.walk(block)}
-    return [(ast.unparse(node), id(node) in typing_only)
-            for node in ast.walk(tree)
+def import_statements(path) -> list[str]:
+    """The text of each import statement in a source file."""
+    return [ast.unparse(node) for node in ast.walk(ast.parse(path.read_text()))
             if isinstance(node, (ast.Import, ast.ImportFrom))]
 
 
 def test_codec_imports_no_package_module():
     # Every other module builds on the codec's (bit_count, payload) ints.
-    assert [text for text, _ in import_statements(SRC / "codec.py")
+    assert [text for text in import_statements(SRC / "codec.py")
             if text.startswith("from .") or "wbancomp" in text] == []
 
 
-def test_only_sink_annotations_name_bitstream():
+def test_no_module_but_bitstream_imports_it():
     # bitstream sits on top of codec, and only the benchmark's traced replay
-    # runs it; the package __init__ resolves its names by module name.
-    found = {(path.stem, text, typing_only)
-             for path in SRC.glob("*.py") if path.stem != "bitstream"
-             for text, typing_only in import_statements(path)
-             if "bitstream" in text}
-    assert found == {("sink", "from .bitstream import BitString", True)}
+    # runs it, so no other module imports it, not even for an annotation.
+    # The package __init__ resolves its names by module name.
+    assert {path.stem: text for path in SRC.glob("*.py")
+            if path.stem != "bitstream"
+            for text in import_statements(path) if "bitstream" in text} == {}

@@ -3,15 +3,19 @@
 pyproject.toml allows Python 3.10 and later, but the other tests run under
 one interpreter. Each python3.N that shutil.which finds and that starts
 runs simulate, encode and decode in a subprocess, and must write the bytes
-test_cli pins. The test ids name the interpreters; one that is absent, does
-not start, or is the running one skips with that reason.
+test_cli pins. A pyenv shim that does not start on its own is retried once
+with PYENV_VERSION set to the newest 3.N.x installed under PYENV_ROOT. The
+test ids name the interpreters; one that is absent, does not start, or is
+the running one skips with that reason.
 """
 
 import hashlib
 import os
+import re
 import shutil
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -26,6 +30,20 @@ def sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
+def newest_pyenv_version(minor: int) -> str | None:
+    """The newest 3.minor.x directory under $PYENV_ROOT/versions, if any."""
+    root = Path(os.environ.get("PYENV_ROOT") or Path.home() / ".pyenv")
+    names = [path.name for path in (root / "versions").glob(f"3.{minor}.*")
+             if re.fullmatch(rf"3\.{minor}\.\d+", path.name)]
+    return max(names, key=lambda name: int(name.rsplit(".", 1)[1]),
+               default=None)
+
+
+def starts(exe: str, env: dict) -> bool:
+    return subprocess.run([exe, "-c", "pass"], capture_output=True,
+                          env=env).returncode == 0
+
+
 @pytest.mark.parametrize("minor", range(10, 14),
                          ids=lambda minor: f"python3.{minor}")
 def test_interpreter_writes_the_pinned_outputs(tmp_path, minor):
@@ -35,9 +53,12 @@ def test_interpreter_writes_the_pinned_outputs(tmp_path, minor):
     exe = shutil.which(name)
     if exe is None:
         pytest.skip(f"{name} is not on PATH")
-    if subprocess.run([exe, "-c", "pass"], capture_output=True).returncode:
-        pytest.skip(f"{exe} does not start")
     env = {**os.environ, "PYTHONPATH": str(REPO_ROOT / "src")}
+    if not starts(exe, env):
+        version = newest_pyenv_version(minor)
+        if version is None or not starts(exe, {**env, "PYENV_VERSION": version}):
+            pytest.skip(f"{exe} does not start")
+        env["PYENV_VERSION"] = version
 
     def cli(*argv) -> bytes:
         done = subprocess.run([exe, "-m", "wbancomp.cli", *map(str, argv)],

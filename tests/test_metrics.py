@@ -52,7 +52,7 @@ class TestCompressionRatio:
 class TestAverageDelay:
     def single_event_log(self, cd, dd, dtr):
         sums = DelaySums()
-        sums.add(1, 3, cd, dtr, dd)
+        sums.add(3, cd, dtr, dd)
         return RunLog(duration_ms=1000.0, seed=0, devices=[], sums={1: sums})
 
     def test_single_transmission(self):
