@@ -105,10 +105,9 @@ def _write_out(args, text: str) -> None:
 
 def cmd_encode(args) -> int:
     from . import metrics, tracefile
-    from .codec import MAX_GROUP, codeword_bytes
+    from .codec import MAX_GROUP, codeword_cells
     from .control import DeviceState
     from .signals import read_column
-    from .sink import Packet
 
     if args.out is None:
         raise UsageError("encode requires --out for the packet trace")
@@ -129,7 +128,9 @@ def cmd_encode(args) -> int:
         suppress_zero=not args.transmit_zeros,
         adc_bits=args.adc_bits,
     )
-    packets = []
+    # Each packet is its trace row's text.
+    rows = []
+    device_cell = f",{args.device_id},"
     # read_column yields at least one reading or raises.
     for seq, (lineno, code) in enumerate(
             read_column(Path(args.input), args.column, int)):
@@ -138,60 +139,89 @@ def cmd_encode(args) -> int:
         except ValueError as exc:
             raise ValueError(f"{args.input}:{lineno}: {exc}") from None
         if residual is not None:
-            packets.append(
-                (seq, Packet(args.device_id, *codeword_bytes(residual))))
+            rows.append(f"{seq}{device_cell}{codeword_cells(residual)}\n")
     trace = tracefile.PacketTrace(
         samples=seq + 1,
         threshold=args.threshold,
         adc_bits=args.adc_bits,
         sample_period_ms=args.sample_period_ms,
-        packets=packets,
     )
-    tracefile.write_trace(args.out, trace)
-    ratio = metrics.compression_ratio(trace.samples, len(packets))
-    print(f"original={trace.samples} transmitted={len(packets)} "
+    tracefile.write_rows(args.out, trace, rows)
+    ratio = metrics.compression_ratio(trace.samples, len(rows))
+    print(f"original={trace.samples} transmitted={len(rows)} "
           f"pcr={metrics.display_round(ratio):.2f}%")
     return EXIT_OK
 
 
 def cmd_decode(args) -> int:
-    from . import tracefile
-    from .sink import Sink
+    """Write the reading of every sample of a single-device packet trace,
+    one per line, to --out or stdout.
 
-    trace = tracefile.read_trace(args.input)
-    # A reading is an ADC code of adc_bits bits. simulate's run-directory
-    # traces write 0 there, and mix codec payloads with raw CGWC ones.
+    Every row is checked first, in file order, as read_trace checks it, but
+    a row whose cells are an encoder codeword builds no Packet, unless it is
+    its device's first: its residual is one lookup. The rows then fold in
+    stable seq order through one running value, so packets at one sample
+    apply in file order, and each sample shows the value after every packet
+    up to its index.
+    """
+    from . import tracefile
+    from .codec import MAX_GROUP, cell_residuals
+    from .sink import Packet, payload_residual
+
+    path = Path(args.input)
+    trace, rows = tracefile.read_rows(path)
+    residual_of = cell_residuals()
+    # (seq, residual, packet): a lookup miss has no residual yet, and a hit
+    # may have no packet.
+    packets = []
+    device_ids: set[str] = set()
+    for lineno, seq, device_id, cells in rows:
+        residual = residual_of.get(cells)
+        packet = None
+        # A Packet checks every miss, and each device's first row, whose id
+        # it range-checks.
+        if residual is None or device_id not in device_ids:
+            try:
+                packet = Packet.from_cells(int(device_id), cells)
+            except ValueError as exc:
+                raise ValueError(f"{path}:{lineno}: {exc}") from None
+            device_ids.add(device_id)
+        packets.append((seq, residual, packet))
+    # A reading is an ADC code of adc_bits bits, which encode caps at the
+    # codec's widest group. simulate's run-directory traces write 0 there,
+    # and mix codec payloads with raw CGWC ones.
     adc_bits = trace.adc_bits
     if not adc_bits:
         raise ValueError(f"{args.input}: #adc_bits=0: a run directory's "
                          f"trace, which holds no ADC width to decode with")
-    device_ids = list(dict.fromkeys(pkt.device_id for _, pkt in trace.packets))
+    if adc_bits > MAX_GROUP:
+        raise ValueError(f"{args.input}: #adc_bits={adc_bits}: outside "
+                         f"[1, {MAX_GROUP}]")
     if len(device_ids) > 1:
         raise ValueError(
             f"{args.input}: trace holds {len(device_ids)} devices; decode "
             f"expects a single-device trace")
     if not device_ids:
         raise ValueError(f"{args.input}: trace holds no packets")
-    sink = Sink()
-    sink.register_device(device_ids[0])
 
-    # Each sample shows the value after every packet up to its index; the
-    # sort is stable, so packets at one sample apply in file order.
     lines: list[str] = []
-    held = str(sink.held_value(device_ids[0]))
+    value, held = 0, "0"
     # The output is built whole: a #samples too large to hold is a data error.
     try:
-        for seq, packet in sorted(trace.packets, key=itemgetter(0)):
+        for seq, residual, packet in sorted(packets, key=itemgetter(0)):
             lines.extend([held] * (seq - len(lines)))
             try:
-                value = sink.on_packet(packet)
+                if residual is None:
+                    residual = payload_residual(packet.bit_count,
+                                                packet.payload)
+                value += residual
                 if value < 0 or value.bit_length() > adc_bits:
                     raise ValueError(
                         f"reading {value} outside [0, 2**{adc_bits})")
-                held = str(value)
             except ValueError as exc:
                 raise ValueError(
                     f"{args.input}: packet at sample {seq}: {exc}") from None
+            held = str(value)
         lines.extend([held] * (trace.samples - len(lines)))
         text = "\n".join(lines) + "\n"
     except MemoryError:

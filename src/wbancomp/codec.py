@@ -19,8 +19,11 @@ deltas of anything up to an 11-bit ADC, first absolute readings included.
 encode_prefix and encode_suffix are the specification: each returns its
 bits as a (value, length) pair of ints. Encoding indexes a table of the
 (bit_count, payload bytes) of all 4095 codewords, built from them on first
-use; codeword_residuals inverts it, so a packet of one codeword decodes by
-one lookup. Any other bit string goes through decode_bits, which looks the
+use, or a second table of the same codewords as the packet trace cells
+`bit_count,payload_hex`, which writers put straight into their rows.
+codeword_residuals and cell_residuals invert the two, so a packet of one
+codeword, as bytes or as trace text, decodes by one lookup. Any other bit
+string goes through decode_bits, which looks the
 next 9 bits (the longest prefix) up in a 512-entry table, built from
 encode_prefix, that gives the group and prefix length of the codeword
 starting there, or marks the start malformed with the number of bits it
@@ -115,6 +118,26 @@ def codeword_bytes(residual: int) -> tuple[int, bytes]:
     """(bit_count, payload) of a packet carrying just the residual's codeword."""
     _check_range(residual)
     return _codewords()[residual - RESIDUAL_MIN]
+
+
+@cache
+def _codeword_cells() -> tuple[str, ...]:
+    """Every codeword as its packet trace cells, `bit_count,payload_hex`,
+    by residual - RESIDUAL_MIN. Built on first use, like the encode table."""
+    return tuple(f"{bits},{payload.hex()}" for bits, payload in _codewords())
+
+
+@cache
+def cell_residuals() -> dict[str, int]:
+    """The residual of each codeword's `bit_count,payload_hex` trace cells:
+    codeword_residuals, keyed by the cells' text."""
+    return dict(zip(_codeword_cells(), range(RESIDUAL_MIN, RESIDUAL_MAX + 1)))
+
+
+def codeword_cells(residual: int) -> str:
+    """The `bit_count,payload_hex` trace cells of codeword_bytes(residual)."""
+    _check_range(residual)
+    return _codeword_cells()[residual - RESIDUAL_MIN]
 
 
 # The longest prefix, group 11's '111111110', fills the window exactly.

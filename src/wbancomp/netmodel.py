@@ -11,19 +11,22 @@ idle, sleep, cpu), so charge is current times time summed over states.
 
 Each device runs to completion before the next, in scenario order, so the
 run log's rows and packets are grouped by device in scenario order, and by
-seq within a device. The run log's records and files are rundir's.
+seq within a device. A packet is its packets.trace row, built as text from
+the codec's trace cells, and the sink decodes those same cells. The run
+log's records and files are rundir's.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
-from .codec import MAX_CODEWORD_BITS, MAX_GROUP, codeword_bytes
+from .codec import (MAX_CODEWORD_BITS, MAX_GROUP, codeword_bytes,
+                    codeword_cells)
 from .control import DeviceState
 from .metrics import MS_PER_HOUR, lifetime  # lifetime: read from here too
 from .rundir import DelaySums, DeviceRun, RunLog
 from .signals import TraceSpec, trace_codes
-from .sink import Packet, Sink
+from .sink import Sink
 
 MODES = ("CGWC", "CGLL", "CGLS")  # no compression / lossless / lossy
 
@@ -191,15 +194,16 @@ class Scenario:
 
 
 def _device_loop(cfg: DeviceConfig, scenario: Scenario, rows: list[str],
-                 packets: list[tuple[int, int, Packet]]
-                 ) -> tuple[DeviceRun, DelaySums]:
-    """Run one device over its samples, appending its rows and packets.
+                 packet_rows: list[str]) -> tuple[DeviceRun, DelaySums]:
+    """Run one device over its samples, appending its rows and packet rows.
 
     Every sample is filtered, encoded, decoded at the device's own sink,
     checked and charged to its ledger before its row is folded into its
-    delay sums and appended to `rows` as its events-file line. Decoding at
-    send time gives the sink state that decoding at arrival would, because
-    Scenario checks that each arrival lands before the device's next sample.
+    delay sums and appended to `rows` as its events-file line. A sent
+    sample's packet goes to `packet_rows` as its packets.trace line.
+    Decoding at send time gives the sink state that decoding at arrival
+    would, because Scenario checks that each arrival lands before the
+    device's next sample.
     The ledger is EnergyLedger's arithmetic in locals: each state's time and
     charge add `d` and `current * (d / MS_PER_HOUR)` in the same order.
     """
@@ -225,12 +229,21 @@ def _device_loop(cfg: DeviceConfig, scenario: Scenario, rows: list[str],
     # and costs no compression or decompression delay.
     raw_bytes = (spec.adc_bits + 7) // 8
     raw_pad = 8 * raw_bytes - spec.adc_bits
+    raw_hex = f"0{2 * raw_bytes}x"
     cd_ms, dd_ms = (0.0, 0.0) if device is None else (cfg.cd_ms, cfg.dd_ms)
     # Row cells as csv.writer writes them: repr for floats, blank for None.
     # Caches are keyed by int only: -0.0 == 0.0, and each writes its own repr.
     head = f"{cfg.device_id},"
     cd_cell, dd_cell = repr(cd_ms), repr(dd_ms)
-    dtr_cells: dict[int, tuple[float, str]] = {}
+
+    def sent_cells(bits: int) -> tuple[str, int, float, str]:
+        """A packet's bit_count cell and bits, transit time and dtr cell."""
+        dtr_ms = transit_ms(bits)
+        return str(bits), bits, dtr_ms, repr(dtr_ms)
+
+    raw_sent = sent_cells(spec.adc_bits)
+    # By residual: its codeword's trace cells, then sent_cells of its bits.
+    codewords: dict[int, tuple[str, str, int, float, str]] = {}
 
     tx_ma, idle_ma = model.tx_ma, model.idle_ma
     cpu_step_mah = model.cpu_active_ma * (cd_ms / MS_PER_HOUR)
@@ -249,8 +262,9 @@ def _device_loop(cfg: DeviceConfig, scenario: Scenario, rows: list[str],
         cpu_mah += cpu_step_mah
         if device is None:
             residual = ""  # the row's blank residual cell
-            bits = spec.adc_bits
-            payload = (code << raw_pad).to_bytes(raw_bytes, "big")
+            bit_count, bits, dtr_ms, dtr_cell = raw_sent
+            payload = format(code << raw_pad, raw_hex)
+            cells = f"{bit_count},{payload}"
             reconstructed = code
         else:
             residual = device.process_sample(code)
@@ -269,26 +283,25 @@ def _device_loop(cfg: DeviceConfig, scenario: Scenario, rows: list[str],
                 rows.append(f"{head}{seq},{t_ms!r},{code},0,,0,{cd_cell},"
                             f"0.0,0.0,,{reconstructed}\n")
                 continue
-            bits, payload = codeword_bytes(residual)
+            known = codewords.get(residual)
+            if known is None:
+                known = codewords[residual] = (
+                    codeword_cells(residual),
+                    *sent_cells(codeword_bytes(residual)[0]))
+            cells, bit_count, bits, dtr_ms, dtr_cell = known
 
         wake_ms = model.wake_latency_ms if asleep else 0.0
-        dtr = dtr_cells.get(bits)
-        if dtr is None:
-            dtr_ms = transit_ms(bits)
-            dtr = dtr_cells[bits] = (dtr_ms, repr(dtr_ms))
-        dtr_ms, dtr_cell = dtr
-        packet = Packet(cfg.device_id, bits, payload)
         if device is None:
             # Raw payload: no decompression happens at the sink.
-            value = int.from_bytes(payload, "big") >> raw_pad
+            value = int(payload, 16) >> raw_pad
         else:
-            value = sink.on_packet(packet)
+            value = sink.on_cells(cfg.device_id, cells)
         if value != reconstructed:
             raise RuntimeError(
                 f"sink reconstruction {value} diverged from device-side "
                 f"{reconstructed} (device {cfg.device_id})"
             )
-        packets.append((cfg.device_id, seq, packet))
+        packet_rows.append(f"{seq},{head}{cells}\n")
         arrival_ms = t_ms + cd_ms + wake_ms + dtr_ms + dd_ms
         sent += 1
         payload_bits += bits
@@ -310,7 +323,7 @@ def _device_loop(cfg: DeviceConfig, scenario: Scenario, rows: list[str],
             tx_mah += tx_ma * (dtr_ms / MS_PER_HOUR)
         idle_ms += rest_ms
         idle_mah += idle_ma * (rest_ms / MS_PER_HOUR)
-        rows.append(f"{head}{seq},{t_ms!r},{code},1,{residual},{bits},"
+        rows.append(f"{head}{seq},{t_ms!r},{code},1,{residual},{bit_count},"
                     f"{cd_cell},{dtr_cell},{dd_cell},{arrival_ms!r},"
                     f"{reconstructed}\n")
 
@@ -345,10 +358,11 @@ def simulate(scenario: Scenario) -> RunLog:
     devices: list[DeviceRun] = []
     sums: dict[int, DelaySums] = {}
     rows: list[str] = []
-    packets: list[tuple[int, int, Packet]] = []
+    packet_rows: list[str] = []
     for cfg in scenario.devices:
-        run, sums[cfg.device_id] = _device_loop(cfg, scenario, rows, packets)
+        run, sums[cfg.device_id] = _device_loop(cfg, scenario, rows,
+                                                packet_rows)
         devices.append(run)
     return RunLog(duration_ms=scenario.duration_s * 1000.0,
                   seed=scenario.seed, devices=devices, sums=sums,
-                  rows=rows, packets=packets)
+                  rows=rows, packet_rows=packet_rows)

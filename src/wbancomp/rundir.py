@@ -2,12 +2,13 @@
 
 runlog_events.csv holds one SampleEvent row per sample, runlog.json the
 run's DeviceRuns, packets.trace the packets sent, and metrics.csv and
-metrics.json the metrics computed from them. A RunLog holds its events as
-those rows' text, which the simulator writes as csv.writer would. load
+metrics.json the metrics computed from them. A RunLog holds its events and
+its packets as those files' rows, the text the simulator writes: events as
+csv.writer would, packets as write_trace would. load
 reads back the first two files: it checks every events cell against its
 column's pattern, the shape of what the writer emits, and folds the rows
 into the metrics' delay sums. The same pattern parses a log's rows back
-into SampleEvents.
+into SampleEvents, and its packet rows split back into Packets.
 """
 
 from __future__ import annotations
@@ -17,13 +18,11 @@ import math
 import re
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
-from typing import TYPE_CHECKING, NamedTuple
+from typing import NamedTuple
 
 from . import metrics
-from .tracefile import _INT, PacketTrace, _row_fault, write_trace
-
-if TYPE_CHECKING:
-    from .sink import Packet
+from .sink import Packet
+from .tracefile import _INT, PacketTrace, _row_fault, write_rows
 
 
 class SampleEvent(NamedTuple):
@@ -101,9 +100,10 @@ class DelaySums:
 class RunLog:
     """Everything a simulation run produced, grouped by device.
 
-    `sums` holds each device's folded rows, by device id in device order, and
-    `rows` the runlog_events.csv lines below its header. A log read back
-    from a run directory holds no rows and no packets.
+    `sums` holds each device's folded rows, by device id in device order,
+    `rows` the runlog_events.csv lines below its header, and `packet_rows`
+    the packets.trace lines below its header. A log read back from a run
+    directory holds no rows and no packets.
     """
 
     duration_ms: float
@@ -111,8 +111,7 @@ class RunLog:
     devices: list[DeviceRun]
     sums: dict[int, DelaySums]
     rows: list[str] = field(default_factory=list)
-    packets: list[tuple[int, int, Packet]] = field(  # (device_id, seq, packet)
-        default_factory=list)
+    packet_rows: list[str] = field(default_factory=list)
 
     @property
     def events(self) -> list[SampleEvent]:
@@ -122,6 +121,17 @@ class RunLog:
                     cast(cell) for cast, cell
                     in zip(_EVENT_TYPES, fullmatch(row).groups()))
                 for row in self.rows]
+
+    @property
+    def packets(self) -> list[tuple[int, int, Packet]]:
+        """The packet rows parsed back into (device_id, seq, Packet), in file
+        order."""
+        packets = []
+        for row in self.packet_rows:
+            seq, device_id, cells = row[:-1].split(",", 2)
+            packets.append((int(device_id), int(seq),
+                            Packet.from_cells(int(device_id), cells)))
+        return packets
 
     def save(self, rundir: Path) -> None:
         """Write the run directory's five files into the directory rundir."""
@@ -133,9 +143,9 @@ class RunLog:
                    "devices": [asdict(dev) for dev in self.devices]}
         (rundir / SUMMARY_FILE).write_text(
             json.dumps(summary, indent=2, sort_keys=True) + "\n")
-        write_trace(rundir / _TRACE_FILE, PacketTrace(
-            samples=max(dev.samples for dev in self.devices), adc_bits=0,
-            packets=[(seq, packet) for _, seq, packet in self.packets]))
+        write_rows(rundir / _TRACE_FILE, PacketTrace(
+            samples=max(dev.samples for dev in self.devices), adc_bits=0),
+            self.packet_rows)
         (rundir / "metrics.csv").write_text(metrics.to_csv(devices))
         (rundir / "metrics.json").write_text(metrics.to_json(devices, run))
 

@@ -4,14 +4,32 @@ The sink keeps a reference list mapping each registered device to its last
 reconstructed reading (0 before any packet, so the first packet must carry an
 absolute value). Each decoded residual is added onto that reference. A packet
 holding one codeword as the encoder writes it decodes by one lookup in the
-inverted encode table; any other packet goes through decode_bits.
+inverted encode table, by its bytes or by its trace cells' text; any other
+packet goes through payload_residual and decode_bits.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .codec import codeword_residuals, decode_bits
+from .codec import cell_residuals, codeword_residuals, decode_bits
+
+
+def payload_residual(bit_count: int, payload: bytes) -> int:
+    """The sum of the residuals in a packet's bits, by decode_bits.
+
+    The payload must hold a whole number of codewords in exactly bit_count
+    bits, with its pad bits clear; else this raises ValueError.
+    """
+    # Encoder payloads all hit the lookup tables, so only here can pads be set.
+    pad = 8 * len(payload) - bit_count
+    word = int.from_bytes(payload, "big")
+    if word & ((1 << pad) - 1):
+        raise ValueError("pad bits past bit_count are set")
+    residuals = decode_bits(word >> pad, bit_count)
+    if not residuals:
+        raise ValueError("packet carries no codewords")
+    return sum(residuals)
 
 
 @dataclass(slots=True)
@@ -42,6 +60,12 @@ class Packet:
     def from_bits(cls, device_id: int, bits: tuple[int, bytes]) -> "Packet":
         return cls(device_id, *bits)
 
+    @classmethod
+    def from_cells(cls, device_id: int, cells: str) -> "Packet":
+        """The packet of a trace row's `bit_count,payload_hex` cells."""
+        bit_count, payload = cells.split(",")
+        return cls(device_id, int(bit_count), bytes.fromhex(payload))
+
 
 class Sink:
     """Reference-list holder that turns residual packets back into readings."""
@@ -68,15 +92,19 @@ class Sink:
         bit_count, payload = packet.bit_count, packet.payload
         residual = codeword_residuals().get((bit_count, payload))
         if residual is None:
-            # Encoder payloads all hit the table, so only here can pads be set.
-            pad = 8 * len(payload) - bit_count
-            word = int.from_bytes(payload, "big")
-            if word & ((1 << pad) - 1):
-                raise ValueError("pad bits past bit_count are set")
-            residuals = decode_bits(word >> pad, bit_count)
-            if not residuals:
-                raise ValueError("packet carries no codewords")
-            residual = sum(residuals)
+            residual = payload_residual(bit_count, payload)
+        value = self._reference[device_id] + residual
+        self._reference[device_id] = value
+        return value
+
+    def on_cells(self, device_id: int, cells: str) -> int:
+        """on_packet for a packet given as its trace row's bit_count and
+        payload cells, `9,d300` say, as write_trace writes them."""
+        residual = cell_residuals().get(cells)
+        if residual is None:
+            return self.on_packet(Packet.from_cells(device_id, cells))
+        if device_id not in self._reference:
+            raise ValueError(f"device {device_id} not registered")
         value = self._reference[device_id] + residual
         self._reference[device_id] = value
         return value

@@ -8,13 +8,17 @@ row per packet,
 
 with canonical non-negative integers and lowercase hex of whole bytes. The
 header carries the per-device sample count so a decoder can rebuild the full
-sample cadence, holding the last value across suppressed samples. rundir
-reads its events rows with this module's integer pattern and fault locator.
+sample cadence, holding the last value across suppressed samples. Writers
+that build the rows as text hand them to write_rows; read_rows checks the
+header and yields each row's cells, and read_trace builds a Packet of each.
+rundir reads its events rows with this module's integer pattern and fault
+locator.
 """
 
 from __future__ import annotations
 
 import re
+from collections.abc import Iterator
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 
@@ -41,8 +45,9 @@ _HEADER = [fld for fld in fields(PacketTrace) if fld.name != "packets"]
 _INT = (r"0|[1-9][0-9]*", "a canonical non-negative integer")
 _COLUMNS = {"seq": _INT, "device_id": _INT, "bit_count": _INT,
             "payload": (r"(?:[0-9a-f]{2})*", "lowercase hex of whole bytes")}
-_match_row = re.compile(",".join(f"({pattern})" for pattern, _ in
-                                 _COLUMNS.values())).fullmatch
+# Groups seq, device_id, and the bit_count and payload cells as one text.
+_match_row = re.compile("({}),({}),((?:{}),(?:{}))".format(
+    *(pattern for pattern, _ in _COLUMNS.values()))).fullmatch
 
 
 def _row_fault(columns: dict, text: str) -> str:
@@ -56,19 +61,33 @@ def _row_fault(columns: dict, text: str) -> str:
     return f"{len(cells)} cells, expected {len(columns)}"
 
 
-def write_trace(path: str | Path, trace: PacketTrace) -> None:
+def write_rows(path: str | Path, trace: PacketTrace, rows: list[str]) -> None:
+    """Write a trace's header and then `rows`, its packet rows as text, each
+    `seq,device_id,bit_count,payload_hex` and a newline. trace.packets is
+    not written."""
     lines = [MAGIC]
     lines.extend(f"#{fld.name}={getattr(trace, fld.name)}" for fld in _HEADER)
-    for seq, packet in trace.packets:
-        lines.append(
-            f"{seq},{packet.device_id},{packet.bit_count},{packet.payload.hex()}"
-        )
-    Path(path).write_text("\n".join(lines) + "\n")
+    Path(path).write_text("\n".join(lines) + "\n" + "".join(rows))
 
 
-def read_trace(path: str | Path) -> PacketTrace:
-    """Read a trace file. A malformed one raises ValueError naming PATH:LINE
-    and the expected header line, or the row's bad cell or cell count."""
+def write_trace(path: str | Path, trace: PacketTrace) -> None:
+    write_rows(path, trace, [
+        f"{seq},{packet.device_id},{packet.bit_count},{packet.payload.hex()}\n"
+        for seq, packet in trace.packets])
+
+
+def read_rows(path: str | Path
+              ) -> tuple[PacketTrace, Iterator[tuple[int, int, str, str]]]:
+    """A trace file's header, as a PacketTrace with no packets, and an
+    iterator over its rows.
+
+    The iterator yields each row's line number, its seq, its device_id cell,
+    and its bit_count and payload cells as one text, `9,d300` say, as they
+    matched. A malformed header raises ValueError at once, naming PATH:LINE
+    and the expected header line; the iterator raises one naming PATH:LINE
+    and the row's bad cell or cell count, or a seq outside [0, #samples),
+    when it reaches that row.
+    """
     path = Path(path)
     try:
         text = path.read_text()
@@ -88,19 +107,35 @@ def read_trace(path: str | Path) -> PacketTrace:
             if not re.fullmatch(f"#{fld.name}=(?:{_INT[0]})", line):
                 raise ValueError(f"expected '#{fld.name}=N', N {_INT[1]}")
             header[fld.name] = int(line[len(fld.name) + 2:])
-        trace = PacketTrace(**header)
-
-        samples, packets = trace.samples, trace.packets
-        for lineno, line in enumerate(lines[lineno:-1], start=lineno + 1):
-            match = _match_row(line)
-            if match is None:
-                raise ValueError(_row_fault(_COLUMNS, line))
-            seq, device_id, bit_count, payload = match.groups()
-            seq = int(seq)
-            if seq >= samples:
-                raise ValueError(f"seq {seq}: outside [0, {samples})")
-            packets.append((seq, Packet(int(device_id), int(bit_count),
-                                        bytes.fromhex(payload))))
     except ValueError as exc:
         raise ValueError(f"{path}:{lineno}: {exc}") from None
+    trace = PacketTrace(**header)
+    return trace, _rows(path, lines, lineno, trace.samples)
+
+
+def _rows(path: Path, lines: list[str], header_end: int, samples: int
+          ) -> Iterator[tuple[int, int, str, str]]:
+    for lineno, line in enumerate(lines[header_end:-1], start=header_end + 1):
+        match = _match_row(line)
+        if match is None:
+            raise ValueError(f"{path}:{lineno}: {_row_fault(_COLUMNS, line)}")
+        seq, device_id, cells = match.groups()
+        seq = int(seq)
+        if seq >= samples:
+            raise ValueError(
+                f"{path}:{lineno}: seq {seq}: outside [0, {samples})")
+        yield lineno, seq, device_id, cells
+
+
+def read_trace(path: str | Path) -> PacketTrace:
+    """Read a trace file. A malformed one raises ValueError naming PATH:LINE
+    and the expected header line, or the row's bad cell or cell count, or
+    the Packet check the row fails."""
+    trace, rows = read_rows(path)
+    for lineno, seq, device_id, cells in rows:
+        try:
+            packet = Packet.from_cells(int(device_id), cells)
+        except ValueError as exc:
+            raise ValueError(f"{Path(path)}:{lineno}: {exc}") from None
+        trace.packets.append((seq, packet))
     return trace

@@ -1,13 +1,18 @@
+import contextlib
 import hashlib
 import importlib.util
+import io
 import json
 import os
 import random
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import REPO_ROOT, SCENARIO_DIR, codeword_literal, literal_bits
 from wbancomp.cli import EXIT_DATA, EXIT_OK, EXIT_USAGE, main
@@ -162,6 +167,71 @@ def test_decode_names_first_failing_packet_in_sample_order(tmp_path, capsys):
     assert "packet at sample 3: non-canonical prefix '1110'" in err
 
 
+@st.composite
+def decode_traces(draw):
+    """(samples, rows, bad) for a device-1 trace at adc_bits 11.
+
+    Each row is (seq, residuals) with one to three codewords, so rows of
+    one are encoder payloads and the others are not. The residuals step
+    between readings in seq order, the rows are then shuffled, and seqs
+    repeat. Row number `bad`, if not None, ends in the malformed prefix
+    '1110'.
+    """
+    samples = draw(st.integers(1, 12))
+    seqs = sorted(draw(st.lists(st.integers(0, samples - 1), min_size=1,
+                                max_size=10)))
+    value, rows = 0, []
+    for seq in seqs:
+        residuals = []
+        for reading in draw(st.lists(st.integers(0, 2047), min_size=1,
+                                     max_size=3)):
+            residuals.append(reading - value)
+            value = reading
+        rows.append((seq, residuals))
+    rows = draw(st.permutations(rows))
+    return samples, rows, draw(st.none() | st.integers(0, len(rows) - 1))
+
+
+def folded_readings(samples, rows, bad) -> str:
+    """What decode prints for decode_traces' trace, or the error it names:
+    the rows fold through one running value in stable seq order."""
+    lines, value, held = [], 0, "0"
+    for index, (seq, residuals) in sorted(enumerate(rows),
+                                          key=lambda row: row[1][0]):
+        lines += [held] * (seq - len(lines))
+        if index == bad:
+            return f"packet at sample {seq}: non-canonical prefix '1110'"
+        value += sum(residuals)
+        if not 0 <= value < 2048:
+            return (f"packet at sample {seq}: reading {value} outside "
+                    f"[0, 2**11)")
+        held = str(value)
+    lines += [held] * (samples - len(lines))
+    return "".join(f"{line}\n" for line in lines)
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(decode_traces())
+def test_decode_folds_shuffled_rows_in_seq_order(trace_rows):
+    samples, rows, bad = trace_rows
+    with tempfile.TemporaryDirectory() as tmp:
+        trace, out = Path(tmp) / "t.trace", Path(tmp) / "out.csv"
+        write_trace(trace, PacketTrace(samples=samples, adc_bits=11, packets=[
+            (seq, Packet(1, *literal_bits(
+                "".join(map(codeword_literal, residuals))
+                + ("1110" if index == bad else ""))))
+            for index, (seq, residuals) in enumerate(rows)]))
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            code = main(["--out", str(out), "decode", str(trace)])
+        expected = folded_readings(samples, rows, bad)
+        if code == EXIT_OK:
+            assert out.read_text() == expected
+        else:
+            assert (code, err.getvalue()) == (
+                EXIT_DATA, f"error: {trace}: {expected}\n")
+
+
 # What encode writes for the single reading 38 (codeword d300, 9 bits).
 GOLDEN_TRACE = ("#packet-trace v1\n#samples=1\n#threshold=0\n#adc_bits=10\n"
                 "#sample_period_ms=0\n0,1,9,d300\n")
@@ -248,6 +318,37 @@ def test_decode_refuses_an_adc_bits_0_trace(tmp_path, capsys, residual):
     assert capsys.readouterr().err == (
         f"error: {trace}: #adc_bits=0: a run directory's trace, which holds "
         f"no ADC width to decode with\n")
+
+
+@pytest.mark.parametrize("rows, message", [
+    ("0,1,9,d300\n1,2,9,d300\n",
+     ": trace holds 2 devices; decode expects a single-device trace"),
+    ("", ": trace holds no packets"),
+    # d300 is an encoder payload, so the id is range-checked on a hit too.
+    ("0,256,9,d300\n", ":6: device_id 256 outside [0, 255]"),
+], ids=["two-devices", "header-only", "device-id-256"])
+def test_decode_refuses_a_trace_of_no_single_device(tmp_path, capsys, rows,
+                                                    message):
+    trace = tmp_path / "t.trace"
+    trace.write_text(GOLDEN_TRACE.replace("#samples=1", "#samples=2")
+                     .replace("0,1,9,d300\n", rows))
+    assert main(["decode", str(trace)]) == EXIT_DATA
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {trace}{message}\n"
+    assert captured.out == ""
+
+
+def test_decode_refuses_an_adc_width_no_writer_emits(tmp_path, capsys):
+    # encode caps --adc-bits at 11; these rows once decoded to 2047 and
+    # 4094 with exit 0.
+    trace = tmp_path / "t.trace"
+    trace.write_text(GOLDEN_TRACE.replace("#samples=1", "#samples=2")
+                     .replace("#adc_bits=10", "#adc_bits=16")
+                     .replace("0,1,9,d300\n", "0,1,20,ff7ff0\n1,1,20,ff7ff0\n"))
+    assert main(["decode", str(trace)]) == EXIT_DATA
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {trace}: #adc_bits=16: outside [1, 11]\n"
+    assert captured.out == ""
 
 
 def test_decode_refuses_a_run_directorys_trace(tmp_path, capsys):

@@ -278,11 +278,32 @@ class TestTables:
                 assert (outcome(decode_bits, value, length)
                         == outcome(oracle_decode, value, length))
 
+    def test_cell_tables_match_the_encode_table(self):
+        # The trace cells are the codeword's write_trace text, and read back
+        # to the residual that codeword_residuals gives its bytes.
+        by_bytes, by_cells = codec.codeword_residuals(), codec.cell_residuals()
+        assert len(by_cells) == RESIDUAL_MAX - RESIDUAL_MIN + 1
+        for e in range(RESIDUAL_MIN, RESIDUAL_MAX + 1):
+            bits, payload = codeword_bytes(e)
+            cells = codec.codeword_cells(e)
+            assert cells == f"{bits},{payload.hex()}"
+            assert by_cells[cells] == by_bytes[bits, payload] == e
+
+    def test_codeword_cells_range_error(self):
+        # The table is a tuple: an unchecked index below the range would
+        # wrap around to a codeword from its top end.
+        for e in (RESIDUAL_MIN - 1, RESIDUAL_MAX + 1, -4095, -8191):
+            with pytest.raises(ValueError, match="outside"):
+                codec.codeword_cells(e)
+
     def test_encode_tables_are_not_built_at_import(self):
         # Building them costs milliseconds that every CLI start would pay.
         check = ("import wbancomp.cli, wbancomp.codec as codec; "
+                 "import wbancomp.netmodel, wbancomp.rundir; "
                  "assert codec._codewords.cache_info().currsize == 0; "
-                 "assert codec.codeword_residuals.cache_info().currsize == 0")
+                 "assert codec.codeword_residuals.cache_info().currsize == 0; "
+                 "assert codec._codeword_cells.cache_info().currsize == 0; "
+                 "assert codec.cell_residuals.cache_info().currsize == 0")
         subprocess.run([sys.executable, "-c", check], check=True,
                        cwd=REPO_ROOT / "src")
 

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from conftest import DATA_DIR, SCENARIO_DIR
 from wbancomp import cli, metrics
+from wbancomp.codec import codeword_bytes
 from wbancomp.config import parse_scenario
 from wbancomp.netmodel import (MODES, MS_PER_HOUR, ChannelModel, DeviceConfig,
                                EnergyLedger, RadioEnergyModel, Scenario,
@@ -19,6 +20,8 @@ from wbancomp.netmodel import (MODES, MS_PER_HOUR, ChannelModel, DeviceConfig,
 from wbancomp.rundir import RunLog, SampleEvent
 from wbancomp.signals import (SYNTH_KINDS, FileSource, SyntheticSource,
                               TraceSpec)
+from wbancomp.sink import Packet
+from wbancomp.tracefile import read_trace
 
 
 def synth_device(name, device_id, kind="temperature", mode="CGLS",
@@ -410,6 +413,28 @@ def test_shipped_events_file_is_what_csv_writer_writes(shipped_run, tmp_path):
     log.save(tmp_path)
     assert (tmp_path / "runlog_events.csv").read_bytes() == \
         csv_writer_bytes(log)
+
+
+def test_shipped_packets_are_the_saved_trace_rows(shipped_run, tmp_path):
+    # The benchmark's traced replay reads runlog.packets as (device_id,
+    # seq, Packet) triples; each is a packets.trace row, and carries its
+    # events row's codeword, or its raw reading under CGWC.
+    sc, log = shipped_run
+    log.save(tmp_path)
+    saved = read_trace(tmp_path / "packets.trace").packets
+    assert log.packets == [(packet.device_id, seq, packet)
+                           for seq, packet in saved]
+    modes = {cfg.device_id: cfg.mode for cfg in sc.devices}
+    sent = [ev for ev in log.events if ev.transmitted]
+    assert len(sent) == len(saved)
+    for ev, (device_id, seq, packet) in zip(sent, log.packets):
+        assert (device_id, seq) == (ev.device_id, ev.seq)
+        if modes[device_id] == "CGWC":
+            assert packet.bit_count == ev.codeword_bits
+            assert int.from_bytes(packet.payload, "big") >> (
+                -packet.bit_count % 8) == ev.value
+        else:
+            assert Packet(device_id, *codeword_bytes(ev.residual)) == packet
 
 
 @settings(max_examples=100)

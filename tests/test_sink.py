@@ -217,3 +217,34 @@ class TestSink:
             assert sink.held_value(1) == start
         else:
             assert sink.held_value(1) == value
+
+    @settings(max_examples=300)
+    @given(st.integers(-2047, 2047), packets())
+    def test_on_cells_decodes_as_on_packet(self, start, packet):
+        # Encoder payloads take the text lookup, any other the bytes path.
+        cells = f"{packet.bit_count},{packet.payload.hex()}"
+        results = []
+        for decode in (Sink.on_packet, Sink.on_cells):
+            sink = Sink()
+            sink.register_device(1)
+            sink.on_packet(packet_for(1, start))
+            args = (packet,) if decode is Sink.on_packet else (1, cells)
+            results.append((outcome(decode, sink, *args), sink.held_value(1)))
+        assert results[0] == results[1]
+
+    def test_on_cells_takes_every_encoder_payload(self):
+        sink = Sink()
+        sink.register_device(1)
+        value = 0
+        for e in range(RESIDUAL_MIN, RESIDUAL_MAX + 1):
+            bits, payload = codeword_bytes(e)
+            value += e
+            assert sink.on_cells(1, f"{bits},{payload.hex()}") == value
+
+    def test_on_cells_rejects_an_unregistered_device(self):
+        sink = Sink()
+        sink.register_device(1)
+        for cells in ("9,d300", "4,e0"):  # a hit and a miss
+            with pytest.raises(ValueError, match="device 2 not registered"):
+                sink.on_cells(2, cells)
+        assert sink.held_value(1) == 0
