@@ -6,6 +6,7 @@ The package imports no module of its own until one of its names is read.
 """
 
 import importlib
+import re
 
 __version__ = "0.1.0"
 
@@ -14,10 +15,27 @@ __version__ = "0.1.0"
 SYNTH_KINDS = ("temperature", "ecg", "ppg")
 MAX_ADC_BITS = 16
 
+# The cell checks that tracefile and rundir share, kept here so that reading
+# a run directory loads no module of the packet stack. _INT is a cell
+# pattern and its description, as str() writes a non-negative int.
+_INT = (r"0|[1-9][0-9]*", "a canonical non-negative integer")
+
+
+def _row_fault(columns: dict, text: str) -> str:
+    """The first cell of a line that fails its column's pattern, or else the
+    line's cell count. columns maps each name to (pattern, description)."""
+    cells = text.split(",") if text else []
+    if len(cells) == len(columns):
+        for (name, (pattern, kind)), cell in zip(columns.items(), cells):
+            if not re.fullmatch(pattern, cell):
+                return f"{name} {cell}: not {kind}"
+    return f"{len(cells)} cells, expected {len(columns)}"
+
+
 # Each public name, by the module that defines it.
 _HOMES = {
     "bitstream": ("BitReader", "decode_residual", "encode_residual"),
-    "codec": ("encode_prefix", "encode_suffix", "group_of"),
+    "codec": ("encode_prefix", "group_of"),
     "control": ("DeviceState",),
     "metrics": ("lifetime",),
     "netmodel": ("ChannelModel", "DeviceConfig", "EnergyLedger",

@@ -18,9 +18,10 @@ deltas of anything up to an 11-bit ADC, first absolute readings included.
 
 encode_prefix and encode_suffix are the specification: each returns its
 bits as a (value, length) pair of ints. Encoding indexes a table of the
-(bit_count, payload bytes) of all 4095 codewords, built from them on first
-use, or a second table of the same codewords as the packet trace cells
-`bit_count,payload_hex`, which writers put straight into their rows.
+(bit_count, payload bytes) of all 4095 codewords, built on first use from
+each group's prefix and encode_suffix's rule, or a second table of the
+same codewords as the packet trace cells `bit_count,payload_hex`, which
+writers put straight into their rows.
 codeword_residuals and cell_residuals invert the two, so a packet of one
 codeword, as bytes or as trace text, decodes by one lookup. Any other bit
 string goes through decode_bits, which looks the
@@ -88,17 +89,24 @@ def _codewords() -> tuple[tuple[int, bytes], ...]:
     """Every codeword as (bit_count, payload bytes), by residual - RESIDUAL_MIN.
 
     Built on first use, not at import, because building it takes
-    milliseconds.
+    milliseconds. Each group's prefix, bit count and padding are worked out
+    once, and each suffix inline by encode_suffix's rule: the residual, less
+    one if negative, truncated to the group's bits.
     """
+    # Per group: bit count, prefix shifted past the suffix, suffix mask,
+    # pad bits and payload bytes.
+    groups = []
+    for group in range(MAX_GROUP + 1):
+        prefix, prefix_bits = encode_prefix(group)
+        bit_count = prefix_bits + group
+        pad = -bit_count % 8
+        groups.append((bit_count, prefix << group, (1 << group) - 1, pad,
+                       (bit_count + pad) // 8))
     table = []
     for e in range(RESIDUAL_MIN, RESIDUAL_MAX + 1):
-        group = group_of(e)
-        prefix, prefix_bits = encode_prefix(group)
-        suffix, suffix_bits = encode_suffix(e, group)
-        bit_count = prefix_bits + suffix_bits
-        pad = -bit_count % 8
-        payload = ((prefix << suffix_bits | suffix) << pad).to_bytes(
-            (bit_count + pad) // 8, "big")
+        bit_count, high, mask, pad, size = groups[abs(e).bit_length()]
+        suffix = (e - (e < 0)) & mask
+        payload = ((high | suffix) << pad).to_bytes(size, "big")
         table.append((bit_count, payload))
     return tuple(table)
 

@@ -18,10 +18,8 @@ from __future__ import annotations
 import csv
 import io
 import json
-from dataclasses import dataclass, fields
-from decimal import ROUND_HALF_UP, Decimal
 from math import isfinite
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 if TYPE_CHECKING:
     from .rundir import RunLog
@@ -66,12 +64,14 @@ def average_delay(runlog: RunLog) -> float:
 
 def display_round(value: float, places: int = 2) -> float:
     """Round half-up for table display, the way the result tables print."""
+    # Imported here: only simulate's table and encode's summary round.
+    from decimal import ROUND_HALF_UP, Decimal
+
     quantum = Decimal(1).scaleb(-places)
     return float(Decimal(repr(value)).quantize(quantum, rounding=ROUND_HALF_UP))
 
 
-@dataclass(frozen=True)
-class DeviceMetrics:
+class DeviceMetrics(NamedTuple):
     device_id: int
     mode: str
     orig_pkt: int
@@ -84,8 +84,7 @@ class DeviceMetrics:
     lifetime_h: float
 
 
-@dataclass(frozen=True)
-class RunMetrics:
+class RunMetrics(NamedTuple):
     device_count: int
     transmissions: int
     ad_ms: float
@@ -152,15 +151,20 @@ def compute(runlog: RunLog) -> tuple[list[DeviceMetrics], RunMetrics]:
     return out, run
 
 
+# The DeviceMetrics fields declared float, which the documents format.
+_FLOAT_FIELDS = frozenset(
+    {"pcr_pct", "cd_ms", "dd_ms", "ad_ms", "dec_mah", "lifetime_h"})
+
+
 def _fields_dict(m: DeviceMetrics, fmt) -> dict:
     """m's fields by name, with fmt applied to those declared float."""
-    return {fld.name: fmt(getattr(m, fld.name)) if fld.type == "float"
-            else getattr(m, fld.name) for fld in fields(m)}
+    return {name: fmt(value) if name in _FLOAT_FIELDS else value
+            for name, value in zip(m._fields, m)}
 
 
 def to_csv(devices: list[DeviceMetrics]) -> str:
     buf = io.StringIO()
-    writer = csv.DictWriter(buf, [fld.name for fld in fields(DeviceMetrics)],
+    writer = csv.DictWriter(buf, DeviceMetrics._fields,
                             lineterminator="\n")
     writer.writeheader()
     writer.writerows(_fields_dict(m, lambda value: f"{value:.4f}")

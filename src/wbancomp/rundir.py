@@ -16,13 +16,11 @@ from __future__ import annotations
 import json
 import math
 import re
-from dataclasses import asdict, dataclass, field, fields
+from collections.abc import Iterator, Sequence
 from pathlib import Path
 from typing import NamedTuple
 
-from . import metrics
-from .sink import Packet
-from .tracefile import _INT, PacketTrace, _row_fault, write_rows
+from . import _INT, _row_fault, metrics
 
 
 class SampleEvent(NamedTuple):
@@ -46,8 +44,7 @@ class SampleEvent(NamedTuple):
     reconstructed: int
 
 
-@dataclass
-class DeviceRun:
+class DeviceRun(NamedTuple):
     """Per-device outcome summary plus its energy ledger breakdown."""
 
     name: str
@@ -72,18 +69,36 @@ class DeviceRun:
         return total
 
 
-@dataclass(slots=True)
 class DelaySums:
     """One device's event rows folded into counts, payload bits and delay
     sums. The sums cover transmitted rows only and are added with += in the
     device's seq order, so they do not depend on how sum() adds floats."""
 
-    rows: int = 0
-    transmitted: int = 0
-    cd_ms: float = 0.0
-    dd_ms: float = 0.0
-    ad_ms: float = 0.0  # cd + dd + dtr
-    payload_bits: int = 0
+    __slots__ = ("rows", "transmitted", "cd_ms", "dd_ms", "ad_ms",
+                 "payload_bits")
+
+    def __init__(self, rows: int = 0, transmitted: int = 0,
+                 cd_ms: float = 0.0, dd_ms: float = 0.0, ad_ms: float = 0.0,
+                 payload_bits: int = 0) -> None:
+        self.rows = rows
+        self.transmitted = transmitted
+        self.cd_ms = cd_ms
+        self.dd_ms = dd_ms
+        self.ad_ms = ad_ms  # cd + dd + dtr
+        self.payload_bits = payload_bits
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, DelaySums):
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __repr__(self) -> str:
+        return "DelaySums({})".format(", ".join(
+            f"{name}={value!r}"
+            for name, value in zip(self.__slots__, self._values())))
 
     def add(self, codeword_bits: int, cd_ms: float, dtr_ms: float,
             dd_ms: float) -> None:
@@ -96,8 +111,7 @@ class DelaySums:
         self.ad_ms += cd_ms + dd_ms + dtr_ms
 
 
-@dataclass
-class RunLog:
+class RunLog(NamedTuple):
     """Everything a simulation run produced, grouped by device.
 
     `sums` holds each device's folded rows, by device id in device order,
@@ -110,8 +124,8 @@ class RunLog:
     seed: int
     devices: list[DeviceRun]
     sums: dict[int, DelaySums]
-    rows: list[str] = field(default_factory=list)
-    packet_rows: list[str] = field(default_factory=list)
+    rows: Sequence[str] = ()
+    packet_rows: Sequence[str] = ()
 
     @property
     def events(self) -> list[SampleEvent]:
@@ -126,6 +140,8 @@ class RunLog:
     def packets(self) -> list[tuple[int, int, Packet]]:
         """The packet rows parsed back into (device_id, seq, Packet), in file
         order."""
+        from .sink import Packet
+
         packets = []
         for row in self.packet_rows:
             seq, device_id, cells = row[:-1].split(",", 2)
@@ -135,12 +151,14 @@ class RunLog:
 
     def save(self, rundir: Path) -> None:
         """Write the run directory's five files into the directory rundir."""
+        from .tracefile import PacketTrace, write_rows
+
         devices, run = metrics.compute(self)
         with (rundir / _EVENTS_FILE).open("w", newline="") as handle:
             handle.write(",".join(SampleEvent._fields) + "\n")
             handle.write("".join(self.rows))
         summary = {"duration_ms": self.duration_ms, "seed": self.seed,
-                   "devices": [asdict(dev) for dev in self.devices]}
+                   "devices": [dev._asdict() for dev in self.devices]}
         (rundir / SUMMARY_FILE).write_text(
             json.dumps(summary, indent=2, sort_keys=True) + "\n")
         write_rows(rundir / _TRACE_FILE, PacketTrace(
@@ -207,8 +225,21 @@ _EVENT_COLUMNS = dict(zip(SampleEvent._fields, (
     _INT, _INT, _FLOAT, _INT, (r"[01]", "0 or 1"),
     (r"0|-?[1-9][0-9]*|", "a canonical integer, or blank"), _INT, _FLOAT,
     _FLOAT, _FLOAT, (_FLOAT[0] + "|", _FLOAT[1] + ", or blank"), _INT)))
-# Compiled on first use, so commands that read no run directory skip it.
+# The patterns below are compiled on first use, so commands that read no run
+# directory skip them.
 _ROW = ",".join(f"({pattern})" for pattern, _ in _EVENT_COLUMNS.values())
+# Any number of whole valid lines, without groups.
+_ROWS = "(?:{}\n)*".format(
+    ",".join(f"(?:{pattern})" for pattern, _ in _EVENT_COLUMNS.values()))
+# One whole valid line, grouping only the cells the fold reads.
+_FOLD_ROW = "^{}\n".format(",".join(
+    f"({pattern})" if name in ("device_id", "seq", "transmitted",
+                               "codeword_bits", "cd_ms", "dtr_ms", "dd_ms")
+    else f"(?:{pattern})" for name, (pattern, _) in _EVENT_COLUMNS.items()))
+# The size of the blocks of lines the events file is read in. One match of
+# _ROWS over a whole file holds memory that grows with the file (26 MB for
+# 33,600 lines), so the matches stay on bounded blocks.
+_BLOCK_HINT = 1 << 16
 # Each events column's cell as its SampleEvent field, blank as None.
 _EVENT_TYPES = (int, int, float, int, int,
                 lambda cell: int(cell) if cell else None, int, float, float,
@@ -216,44 +247,111 @@ _EVENT_TYPES = (int, int, float, int, int,
 
 
 def _fold_events(path: Path, sums: dict, summary: str) -> None:
-    """Fold the rows of the events file at path into their devices' sums."""
-    fullmatch = re.compile(_ROW + "\n?").fullmatch
+    """Fold the rows of the events file at path into their devices' sums.
+
+    The file is read a block of whole lines at a time. One search of a block
+    yields the fold's cells of each valid line; when a line is not valid,
+    the rows of the block's valid lines before it fold, and only then is it
+    reported, so the first fault in file order is the one raised.
+    """
+    find_rows = re.compile(_FOLD_ROW, re.MULTILINE).findall
+    match_rows = re.compile(_ROWS).match
+    # Ids and cells are canonical ints, so each id has one text.
+    by_text = {str(device_id): device_sums
+               for device_id, device_sums in sums.items()}
     lineno = 1
     try:
         with path.open() as handle:
             if handle.readline().rstrip("\n") != ",".join(_EVENT_COLUMNS):
                 raise ValueError("unexpected event columns")
-            for lineno, line in enumerate(handle, start=2):
-                match = fullmatch(line)
-                if match is None:
-                    raise ValueError(_row_fault(_EVENT_COLUMNS,
-                                                line.rstrip("\n")))
+            for lines in _blocks(path, handle):
+                block = "".join(lines)
+                rows = find_rows(block)
+                # The end of the block's leading run of valid lines.
+                end = (len(block) if len(rows) == len(lines)
+                       else match_rows(block).end())
+                fault = None
                 # The float pattern bounds the exponent, not the mantissa.
-                if "e+308" in line:
-                    for name, cell in zip(_EVENT_COLUMNS, match.groups()):
-                        if cell.endswith("e+308") and math.isinf(float(cell)):
-                            raise ValueError(f"{name} {cell}: not {_FLOAT[1]}")
-                (device_id, seq, _, _, transmitted, _, bits, cd_ms, dtr_ms,
-                 dd_ms, _, _) = match.groups()
-                device_sums = sums.get(int(device_id))
-                if device_sums is None:
-                    raise ValueError(f"device {device_id} is not in {summary}")
-                # Devices may interleave; each one's rows keep seq order.
-                if int(seq) != device_sums.rows:
-                    raise ValueError(f"seq {seq}: expected {device_sums.rows} "
-                                     f"for device {device_id}")
-                if transmitted == "0":
-                    device_sums.rows += 1
-                    continue
-                cd_ms, dtr_ms, dd_ms = map(float, (cd_ms, dtr_ms, dd_ms))
-                # Finite cells can add up past the float range.
-                if not math.isfinite(cd_ms + dd_ms + dtr_ms):
-                    raise ValueError("cd_ms + dd_ms + dtr_ms is not finite")
-                device_sums.add(int(bits), cd_ms, dtr_ms, dd_ms)
+                at = block.find("e+308", 0, end)
+                while at >= 0:
+                    start = block.rfind("\n", 0, at) + 1
+                    stop = block.index("\n", at)
+                    fault = _overflow(block[start:stop])
+                    if fault is not None:
+                        end = start
+                        break
+                    at = block.find("e+308", stop, end)
+                if end < len(block):
+                    # The search also matched the valid lines past the
+                    # first invalid one: keep the rows before it.
+                    rows = rows[:block.count("\n", 0, end)]
+                first = lineno + 1
+                for lineno, (device_id, seq, transmitted, bits, cd_ms, dtr_ms,
+                             dd_ms) in enumerate(rows, first):
+                    device_sums = by_text.get(device_id)
+                    if device_sums is None:
+                        # int() rejects an over-long cell, as a lookup by
+                        # int would.
+                        raise ValueError(
+                            f"device {int(device_id)} is not in {summary}")
+                    # Devices may interleave; each one's rows keep seq order.
+                    if int(seq) != device_sums.rows:
+                        raise ValueError(f"seq {seq}: expected "
+                                         f"{device_sums.rows} for device "
+                                         f"{device_id}")
+                    if transmitted == "0":
+                        device_sums.rows += 1
+                        continue
+                    cd_ms, dtr_ms, dd_ms = map(float, (cd_ms, dtr_ms, dd_ms))
+                    # Finite cells can add up past the float range.
+                    if not math.isfinite(cd_ms + dd_ms + dtr_ms):
+                        raise ValueError(
+                            "cd_ms + dd_ms + dtr_ms is not finite")
+                    device_sums.add(int(bits), cd_ms, dtr_ms, dd_ms)
+                if end < len(block):
+                    lineno = first + len(rows)
+                    raise ValueError(fault or _row_fault(
+                        _EVENT_COLUMNS, block[end:block.index("\n", end)]))
     except UnicodeDecodeError as exc:
         raise ValueError(f"{path}: {exc}") from None
     except ValueError as exc:
         raise ValueError(f"{path}:{lineno}: {exc}") from None
+
+
+def _blocks(path: Path, handle) -> Iterator[list[str]]:
+    """The lines left in the events file open as handle, a block at a time,
+    each line ending in a newline.
+
+    Undecodable bytes raise their UnicodeDecodeError after a last block of
+    the lines decoded before them, the lines a read of one line at a time
+    would have checked first.
+    """
+    done = 1
+    try:
+        while lines := handle.readlines(_BLOCK_HINT):
+            if not lines[-1].endswith("\n"):
+                lines[-1] += "\n"
+            done += len(lines)
+            yield lines
+    except UnicodeDecodeError as exc:
+        lines = []
+        with path.open() as again:
+            try:
+                for index, line in enumerate(again):
+                    if index >= done:
+                        lines.append(line)
+            except UnicodeDecodeError:
+                pass
+        yield lines
+        raise exc
+
+
+def _overflow(line: str) -> str | None:
+    """The fault of a valid line's first float cell past the float range."""
+    for name, cell in zip(_EVENT_COLUMNS, line.split(",")):
+        if cell.endswith("e+308") and math.isinf(float(cell)):
+            return f"{name} {cell}: not {_FLOAT[1]}"
+    return None
 
 
 def _is_int(value) -> bool:
@@ -265,8 +363,8 @@ def _is_number(value) -> bool:
     return _is_int(value) or (isinstance(value, float) and math.isfinite(value))
 
 
-# What runlog.json may hold for each DeviceRun field, by its annotation, and
-# the numbers in it: simulate writes none below 0.
+# What runlog.json may hold for each kind of DeviceRun field, and the numbers
+# in it: simulate writes none below 0.
 _TYPE_CHECKS = {
     "str": (lambda value: isinstance(value, str), "a string",
             lambda value: ()),
@@ -276,8 +374,11 @@ _TYPE_CHECKS = {
                             and all(map(_is_number, value.values()))),
              "an object of numbers", dict.values),
 }
-_DEVICE_RUN_CHECKS = {fld.name: _TYPE_CHECKS[fld.type]
-                      for fld in fields(DeviceRun)}
+# Each DeviceRun field's kind, its annotation, in field order.
+_DEVICE_RUN_KINDS = ("str", "int", "str", "int", "int", "str", "float", "int",
+                     "int", "int", "dict", "dict")
+_DEVICE_RUN_CHECKS = {name: _TYPE_CHECKS[kind] for name, kind
+                      in zip(DeviceRun._fields, _DEVICE_RUN_KINDS)}
 
 
 def _require_keys(doc, keys, where: str) -> None:

@@ -11,8 +11,8 @@ header carries the per-device sample count so a decoder can rebuild the full
 sample cadence, holding the last value across suppressed samples. Writers
 that build the rows as text hand them to write_rows; read_rows checks the
 header and yields each row's cells, and read_trace builds a Packet of each.
-rundir reads its events rows with this module's integer pattern and fault
-locator.
+The integer cell pattern and the fault locator come from the package,
+which shares them with rundir.
 """
 
 from __future__ import annotations
@@ -22,6 +22,7 @@ from collections.abc import Iterator
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 
+from . import _INT, _row_fault
 from .sink import Packet
 
 MAGIC = "#packet-trace v1"
@@ -41,24 +42,11 @@ class PacketTrace:
 # The `#key=value` header lines, one per integer field, in file order.
 _HEADER = [fld for fld in fields(PacketTrace) if fld.name != "packets"]
 
-# A cell pattern and its description, as str() writes a non-negative int.
-_INT = (r"0|[1-9][0-9]*", "a canonical non-negative integer")
 _COLUMNS = {"seq": _INT, "device_id": _INT, "bit_count": _INT,
             "payload": (r"(?:[0-9a-f]{2})*", "lowercase hex of whole bytes")}
 # Groups seq, device_id, and the bit_count and payload cells as one text.
 _match_row = re.compile("({}),({}),((?:{}),(?:{}))".format(
     *(pattern for pattern, _ in _COLUMNS.values()))).fullmatch
-
-
-def _row_fault(columns: dict, text: str) -> str:
-    """The first cell of a line that fails its column's pattern, or else the
-    line's cell count. columns maps each name to (pattern, description)."""
-    cells = text.split(",") if text else []
-    if len(cells) == len(columns):
-        for (name, (pattern, kind)), cell in zip(columns.items(), cells):
-            if not re.fullmatch(pattern, cell):
-                return f"{name} {cell}: not {kind}"
-    return f"{len(cells)} cells, expected {len(columns)}"
 
 
 def write_rows(path: str | Path, trace: PacketTrace, rows: list[str]) -> None:

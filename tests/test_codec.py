@@ -259,6 +259,21 @@ class TestTables:
                     + as_literal(encode_suffix(e, group_of(e))))
             assert codeword_bytes(e) == literal_bits(word)
 
+    def test_table_built_by_group_is_the_composition(self):
+        # The table builds each group's prefix once and its suffixes inline;
+        # it must equal the three spec calls made for every residual.
+        words = []
+        for e in range(RESIDUAL_MIN, RESIDUAL_MAX + 1):
+            group = group_of(e)
+            prefix, prefix_bits = encode_prefix(group)
+            suffix, suffix_bits = encode_suffix(e, group)
+            bit_count = prefix_bits + suffix_bits
+            pad = -bit_count % 8
+            words.append((bit_count, ((prefix << suffix_bits | suffix) << pad)
+                          .to_bytes((bit_count + pad) // 8, "big")))
+        assert len(words) == 4095
+        assert codec._codewords() == tuple(words)
+
     def test_codeword_bytes_range_error(self):
         for e in (RESIDUAL_MIN - 1, RESIDUAL_MAX + 1):
             with pytest.raises(ValueError, match="outside"):

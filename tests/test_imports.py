@@ -22,13 +22,13 @@ SRC = REPO_ROOT / "src" / "wbancomp"
 MODULES = sorted("wbancomp" if path.stem == "__init__" else f"wbancomp.{path.stem}"
                  for path in SRC.glob("*.py"))
 
-# Runs the command line in-process, then prints the package modules loaded.
+# Runs the command line in-process, then prints the modules loaded.
 RUN_AND_LIST = """\
 import contextlib, io, sys
 from wbancomp.cli import main
 with contextlib.redirect_stdout(io.StringIO()):
     code = main(sys.argv[1:])
-print(code, *sorted(name for name in sys.modules if name.startswith("wbancomp.")))
+print(code, *sorted(sys.modules))
 """
 
 
@@ -47,12 +47,20 @@ def test_every_module_imports_first_and_alone():
             if run.returncode} == {}
 
 
-def loaded_after(*argv) -> set[str]:
+def modules_after(*argv) -> set[str]:
+    """Every module loaded once the command line has run."""
     run = python("-c", RUN_AND_LIST, *argv)
     assert run.returncode == 0, run.stderr
     code, *modules = run.stdout.split()
     assert int(code) == EXIT_OK, run.stderr
-    return {module.removeprefix("wbancomp.") for module in modules}
+    return set(modules)
+
+
+def loaded_after(*argv) -> set[str]:
+    """The package's modules loaded once the command line has run."""
+    return {module.removeprefix("wbancomp.")
+            for module in modules_after(*argv)
+            if module.startswith("wbancomp.")}
 
 
 @pytest.fixture(scope="module")
@@ -76,12 +84,26 @@ def test_decode_loads_only_the_sink_side(codec_imports):
     assert decode <= {"cli", "tracefile", "sink", "codec"}
 
 
-def test_report_loads_no_model_or_signals(tmp_path):
-    run = tmp_path / "run"
+@pytest.fixture(scope="module")
+def report_imports(tmp_path_factory):
+    run = tmp_path_factory.mktemp("report") / "run"
     assert main(["--out", str(run), "simulate",
                  str(SCENARIO_DIR / "temperature_sleep.cfg")]) == EXIT_OK
-    loaded = loaded_after("--format", "json", "report", run)
-    assert loaded.isdisjoint({"netmodel", "config", "signals", "control"})
+    return modules_after("--format", "json", "report", run)
+
+
+def test_report_loads_no_model_or_signals(report_imports):
+    assert report_imports.isdisjoint(
+        {"wbancomp.netmodel", "wbancomp.config", "wbancomp.signals",
+         "wbancomp.control"})
+
+
+def test_report_loads_no_packet_stack_dataclasses_or_decimal(report_imports):
+    # report reads two files and renders a document: the packet stack,
+    # dataclasses (with inspect) and decimal would be start-up it never uses.
+    assert report_imports.isdisjoint(
+        {"dataclasses", "inspect", "decimal", "wbancomp.tracefile",
+         "wbancomp.sink", "wbancomp.codec"})
 
 
 def import_statements(path) -> list[str]:

@@ -3,10 +3,12 @@
 pyproject.toml allows Python 3.10 and later, but the other tests run under
 one interpreter. Each python3.N that shutil.which finds and that starts
 runs simulate, encode and decode in a subprocess, and must write the bytes
-test_cli pins. A pyenv shim that does not start on its own is retried once
-with PYENV_VERSION set to the newest 3.N.x installed under PYENV_ROOT. The
-test ids name the interpreters; one that is absent, does not start, or is
-the running one skips with that reason.
+test_cli pins. Its report of the simulated run, as JSON and as CSV, must be
+the running interpreter's bytes, since how NamedTuple records handle their
+annotations differs between versions. A pyenv shim that does not start on
+its own is retried once with PYENV_VERSION set to the newest 3.N.x
+installed under PYENV_ROOT. The test ids name the interpreters; one that
+is absent, does not start, or is the running one skips with that reason.
 """
 
 import hashlib
@@ -60,8 +62,8 @@ def test_interpreter_writes_the_pinned_outputs(tmp_path, minor):
             pytest.skip(f"{exe} does not start")
         env["PYENV_VERSION"] = version
 
-    def cli(*argv) -> bytes:
-        done = subprocess.run([exe, "-m", "wbancomp.cli", *map(str, argv)],
+    def cli(*argv, python=exe) -> bytes:
+        done = subprocess.run([python, "-m", "wbancomp.cli", *map(str, argv)],
                               capture_output=True, env=env)
         assert done.returncode == 0, done.stderr.decode()
         return done.stdout
@@ -70,6 +72,9 @@ def test_interpreter_writes_the_pinned_outputs(tmp_path, minor):
     cli("--out", run, "simulate", SCENARIO_DIR / f"{SCENARIO}.cfg")
     assert {path.name: sha256(path.read_bytes())
             for path in run.iterdir()} == PINNED_OUTPUTS[SCENARIO]
+    for fmt in ("json", "csv"):
+        assert cli("--format", fmt, "report", run) == cli(
+            "--format", fmt, "report", run, python=sys.executable)
 
     src = tmp_path / "codes.csv"
     write_codes(src, pinned_readings())

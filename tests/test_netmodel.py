@@ -3,7 +3,6 @@ import csv
 import io
 import math
 import tempfile
-from dataclasses import astuple
 from pathlib import Path
 
 import pytest
@@ -444,8 +443,9 @@ def test_run_invariants(sc):
 
     # Each device's loop folds the rows it appends.
     assert list(log.sums) == [dev.device_id for dev in sc.devices]
-    assert {device_id: astuple(sums) for device_id, sums
-            in log.sums.items()} == plain_fold(log.events)
+    assert {device_id: (sums.rows, sums.transmitted, sums.cd_ms, sums.dd_ms,
+                        sums.ad_ms, sums.payload_bits)
+            for device_id, sums in log.sums.items()} == plain_fold(log.events)
 
     for cfg, run in zip(sc.devices, log.devices):
         rows = [ev for ev in log.events if ev.device_id == cfg.device_id]
