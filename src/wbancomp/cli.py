@@ -128,20 +128,32 @@ def cmd_encode(args) -> int:
         suppress_zero=not args.transmit_zeros,
         adc_bits=args.adc_bits,
     )
-    # Each packet is its trace row's text.
-    rows = []
+    # read_column yields at least one reading or raises. The readings before
+    # a fault it raises are still filtered first, so that one of them
+    # outside the ADC range is reported ahead of the fault.
+    codes: list[int] = []
+    fault = None
+    try:
+        codes.extend(code for _, code in read_column(
+            Path(args.input), args.column, int))
+    except ValueError as exc:  # extend keeps what it took before the raise
+        fault = exc
     device_cell = f",{args.device_id},"
-    # read_column yields at least one reading or raises.
-    for seq, (lineno, code) in enumerate(
-            read_column(Path(args.input), args.column, int)):
-        try:
-            residual = state.process_sample(code)
-        except ValueError as exc:
-            raise ValueError(f"{args.input}:{lineno}: {exc}") from None
-        if residual is not None:
-            rows.append(f"{seq}{device_cell}{codeword_cells(residual)}\n")
+    try:
+        # Each packet is its trace row's text.
+        rows = [f"{seq}{device_cell}{codeword_cells(residual)}\n"
+                for seq, residual in state.transmits(codes)]
+    except ValueError as exc:
+        # Only a reading out of range lands here: read the file once more
+        # for its line number.
+        top = 1 << args.adc_bits
+        lineno = next(lineno for lineno, code in read_column(
+            Path(args.input), args.column, int) if not 0 <= code < top)
+        raise ValueError(f"{args.input}:{lineno}: {exc}") from None
+    if fault is not None:
+        raise fault
     trace = tracefile.PacketTrace(
-        samples=seq + 1,
+        samples=len(codes),
         threshold=args.threshold,
         adc_bits=args.adc_bits,
         sample_period_ms=args.sample_period_ms,

@@ -8,6 +8,7 @@ drifts from the truth by more than the threshold.
 
 from __future__ import annotations
 
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass, field
 
 from . import MAX_ADC_BITS
@@ -41,21 +42,46 @@ class DeviceState:
     def process_sample(self, value: int) -> int | None:
         """Return the residual to transmit, or None when the sample is suppressed.
 
+        The one-sample case of transmits.
+        """
+        residual = None
+        for _, residual in self.transmits((value,)):
+            pass
+        return residual
+
+    def transmits(self, codes: Sequence[int]) -> Iterator[tuple[int, int]]:
+        """Yield (index, residual) for each of `codes` that transmits.
+
         The first reading is transmitted as an absolute value: its residual
         from the initial last_reading of 0 is the reading itself. Afterwards a
         reading transmits its delta from the last transmitted reading when the
         variation strictly exceeds the threshold (or always at threshold 0,
         zero deltas excepted under suppress_zero). Suppression leaves
-        last_reading untouched.
+        last_reading untouched. The state is a per-sample loop's at every
+        yield and at the end. Every reading is range-checked before the
+        first is filtered, and the first one outside the range is named.
         """
-        if not 0 <= value < (1 << self.adc_bits):
-            raise ValueError(f"reading {value} outside {self.adc_bits}-bit range")
-        residual = value - self.last_reading
-        if (self.first_reading or abs(residual) > self.threshold
-                or (self.threshold == 0 and not self.suppress_zero)):
+        top = 1 << self.adc_bits
+        if codes and (min(codes) < 0 or max(codes) >= top):
+            bad = next(code for code in codes if not 0 <= code < top)
+            raise ValueError(f"reading {bad} outside {self.adc_bits}-bit range")
+        # A reading is suppressed when it lies in [lo, hi] around the last
+        # transmitted one; the range is empty before the first reading, and
+        # always when zero deltas are transmitted at threshold 0.
+        margin = self.threshold
+        if margin == 0 and not self.suppress_zero:
+            margin = -1
+        last = self.last_reading
+        lo, hi = (1, 0) if self.first_reading else (last - margin, last + margin)
+        sent = -1
+        for index, value in enumerate(codes):
+            if lo <= value <= hi:
+                continue
             self.first_reading = False
             self.last_reading = value
             self.consecutive_suppressed = 0
-            return residual
-        self.consecutive_suppressed += 1
-        return None
+            sent = index
+            yield index, value - last
+            last = value
+            lo, hi = value - margin, value + margin
+        self.consecutive_suppressed += len(codes) - 1 - sent

@@ -2,12 +2,13 @@
 
 Devices share no channel and the sink keeps one reference value per device,
 so each device runs as its own loop, which owns the device's filter and
-sink, and keeps its energy ledger and delay sums in locals. Each sample runs
-the filter, encodes the residual when transmitted, decodes it at the sink,
-charges the ledger so the per-state times partition the run duration
-exactly, folds its row into the delay sums, and appends the row as its
-runlog_events.csv line. Currents are whole-device currents per state (tx,
-idle, sleep, cpu), so charge is current times time summed over states.
+sink, and keeps its energy ledger and delay sums in locals. The loop steps
+from one transmitted sample to the next: it encodes the residual, decodes
+it at the sink, charges the ledger so the per-state times partition the run
+duration exactly, folds the row into the delay sums, and appends the row as
+its runlog_events.csv line; the suppressed samples in between are charged
+and appended as one stretch. Currents are whole-device currents per state
+(tx, idle, sleep, cpu), so charge is current times time summed over states.
 
 Each device runs to completion before the next, in scenario order, so the
 run log's rows and packets are grouped by device in scenario order, and by
@@ -19,6 +20,9 @@ log's records and files are rundir's.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import reduce
+from itertools import chain, repeat
+from operator import add
 
 from .codec import (MAX_CODEWORD_BITS, MAX_GROUP, codeword_bytes,
                     codeword_cells)
@@ -197,23 +201,35 @@ def _device_loop(cfg: DeviceConfig, scenario: Scenario, rows: list[str],
                  packet_rows: list[str]) -> tuple[DeviceRun, DelaySums]:
     """Run one device over its samples, appending its rows and packet rows.
 
-    Every sample is filtered, encoded, decoded at the device's own sink,
-    checked and charged to its ledger before its row is folded into its
-    delay sums and appended to `rows` as its events-file line. A sent
-    sample's packet goes to `packet_rows` as its packets.trace line.
+    The filter yields only the samples it sends. Each sent sample is
+    encoded, decoded at the device's own sink, checked and charged to its
+    ledger, folded into its delay sums and appended to `rows` as its
+    events-file line, and its packet goes to `packet_rows` as its
+    packets.trace line. The suppressed stretch before it, and the one that
+    ends the run, is charged and rendered whole: its rows all hold the last
+    sent reading, and its first suppressions_before_sleep - 1 samples idle
+    while the rest sleep. Without the filter (CGWC) every sample is sent
+    raw, one step each.
     Decoding at send time gives the sink state that decoding at arrival
     would, because Scenario checks that each arrival lands before the
     device's next sample.
     The ledger is EnergyLedger's arithmetic in locals: each state's time and
-    charge add `d` and `current * (d / MS_PER_HOUR)` in the same order.
+    charge add `d` and `current * (d / MS_PER_HOUR)` in sample order. Equal
+    additions in a row (cpu on every sample, sleep on every slept one, idle
+    through a stretch) are one reduce(add, repeat(d, n), total), which adds
+    left to right as n `+=` would; sum() would not, as it compensates float
+    rounding from Python 3.12 on.
     """
     spec = replace(cfg.trace, duration_s=scenario.duration_s)
     codes, _ = trace_codes(spec)
+    samples = len(codes)
     period = spec.sample_period_ms
     model = cfg.energy or scenario.energy
     transit_ms = scenario.channel.transit_ms
     sink = Sink()
     device = None
+    # (seq, residual cell) of each sent sample: CGWC's cell is blank.
+    sends = zip(range(samples), repeat(""))
     if cfg.mode != "CGWC":
         device = DeviceState(
             device_id=cfg.device_id,
@@ -222,9 +238,12 @@ def _device_loop(cfg: DeviceConfig, scenario: Scenario, rows: list[str],
             adc_bits=spec.adc_bits,
         )
         sink.register_device(cfg.device_id)
-    can_sleep = scenario.sleep.enabled and device is not None
-    quiet_to_sleep = scenario.sleep.suppressions_before_sleep
-    asleep = False
+        sends = device.transmits(codes)
+    # A stretch's samples that idle before the radio sleeps: all of them
+    # when it cannot sleep.
+    awake_quiet = samples
+    if scenario.sleep.enabled and device is not None:
+        awake_quiet = scenario.sleep.suppressions_before_sleep - 1
     # A raw reading travels as adc_bits bits, zero-padded to whole bytes,
     # and costs no compression or decompression delay.
     raw_bytes = (spec.adc_bits + 7) // 8
@@ -246,61 +265,54 @@ def _device_loop(cfg: DeviceConfig, scenario: Scenario, rows: list[str],
     codewords: dict[int, tuple[str, str, int, float, str]] = {}
 
     tx_ma, idle_ma = model.tx_ma, model.idle_ma
-    cpu_step_mah = model.cpu_active_ma * (cd_ms / MS_PER_HOUR)
-    # A suppressed sample spends its period as cpu time, then rest.
+    # A suppressed sample spends its period as cpu time, then rest. Sample 0
+    # is always sent, and its rest is shorter, so the sent path's check that
+    # rest is non-negative covers the suppressed one as well.
     quiet_rest_ms = period - cd_ms
-    quiet_sleep_mah = model.sleep_ma * (quiet_rest_ms / MS_PER_HOUR)
     quiet_idle_mah = idle_ma * (quiet_rest_ms / MS_PER_HOUR)
-    tx_ms = idle_ms = sleep_ms = cpu_ms = 0.0
-    tx_mah = idle_mah = sleep_mah = cpu_mah = 0.0
-    sent = payload_bits = 0
+    tx_ms = idle_ms = tx_mah = idle_mah = 0.0
+    slept = sent = payload_bits = 0
     cd_sum = dd_sum = ad_sum = 0.0
+    quiet_from = reconstructed = 0
 
-    for seq, code in enumerate(codes):
+    # The end of the run closes the last stretch, as a sent sample would.
+    for seq, residual in chain(sends, ((samples, None),)):
+        quiet = seq - quiet_from
+        if quiet:
+            awake = min(quiet, awake_quiet)
+            idle_ms = reduce(add, repeat(quiet_rest_ms, awake), idle_ms)
+            idle_mah = reduce(add, repeat(quiet_idle_mah, awake), idle_mah)
+            slept += quiet - awake
+            tail = f",0,,0,{cd_cell},0.0,0.0,,{reconstructed}\n"
+            rows += [f"{head}{quiet_seq},{float(quiet_seq * period)!r},"
+                     f"{code}{tail}" for quiet_seq, code in
+                     zip(range(quiet_from, seq), codes[quiet_from:seq])]
+        if seq == samples:
+            break
+        quiet_from = seq + 1
+        reconstructed = code = codes[seq]
         t_ms = float(seq * period)
-        cpu_ms += cd_ms
-        cpu_mah += cpu_step_mah
         if device is None:
-            residual = ""  # the row's blank residual cell
             bit_count, bits, dtr_ms, dtr_cell = raw_sent
             payload = format(code << raw_pad, raw_hex)
             cells = f"{bit_count},{payload}"
-            reconstructed = code
+            # Raw payload: no decompression happens at the sink.
+            value = int(payload, 16) >> raw_pad
         else:
-            residual = device.process_sample(code)
-            reconstructed = device.last_reading
-            if residual is None:
-                asleep = can_sleep and (device.consecutive_suppressed
-                                        >= quiet_to_sleep)
-                if quiet_rest_ms < 0:
-                    raise ValueError("duration must be non-negative")
-                if asleep:
-                    sleep_ms += quiet_rest_ms
-                    sleep_mah += quiet_sleep_mah
-                else:
-                    idle_ms += quiet_rest_ms
-                    idle_mah += quiet_idle_mah
-                rows.append(f"{head}{seq},{t_ms!r},{code},0,,0,{cd_cell},"
-                            f"0.0,0.0,,{reconstructed}\n")
-                continue
             known = codewords.get(residual)
             if known is None:
                 known = codewords[residual] = (
                     codeword_cells(residual),
                     *sent_cells(codeword_bytes(residual)[0]))
             cells, bit_count, bits, dtr_ms, dtr_cell = known
-
-        wake_ms = model.wake_latency_ms if asleep else 0.0
-        if device is None:
-            # Raw payload: no decompression happens at the sink.
-            value = int(payload, 16) >> raw_pad
-        else:
             value = sink.on_cells(cfg.device_id, cells)
         if value != reconstructed:
             raise RuntimeError(
                 f"sink reconstruction {value} diverged from device-side "
                 f"{reconstructed} (device {cfg.device_id})"
             )
+        # A stretch long enough to put the radio to sleep ends in a wake.
+        wake_ms = model.wake_latency_ms if quiet > awake_quiet else 0.0
         packet_rows.append(f"{seq},{head}{cells}\n")
         arrival_ms = t_ms + cd_ms + wake_ms + dtr_ms + dd_ms
         sent += 1
@@ -311,7 +323,6 @@ def _device_loop(cfg: DeviceConfig, scenario: Scenario, rows: list[str],
 
         # Energy: the sample period splits into cpu, wake, tx, and rest. A
         # sent sample ends the quiet run, so the radio idles through the rest.
-        asleep = False
         rest_ms = period - cd_ms - wake_ms - dtr_ms
         if rest_ms < 0:
             raise ValueError("duration must be non-negative")
@@ -334,18 +345,24 @@ def _device_loop(cfg: DeviceConfig, scenario: Scenario, rows: list[str],
                 f"device {cfg.device_id}: sink reference {held} != "
                 f"device memory {device.last_reading}"
             )
-    sums = DelaySums(rows=len(codes), transmitted=sent, cd_ms=cd_sum,
+    cpu_step_mah = model.cpu_active_ma * (cd_ms / MS_PER_HOUR)
+    quiet_sleep_mah = model.sleep_ma * (quiet_rest_ms / MS_PER_HOUR)
+    sums = DelaySums(rows=samples, transmitted=sent, cd_ms=cd_sum,
                      dd_ms=dd_sum, ad_ms=ad_sum, payload_bits=payload_bits)
     run = DeviceRun(
         name=cfg.name, device_id=cfg.device_id, mode=cfg.mode,
         threshold=cfg.threshold, sample_period_ms=period,
         signal=getattr(cfg.trace.source, "kind", "file"),
-        battery_mah=model.battery_mah, samples=sums.rows,
+        battery_mah=model.battery_mah, samples=samples,
         transmitted=sent, payload_bits=payload_bits,
-        state_time_ms={"tx": tx_ms, "idle": idle_ms, "sleep": sleep_ms,
-                       "cpu": cpu_ms},
-        state_charge_mah={"tx": tx_mah, "idle": idle_mah, "sleep": sleep_mah,
-                          "cpu": cpu_mah})
+        state_time_ms={
+            "tx": tx_ms, "idle": idle_ms,
+            "sleep": reduce(add, repeat(quiet_rest_ms, slept), 0.0),
+            "cpu": reduce(add, repeat(cd_ms, samples), 0.0)},
+        state_charge_mah={
+            "tx": tx_mah, "idle": idle_mah,
+            "sleep": reduce(add, repeat(quiet_sleep_mah, slept), 0.0),
+            "cpu": reduce(add, repeat(cpu_step_mah, samples), 0.0)})
     return run, sums
 
 

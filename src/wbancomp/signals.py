@@ -143,7 +143,8 @@ def read_column(path: Path, column: int,
 def trace_codes(spec: TraceSpec) -> tuple[list[int], int]:
     """The ADC codes of any TraceSpec, and how many readings clamped.
 
-    Synthetic traces need a duration and never clamp. File traces are read,
+    Synthetic traces need a duration and count no clamps, though synth
+    saturates a code that leaves the ADC range. File traces are read,
     cut to the duration when one is set, and quantized; a non-numeric first
     row is treated as a header, a non-finite reading elsewhere is an error,
     and values outside the ADC range saturate.
@@ -185,7 +186,8 @@ def synth(kind: str, params: dict, seed: int, count: int, adc_bits: int = 10) ->
     """Generate `count` ADC codes for one synthetic signal class.
 
     The generators yield unclamped codes, and check their parameters before
-    the first one, so count 0 checks kind and parameters only.
+    the first one, so count 0 checks kind and parameters only. The codes
+    are clamped to the ADC range only when some fall outside it.
     """
     if kind not in SYNTH_KINDS:
         raise ValueError(f"unknown synthetic kind {kind!r}")
@@ -197,8 +199,10 @@ def synth(kind: str, params: dict, seed: int, count: int, adc_bits: int = 10) ->
         raise ValueError(f"{sorted(unknown)} are not {kind} parameters "
                          f"(allowed: {sorted(known)})")
     full_scale = (1 << adc_bits) - 1
-    codes = _GENERATORS[kind](random.Random(seed), count, params)
-    return [min(max(code, 0), full_scale) for code in codes]
+    codes = list(_GENERATORS[kind](random.Random(seed), count, params))
+    if codes and (min(codes) < 0 or max(codes) > full_scale):
+        return [min(max(code, 0), full_scale) for code in codes]
+    return codes
 
 
 def trace_samples(spec: TraceSpec) -> list[Sample]:
@@ -217,9 +221,10 @@ def _gen_temperature(rng: random.Random, count: int,
     if not 0.0 <= step_probability <= 1.0:
         raise ValueError("step_probability must be in [0, 1]")
     code = start
+    draw, choice = rng.random, rng.choice
     for _ in range(count):
-        if rng.random() < step_probability:
-            code += rng.choice((-1, 1))
+        if draw() < step_probability:
+            code += choice((-1, 1))
         yield code
 
 

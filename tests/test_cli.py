@@ -14,7 +14,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import REPO_ROOT, SCENARIO_DIR, codeword_literal, literal_bits
+from conftest import (DATA_DIR, REPO_ROOT, SCENARIO_DIR, codeword_literal,
+                      literal_bits)
 from wbancomp.cli import EXIT_DATA, EXIT_OK, EXIT_USAGE, main
 from wbancomp.codec import MAX_GROUP, codeword_bytes, group_of
 from wbancomp.rundir import SampleEvent
@@ -55,6 +56,26 @@ def test_encode_empty_file_fails(tmp_path, capsys):
     rc = main(["--out", str(tmp_path / "x.trace"), "encode", str(src)])
     assert rc == EXIT_DATA
     assert "no readings" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("text,message", [
+    ("1024\n5\n", ":1: reading 1024 outside 10-bit range"),
+    ("value\n5\n6\n-1\n7\n2000\n", ":4: reading -1 outside 10-bit range"),
+    ("5\n\n3000\n7\nx\n", ":3: reading 3000 outside 10-bit range"),
+    ("5\nx\n3000\n", ":2: non-numeric or missing value in column 0"),
+    ("5\n6\nx\n", ":3: non-numeric or missing value in column 0"),
+    ("0\n1023\n1024\n", ":3: reading 1024 outside 10-bit range"),
+], ids=["first", "after-header", "ahead-of-a-bad-row", "behind-a-bad-row",
+        "bad-row-only", "after-both-ends"])
+def test_encode_names_the_first_bad_line(tmp_path, capsys, text, message):
+    # Every reading is range-checked before any is filtered, but the error
+    # names the first bad line in the file, as a line-by-line pass would.
+    src = tmp_path / "codes.csv"
+    src.write_text(text)
+    out = tmp_path / "packets.trace"
+    assert main(["--out", str(out), "encode", str(src)]) == EXIT_DATA
+    assert capsys.readouterr().err == f"error: {src}{message}\n"
+    assert not out.exists()
 
 
 def test_encode_requires_out(tmp_path):
@@ -562,6 +583,24 @@ PINNED_BENCH_OUTPUTS = {
 }
 
 
+# The same for tests/data's long, sleep-heavy scenario, whose devices
+# spend most of 15 minutes in suppressed stretches.
+PINNED_TEST_OUTPUTS = {
+    "long_sleep": {
+        "metrics.csv":
+            "f5f56f77ce87c055d26c760123df981eec1edc7885aa6eccccdfcf001483b279",
+        "metrics.json":
+            "528cc78cbab8cd0684234e2d0304a808eaa81af6ae0c97bbabf52f6355f21c33",
+        "packets.trace":
+            "caa898506984397c927fe2d065f1f9559427f4f6ea07269e76740eac9999bb41",
+        "runlog.json":
+            "f5aae75d2c75b4c82f55a85e656a63ebf3f17705bbe6d2421b44cea9b9084ffa",
+        "runlog_events.csv":
+            "a730cf5f5a86c7b7bc6354e16c59d197b778c649b7cb71c1fa4cbb55d04c626c",
+    },
+}
+
+
 def bench_scenario(workload: str, seed: int, directory: Path) -> Path:
     """Write a benchmark workload's inputs into `directory`; return its cfg."""
     path = REPO_ROOT / "perfbench" / "workloads.py"
@@ -574,11 +613,14 @@ def bench_scenario(workload: str, seed: int, directory: Path) -> Path:
 
 
 @pytest.mark.parametrize(
-    "scenario", sorted(PINNED_OUTPUTS) + sorted(PINNED_BENCH_OUTPUTS))
+    "scenario", sorted(PINNED_OUTPUTS) + sorted(PINNED_BENCH_OUTPUTS)
+    + sorted(PINNED_TEST_OUTPUTS))
 def test_simulate_outputs_are_pinned(tmp_path, scenario):
     out = tmp_path / "run"
     if scenario in PINNED_OUTPUTS:
         cfg, pinned = SCENARIO_DIR / f"{scenario}.cfg", PINNED_OUTPUTS[scenario]
+    elif scenario in PINNED_TEST_OUTPUTS:
+        cfg, pinned = DATA_DIR / f"{scenario}.cfg", PINNED_TEST_OUTPUTS[scenario]
     else:
         cfg = bench_scenario(scenario, 1, tmp_path / "inputs")
         pinned = PINNED_BENCH_OUTPUTS[scenario]

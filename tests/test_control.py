@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import run_pipeline
 from wbancomp.control import DeviceState
@@ -125,3 +127,102 @@ def test_lossless_pipeline_reproduces_input_exactly():
     codes = [rng.randrange(1024) for _ in range(1000)]
     reconstructed, _ = run_pipeline(codes, threshold=0)
     assert reconstructed == codes
+
+
+def reference_process(state, value):
+    """process_sample as a per-sample loop would run it, kept as the
+    reference that transmits must agree with."""
+    if not 0 <= value < (1 << state.adc_bits):
+        raise ValueError(f"reading {value} outside {state.adc_bits}-bit range")
+    residual = value - state.last_reading
+    if (state.first_reading or abs(residual) > state.threshold
+            or (state.threshold == 0 and not state.suppress_zero)):
+        state.first_reading = False
+        state.last_reading = value
+        state.consecutive_suppressed = 0
+        return residual
+    state.consecutive_suppressed += 1
+    return None
+
+
+def filter_fields(state):
+    return state.first_reading, state.last_reading, state.consecutive_suppressed
+
+
+@st.composite
+def filter_runs(draw):
+    """A fresh filter's settings, then readings in chunks: a walk of small
+    steps, so the readings both pass and stay within the threshold."""
+    threshold = draw(st.integers(0, 5))
+    suppress_zero = draw(st.booleans())
+    adc_bits = draw(st.integers(1, 12))
+    top = (1 << adc_bits) - 1
+    steps = st.lists(st.integers(-threshold - 2, threshold + 2), max_size=40)
+    chunks, value = [], draw(st.integers(0, top))
+    for _ in range(draw(st.integers(1, 4))):
+        chunk = []
+        for step in draw(steps):
+            value = min(max(value + step, 0), top)
+            chunk.append(value)
+        chunks.append(chunk)
+    return (threshold, suppress_zero, adc_bits), chunks
+
+
+@settings(max_examples=300)
+@given(filter_runs())
+def test_transmits_is_the_per_sample_loop(run):
+    # Fed chunk by chunk, the generator yields what the loop sends and
+    # leaves the loop's state after each chunk, also for empty chunks.
+    settings_, chunks = run
+    state = DeviceState(1, *settings_)
+    reference = DeviceState(1, *settings_)
+    for chunk in chunks:
+        expected = [(index, residual) for index, value in enumerate(chunk)
+                    if (residual := reference_process(reference, value))
+                    is not None]
+        assert list(state.transmits(chunk)) == expected
+        assert filter_fields(state) == filter_fields(reference)
+
+
+@settings(max_examples=300)
+@given(filter_runs())
+def test_process_sample_is_the_per_sample_loop(run):
+    settings_, chunks = run
+    state = DeviceState(1, *settings_)
+    reference = DeviceState(1, *settings_)
+    for value in [value for chunk in chunks for value in chunk]:
+        assert state.process_sample(value) == reference_process(reference,
+                                                                value)
+        assert filter_fields(state) == filter_fields(reference)
+
+
+@settings(max_examples=300)
+@given(filter_runs(), st.data())
+def test_out_of_range_reading_named_before_any_is_filtered(run, data):
+    settings_, chunks = run
+    codes = chunks[0]
+    top = 1 << settings_[2]
+    for _ in range(data.draw(st.integers(1, 3))):
+        bad = data.draw(st.sampled_from([-1, top, -top, 2 * top, -5, top + 3]))
+        codes.insert(data.draw(st.integers(0, len(codes))), bad)
+    reference = DeviceState(1, *settings_)
+    with pytest.raises(ValueError) as expected:
+        for value in codes:
+            reference_process(reference, value)
+    state = DeviceState(1, *settings_)
+    before = filter_fields(state)
+    with pytest.raises(ValueError) as raised:
+        list(state.transmits(codes))
+    assert str(raised.value) == str(expected.value)
+    assert filter_fields(state) == before
+
+
+def test_transmits_takes_any_sequence_and_yields_lazily():
+    state = fresh(1)
+    sends = state.transmits((10, 10, 12, 12))
+    assert next(sends) == (0, 10)
+    assert filter_fields(state) == (False, 10, 0)
+    assert next(sends) == (2, 2)
+    assert filter_fields(state) == (False, 12, 0)
+    assert list(sends) == []
+    assert filter_fields(state) == (False, 12, 1)

@@ -2,7 +2,8 @@
 
 pyproject.toml allows Python 3.10 and later, but the other tests run under
 one interpreter. Each python3.N that shutil.which finds and that starts
-runs simulate, encode and decode in a subprocess, and must write the bytes
+runs simulate, on a shipped scenario and on tests/data's long sleep-heavy
+one, then encode and decode, in a subprocess, and must write the bytes
 test_cli pins. Its report of the simulated run, as JSON and as CSV, must be
 the running interpreter's bytes, since how NamedTuple records handle their
 annotations differs between versions. A pyenv shim that does not start on
@@ -21,11 +22,14 @@ from pathlib import Path
 
 import pytest
 
-from conftest import REPO_ROOT, SCENARIO_DIR
-from test_cli import (PINNED_CODEC_OUTPUTS, PINNED_OUTPUTS, pinned_readings,
-                      write_codes)
+from conftest import DATA_DIR, REPO_ROOT, SCENARIO_DIR
+from test_cli import (PINNED_CODEC_OUTPUTS, PINNED_OUTPUTS,
+                      PINNED_TEST_OUTPUTS, pinned_readings, write_codes)
 
 SCENARIO = "temperature_sleep"
+# Its ledgers add each suppressed stretch's charges in bulk: any drift in
+# float addition between interpreters would move its hashes.
+LONG_SCENARIO = "long_sleep"
 
 
 def sha256(data: bytes) -> str:
@@ -75,6 +79,10 @@ def test_interpreter_writes_the_pinned_outputs(tmp_path, minor):
     for fmt in ("json", "csv"):
         assert cli("--format", fmt, "report", run) == cli(
             "--format", fmt, "report", run, python=sys.executable)
+    long_run = tmp_path / "long_run"
+    cli("--out", long_run, "simulate", DATA_DIR / f"{LONG_SCENARIO}.cfg")
+    assert {path.name: sha256(path.read_bytes())
+            for path in long_run.iterdir()} == PINNED_TEST_OUTPUTS[LONG_SCENARIO]
 
     src = tmp_path / "codes.csv"
     write_codes(src, pinned_readings())

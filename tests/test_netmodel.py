@@ -436,6 +436,126 @@ def test_shipped_packets_are_the_saved_trace_rows(shipped_run, tmp_path):
             assert Packet(device_id, *codeword_bytes(ev.residual)) == packet
 
 
+def simulate_checked(sc, rundir):
+    """simulate's log, once its ledgers replay through EnergyLedger, every
+    row holds its device's last sent reading, and its saved events file is
+    what csv.writer writes of its events."""
+    log = simulate(sc)
+    assert_ledgers_replay(sc, log)
+    held = {}
+    for ev in log.events:
+        if ev.transmitted:
+            held[ev.device_id] = ev.value
+        assert ev.reconstructed == held[ev.device_id]
+    rundir.mkdir(exist_ok=True)
+    log.save(rundir)
+    assert (rundir / "runlog_events.csv").read_bytes() == csv_writer_bytes(log)
+    return log
+
+
+def stretch_lengths(rows):
+    """The lengths of the runs of suppressed rows, in order."""
+    lengths, quiet = [], 0
+    for ev in rows:
+        if ev.transmitted and quiet:
+            lengths.append(quiet)
+        quiet = 0 if ev.transmitted else quiet + 1
+    return lengths + [quiet] if quiet else lengths
+
+
+def file_device(path, codes, name="f", device_id=1, mode="CGLL",
+                threshold=0, period_ms=500, **kwargs):
+    """A device replaying exactly `codes` as 10-bit readings."""
+    path.write_text("".join(f"{code + 0.5}\n" for code in codes))
+    trace = TraceSpec(source=FileSource(str(path)), sample_period_ms=period_ms,
+                      adc_range=(0.0, 1023.0))
+    return DeviceConfig(name=name, device_id=device_id, mode=mode,
+                        trace=trace, threshold=threshold, **kwargs)
+
+
+class TestSuppressedStretches:
+    """The device loop charges and writes each suppressed stretch whole."""
+
+    SLEEPY = dict(sleep=SleepPolicy(enabled=True),
+                  energy=RadioEnergyModel(37.3, 11.1, 0.7, 13.3,
+                                          wake_latency_ms=5.0))
+
+    def test_run_ending_inside_a_stretch(self, tmp_path):
+        codes = [500, 500, 503] + [503] * 9
+        dev = file_device(tmp_path / "codes.csv", codes)
+        log = simulate_checked(scenario([dev], duration_s=6.0, **self.SLEEPY),
+                               tmp_path / "run")
+        assert [ev.transmitted for ev in log.events] == [1, 0, 1] + [0] * 9
+        assert [ev.reconstructed for ev in log.events] == [500] * 2 + [503] * 10
+
+    def test_radio_sleeping_after_one_suppression(self, tmp_path):
+        dev = synth_device("t", 1, params={"step_probability": 0.05}, seed=3)
+        sc = scenario([dev], duration_s=120.0, sleep=SleepPolicy(
+            enabled=True, suppressions_before_sleep=1),
+            energy=self.SLEEPY["energy"])
+        log = simulate_checked(sc, tmp_path)
+        run = log.devices[0]
+        quiet = run.samples - run.transmitted
+        assert quiet > 0 and len(stretch_lengths(log.events)) > 1
+        assert run.state_time_ms["sleep"] == 499.0 * quiet
+
+    def test_device_suppressing_every_sample_after_its_first(self, tmp_path):
+        dev = synth_device("t", 1, params={"step_probability": 0.0})
+        log = simulate_checked(scenario([dev], duration_s=300.0,
+                                        **self.SLEEPY), tmp_path)
+        assert stretch_lengths(log.events) == [599]
+        assert {ev.reconstructed for ev in log.events} == {477}
+        run = log.devices[0]
+        assert run.transmitted == 1
+        # One suppressed sample idles; the other 598 sleep.
+        assert run.state_time_ms["sleep"] == 499.0 * 598
+
+    def test_one_sample_stretches_beside_long_ones(self, tmp_path):
+        codes = ([100, 100, 101] + [101] * 7 + [102, 103, 103, 104]
+                 + [104] * 2 + [105] + [105] * 20 + [106, 106, 107, 107])
+        lossless = file_device(tmp_path / "codes.csv", codes)
+        # Lossy, the levels are two codes apart and the same stretches
+        # hold readings one code off.
+        lossy = file_device(tmp_path / "near.csv", [
+            2 * code + (-1) ** seq * (seq > 0 and code == codes[seq - 1])
+            for seq, code in enumerate(codes)],
+            name="g", device_id=2, mode="CGLS", threshold=1)
+        policies = [SleepPolicy()] + [
+            SleepPolicy(enabled=True, suppressions_before_sleep=quiet)
+            for quiet in (1, 2, 3, 20, 21)]
+        for index, sleep in enumerate(policies):
+            sc = scenario([lossless, lossy], duration_s=len(codes) / 2,
+                          energy=self.SLEEPY["energy"], sleep=sleep)
+            log = simulate_checked(sc, tmp_path / f"run{index}")
+            for device_id in (1, 2):
+                assert stretch_lengths(
+                    [ev for ev in log.events if ev.device_id == device_id]
+                ) == [1, 7, 1, 2, 20, 1, 1]
+
+    def test_cgwc_device_beside_filter_devices(self, tmp_path):
+        devs = [synth_device("raw", 4, mode="CGWC", threshold=0, seed=5,
+                             params={"step_probability": 0.1}),
+                synth_device("lossless", 2, mode="CGLL", threshold=0, seed=5,
+                             params={"step_probability": 0.1}),
+                synth_device("lossy", 9, mode="CGLS", threshold=1, seed=5,
+                             params={"step_probability": 0.1})]
+        log = simulate_checked(scenario(devs, duration_s=120.0,
+                                        **self.SLEEPY), tmp_path)
+        raw, lossless, lossy = log.devices
+        assert raw.transmitted == raw.samples == 240
+        assert raw.state_time_ms["sleep"] == 0.0
+        assert lossy.transmitted < lossless.transmitted < raw.transmitted
+        assert lossless.state_time_ms["sleep"] > 0.0
+
+    def test_negative_zero_cd(self, tmp_path):
+        dev = synth_device("t", 1, params={"step_probability": 0.05}, seed=8,
+                           cd_ms=-0.0)
+        log = simulate_checked(scenario([dev], duration_s=60.0,
+                                        **self.SLEEPY), tmp_path)
+        assert {repr(ev.cd_ms) for ev in log.events} == {"-0.0"}
+        assert repr(log.devices[0].state_time_ms["cpu"]) == "0.0"
+
+
 @settings(max_examples=100)
 @given(small_scenarios())
 def test_run_invariants(sc):

@@ -8,9 +8,9 @@ from hypothesis import strategies as st
 from conftest import DATA_DIR, run_pipeline
 from wbancomp.codec import group_of
 from wbancomp.control import DeviceState
-from wbancomp.signals import (FileSource, SyntheticSource, TraceSpec,
-                              quantize, read_column, synth, trace_codes,
-                              trace_samples)
+from wbancomp.signals import (_GENERATORS, FileSource, SyntheticSource,
+                              TraceSpec, quantize, read_column, synth,
+                              trace_codes, trace_samples)
 
 
 class TestQuantize:
@@ -277,6 +277,51 @@ class TestSynth:
         assert 4.0 <= lossless_pcr <= 13.0
         assert 15.0 <= lossy_pcr <= 30.0
         assert lossy_pcr > lossless_pcr
+
+    # Draws whose generator codes leave the ADC range: the ECG spike and
+    # the PPG baseline overflow 8 bits, and a certain step walks a
+    # temperature off either end.
+    LEAVING = [
+        ("ecg", {}, 8),
+        ("ppg", {}, 8),
+        ("temperature", {"start_code": 0, "step_probability": 1.0}, 10),
+        ("temperature", {"start_code": 1023, "step_probability": 1.0}, 10),
+        ("temperature", {"start_code": 255, "step_probability": 1.0}, 8),
+    ]
+
+    @pytest.mark.parametrize("kind,params,adc_bits", LEAVING)
+    def test_codes_leaving_the_range_are_clamped(self, kind, params,
+                                                 adc_bits):
+        full_scale = (1 << adc_bits) - 1
+        for seed in range(5):
+            raw = list(_GENERATORS[kind](random.Random(seed), 600, params))
+            assert min(raw) < 0 or max(raw) > full_scale
+            assert synth(kind, params, seed, 600, adc_bits) == [
+                min(max(code, 0), full_scale) for code in raw]
+
+    @pytest.mark.parametrize("start_code", [0, 1023])
+    def test_codes_one_past_the_range_are_clamped(self, start_code):
+        # Short walks from either end whose codes leave the range by one
+        # code at most, or not at all.
+        params = {"start_code": start_code, "step_probability": 1.0}
+        extremes = set()
+        for seed in range(20):
+            raw = list(_GENERATORS["temperature"](random.Random(seed), 3,
+                                                  params))
+            extremes.update((min(raw), max(raw)))
+            assert synth("temperature", params, seed, 3) == [
+                min(max(code, 0), 1023) for code in raw]
+        assert extremes >= ({-1, 1} if start_code == 0 else {1022, 1024})
+
+    @pytest.mark.parametrize("kind", ["temperature", "ecg", "ppg"])
+    def test_trace_in_range_is_the_generator_codes(self, kind):
+        raw = list(_GENERATORS[kind](random.Random(4), 600, {}))
+        assert 0 <= min(raw) and max(raw) <= 1023
+        assert synth(kind, {}, 4, 600) == raw
+
+    @pytest.mark.parametrize("kind,params,adc_bits", LEAVING)
+    def test_no_samples_is_an_empty_trace(self, kind, params, adc_bits):
+        assert synth(kind, params, 0, 0, adc_bits) == []
 
 
 class TestTraceSpec:
