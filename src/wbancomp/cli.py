@@ -128,30 +128,19 @@ def cmd_encode(args) -> int:
         suppress_zero=not args.transmit_zeros,
         adc_bits=args.adc_bits,
     )
-    # read_column yields at least one reading or raises. The readings before
-    # a fault it raises are still filtered first, so that one of them
-    # outside the ADC range is reported ahead of the fault.
+    # read_column yields at least one reading or raises. Checking each
+    # reading as it is read names the first fault in file order.
     codes: list[int] = []
-    fault = None
-    try:
-        codes.extend(code for _, code in read_column(
-            Path(args.input), args.column, int))
-    except ValueError as exc:  # extend keeps what it took before the raise
-        fault = exc
+    top = 1 << args.adc_bits
+    for lineno, code in read_column(Path(args.input), args.column, int):
+        if not 0 <= code < top:
+            raise ValueError(f"{args.input}:{lineno}: reading {code} outside "
+                             f"{args.adc_bits}-bit range")
+        codes.append(code)
     device_cell = f",{args.device_id},"
-    try:
-        # Each packet is its trace row's text.
-        rows = [f"{seq}{device_cell}{codeword_cells(residual)}\n"
-                for seq, residual in state.transmits(codes)]
-    except ValueError as exc:
-        # Only a reading out of range lands here: read the file once more
-        # for its line number.
-        top = 1 << args.adc_bits
-        lineno = next(lineno for lineno, code in read_column(
-            Path(args.input), args.column, int) if not 0 <= code < top)
-        raise ValueError(f"{args.input}:{lineno}: {exc}") from None
-    if fault is not None:
-        raise fault
+    # Each packet is its trace row's text.
+    rows = [f"{seq}{device_cell}{codeword_cells(residual)}\n"
+            for seq, residual in state.transmits(codes)]
     trace = tracefile.PacketTrace(
         samples=len(codes),
         threshold=args.threshold,
@@ -218,7 +207,7 @@ def cmd_decode(args) -> int:
 
     lines: list[str] = []
     value, held = 0, "0"
-    # The output is built whole: a #samples too large to hold is a data error.
+    # The output is built whole: a #samples past memory or index is bad data.
     try:
         for seq, residual, packet in sorted(packets, key=itemgetter(0)):
             lines.extend([held] * (seq - len(lines)))
@@ -236,7 +225,7 @@ def cmd_decode(args) -> int:
             held = str(value)
         lines.extend([held] * (trace.samples - len(lines)))
         text = "\n".join(lines) + "\n"
-    except MemoryError:
+    except (MemoryError, OverflowError):
         raise ValueError(f"{args.input}: #samples={trace.samples}: too many "
                          f"samples to decode in memory") from None
     _write_out(args, text)

@@ -22,13 +22,13 @@ bits as a (value, length) pair of ints. Encoding indexes a table of the
 each group's prefix and encode_suffix's rule, or a second table of the
 same codewords as the packet trace cells `bit_count,payload_hex`, which
 writers put straight into their rows.
-codeword_residuals and cell_residuals invert the two, so a packet of one
-codeword, as bytes or as trace text, decodes by one lookup. Any other bit
-string goes through decode_bits, which looks the
-next 9 bits (the longest prefix) up in a 512-entry table, built from
-encode_prefix, that gives the group and prefix length of the codeword
-starting there, or marks the start malformed with the number of bits it
-takes to see that; one masked shift then reads the suffix.
+cell_residuals inverts the second, so a packet of one codeword decodes by
+one lookup of its trace text. Any other bit string goes through
+decode_bits, which looks the next 9 bits (the longest prefix) up in a
+512-entry table, built from encode_prefix, that gives the group and prefix
+length of the codeword starting there, or marks the start malformed with
+the number of bits it takes to see that; one masked shift then reads the
+suffix.
 """
 
 from __future__ import annotations
@@ -111,17 +111,6 @@ def _codewords() -> tuple[tuple[int, bytes], ...]:
     return tuple(table)
 
 
-@cache
-def codeword_residuals() -> dict[tuple[int, bytes], int]:
-    """The residual of each (bit_count, payload) in the encode table.
-
-    The code is prefix-free, so a packet whose bits are one of these entries
-    decodes to exactly that residual. Built on first use, like the table;
-    every caller shares the one dict and only reads it.
-    """
-    return {word: e for e, word in enumerate(_codewords(), RESIDUAL_MIN)}
-
-
 def codeword_bytes(residual: int) -> tuple[int, bytes]:
     """(bit_count, payload) of a packet carrying just the residual's codeword."""
     _check_range(residual)
@@ -137,8 +126,12 @@ def _codeword_cells() -> tuple[str, ...]:
 
 @cache
 def cell_residuals() -> dict[str, int]:
-    """The residual of each codeword's `bit_count,payload_hex` trace cells:
-    codeword_residuals, keyed by the cells' text."""
+    """The residual of each codeword's `bit_count,payload_hex` trace cells.
+
+    The code is prefix-free, so a packet whose cells are one of these keys
+    decodes to exactly that residual. Built on first use, like the table;
+    every caller shares the one dict and only reads it.
+    """
     return dict(zip(_codeword_cells(), range(RESIDUAL_MIN, RESIDUAL_MAX + 1)))
 
 

@@ -16,6 +16,7 @@ from __future__ import annotations
 import json
 import math
 import re
+import sys
 from collections.abc import Iterator, Sequence
 from pathlib import Path
 from typing import NamedTuple
@@ -228,17 +229,14 @@ _EVENT_COLUMNS = dict(zip(SampleEvent._fields, (
 # The patterns below are compiled on first use, so commands that read no run
 # directory skip them.
 _ROW = ",".join(f"({pattern})" for pattern, _ in _EVENT_COLUMNS.values())
-# Any number of whole valid lines, without groups.
-_ROWS = "(?:{}\n)*".format(
-    ",".join(f"(?:{pattern})" for pattern, _ in _EVENT_COLUMNS.values()))
 # One whole valid line, grouping only the cells the fold reads.
 _FOLD_ROW = "^{}\n".format(",".join(
     f"({pattern})" if name in ("device_id", "seq", "transmitted",
                                "codeword_bits", "cd_ms", "dtr_ms", "dd_ms")
     else f"(?:{pattern})" for name, (pattern, _) in _EVENT_COLUMNS.items()))
-# The size of the blocks of lines the events file is read in. One match of
-# _ROWS over a whole file holds memory that grows with the file (26 MB for
-# 33,600 lines), so the matches stay on bounded blocks.
+# The size of the blocks of lines the events file is read in. One search
+# over a whole file holds memory that grows with the file, so the searches
+# stay on bounded blocks.
 _BLOCK_HINT = 1 << 16
 # Each events column's cell as its SampleEvent field, blank as None.
 _EVENT_TYPES = (int, int, float, int, int,
@@ -249,13 +247,12 @@ _EVENT_TYPES = (int, int, float, int, int,
 def _fold_events(path: Path, sums: dict, summary: str) -> None:
     """Fold the rows of the events file at path into their devices' sums.
 
-    The file is read a block of whole lines at a time. One search of a block
-    yields the fold's cells of each valid line; when a line is not valid,
-    the rows of the block's valid lines before it fold, and only then is it
-    reported, so the first fault in file order is the one raised.
+    The file is read a block of whole lines at a time, and one search of a
+    block yields the fold's cells of each valid line. A block with fewer
+    rows than lines, or holding `e+308`, is matched a line at a time up to
+    its first fault, raised once the rows before it have folded.
     """
-    find_rows = re.compile(_FOLD_ROW, re.MULTILINE).findall
-    match_rows = re.compile(_ROWS).match
+    fold_row = re.compile(_FOLD_ROW, re.MULTILINE)
     # Ids and cells are canonical ints, so each id has one text.
     by_text = {str(device_id): device_sums
                for device_id, device_sums in sums.items()}
@@ -266,25 +263,17 @@ def _fold_events(path: Path, sums: dict, summary: str) -> None:
                 raise ValueError("unexpected event columns")
             for lines in _blocks(path, handle):
                 block = "".join(lines)
-                rows = find_rows(block)
-                # The end of the block's leading run of valid lines.
-                end = (len(block) if len(rows) == len(lines)
-                       else match_rows(block).end())
+                rows = fold_row.findall(block)
                 fault = None
-                # The float pattern bounds the exponent, not the mantissa.
-                at = block.find("e+308", 0, end)
-                while at >= 0:
-                    start = block.rfind("\n", 0, at) + 1
-                    stop = block.index("\n", at)
-                    fault = _overflow(block[start:stop])
-                    if fault is not None:
-                        end = start
-                        break
-                    at = block.find("e+308", stop, end)
-                if end < len(block):
-                    # The search also matched the valid lines past the
-                    # first invalid one: keep the rows before it.
-                    rows = rows[:block.count("\n", 0, end)]
+                if len(rows) < len(lines) or "e+308" in block:
+                    rows = []
+                    for line in lines:
+                        row = fold_row.match(line)
+                        fault = (_overflow(line) if row
+                                 else _row_fault(_EVENT_COLUMNS, line[:-1]))
+                        if fault:
+                            break
+                        rows.append(row.groups())
                 first = lineno + 1
                 for lineno, (device_id, seq, transmitted, bits, cd_ms, dtr_ms,
                              dd_ms) in enumerate(rows, first):
@@ -308,10 +297,9 @@ def _fold_events(path: Path, sums: dict, summary: str) -> None:
                         raise ValueError(
                             "cd_ms + dd_ms + dtr_ms is not finite")
                     device_sums.add(int(bits), cd_ms, dtr_ms, dd_ms)
-                if end < len(block):
+                if fault is not None:
                     lineno = first + len(rows)
-                    raise ValueError(fault or _row_fault(
-                        _EVENT_COLUMNS, block[end:block.index("\n", end)]))
+                    raise ValueError(fault)
     except UnicodeDecodeError as exc:
         raise ValueError(f"{path}: {exc}") from None
     except ValueError as exc:
@@ -347,7 +335,8 @@ def _blocks(path: Path, handle) -> Iterator[list[str]]:
 
 
 def _overflow(line: str) -> str | None:
-    """The fault of a valid line's first float cell past the float range."""
+    """The fault of a valid line's first float cell past the float range:
+    the float pattern bounds the exponent, not the mantissa."""
     for name, cell in zip(_EVENT_COLUMNS, line.split(",")):
         if cell.endswith("e+308") and math.isinf(float(cell)):
             return f"{name} {cell}: not {_FLOAT[1]}"
@@ -359,8 +348,9 @@ def _is_int(value) -> bool:
 
 
 def _is_number(value) -> bool:
-    # json reads NaN and Infinity as floats.
-    return _is_int(value) or (isinstance(value, float) and math.isfinite(value))
+    # json reads NaN, Infinity and ints past the float range.
+    return ((_is_int(value) or isinstance(value, float))
+            and abs(value) <= sys.float_info.max)
 
 
 # What runlog.json may hold for each kind of DeviceRun field, and the numbers

@@ -67,14 +67,17 @@ class TraceSpec:
         """Number of samples implied by duration, or None when open-ended."""
         if self.duration_s is None:
             return None
-        total_ms = self.duration_s * 1000.0
-        count = total_ms / self.sample_period_ms
-        if abs(count - round(count)) > 1e-9:
+        try:
+            count = self.duration_s * 1000.0 / self.sample_period_ms
+            whole = round(count)
+        except OverflowError:
+            raise ValueError("sample count is past the float range") from None
+        if abs(count - whole) > 1e-9:
             raise ValueError(
                 f"duration {self.duration_s}s is not a whole number of "
                 f"{self.sample_period_ms}ms periods"
             )
-        return int(round(count))
+        return whole
 
 
 def quantize(physical: float, adc_range: tuple[float, float], adc_bits: int) -> int:
@@ -93,7 +96,7 @@ def quantize(physical: float, adc_range: tuple[float, float], adc_bits: int) -> 
 
 
 def parse_range(text: str) -> tuple[float, float]:
-    """The physical range 'min,max' as two finite numbers with min < max."""
+    """The physical range 'min,max': finite min < max, a finite width apart."""
     parts = text.split(",")
     if len(parts) != 2:
         raise ValueError(f"expected 'min,max', got {text!r}")
@@ -103,6 +106,8 @@ def parse_range(text: str) -> tuple[float, float]:
         raise ValueError(f"not numeric: {text!r}") from None
     if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
         raise ValueError(f"need finite min < max, got {text!r}")
+    if math.isinf(hi - lo):  # quantize divides by it
+        raise ValueError(f"max - min is past the float range, got {text!r}")
     return lo, hi
 
 

@@ -3,16 +3,16 @@
 The sink keeps a reference list mapping each registered device to its last
 reconstructed reading (0 before any packet, so the first packet must carry an
 absolute value). Each decoded residual is added onto that reference. A packet
-holding one codeword as the encoder writes it decodes by one lookup in the
-inverted encode table, by its bytes or by its trace cells' text; any other
-packet goes through payload_residual and decode_bits.
+holding one codeword as the encoder writes it decodes by one lookup of its
+trace cells' text in the inverted encode table; any other packet goes
+through payload_residual and decode_bits.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .codec import cell_residuals, codeword_residuals, decode_bits
+from .codec import cell_residuals, decode_bits
 
 
 def payload_residual(bit_count: int, payload: bytes) -> int:
@@ -21,7 +21,7 @@ def payload_residual(bit_count: int, payload: bytes) -> int:
     The payload must hold a whole number of codewords in exactly bit_count
     bits, with its pad bits clear; else this raises ValueError.
     """
-    # Encoder payloads all hit the lookup tables, so only here can pads be set.
+    # Encoder payloads all hit the lookup table, so only here can pads be set.
     pad = 8 * len(payload) - bit_count
     word = int.from_bytes(payload, "big")
     if word & ((1 << pad) - 1):
@@ -80,31 +80,24 @@ class Sink:
         self._reference[device_id] = 0
 
     def on_packet(self, packet: Packet) -> int:
-        """Decode a packet's residuals and return the updated absolute reading.
-
-        The payload must decode into a whole number of codewords consuming
-        exactly bit_count bits, with its pad bits clear. Failures raise
-        ValueError and leave the reference list untouched.
-        """
-        device_id = packet.device_id
-        if device_id not in self._reference:
-            raise ValueError(f"device {device_id} not registered")
-        bit_count, payload = packet.bit_count, packet.payload
-        residual = codeword_residuals().get((bit_count, payload))
-        if residual is None:
-            residual = payload_residual(bit_count, payload)
-        value = self._reference[device_id] + residual
-        self._reference[device_id] = value
-        return value
+        """on_cells of the packet's trace cells."""
+        return self.on_cells(packet.device_id,
+                             f"{packet.bit_count},{packet.payload.hex()}")
 
     def on_cells(self, device_id: int, cells: str) -> int:
-        """on_packet for a packet given as its trace row's bit_count and
-        payload cells, `9,d300` say, as write_trace writes them."""
-        residual = cell_residuals().get(cells)
-        if residual is None:
-            return self.on_packet(Packet.from_cells(device_id, cells))
+        """Decode a packet given as its trace row's `bit_count,payload_hex`
+        cells, `9,d300` say, and return the device's updated reading.
+
+        The device must be registered, and the payload must hold a whole
+        number of codewords in exactly bit_count bits, pad bits clear.
+        Failures raise ValueError and leave the reference list untouched.
+        """
         if device_id not in self._reference:
             raise ValueError(f"device {device_id} not registered")
+        residual = cell_residuals().get(cells)
+        if residual is None:
+            packet = Packet.from_cells(device_id, cells)
+            residual = payload_residual(packet.bit_count, packet.payload)
         value = self._reference[device_id] + residual
         self._reference[device_id] = value
         return value

@@ -78,6 +78,27 @@ def test_encode_names_the_first_bad_line(tmp_path, capsys, text, message):
     assert not out.exists()
 
 
+def test_encode_reads_its_input_once(tmp_path, capsys, monkeypatch):
+    # The reading out of range is named from the one pass that read it.
+    from wbancomp import signals
+
+    calls = []
+    read_column = signals.read_column
+
+    def counted(*args):
+        calls.append(args)
+        return read_column(*args)
+
+    monkeypatch.setattr(signals, "read_column", counted)
+    src = tmp_path / "codes.csv"
+    src.write_text("5\n6\n1024\n7\n")
+    assert main(["--out", str(tmp_path / "x.trace"), "encode",
+                 str(src)]) == EXIT_DATA
+    assert capsys.readouterr().err == \
+        f"error: {src}:3: reading 1024 outside 10-bit range\n"
+    assert len(calls) == 1
+
+
 def test_encode_requires_out(tmp_path):
     src = tmp_path / "codes.csv"
     write_codes(src, [1, 2, 3])
@@ -420,6 +441,71 @@ def test_decode_of_more_samples_than_fit_in_memory_is_data_error(tmp_path):
     assert done.returncode == EXIT_DATA
     assert done.stderr == (f"error: {trace}: #samples=1000000000000000: too "
                            f"many samples to decode in memory\n")
+
+
+_HUGE_INT = "1" + "0" * 400
+
+
+@pytest.mark.parametrize("command, edit, named", [
+    ("simulate", ("duration_s = 60", "duration_s = 1e307"),
+     "device t: sample count is past the float range"),
+    ("simulate", ("sample_period_ms = 500", f"sample_period_ms = {_HUGE_INT}"),
+     "device t: sample count is past the float range"),
+    ("report", ('"duration_ms": 600000.0', f'"duration_ms": {_HUGE_INT}'),
+     "runlog.json: duration_ms: not a positive number"),
+    ("report", ('"battery_mah": 400.0', f'"battery_mah": {_HUGE_INT}'),
+     "runlog.json: device 0: battery_mah: not a number"),
+    ("decode", ("#samples=120", "#samples=10000000000000000000"),
+     "huge.trace: #samples=10000000000000000000: too many samples to decode "
+     "in memory"),
+], ids=["duration", "sample-period", "report-duration", "report-battery",
+        "decode-samples"])
+def test_numbers_past_the_float_or_index_range_are_located(
+        tmp_path, capsys, command, edit, named):
+    # Each of these once ended in an OverflowError traceback, exit 1.
+    if command == "simulate":
+        path = tmp_path / "huge.cfg"
+        path.write_text(_ONE_DEVICE.replace(*edit))
+        argv = ["simulate", str(path)]
+    elif command == "report":
+        out = tmp_path / "run"
+        main(["--out", str(out), "simulate",
+              str(SCENARIO_DIR / "temperature_sleep.cfg")])
+        path = out / "runlog.json"
+        path.write_text(path.read_text().replace(*edit, 1))
+        argv = ["report", str(out)]
+    else:
+        path = tmp_path / "huge.trace"
+        path.write_text("#packet-trace v1\n#samples=120\n#threshold=0\n"
+                        "#adc_bits=10\n#sample_period_ms=0\n0,1,9,d300\n"
+                        .replace(*edit))
+        argv = ["decode", str(path)]
+    assert edit[1] in path.read_text()
+    capsys.readouterr()
+    assert main(argv) == EXIT_DATA
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and named in err, err
+    assert "Traceback" not in err
+
+
+def test_range_wider_than_the_float_range_is_refused(tmp_path, capsys):
+    # quantize divides by max - min, which overflows: once exit 2 with
+    # "cannot convert float NaN to integer".
+    src = tmp_path / "v.csv"
+    src.write_text("1e308\n")
+    wide = "-1.7e308,1.7e308"
+    assert main(["signals", "dump", "--file", str(src),
+                 f"--range={wide}"]) == EXIT_USAGE
+    assert capsys.readouterr().err == (
+        f"usage error: --range: max - min is past the float range, got "
+        f"{wide!r}\n")
+    cfg = tmp_path / "wide.cfg"
+    cfg.write_text(_ONE_DEVICE.replace(
+        "signal = temperature", f"file = v.csv\nadc_range = {wide}"))
+    assert main(["simulate", str(cfg)]) == EXIT_DATA
+    assert capsys.readouterr().err == (
+        f"error: [device:t] adc_range: max - min is past the float range, "
+        f"got {wide!r}\n")
 
 
 @pytest.mark.parametrize("argv,named", [

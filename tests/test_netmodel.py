@@ -299,16 +299,25 @@ def small_scenarios(draw):
     for index, device_id in enumerate(ids):
         mode = draw(st.sampled_from(MODES))
         kind = draw(st.sampled_from(SYNTH_KINDS + ("file",)))
+        adc_bits = draw(st.sampled_from(
+            [8, 10, 11, 12] if mode == "CGWC" else [8, 10, 11]))
+        params = {}
+        if kind == "temperature":
+            # A walk from either end of the range, or from its middle, that
+            # may step every sample: synth clamps those leaving the range.
+            params = {"start_code": draw(st.sampled_from(
+                          [0, 1 << (adc_bits - 1), (1 << adc_bits) - 1])),
+                      "step_probability": draw(st.sampled_from([0.01, 1.0]))}
         if kind == "file":  # 600 readings: enough for 30 s at 100 ms
             source = FileSource(str(DATA_DIR / "ecg_trace.csv"),
                                 value_column=1)
         else:
-            source = SyntheticSource(kind, seed=draw(st.integers(0, 9)))
+            source = SyntheticSource(kind, seed=draw(st.integers(0, 9)),
+                                     params=params)
         trace = TraceSpec(
             source=source,
             sample_period_ms=draw(st.sampled_from([100, 200, 250, 500, 1000])),
-            adc_bits=draw(st.sampled_from(
-                [8, 10, 11, 12] if mode == "CGWC" else [8, 10, 11])),
+            adc_bits=adc_bits,
             adc_range=(-2.5, 2.5) if kind == "file" else None,
         )
         devices.append(DeviceConfig(

@@ -221,6 +221,22 @@ def test_first_of_a_seq_fault_and_an_overflow_in_one_block(
     assert fault in loaded(run)
 
 
+@pytest.mark.parametrize("grammar_line, overflow_line, fault", [
+    (6, 9, "runlog_events.csv:6: value x: not a canonical non-negative"),
+    (9, 6, "runlog_events.csv:6: cd_ms 9e+308: not a finite non-negative"),
+])
+def test_first_of_a_grammar_fault_and_an_overflow_in_one_block(
+        run, lines, grammar_line, overflow_line, fault):
+    edited = list(lines)
+    edited[grammar_line - 1] = set_cell(edited[grammar_line - 1], "value",
+                                        "x")
+    edited[overflow_line - 1] = set_cell(edited[overflow_line - 1], "cd_ms",
+                                         "9e+308")
+    write_events(run, edited)
+    assert loaded(run) == expected(run)
+    assert fault in loaded(run)
+
+
 def test_fault_just_past_a_device_split_across_blocks(run, lines):
     hint = 1000
     rows = first_block(run, hint)

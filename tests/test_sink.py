@@ -244,7 +244,9 @@ class TestSink:
     def test_on_cells_rejects_an_unregistered_device(self):
         sink = Sink()
         sink.register_device(1)
-        for cells in ("9,d300", "4,e0"):  # a hit and a miss
+        # A hit, a miss, and misses whose payload is at fault too: the
+        # registration check comes first, as in on_packet.
+        for cells in ("9,d300", "4,e0", "9,d3ff", "9,d3", "x,d300", "4"):
             with pytest.raises(ValueError, match="device 2 not registered"):
                 sink.on_cells(2, cells)
         assert sink.held_value(1) == 0
