@@ -278,25 +278,15 @@ def cmd_simulate(args) -> int:
     from .netmodel import simulate
 
     scenario = config.parse_scenario(args.scenario, seed_override=args.seed)
-    outdir = Path(args.out) if args.out else None
-    # An --out that cannot be a directory fails before the run, and the
-    # directories made here for a run that fails are removed again, leaf
-    # first. A '..' names a directory that is listed or existed already.
-    made = []
-    if outdir:
-        made = [path for path in (outdir, *outdir.parents)
-                if path.name != ".." and not path.exists()]
-        outdir.mkdir(parents=True, exist_ok=True)
-    try:
-        runlog = simulate(scenario)
-        table = metrics.format_table(*metrics.compute(runlog))
-    except BaseException:
-        for directory in made:
-            directory.rmdir()
-        raise
+    runlog = simulate(scenario)
+    table = metrics.format_table(*metrics.compute(runlog))
+    # A failed run makes no --out, and an --out that cannot be a directory
+    # fails before any output.
+    if args.out:
+        Path(args.out).mkdir(parents=True, exist_ok=True)
     print(table)
-    if outdir:
-        runlog.save(outdir)
+    if args.out:
+        runlog.save(Path(args.out))
     return EXIT_OK
 
 

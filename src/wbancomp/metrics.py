@@ -101,6 +101,9 @@ def compute(runlog: RunLog) -> tuple[list[DeviceMetrics], RunMetrics]:
     if not runlog.devices:
         raise ValueError("run log holds no devices")
     duration_h = runlog.duration_ms / MS_PER_HOUR
+    if not duration_h:
+        raise ValueError(f"duration_ms {runlog.duration_ms!r}: too short "
+                         f"to count in hours")
     out = []
     for index, dev in enumerate(runlog.devices):
         sums = runlog.sums[dev.device_id]

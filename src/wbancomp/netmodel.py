@@ -1,20 +1,19 @@
 """Deterministic model of the star network: latency, energy states, sleep.
 
 Devices share no channel and the sink keeps one reference value per device,
-so each device runs as its own loop, which owns the device's filter and
-sink, and keeps its energy ledger and delay sums in locals. The loop steps
-from one transmitted sample to the next: it encodes the residual, decodes
-it at the sink, charges the ledger so the per-state times partition the run
-duration exactly, folds the row into the delay sums, and appends the row as
-its runlog_events.csv line; the suppressed samples in between are charged
-and appended as one stretch. Currents are whole-device currents per state
-(tx, idle, sleep, cpu), so charge is current times time summed over states.
+so each device runs as its own loop, which owns the device's filter, and
+keeps its energy ledger and delay sums in locals. The loop steps from one
+transmitted sample to the next: it encodes the residual, charges the ledger
+so the per-state times partition the run duration exactly, folds the row
+into the delay sums, and appends the row as its runlog_events.csv line; the
+suppressed samples in between are charged and appended as one stretch.
+Currents are whole-device currents per state (tx, idle, sleep, cpu), so
+charge is current times time summed over states.
 
 Each device runs to completion before the next, in scenario order, so the
 run log's rows and packets are grouped by device in scenario order, and by
 seq within a device. A packet is its packets.trace row, built as text from
-the codec's trace cells, and the sink decodes those same cells. The run
-log's records and files are rundir's.
+the codec's trace cells. The run log's records and files are rundir's.
 """
 
 from __future__ import annotations
@@ -30,7 +29,6 @@ from .control import DeviceState
 from .metrics import MS_PER_HOUR, lifetime  # lifetime: read from here too
 from .rundir import DelaySums, DeviceRun, RunLog
 from .signals import TraceSpec, trace_codes
-from .sink import Sink
 
 MODES = ("CGWC", "CGLL", "CGLS")  # no compression / lossless / lossy
 
@@ -189,8 +187,13 @@ class Scenario:
             model = dev.energy or self.energy
             worst_bits = (spec.adc_bits if dev.mode == "CGWC"
                           else MAX_CODEWORD_BITS)
-            busy = dev.cd_ms + model.wake_latency_ms + self.channel.transit_ms(worst_bits)
-            if busy > spec.sample_period_ms:
+            # The loop's rest after a send, in its order and with the largest
+            # terms it can use: as float subtraction is monotone, no run that
+            # passes charges a negative rest.
+            transit_ms = self.channel.transit_ms(worst_bits)
+            if (spec.sample_period_ms - dev.cd_ms - model.wake_latency_ms
+                    - transit_ms < 0):
+                busy = dev.cd_ms + model.wake_latency_ms + transit_ms
                 raise ValueError(
                     f"device {dev.name}: per-sample busy time {busy}ms exceeds "
                     f"the {spec.sample_period_ms}ms sample period"
@@ -202,17 +205,15 @@ def _device_loop(cfg: DeviceConfig, scenario: Scenario, rows: list[str],
     """Run one device over its samples, appending its rows and packet rows.
 
     The filter yields only the samples it sends. Each sent sample is
-    encoded, decoded at the device's own sink, checked and charged to its
-    ledger, folded into its delay sums and appended to `rows` as its
-    events-file line, and its packet goes to `packet_rows` as its
-    packets.trace line. The suppressed stretch before it, and the one that
-    ends the run, is charged and rendered whole: its rows all hold the last
-    sent reading, and its first suppressions_before_sleep - 1 samples idle
-    while the rest sleep. Without the filter (CGWC) every sample is sent
+    encoded, charged to its ledger, folded into its delay sums and appended
+    to `rows` as its events-file line, and its packet goes to `packet_rows`
+    as its packets.trace line. The suppressed stretch before it, and the one
+    that ends the run, is charged and rendered whole: its rows all hold the
+    last sent reading, and its first suppressions_before_sleep - 1 samples
+    idle while the rest sleep. Without the filter (CGWC) every sample is sent
     raw, one step each.
-    Decoding at send time gives the sink state that decoding at arrival
-    would, because Scenario checks that each arrival lands before the
-    device's next sample.
+    Scenario checks that each sample's busy time leaves a non-negative
+    rest of its period, so none is charged below zero.
     The ledger is EnergyLedger's arithmetic in locals: each state's time and
     charge add `d` and `current * (d / MS_PER_HOUR)` in sample order. Equal
     additions in a row (cpu on every sample, sleep on every slept one, idle
@@ -226,7 +227,6 @@ def _device_loop(cfg: DeviceConfig, scenario: Scenario, rows: list[str],
     period = spec.sample_period_ms
     model = cfg.energy or scenario.energy
     transit_ms = scenario.channel.transit_ms
-    sink = Sink()
     device = None
     # (seq, residual cell) of each sent sample: CGWC's cell is blank.
     sends = zip(range(samples), repeat(""))
@@ -237,7 +237,6 @@ def _device_loop(cfg: DeviceConfig, scenario: Scenario, rows: list[str],
             suppress_zero=cfg.suppress_zero,
             adc_bits=spec.adc_bits,
         )
-        sink.register_device(cfg.device_id)
         sends = device.transmits(codes)
     # A stretch's samples that idle before the radio sleeps: all of them
     # when it cannot sleep.
@@ -265,9 +264,7 @@ def _device_loop(cfg: DeviceConfig, scenario: Scenario, rows: list[str],
     codewords: dict[int, tuple[str, str, int, float, str]] = {}
 
     tx_ma, idle_ma = model.tx_ma, model.idle_ma
-    # A suppressed sample spends its period as cpu time, then rest. Sample 0
-    # is always sent, and its rest is shorter, so the sent path's check that
-    # rest is non-negative covers the suppressed one as well.
+    # A suppressed sample spends its period as cpu time, then rest.
     quiet_rest_ms = period - cd_ms
     quiet_idle_mah = idle_ma * (quiet_rest_ms / MS_PER_HOUR)
     tx_ms = idle_ms = tx_mah = idle_mah = 0.0
@@ -294,10 +291,7 @@ def _device_loop(cfg: DeviceConfig, scenario: Scenario, rows: list[str],
         t_ms = float(seq * period)
         if device is None:
             bit_count, bits, dtr_ms, dtr_cell = raw_sent
-            payload = format(code << raw_pad, raw_hex)
-            cells = f"{bit_count},{payload}"
-            # Raw payload: no decompression happens at the sink.
-            value = int(payload, 16) >> raw_pad
+            cells = f"{bit_count},{format(code << raw_pad, raw_hex)}"
         else:
             known = codewords.get(residual)
             if known is None:
@@ -305,12 +299,6 @@ def _device_loop(cfg: DeviceConfig, scenario: Scenario, rows: list[str],
                     codeword_cells(residual),
                     *sent_cells(codeword_bytes(residual)[0]))
             cells, bit_count, bits, dtr_ms, dtr_cell = known
-            value = sink.on_cells(cfg.device_id, cells)
-        if value != reconstructed:
-            raise RuntimeError(
-                f"sink reconstruction {value} diverged from device-side "
-                f"{reconstructed} (device {cfg.device_id})"
-            )
         # A stretch long enough to put the radio to sleep ends in a wake.
         wake_ms = model.wake_latency_ms if quiet > awake_quiet else 0.0
         packet_rows.append(f"{seq},{head}{cells}\n")
@@ -324,8 +312,6 @@ def _device_loop(cfg: DeviceConfig, scenario: Scenario, rows: list[str],
         # Energy: the sample period splits into cpu, wake, tx, and rest. A
         # sent sample ends the quiet run, so the radio idles through the rest.
         rest_ms = period - cd_ms - wake_ms - dtr_ms
-        if rest_ms < 0:
-            raise ValueError("duration must be non-negative")
         if wake_ms:
             idle_ms += wake_ms
             idle_mah += idle_ma * (wake_ms / MS_PER_HOUR)
@@ -338,13 +324,6 @@ def _device_loop(cfg: DeviceConfig, scenario: Scenario, rows: list[str],
                     f"{cd_cell},{dtr_cell},{dd_cell},{arrival_ms!r},"
                     f"{reconstructed}\n")
 
-    if device is not None:
-        held = sink.held_value(cfg.device_id)
-        if held != device.last_reading:
-            raise RuntimeError(
-                f"device {cfg.device_id}: sink reference {held} != "
-                f"device memory {device.last_reading}"
-            )
     cpu_step_mah = model.cpu_active_ma * (cd_ms / MS_PER_HOUR)
     quiet_sleep_mah = model.sleep_ma * (quiet_rest_ms / MS_PER_HOUR)
     sums = DelaySums(rows=samples, transmitted=sent, cd_ms=cd_sum,

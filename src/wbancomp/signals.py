@@ -140,6 +140,8 @@ def read_column(path: Path, column: int,
                 yield reader.line_num, value
     except UnicodeDecodeError as exc:
         raise ValueError(f"{path}: {exc}") from None
+    except csv.Error as exc:
+        raise ValueError(f"{path}:{reader.line_num}: {exc}") from None
     if not found:
         raise ValueError(f"{path}: header but no readings" if header
                          else f"{path}: empty, no readings")

@@ -850,8 +850,8 @@ def test_key_the_source_never_reads_is_located(tmp_path, capsys, source, key):
 
 
 def test_failed_run_keeps_an_existing_out_dir(tmp_path, capsys):
-    # simulate makes --out before the run and removes it if the run fails,
-    # but only a directory it made.
+    # simulate makes --out only after the run, so a failed run leaves an
+    # --out that was there as it was.
     (tmp_path / "trace.csv").write_text("37.0\nnan\n" + "37.0\n" * 120)
     cfg = tmp_path / "bad.cfg"
     cfg.write_text(_ONE_DEVICE.replace(
@@ -865,8 +865,8 @@ def test_failed_run_keeps_an_existing_out_dir(tmp_path, capsys):
 
 @pytest.mark.parametrize("out", ["a/b/run", "a/../b/run"])
 def test_failed_run_removes_the_out_parents_it_made(tmp_path, capsys, out):
-    # --out is made with its parents before the run; a failed run removes
-    # every directory it made, and no directory that was there before.
+    # --out is made with its parents only after the run, so a failed run
+    # makes no directory, and removes none that was there before.
     (tmp_path / "trace.csv").write_text("37.0\nnan\n" + "37.0\n" * 120)
     cfg = tmp_path / "bad.cfg"
     cfg.write_text(_ONE_DEVICE.replace(
@@ -876,6 +876,50 @@ def test_failed_run_removes_the_out_parents_it_made(tmp_path, capsys, out):
     assert "trace.csv:2: reading nan is not finite" in capsys.readouterr().err
     assert sorted(path.name for path in tmp_path.iterdir()) == [
         "bad.cfg", "trace.csv"]
+
+
+def test_busy_time_past_the_period_by_rounding_is_refused(tmp_path, capsys):
+    # cd + wake + transit adds up to exactly the 13 ms period, but the rest
+    # the device loop charges, 13 - cd - wake - transit, is -8.9e-16 ms. The
+    # run once stopped part-way, at the first wake, with an unlocated
+    # "duration must be non-negative".
+    cfg = tmp_path / "edge.cfg"
+    cfg.write_text(
+        "[run]\nduration_s = 13\n"
+        "[channel]\nbase_latency_ms = 5.3887543874591595\n"
+        "[energy]\nwake_latency_ms = 1.5522851060339682\n"
+        "[sleep]\nenabled = true\nsuppressions_before_sleep = 1\n"
+        "[device:t]\nid = 1\nmode = CGLL\nsample_period_ms = 13\n"
+        "signal = temperature\nstep_probability = 0.3\n"
+        "cd_ms = 6.058960506506874\n")
+    out = tmp_path / "run"
+    assert main(["--out", str(out), "simulate", str(cfg)]) == EXIT_DATA
+    assert capsys.readouterr().err == (
+        "error: device t: per-sample busy time 13.0ms exceeds the 13ms "
+        "sample period\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["encode", "signals-dump", "simulate"])
+def test_csv_field_past_the_reader_limit_is_located(tmp_path, capsys,
+                                                    command):
+    # csv.reader refuses a field longer than its limit: once a _csv.Error
+    # traceback, exit 1.
+    src = tmp_path / "wide.csv"
+    src.write_text("37\n38\n1," + "x" * 200_000 + "\n39\n")
+    cfg = tmp_path / "wide.cfg"
+    cfg.write_text(_ONE_DEVICE.replace(
+        "signal = temperature", "file = wide.csv\nadc_range = 30,45"))
+    argv = {"encode": ["--out", str(tmp_path / "wide.trace"), "encode",
+                       str(src)],
+            "signals-dump": ["signals", "dump", "--file", str(src),
+                             "--range", "30,45"],
+            "simulate": ["simulate", str(cfg)]}[command]
+    assert main(argv) == EXIT_DATA
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ")
+    assert "wide.csv:3: field larger than field limit" in captured.err
+    assert captured.out == ""
 
 
 def test_negative_zero_delays_keep_their_sign(tmp_path, capsys):
@@ -917,6 +961,25 @@ def test_report_reproduces_simulate_metrics(tmp_path, capsys, scenario, fmt):
     assert main(["--format", fmt, "--out", str(copy), "report",
                  str(out)]) == EXIT_OK
     assert copy.read_bytes() == written
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_report_refuses_a_duration_too_short_to_count_in_hours(tmp_path,
+                                                               capsys, fmt):
+    # The smallest positive float passes runlog.json's positive-number
+    # check, but its hours underflow to 0.0: once a ZeroDivisionError
+    # traceback, exit 1.
+    out = tmp_path / "run"
+    main(["--out", str(out), "simulate",
+          str(SCENARIO_DIR / "temperature_sleep.cfg")])
+    summary = out / "runlog.json"
+    summary.write_text(summary.read_text().replace(
+        '"duration_ms": 600000.0', '"duration_ms": 5e-324', 1))
+    capsys.readouterr()
+    assert main(["--format", fmt, "report", str(out)]) == EXIT_DATA
+    assert capsys.readouterr() == (
+        "", f"error: {summary}: duration_ms 5e-324: too short to count in "
+            f"hours\n")
 
 
 def test_report_on_non_run_directory(tmp_path):
@@ -1220,7 +1283,7 @@ def test_report_rejects_values_simulate_never_writes(tmp_path, capsys,
 def test_unusable_path_is_data_error(tmp_path, capsys, argv, culprit):
     # The open or write that touches a path is its only check: the OSError
     # it raises names the path and exits 2, like any other data error, and
-    # comes before any output (simulate makes --out before the run).
+    # comes before any output (simulate makes --out before it prints).
     (tmp_path / "dir").mkdir()
     write_codes(tmp_path / "codes.csv", [1, 2, 3])
     assert main(["--out", str(tmp_path / "codes.trace"), "encode",

@@ -118,6 +118,13 @@ def test_codec_imports_no_package_module():
             if text.startswith("from .") or "wbancomp" in text] == []
 
 
+def test_netmodel_imports_nothing_from_sink():
+    # The device loop writes its packets and decodes none of them: a sink
+    # rebuilding the readings is checked by the tests, on the saved trace.
+    assert [text for text in import_statements(SRC / "netmodel.py")
+            if "sink" in text] == []
+
+
 def test_no_module_but_bitstream_imports_it():
     # bitstream sits on top of codec, and only the benchmark's traced replay
     # runs it, so no other module imports it, not even for an annotation.

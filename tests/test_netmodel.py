@@ -19,8 +19,8 @@ from wbancomp.netmodel import (MODES, MS_PER_HOUR, ChannelModel, DeviceConfig,
 from wbancomp.rundir import RunLog, SampleEvent
 from wbancomp.signals import (SYNTH_KINDS, FileSource, SyntheticSource,
                               TraceSpec)
-from wbancomp.sink import Packet
-from wbancomp.tracefile import read_trace
+from wbancomp.sink import Packet, payload_residual
+from wbancomp.tracefile import read_rows, read_trace
 
 
 def synth_device(name, device_id, kind="temperature", mode="CGLS",
@@ -405,10 +405,43 @@ def csv_writer_bytes(log):
     return text.getvalue().encode()
 
 
-@pytest.fixture(scope="module",
-                params=["four_device", "lifetime_table", "temperature_sleep"])
+def assert_trace_rebuilds_readings(sc, log, rundir):
+    """A sink reading the saved packets.trace rebuilds every row's
+    reconstructed reading, which simulate takes from device memory.
+
+    The sink decodes codec payloads by the window decoder, not by the cells
+    table simulate writes them from, and reads CGWC payloads as raw
+    readings. Each sent row holds its device's value after its packet, and
+    each suppressed row the last value sent.
+    """
+    modes = {cfg.device_id: cfg.mode for cfg in sc.devices}
+    held = dict.fromkeys(modes, 0)
+    arrived = {}  # (device_id, seq): the value after that packet
+    _, rows = read_rows(rundir / "packets.trace")
+    for _, seq, device_id, cells in rows:
+        device_id = int(device_id)
+        bit_count, payload = cells.split(",")
+        bit_count, payload = int(bit_count), bytes.fromhex(payload)
+        if modes[device_id] == "CGWC":
+            held[device_id] = int.from_bytes(payload, "big") >> (
+                -bit_count % 8)
+        else:
+            held[device_id] += payload_residual(bit_count, payload)
+        arrived[device_id, seq] = held[device_id]
+    last = {}
+    for ev in log.events:
+        if ev.transmitted:
+            last[ev.device_id] = arrived.pop((ev.device_id, ev.seq))
+        assert ev.reconstructed == last[ev.device_id], ev
+    assert arrived == {}
+
+
+@pytest.fixture(scope="module", params=[
+    SCENARIO_DIR / "four_device.cfg", SCENARIO_DIR / "lifetime_table.cfg",
+    SCENARIO_DIR / "temperature_sleep.cfg", DATA_DIR / "long_sleep.cfg"],
+    ids=lambda path: path.stem)
 def shipped_run(request):
-    sc = parse_scenario(SCENARIO_DIR / f"{request.param}.cfg")
+    sc = parse_scenario(request.param)
     return sc, simulate(sc)
 
 
@@ -426,9 +459,11 @@ def test_shipped_events_file_is_what_csv_writer_writes(shipped_run, tmp_path):
 def test_shipped_packets_are_the_saved_trace_rows(shipped_run, tmp_path):
     # The benchmark's traced replay reads runlog.packets as (device_id,
     # seq, Packet) triples; each is a packets.trace row, and carries its
-    # events row's codeword, or its raw reading under CGWC.
+    # events row's codeword, or its raw reading under CGWC. A sink reading
+    # the saved trace rebuilds the events' readings.
     sc, log = shipped_run
     log.save(tmp_path)
+    assert_trace_rebuilds_readings(sc, log, tmp_path)
     saved = read_trace(tmp_path / "packets.trace").packets
     assert log.packets == [(packet.device_id, seq, packet)
                            for seq, packet in saved]
@@ -606,6 +641,7 @@ def test_run_invariants(sc):
         loaded = RunLog.load(Path(rundir))
         assert (Path(rundir) / "runlog_events.csv").read_bytes() == \
             csv_writer_bytes(log)
+        assert_trace_rebuilds_readings(sc, log, Path(rundir))
     assert loaded.sums == log.sums
     assert metrics.compute(loaded) == metrics.compute(log)
 
