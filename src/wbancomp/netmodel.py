@@ -12,12 +12,15 @@ charge is current times time summed over states.
 
 Each device runs to completion before the next, in scenario order, so the
 run log's rows and packets are grouped by device in scenario order, and by
-seq within a device. A packet is its packets.trace row, built as text from
+seq within a device. What depends on one value only, a period's row time
+cells or a whole-run sum of a repeated ledger step, is worked out once per
+run and shared by the devices with that value. A packet is its packets.trace row, built as text from
 the codec's trace cells. The run log's records and files are rundir's.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass, replace
 from functools import reduce
 from itertools import chain, repeat
@@ -185,23 +188,62 @@ class Scenario:
                 raise ValueError(f"device {dev.name}: codec covers at most "
                                  f"{MAX_GROUP}-bit readings")
             model = dev.energy or self.energy
-            worst_bits = (spec.adc_bits if dev.mode == "CGWC"
-                          else MAX_CODEWORD_BITS)
+            coded = dev.mode != "CGWC"
             # The loop's rest after a send, in its order and with the largest
-            # terms it can use: as float subtraction is monotone, no run that
-            # passes charges a negative rest.
-            transit_ms = self.channel.transit_ms(worst_bits)
-            if (spec.sample_period_ms - dev.cd_ms - model.wake_latency_ms
-                    - transit_ms < 0):
-                busy = dev.cd_ms + model.wake_latency_ms + transit_ms
+            # terms it can charge: a raw device spends no cpu time, and only
+            # a coded device that sleeps wakes. As float subtraction is
+            # monotone, no run that passes charges a negative rest.
+            transit_ms = self.channel.transit_ms(
+                MAX_CODEWORD_BITS if coded else spec.adc_bits)
+            cd_ms = dev.cd_ms if coded else 0.0
+            wake_ms = (model.wake_latency_ms if coded and self.sleep.enabled
+                       else 0.0)
+            rest_ms = spec.sample_period_ms - cd_ms - wake_ms - transit_ms
+            if rest_ms < 0:
                 raise ValueError(
-                    f"device {dev.name}: per-sample busy time {busy}ms exceeds "
-                    f"the {spec.sample_period_ms}ms sample period"
+                    f"device {dev.name}: per-sample busy time leaves a rest "
+                    f"of {rest_ms!r}ms of the {spec.sample_period_ms}ms "
+                    f"sample period"
                 )
 
 
+class _SharedWork:
+    """Work that depends on one value only, done once per run and shared by
+    every device with that value."""
+
+    def __init__(self):
+        self._stamps: dict[float, list[str]] = {}
+        # By addend d: the term counts n summed so far, ascending, and sums.
+        self._sums: dict[float, tuple[list[int], list[float]]] = {}
+
+    def stamps(self, period: float, samples: int) -> list[str]:
+        """The seq and time_ms cells, `seq,t_ms,`, of samples 0 to
+        samples - 1 at period. An int period and an equal float one share
+        them: each cell rounds the exact product seq * period once."""
+        stamps = self._stamps.setdefault(period, [])
+        stamps += [f"{seq},{float(seq * period)!r},"
+                   for seq in range(len(stamps), samples)]
+        return stamps
+
+    def repeated_sum(self, d: float, n: int) -> float:
+        """reduce(add, repeat(d, n), 0.0), continued from the largest sum of
+        d already worked out to at most n terms: the same additions in the
+        same order, so the same float. An int d and an equal float, or -0.0
+        and 0.0, share their sums, as adding either to a float sum that
+        starts at 0.0 gives the same float."""
+        counts, sums = self._sums.setdefault(d, ([0], [0.0]))
+        at = bisect_right(counts, n)
+        if counts[at - 1] == n:
+            return sums[at - 1]
+        total = reduce(add, repeat(d, n - counts[at - 1]), sums[at - 1])
+        counts.insert(at, n)
+        sums.insert(at, total)
+        return total
+
+
 def _device_loop(cfg: DeviceConfig, scenario: Scenario, rows: list[str],
-                 packet_rows: list[str]) -> tuple[DeviceRun, DelaySums]:
+                 packet_rows: list[str], shared: _SharedWork
+                 ) -> tuple[DeviceRun, DelaySums]:
     """Run one device over its samples, appending its rows and packet rows.
 
     The filter yields only the samples it sends. Each sent sample is
@@ -219,12 +261,15 @@ def _device_loop(cfg: DeviceConfig, scenario: Scenario, rows: list[str],
     additions in a row (cpu on every sample, sleep on every slept one, idle
     through a stretch) are one reduce(add, repeat(d, n), total), which adds
     left to right as n `+=` would; sum() would not, as it compensates float
-    rounding from Python 3.12 on.
+    rounding from Python 3.12 on. The whole-run cpu and sleep sums start
+    from 0.0, so `shared` continues each from the last device's sum of the
+    same addend, and hands out each period's row time cells.
     """
     spec = replace(cfg.trace, duration_s=scenario.duration_s)
     codes, _ = trace_codes(spec)
     samples = len(codes)
     period = spec.sample_period_ms
+    stamps = shared.stamps(period, samples)
     model = cfg.energy or scenario.energy
     transit_ms = scenario.channel.transit_ms
     device = None
@@ -281,9 +326,8 @@ def _device_loop(cfg: DeviceConfig, scenario: Scenario, rows: list[str],
             idle_mah = reduce(add, repeat(quiet_idle_mah, awake), idle_mah)
             slept += quiet - awake
             tail = f",0,,0,{cd_cell},0.0,0.0,,{reconstructed}\n"
-            rows += [f"{head}{quiet_seq},{float(quiet_seq * period)!r},"
-                     f"{code}{tail}" for quiet_seq, code in
-                     zip(range(quiet_from, seq), codes[quiet_from:seq])]
+            rows += [f"{head}{stamp}{code}{tail}" for stamp, code in
+                     zip(stamps[quiet_from:seq], codes[quiet_from:seq])]
         if seq == samples:
             break
         quiet_from = seq + 1
@@ -320,7 +364,7 @@ def _device_loop(cfg: DeviceConfig, scenario: Scenario, rows: list[str],
             tx_mah += tx_ma * (dtr_ms / MS_PER_HOUR)
         idle_ms += rest_ms
         idle_mah += idle_ma * (rest_ms / MS_PER_HOUR)
-        rows.append(f"{head}{seq},{t_ms!r},{code},1,{residual},{bit_count},"
+        rows.append(f"{head}{stamps[seq]}{code},1,{residual},{bit_count},"
                     f"{cd_cell},{dtr_cell},{dd_cell},{arrival_ms!r},"
                     f"{reconstructed}\n")
 
@@ -336,12 +380,12 @@ def _device_loop(cfg: DeviceConfig, scenario: Scenario, rows: list[str],
         transmitted=sent, payload_bits=payload_bits,
         state_time_ms={
             "tx": tx_ms, "idle": idle_ms,
-            "sleep": reduce(add, repeat(quiet_rest_ms, slept), 0.0),
-            "cpu": reduce(add, repeat(cd_ms, samples), 0.0)},
+            "sleep": shared.repeated_sum(quiet_rest_ms, slept),
+            "cpu": shared.repeated_sum(cd_ms, samples)},
         state_charge_mah={
             "tx": tx_mah, "idle": idle_mah,
-            "sleep": reduce(add, repeat(quiet_sleep_mah, slept), 0.0),
-            "cpu": reduce(add, repeat(cpu_step_mah, samples), 0.0)})
+            "sleep": shared.repeated_sum(quiet_sleep_mah, slept),
+            "cpu": shared.repeated_sum(cpu_step_mah, samples)})
     return run, sums
 
 
@@ -355,9 +399,10 @@ def simulate(scenario: Scenario) -> RunLog:
     sums: dict[int, DelaySums] = {}
     rows: list[str] = []
     packet_rows: list[str] = []
+    shared = _SharedWork()
     for cfg in scenario.devices:
         run, sums[cfg.device_id] = _device_loop(cfg, scenario, rows,
-                                                packet_rows)
+                                                packet_rows, shared)
         devices.append(run)
     return RunLog(duration_ms=scenario.duration_s * 1000.0,
                   seed=scenario.seed, devices=devices, sums=sums,

@@ -21,9 +21,12 @@ import re
 from collections.abc import Iterator
 from dataclasses import dataclass, field, fields
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 from . import _INT, _row_fault
-from .sink import Packet
+
+if TYPE_CHECKING:
+    from .sink import Packet
 
 MAGIC = "#packet-trace v1"
 
@@ -119,6 +122,8 @@ def read_trace(path: str | Path) -> PacketTrace:
     """Read a trace file. A malformed one raises ValueError naming PATH:LINE
     and the expected header line, or the row's bad cell or cell count, or
     the Packet check the row fails."""
+    from .sink import Packet  # only here: simulate and encode build none
+
     trace, rows = read_rows(path)
     for lineno, seq, device_id, cells in rows:
         try:

@@ -882,7 +882,8 @@ def test_busy_time_past_the_period_by_rounding_is_refused(tmp_path, capsys):
     # cd + wake + transit adds up to exactly the 13 ms period, but the rest
     # the device loop charges, 13 - cd - wake - transit, is -8.9e-16 ms. The
     # run once stopped part-way, at the first wake, with an unlocated
-    # "duration must be non-negative".
+    # "duration must be non-negative". The message names that rest: the
+    # busy time, 13.0 ms, would not read as past the period.
     cfg = tmp_path / "edge.cfg"
     cfg.write_text(
         "[run]\nduration_s = 13\n"
@@ -895,9 +896,37 @@ def test_busy_time_past_the_period_by_rounding_is_refused(tmp_path, capsys):
     out = tmp_path / "run"
     assert main(["--out", str(out), "simulate", str(cfg)]) == EXIT_DATA
     assert capsys.readouterr().err == (
-        "error: device t: per-sample busy time 13.0ms exceeds the 13ms "
-        "sample period\n")
+        "error: device t: per-sample busy time leaves a rest of "
+        "-8.881784197001252e-16ms of the 13ms sample period\n")
     assert not out.exists()
+
+
+@pytest.mark.parametrize("edit, refused", [
+    # A raw device spends no cpu time: 500 - 460 - 49 would be negative.
+    (("mode = CGLL", "mode = CGWC\ncd_ms = 460"), False),
+    (("mode = CGLL", "mode = CGLL\ncd_ms = 460"), True),
+    # Without sleep no stretch ends in a wake: 500 - 1 - 460 - 49 would be.
+    (("[energy]", "[energy]\nwake_latency_ms = 460"), False),
+    (("[energy]", "[energy]\nwake_latency_ms = 460\n"
+      "[sleep]\nenabled = true"), True),
+])
+def test_busy_time_counts_only_what_the_loop_charges(tmp_path, capsys, edit,
+                                                     refused):
+    cfg = tmp_path / "busy.cfg"
+    cfg.write_text(_ONE_DEVICE.replace(*edit))
+    out = tmp_path / "run"
+    code = main(["--out", str(out), "simulate", str(cfg)])
+    err = capsys.readouterr().err
+    if refused:
+        assert code == EXIT_DATA
+        assert err.startswith("error: device t: per-sample busy time leaves "
+                              "a rest of -")
+        assert err.endswith("ms of the 500ms sample period\n")
+    else:
+        assert (code, err) == (EXIT_OK, "")
+        runlog = json.loads((out / "runlog.json").read_text())
+        assert runlog["devices"][0]["state_time_ms"]["cpu"] == (
+            0.0 if "CGWC" in edit[1] else 120.0)
 
 
 @pytest.mark.parametrize("command", ["encode", "signals-dump", "simulate"])

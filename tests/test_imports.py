@@ -73,6 +73,15 @@ def codec_imports(tmp_path_factory):
     return encode, decode
 
 
+def test_simulate_and_encode_load_no_sink(codec_imports, tmp_path):
+    # Both write packet traces as text and decode none of them.
+    encode, _ = codec_imports
+    simulate = loaded_after("--out", tmp_path / "run", "simulate",
+                            SCENARIO_DIR / "temperature_sleep.cfg")
+    assert "netmodel" in simulate
+    assert "sink" not in encode | simulate
+
+
 def test_codec_commands_load_no_simulator(codec_imports):
     for loaded in codec_imports:
         assert loaded.isdisjoint({"netmodel", "config", "rundir"})

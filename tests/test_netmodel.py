@@ -3,6 +3,9 @@ import csv
 import io
 import math
 import tempfile
+from functools import reduce
+from itertools import repeat
+from operator import add
 from pathlib import Path
 
 import pytest
@@ -15,7 +18,8 @@ from wbancomp.codec import codeword_bytes
 from wbancomp.config import parse_scenario
 from wbancomp.netmodel import (MODES, MS_PER_HOUR, ChannelModel, DeviceConfig,
                                EnergyLedger, RadioEnergyModel, Scenario,
-                               SleepPolicy, lifetime, simulate)
+                               SleepPolicy, _SharedWork, lifetime,
+                               simulate)
 from wbancomp.rundir import RunLog, SampleEvent
 from wbancomp.signals import (SYNTH_KINDS, FileSource, SyntheticSource,
                               TraceSpec)
@@ -598,6 +602,52 @@ class TestSuppressedStretches:
                                         **self.SLEEPY), tmp_path)
         assert {repr(ev.cd_ms) for ev in log.events} == {"-0.0"}
         assert repr(log.devices[0].state_time_ms["cpu"]) == "0.0"
+
+
+class TestSharedWork:
+    """simulate works out each period's time cells, and each whole-run sum
+    of a repeated ledger step, once for all the devices that share it."""
+
+    @staticmethod
+    def device(name, device_id, period_ms):
+        return synth_device(name, device_id, period_ms=period_ms, seed=4,
+                            params={"step_probability": 0.05})
+
+    def test_each_period_renders_its_own_time_cells(self, tmp_path):
+        periods = {1: 100, 2: 250, 3: 100}
+        devs = [self.device(f"d{device_id}", device_id, period)
+                for device_id, period in periods.items()]
+        log = simulate_checked(scenario(devs, duration_s=30.0), tmp_path)
+        assert {ev.transmitted for ev in log.events} == {0, 1}
+        for row in log.rows:
+            device_id, seq, time_ms = row.split(",")[:3]
+            assert time_ms == repr(float(int(seq) * periods[int(device_id)]))
+
+    def test_int_and_equal_float_periods_share_their_work(self):
+        both = simulate(scenario([self.device("int", 1, 250),
+                                  self.device("float", 2, 250.0)]))
+        alone = simulate(scenario([self.device("float", 2, 250.0)]))
+
+        def cells(log, device_id):
+            return [row.split(",", 1)[1] for row in log.rows
+                    if row.startswith(f"{device_id},")]
+
+        assert cells(both, 1) == cells(both, 2) == cells(alone, 2)
+        ledgers = [(repr(run.state_time_ms), repr(run.state_charge_mah))
+                   for run in both.devices + alone.devices]
+        assert ledgers == ledgers[:1] * 3
+
+
+@given(st.lists(st.tuples(
+    st.sampled_from([0.1, 1 / 3, 499.0, 2.7e-4, -0.0, 0.0, 3]),
+    st.integers(0, 40)), max_size=30))
+def test_repeated_sums_continue_the_left_to_right_sum(queries):
+    # Queries of a few addends interleave, their counts rising, falling and
+    # repeating; each answer is the plain sum, bit for bit.
+    shared = _SharedWork()
+    for d, n in queries:
+        assert repr(shared.repeated_sum(d, n)) == repr(
+            reduce(add, repeat(d, n), 0.0))
 
 
 @settings(max_examples=100)
