@@ -70,7 +70,8 @@ def build_parser() -> argparse.ArgumentParser:
     src.add_argument("--file", help="CSV trace to quantize")
     dump.add_argument("--column", type=int, default=None,
                       help="value column index (file traces, default 0)")
-    dump.add_argument("--samples", type=int, default=120)
+    dump.add_argument("--samples", type=int, default=None,
+                      help="synthetic samples (--kind only, default 120)")
     dump.add_argument("--period-ms", type=int, default=1000)
     dump.add_argument("--adc-bits", type=int, default=10)
     dump.add_argument("--range", dest="adc_range", default=None,
@@ -240,16 +241,21 @@ def cmd_signals_dump(args) -> int:
                          f"[1, {MAX_ADC_BITS}]")
     if args.period_ms <= 0:
         raise UsageError(f"--period-ms {args.period_ms}: must be positive")
-    if args.samples < 0:
+    if args.samples is not None and args.samples < 0:
         raise UsageError(f"--samples {args.samples}: must be non-negative")
     if args.kind:
         for flag, value in (("--range", args.adc_range),
                             ("--column", args.column)):
             if value is not None:
                 raise UsageError(f"{flag} applies to --file traces only")
-        codes, clamps = synth(args.kind, {}, args.seed or 0, args.samples,
+        samples = 120 if args.samples is None else args.samples
+        codes, clamps = synth(args.kind, {}, args.seed or 0, samples,
                               args.adc_bits), 0
     else:
+        # A file trace is as long as its file.
+        if args.samples is not None:
+            raise UsageError("--samples applies to --kind traces only, not "
+                             "--file")
         column = 0 if args.column is None else args.column
         _check_column(column)
         if args.adc_range is None:

@@ -14,8 +14,9 @@ Each device runs to completion before the next, in scenario order, so the
 run log's rows and packets are grouped by device in scenario order, and by
 seq within a device. What depends on one value only, a period's row time
 cells or a whole-run sum of a repeated ledger step, is worked out once per
-run and shared by the devices with that value. A packet is its packets.trace row, built as text from
-the codec's trace cells. The run log's records and files are rundir's.
+run and shared by the devices with that value. A packet is its
+packets.trace row, built as text from the codec's trace cells. The run
+log's records and files are rundir's.
 """
 
 from __future__ import annotations

@@ -4,11 +4,12 @@ runlog_events.csv holds one SampleEvent row per sample, runlog.json the
 run's DeviceRuns, packets.trace the packets sent, and metrics.csv and
 metrics.json the metrics computed from them. A RunLog holds its events and
 its packets as those files' rows, the text the simulator writes: events as
-csv.writer would, packets as write_trace would. load
-reads back the first two files: it checks every events cell against its
-column's pattern, the shape of what the writer emits, and folds the rows
-into the metrics' delay sums. The same pattern parses a log's rows back
-into SampleEvents, and its packet rows split back into Packets.
+csv.writer would, packets as write_trace would. load reads back the first
+two files: it checks every events cell against its column's pattern, the
+shape of what the writer emits, and folds the rows into the metrics' delay
+sums. A byte that is not UTF-8 reads as the text `\\xNN`, which no pattern
+matches, so it is a bad cell of its line. The same pattern parses a log's
+rows back into SampleEvents, and its packet rows split back into Packets.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ import json
 import math
 import re
 import sys
-from collections.abc import Iterator, Sequence
+from collections.abc import Sequence
 from pathlib import Path
 from typing import NamedTuple
 
@@ -250,7 +251,8 @@ def _fold_events(path: Path, sums: dict, summary: str) -> None:
     The file is read a block of whole lines at a time, and one search of a
     block yields the fold's cells of each valid line. A block with fewer
     rows than lines, or holding `e+308`, is matched a line at a time up to
-    its first fault, raised once the rows before it have folded.
+    its first fault, raised once the rows before it have folded. Undecodable
+    bytes read as `\\xNN`, so they fault their line like any bad cell.
     """
     fold_row = re.compile(_FOLD_ROW, re.MULTILINE)
     # Ids and cells are canonical ints, so each id has one text.
@@ -258,10 +260,12 @@ def _fold_events(path: Path, sums: dict, summary: str) -> None:
                for device_id, device_sums in sums.items()}
     lineno = 1
     try:
-        with path.open() as handle:
+        with path.open(errors="backslashreplace") as handle:
             if handle.readline().rstrip("\n") != ",".join(_EVENT_COLUMNS):
                 raise ValueError("unexpected event columns")
-            for lines in _blocks(path, handle):
+            while lines := handle.readlines(_BLOCK_HINT):
+                if not lines[-1].endswith("\n"):
+                    lines[-1] += "\n"
                 block = "".join(lines)
                 rows = fold_row.findall(block)
                 fault = None
@@ -300,38 +304,8 @@ def _fold_events(path: Path, sums: dict, summary: str) -> None:
                 if fault is not None:
                     lineno = first + len(rows)
                     raise ValueError(fault)
-    except UnicodeDecodeError as exc:
-        raise ValueError(f"{path}: {exc}") from None
     except ValueError as exc:
         raise ValueError(f"{path}:{lineno}: {exc}") from None
-
-
-def _blocks(path: Path, handle) -> Iterator[list[str]]:
-    """The lines left in the events file open as handle, a block at a time,
-    each line ending in a newline.
-
-    Undecodable bytes raise their UnicodeDecodeError after a last block of
-    the lines decoded before them, the lines a read of one line at a time
-    would have checked first.
-    """
-    done = 1
-    try:
-        while lines := handle.readlines(_BLOCK_HINT):
-            if not lines[-1].endswith("\n"):
-                lines[-1] += "\n"
-            done += len(lines)
-            yield lines
-    except UnicodeDecodeError as exc:
-        lines = []
-        with path.open() as again:
-            try:
-                for index, line in enumerate(again):
-                    if index >= done:
-                        lines.append(line)
-            except UnicodeDecodeError:
-                pass
-        yield lines
-        raise exc
 
 
 def _overflow(line: str) -> str | None:

@@ -117,11 +117,12 @@ def read_column(path: Path, column: int,
 
     Blank rows are skipped. A first row whose cell `parse` rejects is taken
     as a header, so one function decides both what is a header and what is a
-    value. Errors name the file and line.
+    value. A UTF-8 byte-order mark at the start is not part of the first
+    cell. Errors name the file and line.
     """
     header = found = False
     try:
-        with path.open(newline="") as handle:
+        with path.open(newline="", encoding="utf-8-sig") as handle:
             reader = csv.reader(handle)
             for row in reader:
                 try:

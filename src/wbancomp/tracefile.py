@@ -6,7 +6,8 @@ row per packet,
 
     <seq>,<device_id>,<bit_count>,<payload_hex>
 
-with canonical non-negative integers and lowercase hex of whole bytes. The
+with canonical non-negative integers and lowercase hex of whole bytes; a
+byte that is not UTF-8 reads as the text `\\xNN`, a bad cell of its line. The
 header carries the per-device sample count so a decoder can rebuild the full
 sample cadence, holding the last value across suppressed samples. Writers
 that build the rows as text hand them to write_rows; read_rows checks the
@@ -77,13 +78,11 @@ def read_rows(path: str | Path
     matched. A malformed header raises ValueError at once, naming PATH:LINE
     and the expected header line; the iterator raises one naming PATH:LINE
     and the row's bad cell or cell count, or a seq outside [0, #samples),
-    when it reaches that row.
+    when it reaches that row. The file is decoded with each byte that is not
+    UTF-8 as the text `\\xNN`, which no header line or cell matches.
     """
     path = Path(path)
-    try:
-        text = path.read_text()
-    except UnicodeDecodeError as exc:
-        raise ValueError(f"{path}: {exc}") from None
+    text = path.read_text(errors="backslashreplace")
     if not text.endswith("\n"):
         text += "\n"
     lines = text.split("\n")

@@ -309,15 +309,19 @@ def test_decode_rejects_a_payload_no_encoder_writes(tmp_path, capsys, row,
     ("#samples=1", "#samples=+1", "2: expected '#samples=N'"),
     ("#samples=1", "#samples= 1", "2: expected '#samples=N'"),
     ("#samples=1", "# note\n#samples=1", "2: expected '#samples=N'"),
+    # "\udcff" is written as the byte 0xff, which is not UTF-8.
+    ("0,1,9,d300", "0,1,9,d3\udcff", "6: payload d3\\xff: not "),
+    ("#threshold=0", "#threshold=\udcff", "3: expected '#threshold=N'"),
 ], ids=["padded-and-signed-cells", "uppercase-hex", "zero-led-seq",
         "underscored-device-id", "comment-row", "blank-row", "header-order",
         "header-of-samples-only", "signed-samples", "padded-samples",
-        "comment-in-header"])
+        "comment-in-header", "undecodable-row", "undecodable-header"])
 def test_decode_rejects_a_trace_no_writer_writes(tmp_path, capsys, old, new,
                                                  where):
-    # Each of these once decoded to 38 with exit 0.
+    # Each of these but the undecodable ones once decoded to 38 with exit 0;
+    # those named no line.
     trace = tmp_path / "t.trace"
-    trace.write_text(GOLDEN_TRACE.replace(old, new))
+    trace.write_text(GOLDEN_TRACE.replace(old, new), errors="surrogateescape")
     assert main(["decode", str(trace)]) == EXIT_DATA
     captured = capsys.readouterr()
     assert captured.err.startswith(f"error: {trace}:{where}")
@@ -515,7 +519,12 @@ def test_range_wider_than_the_float_range_is_refused(tmp_path, capsys):
     (["--kind", "ecg", "--range", "0,1"], ["--range", "--file"]),
     # Nor does it read a column.
     (["--kind", "ecg", "--column", "7"], ["--column", "--file"]),
-], ids=["kind", "adc-bits", "range-on-kind", "column-on-kind"])
+    # A file trace is as long as its file: --samples would be ignored. The
+    # flag is refused before the absent file is read.
+    (["--file", "absent.csv", "--range", "0,1", "--samples", "2"],
+     ["--samples", "--file"]),
+], ids=["kind", "adc-bits", "range-on-kind", "column-on-kind",
+        "samples-on-file"])
 def test_signals_dump_names_its_limits(capsys, argv, named):
     assert main(["signals", "dump", *argv]) == EXIT_USAGE
     err = capsys.readouterr().err
@@ -949,6 +958,37 @@ def test_csv_field_past_the_reader_limit_is_located(tmp_path, capsys,
     assert captured.err.startswith("error: ")
     assert "wide.csv:3: field larger than field limit" in captured.err
     assert captured.out == ""
+
+
+@pytest.mark.parametrize("command", ["encode", "signals-dump", "simulate"])
+@pytest.mark.parametrize("header", ["", "value\n"], ids=["bare", "header"])
+def test_csv_byte_order_mark_is_not_a_cell(tmp_path, capsys, command,
+                                           header):
+    # "\ufeff36" is no number: a mark read as text made the first reading a
+    # header and dropped it.
+    outputs = []
+    for mark in ("", "\ufeff"):
+        work = tmp_path / f"mark{len(mark)}"
+        work.mkdir()
+        (work / "v.csv").write_text(mark + header + "36\n37\n38\n")
+        (work / "v.cfg").write_text(_ONE_DEVICE.replace(
+            "signal = temperature", "file = v.csv\nadc_range = 30,45"
+        ).replace("duration_s = 60", "duration_s = 1.5"))
+        out = work / "out"
+        argv = {"encode": ["encode", str(work / "v.csv")],
+                "signals-dump": ["signals", "dump", "--file",
+                                 str(work / "v.csv"), "--range", "30,45"],
+                "simulate": ["simulate", str(work / "v.cfg")]}[command]
+        assert main(["--out", str(out), *argv]) == EXIT_OK
+        files = sorted(out.iterdir()) if out.is_dir() else [out]
+        outputs.append((capsys.readouterr(),
+                        [path.read_bytes() for path in files]))
+    assert outputs[0] == outputs[1]
+    # All three readings are read: encode counts 3, and the others write the
+    # third one's code, 545.
+    third = {"encode": b"original=3 ", "signals-dump": b"\n2000,545\n",
+             "simulate": b"\n1,2,1000.0,545,"}[command]
+    assert third in outputs[0][0].out.encode() + b"".join(outputs[0][1])
 
 
 def test_negative_zero_delays_keep_their_sign(tmp_path, capsys):

@@ -7,7 +7,8 @@ starting `error:` or `usage error:`. Mutations delete a line, duplicate a
 line, or replace one value, cell or JSON scalar with a fixed token. No
 mutation grows a number, so no example can ask simulate for a huge run.
 A 0xff byte, which no UTF-8 text holds, put anywhere in any input must
-fail with a message that names that file.
+fail with a message that names that file, and in a packet trace or an
+events file, whose every cell is checked, the line that holds the byte.
 """
 
 import contextlib
@@ -216,4 +217,7 @@ def test_byte_that_is_not_utf8_names_its_file(inputs, data):
         path.write_bytes(raw[:at] + b"\xff" + raw[at:])
         rc, _, err = run_cli([arg.format(dir=work) for arg in argv])
     assert rc == EXIT_DATA
-    assert err.startswith(f"error: {path}: "), err
+    lineno = raw[:at].count(b"\n") + 1
+    where = (f"{path}:{lineno}"
+             if name in ("codes.trace", "run/runlog_events.csv") else path)
+    assert err.startswith(f"error: {where}: "), err

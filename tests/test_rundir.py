@@ -40,7 +40,7 @@ def reference_fold(path, sums: dict, summary: str) -> None:
     fullmatch = re.compile(_ROW + "\n?").fullmatch
     lineno = 1
     try:
-        with path.open() as handle:
+        with path.open(errors="backslashreplace") as handle:
             if handle.readline().rstrip("\n") != ",".join(_EVENT_COLUMNS):
                 raise ValueError("unexpected event columns")
             for lineno, line in enumerate(handle, start=2):
@@ -67,8 +67,6 @@ def reference_fold(path, sums: dict, summary: str) -> None:
                 if not math.isfinite(cd_ms + dd_ms + dtr_ms):
                     raise ValueError("cd_ms + dd_ms + dtr_ms is not finite")
                 device_sums.add(int(bits), cd_ms, dtr_ms, dd_ms)
-    except UnicodeDecodeError as exc:
-        raise ValueError(f"{path}: {exc}") from None
     except ValueError as exc:
         raise ValueError(f"{path}:{lineno}: {exc}") from None
 
@@ -252,12 +250,14 @@ def test_fault_just_past_a_device_split_across_blocks(run, lines):
 
 @pytest.mark.parametrize("fault_line", [None, 40])
 def test_undecodable_bytes_after_the_lines_before_them(run, lines, fault_line):
-    # A line-at-a-time read checks the lines decoded before the bad bytes
-    # first, and the block read does too.
+    # An undecodable byte is a bad cell of its line, so a bad line before it
+    # is named first, at every block size.
     edited = list(lines)
     if fault_line is not None:
         edited[fault_line - 1] = set_cell(edited[fault_line - 1], "value", "x")
     write_events(run, edited, b"\xff\n")
-    assert loaded(run, 1000) == expected(run)
-    assert loaded(run) == expected(run)
-    assert ("value x" if fault_line else "can't decode") in loaded(run)
+    fault = (f":{fault_line}: value x:" if fault_line
+             else f":{len(lines) + 1}: 1 cells, expected 12")
+    for hint in (1000, rundir._BLOCK_HINT):
+        assert loaded(run, hint) == expected(run)
+        assert fault in loaded(run, hint)
