@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from operator import itemgetter
 from pathlib import Path
 
 from . import MAX_ADC_BITS, SYNTH_KINDS
@@ -105,8 +104,18 @@ def _write_out(args, text: str) -> None:
 
 
 def cmd_encode(args) -> int:
+    """Compress one CSV column of ADC readings into a packet trace at --out,
+    and print the reading and packet counts.
+
+    read_column reads the file once, a column at a time when csv.reader
+    would split it at newlines and commas alone. Each block of readings is
+    range-checked with min and max, and the line of its first bad reading
+    is looked up only when that check fails. Each transmitted residual's
+    row indexes the codeword cells table directly: readings of at most
+    MAX_GROUP bits keep every residual inside it.
+    """
     from . import metrics, tracefile
-    from .codec import MAX_GROUP, codeword_cells
+    from .codec import MAX_GROUP, RESIDUAL_MIN, _codeword_cells
     from .control import DeviceState
     from .signals import read_column
 
@@ -129,18 +138,23 @@ def cmd_encode(args) -> int:
         suppress_zero=not args.transmit_zeros,
         adc_bits=args.adc_bits,
     )
-    # read_column yields at least one reading or raises. Checking each
-    # reading as it is read names the first fault in file order.
+    # read_column yields at least one reading or raises, and yields the
+    # readings before a fault first, so checking each block names the first
+    # fault in file order.
     codes: list[int] = []
     top = 1 << args.adc_bits
-    for lineno, code in read_column(Path(args.input), args.column, int):
-        if not 0 <= code < top:
-            raise ValueError(f"{args.input}:{lineno}: reading {code} outside "
-                             f"{args.adc_bits}-bit range")
-        codes.append(code)
-    device_cell = f",{args.device_id},"
+    for numbers, block in read_column(Path(args.input), args.column, int):
+        if min(block) < 0 or max(block) >= top:
+            index = next(index for index, code in enumerate(block)
+                         if not 0 <= code < top)
+            raise ValueError(f"{args.input}:{numbers[index]}: reading "
+                             f"{block[index]} outside {args.adc_bits}-bit "
+                             f"range")
+        codes += block
     # Each packet is its trace row's text.
-    rows = [f"{seq}{device_cell}{codeword_cells(residual)}\n"
+    cells = _codeword_cells()
+    device_cell = f",{args.device_id},"
+    rows = [f"{seq}{device_cell}{cells[residual - RESIDUAL_MIN]}\n"
             for seq, residual in state.transmits(codes)]
     trace = tracefile.PacketTrace(
         samples=len(codes),
@@ -162,33 +176,47 @@ def cmd_decode(args) -> int:
     Every row is checked first, in file order, as read_trace checks it, but
     a row whose cells are an encoder codeword builds no Packet, unless it is
     its device's first: its residual is one lookup. The rows then fold in
-    stable seq order through one running value, so packets at one sample
-    apply in file order, and each sample shows the value after every packet
-    up to its index.
+    stable seq order, sorted only when the file's seqs are not already in
+    order, into running values, so packets at one sample apply in file
+    order, and each sample shows the value after every packet up to its
+    index. A lookup miss is decoded in that order, and a fault is named at
+    the first packet in that order that has one.
     """
+    from itertools import accumulate, islice
+    from operator import gt, mul, sub
+
     from . import tracefile
     from .codec import MAX_GROUP, cell_residuals
     from .sink import Packet, payload_residual
 
     path = Path(args.input)
-    trace, rows = tracefile.read_rows(path)
+    trace, blocks = tracefile.read_rows(path)
     residual_of = cell_residuals()
-    # (seq, residual, packet): a lookup miss has no residual yet, and a hit
-    # may have no packet.
-    packets = []
+    # Each row's seq and residual, in file order; a lookup miss holds its
+    # Packet until the fold decodes it.
+    seqs: list[int] = []
+    residuals: list = []
     device_ids: set[str] = set()
-    for lineno, seq, device_id, cells in rows:
-        residual = residual_of.get(cells)
-        packet = None
+    missed = False
+    for first, block_seqs, block_ids, cells in blocks:
+        block_residuals = list(map(residual_of.get, cells))
         # A Packet checks every miss, and each device's first row, whose id
         # it range-checks.
-        if residual is None or device_id not in device_ids:
-            try:
-                packet = Packet.from_cells(int(device_id), cells)
-            except ValueError as exc:
-                raise ValueError(f"{path}:{lineno}: {exc}") from None
-            device_ids.add(device_id)
-        packets.append((seq, residual, packet))
+        if None in block_residuals or not device_ids.issuperset(block_ids):
+            for index, (device_id, row_cells, residual) in enumerate(
+                    zip(block_ids, cells, block_residuals)):
+                if residual is None or device_id not in device_ids:
+                    try:
+                        packet = Packet.from_cells(int(device_id), row_cells)
+                    except ValueError as exc:
+                        raise ValueError(
+                            f"{path}:{first + index}: {exc}") from None
+                    device_ids.add(device_id)
+                    if residual is None:
+                        block_residuals[index] = packet
+                        missed = True
+        seqs += block_seqs
+        residuals += block_residuals
     # A reading is an ADC code of adc_bits bits, which encode caps at the
     # codec's widest group. simulate's run-directory traces write 0 there,
     # and mix codec payloads with raw CGWC ones.
@@ -206,26 +234,40 @@ def cmd_decode(args) -> int:
     if not device_ids:
         raise ValueError(f"{args.input}: trace holds no packets")
 
-    lines: list[str] = []
-    value, held = 0, "0"
+    if any(map(gt, seqs, islice(seqs, 1, None))):
+        order = sorted(range(len(seqs)), key=seqs.__getitem__)
+        seqs = [seqs[index] for index in order]
+        residuals = [residuals[index] for index in order]
+    fault = None
+    for index, residual in enumerate(residuals if missed else ()):
+        if isinstance(residual, Packet):
+            try:
+                residuals[index] = payload_residual(residual.bit_count,
+                                                    residual.payload)
+            except ValueError as exc:
+                fault = index, exc
+                del residuals[index:]
+                break
+    values = list(accumulate(residuals))
+    top = 1 << adc_bits
+    # The values before a miss that fails to decode can fault first.
+    if values and (min(values) < 0 or max(values) >= top):
+        index = next(index for index, value in enumerate(values)
+                     if not 0 <= value < top)
+        fault = index, f"reading {values[index]} outside [0, 2**{adc_bits})"
+    if fault is not None:
+        index, exc = fault
+        raise ValueError(
+            f"{args.input}: packet at sample {seqs[index]}: {exc}")
+    # Each value holds from its packet's sample up to the next packet's,
+    # the last one to the end; the samples before the first hold 0.
+    line_of = [f"{value}\n" for value in range(top)]
+    ends = seqs[1:]
+    ends.append(trace.samples)
     # The output is built whole: a #samples past memory or index is bad data.
     try:
-        for seq, residual, packet in sorted(packets, key=itemgetter(0)):
-            lines.extend([held] * (seq - len(lines)))
-            try:
-                if residual is None:
-                    residual = payload_residual(packet.bit_count,
-                                                packet.payload)
-                value += residual
-                if value < 0 or value.bit_length() > adc_bits:
-                    raise ValueError(
-                        f"reading {value} outside [0, 2**{adc_bits})")
-            except ValueError as exc:
-                raise ValueError(
-                    f"{args.input}: packet at sample {seq}: {exc}") from None
-            held = str(value)
-        lines.extend([held] * (trace.samples - len(lines)))
-        text = "\n".join(lines) + "\n"
+        text = "0\n" * seqs[0] + "".join(map(
+            mul, map(line_of.__getitem__, values), map(sub, ends, seqs)))
     except (MemoryError, OverflowError):
         raise ValueError(f"{args.input}: #samples={trace.samples}: too many "
                          f"samples to decode in memory") from None

@@ -162,12 +162,15 @@ class RunLog(NamedTuple):
         summary = {"duration_ms": self.duration_ms, "seed": self.seed,
                    "devices": [dev._asdict() for dev in self.devices]}
         (rundir / SUMMARY_FILE).write_text(
-            json.dumps(summary, indent=2, sort_keys=True) + "\n")
+            json.dumps(summary, indent=2, sort_keys=True) + "\n",
+            newline="\n")
         write_rows(rundir / _TRACE_FILE, PacketTrace(
             samples=max(dev.samples for dev in self.devices), adc_bits=0),
             self.packet_rows)
-        (rundir / "metrics.csv").write_text(metrics.to_csv(devices))
-        (rundir / "metrics.json").write_text(metrics.to_json(devices, run))
+        (rundir / "metrics.csv").write_text(metrics.to_csv(devices),
+                                            newline="\n")
+        (rundir / "metrics.json").write_text(metrics.to_json(devices, run),
+                                             newline="\n")
 
     @classmethod
     def load(cls, rundir: Path) -> RunLog:
@@ -251,8 +254,9 @@ def _fold_events(path: Path, sums: dict, summary: str) -> None:
     The file is read a block of whole lines at a time, and one search of a
     block yields the fold's cells of each valid line. A block with fewer
     rows than lines, or holding `e+308`, is matched a line at a time up to
-    its first fault, raised once the rows before it have folded. Undecodable
-    bytes read as `\\xNN`, so they fault their line like any bad cell.
+    its first fault, raised once the rows before it have folded. Lines end
+    at `\\n` alone, and undecodable bytes read as `\\xNN`, so a `\\r` or such
+    a byte faults its line like any bad cell.
     """
     fold_row = re.compile(_FOLD_ROW, re.MULTILINE)
     # Ids and cells are canonical ints, so each id has one text.
@@ -260,7 +264,7 @@ def _fold_events(path: Path, sums: dict, summary: str) -> None:
                for device_id, device_sums in sums.items()}
     lineno = 1
     try:
-        with path.open(errors="backslashreplace") as handle:
+        with path.open(errors="backslashreplace", newline="\n") as handle:
             if handle.readline().rstrip("\n") != ",".join(_EVENT_COLUMNS):
                 raise ValueError("unexpected event columns")
             while lines := handle.readlines(_BLOCK_HINT):

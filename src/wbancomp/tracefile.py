@@ -6,14 +6,16 @@ row per packet,
 
     <seq>,<device_id>,<bit_count>,<payload_hex>
 
-with canonical non-negative integers and lowercase hex of whole bytes; a
-byte that is not UTF-8 reads as the text `\\xNN`, a bad cell of its line. The
-header carries the per-device sample count so a decoder can rebuild the full
-sample cadence, holding the last value across suppressed samples. Writers
-that build the rows as text hand them to write_rows; read_rows checks the
-header and yields each row's cells, and read_trace builds a Packet of each.
-The integer cell pattern and the fault locator come from the package,
-which shares them with rundir.
+with canonical non-negative integers and lowercase hex of whole bytes. Each
+line ends at `\\n`: a `\\r`, or a byte that is not UTF-8, which reads as the
+text `\\xNN`, is a bad cell of its line. The header carries the per-device
+sample count so a decoder can rebuild the full sample cadence, holding the
+last value across suppressed samples. Writers that build the rows as text
+hand them to write_rows; read_rows checks the header and yields the rows'
+cells as columns, a block of lines at a time, each block split by one
+search, and read_trace builds a Packet of each row. The integer cell
+pattern and the fault locator come from the package, which shares them
+with rundir.
 """
 
 from __future__ import annotations
@@ -48,9 +50,13 @@ _HEADER = [fld for fld in fields(PacketTrace) if fld.name != "packets"]
 
 _COLUMNS = {"seq": _INT, "device_id": _INT, "bit_count": _INT,
             "payload": (r"(?:[0-9a-f]{2})*", "lowercase hex of whole bytes")}
-# Groups seq, device_id, and the bit_count and payload cells as one text.
-_match_row = re.compile("({}),({}),((?:{}),(?:{}))".format(
-    *(pattern for pattern, _ in _COLUMNS.values()))).fullmatch
+# One whole valid row, from a line start: groups seq, device_id, and the
+# bit_count and payload cells as one text. Compiled when a trace is read.
+_ROW = "^({}),({}),((?:{}),(?:{}))\n".format(
+    *(pattern for pattern, _ in _COLUMNS.values()))
+# The size of the blocks of lines the rows are read in, as rundir reads its
+# events file: one search over a whole file holds memory that grows with it.
+_BLOCK_HINT = 1 << 16
 
 
 def write_rows(path: str | Path, trace: PacketTrace, rows: list[str]) -> None:
@@ -59,7 +65,8 @@ def write_rows(path: str | Path, trace: PacketTrace, rows: list[str]) -> None:
     not written."""
     lines = [MAGIC]
     lines.extend(f"#{fld.name}={getattr(trace, fld.name)}" for fld in _HEADER)
-    Path(path).write_text("\n".join(lines) + "\n" + "".join(rows))
+    Path(path).write_text("\n".join(lines) + "\n" + "".join(rows),
+                          newline="\n")
 
 
 def write_trace(path: str | Path, trace: PacketTrace) -> None:
@@ -68,53 +75,75 @@ def write_trace(path: str | Path, trace: PacketTrace) -> None:
         for seq, packet in trace.packets])
 
 
-def read_rows(path: str | Path
-              ) -> tuple[PacketTrace, Iterator[tuple[int, int, str, str]]]:
+def read_rows(path: str | Path) -> tuple[PacketTrace, Iterator[
+        tuple[int, list[int], tuple[str, ...], tuple[str, ...]]]]:
     """A trace file's header, as a PacketTrace with no packets, and an
-    iterator over its rows.
+    iterator over its rows, a block of them at a time.
 
-    The iterator yields each row's line number, its seq, its device_id cell,
-    and its bit_count and payload cells as one text, `9,d300` say, as they
-    matched. A malformed header raises ValueError at once, naming PATH:LINE
-    and the expected header line; the iterator raises one naming PATH:LINE
-    and the row's bad cell or cell count, or a seq outside [0, #samples),
-    when it reaches that row. The file is decoded with each byte that is not
-    UTF-8 as the text `\\xNN`, which no header line or cell matches.
+    Each block is the line number of its first row, then its rows' seqs,
+    device_id cells, and bit_count and payload cells as one text, `9,d300`
+    say, as they matched. A malformed header raises ValueError at once,
+    naming PATH:LINE and the expected header line. The iterator raises one
+    naming PATH:LINE and the row's bad cell or cell count, or a seq outside
+    [0, #samples), after it has yielded the rows before that one. Lines end
+    at `\\n` alone, so a `\\r` is a bad cell of its line, and the file is
+    decoded with each byte that is not UTF-8 as the text `\\xNN`, which no
+    header line or cell matches.
     """
-    path = Path(path)
-    text = path.read_text(errors="backslashreplace")
-    if not text.endswith("\n"):
-        text += "\n"
-    lines = text.split("\n")
+    blocks = _blocks(Path(path))
+    return next(blocks), blocks
+
+
+def _blocks(path: Path) -> Iterator:
+    """read_rows' header, then its blocks. The file stays open, and closes
+    when the iterator ends or is dropped."""
     lineno = 1
-    try:
-        if lines[0] != MAGIC:
-            raise ValueError(f"not a packet trace file: expected {MAGIC!r}")
-        header = {}
-        # A short file's first missing line is the last, empty piece.
-        for lineno, fld in enumerate(_HEADER, start=2):
-            line = lines[lineno - 1]
-            if not re.fullmatch(f"#{fld.name}=(?:{_INT[0]})", line):
-                raise ValueError(f"expected '#{fld.name}=N', N {_INT[1]}")
-            header[fld.name] = int(line[len(fld.name) + 2:])
-    except ValueError as exc:
-        raise ValueError(f"{path}:{lineno}: {exc}") from None
-    trace = PacketTrace(**header)
-    return trace, _rows(path, lines, lineno, trace.samples)
+    with path.open(errors="backslashreplace", newline="\n") as handle:
+        try:
+            if handle.readline().removesuffix("\n") != MAGIC:
+                raise ValueError(
+                    f"not a packet trace file: expected {MAGIC!r}")
+            header = {}
+            for lineno, fld in enumerate(_HEADER, start=2):
+                line = handle.readline().removesuffix("\n")
+                if not re.fullmatch(f"#{fld.name}=(?:{_INT[0]})", line):
+                    raise ValueError(f"expected '#{fld.name}=N', N {_INT[1]}")
+                header[fld.name] = int(line[len(fld.name) + 2:])
+        except ValueError as exc:
+            raise ValueError(f"{path}:{lineno}: {exc}") from None
+        samples = header["samples"]
+        yield PacketTrace(**header)
 
-
-def _rows(path: Path, lines: list[str], header_end: int, samples: int
-          ) -> Iterator[tuple[int, int, str, str]]:
-    for lineno, line in enumerate(lines[header_end:-1], start=header_end + 1):
-        match = _match_row(line)
-        if match is None:
-            raise ValueError(f"{path}:{lineno}: {_row_fault(_COLUMNS, line)}")
-        seq, device_id, cells = match.groups()
-        seq = int(seq)
-        if seq >= samples:
-            raise ValueError(
-                f"{path}:{lineno}: seq {seq}: outside [0, {samples})")
-        yield lineno, seq, device_id, cells
+        row = re.compile(_ROW, re.MULTILINE)
+        lineno = len(_HEADER) + 1
+        while lines := handle.readlines(_BLOCK_HINT):
+            if not lines[-1].endswith("\n"):
+                lines[-1] += "\n"
+            rows = row.findall("".join(lines))
+            fault = None
+            if len(rows) < len(lines):
+                # Match again a line at a time, up to the first bad line.
+                rows = []
+                for line in lines:
+                    match = row.match(line)
+                    if match is None:
+                        fault = _row_fault(_COLUMNS, line[:-1])
+                        break
+                    rows.append(match.groups())
+            seqs, device_ids, cells = zip(*rows) if rows else ((), (), ())
+            seqs = list(map(int, seqs))
+            if seqs and max(seqs) >= samples:
+                count = next(index for index, seq in enumerate(seqs)
+                             if seq >= samples)
+                fault = f"seq {seqs[count]}: outside [0, {samples})"
+                del seqs[count:]
+                device_ids, cells = device_ids[:count], cells[:count]
+            first = lineno + 1
+            if seqs:
+                yield first, seqs, device_ids, cells
+            if fault is not None:
+                raise ValueError(f"{path}:{first + len(seqs)}: {fault}")
+            lineno += len(lines)
 
 
 def read_trace(path: str | Path) -> PacketTrace:
@@ -123,11 +152,13 @@ def read_trace(path: str | Path) -> PacketTrace:
     the Packet check the row fails."""
     from .sink import Packet  # only here: simulate and encode build none
 
-    trace, rows = read_rows(path)
-    for lineno, seq, device_id, cells in rows:
-        try:
-            packet = Packet.from_cells(int(device_id), cells)
-        except ValueError as exc:
-            raise ValueError(f"{Path(path)}:{lineno}: {exc}") from None
-        trace.packets.append((seq, packet))
+    trace, blocks = read_rows(path)
+    for first, seqs, device_ids, cells in blocks:
+        for lineno, seq, device_id, row_cells in zip(
+                range(first, first + len(seqs)), seqs, device_ids, cells):
+            try:
+                packet = Packet.from_cells(int(device_id), row_cells)
+            except ValueError as exc:
+                raise ValueError(f"{Path(path)}:{lineno}: {exc}") from None
+            trace.packets.append((seq, packet))
     return trace

@@ -78,6 +78,21 @@ def test_encode_names_the_first_bad_line(tmp_path, capsys, text, message):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("end", ["\r\n", "\r"], ids=["crlf", "cr"])
+def test_encode_reads_any_csv_line_end(tmp_path, capsys, end):
+    # A CSV is read as csv.reader reads it, unlike the row files the
+    # commands write, whose lines end at "\n" alone.
+    outputs = []
+    for name, text in (("lf", "value\n5\n6\n9\n"),
+                       ("other", f"value{end}5{end}6{end}9{end}")):
+        src, out = tmp_path / f"{name}.csv", tmp_path / f"{name}.trace"
+        src.write_bytes(text.encode())
+        assert main(["--out", str(out), "encode", str(src)]) == EXIT_OK
+        outputs.append((capsys.readouterr().out, out.read_bytes()))
+    assert outputs[0] == outputs[1]
+    assert outputs[0][0].startswith("original=3 transmitted=3 ")
+
+
 def test_encode_reads_its_input_once(tmp_path, capsys, monkeypatch):
     # The reading out of range is named from the one pass that read it.
     from wbancomp import signals
@@ -312,10 +327,16 @@ def test_decode_rejects_a_payload_no_encoder_writes(tmp_path, capsys, row,
     # "\udcff" is written as the byte 0xff, which is not UTF-8.
     ("0,1,9,d300", "0,1,9,d3\udcff", "6: payload d3\\xff: not "),
     ("#threshold=0", "#threshold=\udcff", "3: expected '#threshold=N'"),
+    # A line ends at "\n" alone.
+    ("0,1,9,d300\n", "0,1,9,d300\r\n", "6: payload d300\r: not "),
+    ("0,1,9,d300\n", "0,1,9,d300\r0,1,9,d300\n", "6: 7 cells, expected 4"),
+    ("#samples=1\n", "#samples=1\r\n", "2: expected '#samples=N'"),
+    ("#packet-trace v1\n", "#packet-trace v1\r", "1: not a packet trace"),
 ], ids=["padded-and-signed-cells", "uppercase-hex", "zero-led-seq",
         "underscored-device-id", "comment-row", "blank-row", "header-order",
         "header-of-samples-only", "signed-samples", "padded-samples",
-        "comment-in-header", "undecodable-row", "undecodable-header"])
+        "comment-in-header", "undecodable-row", "undecodable-header",
+        "crlf-row", "lone-cr-between-rows", "crlf-header", "lone-cr-header"])
 def test_decode_rejects_a_trace_no_writer_writes(tmp_path, capsys, old, new,
                                                  where):
     # Each of these but the undecodable ones once decoded to 38 with exit 0;
@@ -958,6 +979,25 @@ def test_csv_field_past_the_reader_limit_is_located(tmp_path, capsys,
     assert captured.err.startswith("error: ")
     assert "wide.csv:3: field larger than field limit" in captured.err
     assert captured.out == ""
+
+
+@pytest.mark.parametrize("command", ["encode", "simulate"])
+def test_csv_line_of_digits_past_the_reader_limit_is_located(tmp_path, capsys,
+                                                             command):
+    # Text without quotes or carriage returns is parsed a column at a time,
+    # but a line longer than csv.reader's field limit is still read as
+    # csv.reader reads it: not as float's inf, nor past int's digit limit.
+    src = tmp_path / "wide.csv"
+    src.write_text("37\n38\n" + "9" * 200_000 + "\n39\n")
+    cfg = tmp_path / "wide.cfg"
+    cfg.write_text(_ONE_DEVICE.replace(
+        "signal = temperature", "file = wide.csv\nadc_range = 30,45"))
+    argv = {"encode": ["--out", str(tmp_path / "wide.trace"), "encode",
+                       str(src)],
+            "simulate": ["simulate", str(cfg)]}[command]
+    assert main(argv) == EXIT_DATA
+    assert capsys.readouterr().err == (
+        f"error: {src}:3: field larger than field limit (131072)\n")
 
 
 @pytest.mark.parametrize("command", ["encode", "signals-dump", "simulate"])

@@ -6,10 +6,14 @@ runs simulate, on a shipped scenario and on tests/data's long sleep-heavy
 one, then encode and decode, in a subprocess, and must write the bytes
 test_cli pins. Its report of the simulated run, as JSON and as CSV, must be
 the running interpreter's bytes, since how NamedTuple records handle their
-annotations differs between versions. A pyenv shim that does not start on
-its own is retried once with PYENV_VERSION set to the newest 3.N.x
-installed under PYENV_ROOT. The test ids name the interpreters; one that
-is absent, does not start, or is the running one skips with that reason.
+annotations differs between versions. encode of a CSV that its csv.reader
+refuses on one version and reads on another (a NUL in a column not read),
+or refuses on all (a line past the field size limit), must exit as that
+interpreter's csv.reader implies: 2 if it raises, else 0. A pyenv shim
+that does not start on its own is retried once with PYENV_VERSION set to
+the newest 3.N.x installed under PYENV_ROOT. The test ids name the
+interpreters; one that is absent, does not start, or is the running one
+skips with that reason.
 """
 
 import hashlib
@@ -27,6 +31,18 @@ from test_cli import (PINNED_CODEC_OUTPUTS, PINNED_OUTPUTS,
                       PINNED_TEST_OUTPUTS, pinned_readings, write_codes)
 
 SCENARIO = "temperature_sleep"
+# Prints, for each CSV file named, whether this interpreter's csv.reader
+# reads it or raises.
+CSV_READS = """\
+import csv, sys
+for name in sys.argv[1:]:
+    with open(name, newline="", encoding="utf-8-sig") as handle:
+        try:
+            list(csv.reader(handle))
+            print("reads")
+        except csv.Error:
+            print("raises")
+"""
 # Its ledgers add each suppressed stretch's charges in bulk: any drift in
 # float addition between interpreters would move its hashes.
 LONG_SCENARIO = "long_sleep"
@@ -93,3 +109,16 @@ def test_interpreter_writes_the_pinned_outputs(tmp_path, minor):
         assert (sha256(trace.read_bytes()), sha256(stdout)) == pinned
         cli("--out", recon, "decode", trace)
         assert recon.read_bytes() == src.read_bytes()
+
+    csvs = [tmp_path / "nul.csv", tmp_path / "wide.csv"]
+    csvs[0].write_text("5,\0\n6,x\n")
+    csvs[1].write_text("5\n" + "9" * 200_000 + "\n")
+    reads = subprocess.run([exe, "-c", CSV_READS, *map(str, csvs)],
+                           capture_output=True, text=True, env=env)
+    assert reads.returncode == 0, reads.stderr
+    for path, read in zip(csvs, reads.stdout.split()):
+        done = subprocess.run([exe, "-m", "wbancomp.cli", "--out",
+                               str(tmp_path / "csv.trace"), "encode",
+                               str(path)], capture_output=True, env=env)
+        assert done.returncode == (0 if read == "reads" else 2), \
+            (path.name, done.stderr.decode())

@@ -5,7 +5,11 @@ CSV or a run directory), applies one mutation and runs it through
 cli.main, which must return 0, 1 or 2 and, on failure, print a message
 starting `error:` or `usage error:`. Mutations delete a line, duplicate a
 line, or replace one value, cell or JSON scalar with a fixed token. No
-mutation grows a number, so no example can ask simulate for a huge run.
+mutation of a scenario or a run directory grows a number, so no example
+can ask simulate for a huge run. The packet trace and the encode CSV also
+take numbers at the edges of the float and int ranges, a quoted cell and a
+non-ASCII digit; none of them is a #samples from 10**8 to sys.maxsize,
+which decode would try to build.
 A 0xff byte, which no UTF-8 text holds, put anywhere in any input must
 fail with a message that names that file, and in a packet trace or an
 events file, whose every cell is checked, the line that holds the byte.
@@ -26,6 +30,8 @@ from wbancomp.cli import EXIT_DATA, EXIT_OK, EXIT_USAGE, main
 
 TOKENS = ["", "x", "-1", "0", "1.5", "nan", "inf", "1e400", "2,1", "%(x)s",
           "null", "[]"]
+ROW_TOKENS = TOKENS + ["5e-324", "-0.0", "1.7976931348623157e308",
+                       "9" * 400, "-" + "9" * 400, '"5"', "\u0663"]
 
 SCENARIO = """\
 [run]
@@ -79,8 +85,10 @@ def inputs(tmp_path_factory):
 
 
 @st.composite
-def mutated(draw, text: str, is_json: bool = False) -> str:
-    """text with one line deleted or duplicated, or one value replaced.
+def mutated(draw, text: str, is_json: bool = False,
+            tokens: list[str] = TOKENS) -> str:
+    """text with one line deleted or duplicated, or one value replaced by
+    one of tokens.
 
     A value is a JSON scalar, or else a comma-separated cell of what
     follows a line's last `=` (the whole line when it has none).
@@ -88,7 +96,7 @@ def mutated(draw, text: str, is_json: bool = False) -> str:
     lines = text.splitlines(keepends=True)
     index = draw(st.integers(0, len(lines) - 1))
     op = draw(st.sampled_from(["delete", "duplicate", "replace"]))
-    token = draw(st.sampled_from(TOKENS))
+    token = draw(st.sampled_from(tokens))
     if op == "delete":
         del lines[index]
     elif op == "duplicate":
@@ -153,7 +161,8 @@ def test_mutated_scenario(inputs, data):
 @SETTINGS
 @given(st.data())
 def test_mutated_packet_trace(inputs, data):
-    text = data.draw(mutated((inputs / "codes.trace").read_text()))
+    text = data.draw(mutated((inputs / "codes.trace").read_text(),
+                             tokens=ROW_TOKENS))
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "codes.trace"
         path.write_text(text)
@@ -163,7 +172,8 @@ def test_mutated_packet_trace(inputs, data):
 @SETTINGS
 @given(st.data())
 def test_mutated_encode_csv(inputs, data):
-    text = data.draw(mutated((inputs / "codes.csv").read_text()))
+    text = data.draw(mutated((inputs / "codes.csv").read_text(),
+                             tokens=ROW_TOKENS))
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "codes.csv"
         path.write_text(text)

@@ -421,8 +421,9 @@ def assert_trace_rebuilds_readings(sc, log, rundir):
     modes = {cfg.device_id: cfg.mode for cfg in sc.devices}
     held = dict.fromkeys(modes, 0)
     arrived = {}  # (device_id, seq): the value after that packet
-    _, rows = read_rows(rundir / "packets.trace")
-    for _, seq, device_id, cells in rows:
+    _, blocks = read_rows(rundir / "packets.trace")
+    for seq, device_id, cells in (row for _, *columns in blocks
+                                  for row in zip(*columns)):
         device_id = int(device_id)
         bit_count, payload = cells.split(",")
         bit_count, payload = int(bit_count), bytes.fromhex(payload)

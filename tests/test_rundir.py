@@ -40,7 +40,7 @@ def reference_fold(path, sums: dict, summary: str) -> None:
     fullmatch = re.compile(_ROW + "\n?").fullmatch
     lineno = 1
     try:
-        with path.open(errors="backslashreplace") as handle:
+        with path.open(errors="backslashreplace", newline="\n") as handle:
             if handle.readline().rstrip("\n") != ",".join(_EVENT_COLUMNS):
                 raise ValueError("unexpected event columns")
             for lineno, line in enumerate(handle, start=2):
@@ -258,6 +258,23 @@ def test_undecodable_bytes_after_the_lines_before_them(run, lines, fault_line):
     write_events(run, edited, b"\xff\n")
     fault = (f":{fault_line}: value x:" if fault_line
              else f":{len(lines) + 1}: 1 cells, expected 12")
+    for hint in (1000, rundir._BLOCK_HINT):
+        assert loaded(run, hint) == expected(run)
+        assert fault in loaded(run, hint)
+
+
+@pytest.mark.parametrize("edit, fault", [
+    (lambda lines: [line.replace("\n", "\r\n") for line in lines],
+     ":1: unexpected event columns"),
+    (lambda lines: lines[:1] + [line.replace("\n", "\r\n")
+                                for line in lines[1:]],
+     ":2: reconstructed 477\r: not a canonical non-negative integer"),
+    (lambda lines: lines[:4] + [lines[4].replace("\n", "\r")] + lines[5:],
+     ":5: 23 cells, expected 12"),
+], ids=["crlf", "crlf-rows", "lone-cr-between-rows"])
+def test_carriage_return_faults_its_line(run, lines, edit, fault):
+    # A line ends at "\n" alone, as RunLog.save writes it.
+    write_events(run, edit(lines))
     for hint in (1000, rundir._BLOCK_HINT):
         assert loaded(run, hint) == expected(run)
         assert fault in loaded(run, hint)

@@ -2,7 +2,7 @@ import csv
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import DATA_DIR, run_pipeline
@@ -154,55 +154,72 @@ class TestLoadTrace:
 
 
 def reference_read_column(path, column, parse):
-    """read_column's rule read the plain way: skip blank rows, then parse;
-    a first unparsable row is a header, any later one an error."""
+    """read_column's rule read the plain way, yielding (line, value) pairs:
+    skip blank rows, then parse; a first unparsable row is a header, any
+    later one an error, as is any row csv.reader refuses."""
     header = found = False
-    out = []
-    with path.open(newline="") as handle:
+    with path.open(newline="", encoding="utf-8-sig") as handle:
         reader = csv.reader(handle)
-        for row in reader:
-            if not any(cell.strip() for cell in row):
-                continue
-            try:
-                value = parse(row[column])
-            except (ValueError, IndexError):
-                if header or found:
-                    raise ValueError(
-                        f"{path}:{reader.line_num}: non-numeric or missing "
-                        f"value in column {column}") from None
-                header = True
-                continue
-            found = True
-            out.append((reader.line_num, value))
+        try:
+            for row in reader:
+                if not any(cell.strip() for cell in row):
+                    continue
+                try:
+                    value = parse(row[column])
+                except (ValueError, IndexError):
+                    if header or found:
+                        raise ValueError(
+                            f"{path}:{reader.line_num}: non-numeric or "
+                            f"missing value in column {column}") from None
+                    header = True
+                    continue
+                found = True
+                yield reader.line_num, value
+        except csv.Error as exc:
+            raise ValueError(f"{path}:{reader.line_num}: {exc}") from None
     if not found:
         raise ValueError(f"{path}: header but no readings" if header
                          else f"{path}: empty, no readings")
-    return out
 
 
 def read_outcome(read, *args):
-    """The (line, value) pairs a reader gives, or the text it raises."""
+    """The (line, value) pairs a reader gives, with read_column's blocks
+    joined, or the text it raises."""
+    pairs = []
     try:
-        return list(read(*args))
+        for block in read(*args):
+            pairs.extend(zip(*block) if read is read_column else [block])
     except ValueError as exc:
-        return str(exc)
+        return pairs, str(exc)
+    return pairs
 
 
 # Cells of every kind a reading file holds: numbers, blanks, whitespace,
-# header-like names and other text.
+# header-like names and other text, and cells that only csv.reader splits
+# or that int and float read in more than one way.
 CELLS = st.sampled_from(["12", " 7 ", "-3", "0", "3.5", "1e3", "-inf", "",
-                         " ", "\t", "temp_c", "value", "bogus", "1 2", "--"])
+                         " ", "\t", "temp_c", "value", "bogus", "1 2", "--",
+                         '"5"', '"4,5"', '"6', "\0", "7\0", "+5", "1_0",
+                         "\u0663"])
 ROWS = st.lists(CELLS, max_size=3).map(",".join)
+# Line ends: the column-wise route reads only the first.
+ENDS = st.sampled_from(["\n", "\n", "\r\n", "\r"])
 
 
-@settings(max_examples=200)
-@given(st.lists(ROWS, max_size=8), st.integers(0, 2),
-       st.sampled_from([int, float]))
-def test_read_column_matches_reference(tmp_path_factory, rows, column, parse):
-    # read_column parses first and looks for a blank row only when the parse
-    # fails; no blank cell parses, so it must read as the reference does.
+@settings(max_examples=300)
+@given(st.lists(st.tuples(ROWS, ENDS), max_size=8), st.booleans(),
+       st.integers(0, 2), st.sampled_from([int, float]))
+# A quoted comma moves the cells after it: csv.reader finds no column 2.
+@example([('"4,5",12', "\n"), ("7,8,9", "\n")], False, 2, int)
+def test_read_column_matches_reference(tmp_path_factory, rows, bom, column,
+                                       parse):
+    # read_column parses a column at once when csv.reader would split the
+    # text at "\n" and "," alone, and else reads as the reference does; both
+    # routes must give the reference's readings, and its first fault after
+    # the readings before it.
     path = tmp_path_factory.getbasetemp() / "readings.csv"
-    path.write_text("".join(f"{row}\n" for row in rows))
+    text = "\ufeff" * bom + "".join(row + end for row, end in rows)
+    path.write_bytes(text.encode())
     assert (read_outcome(read_column, path, column, parse)
             == read_outcome(reference_read_column, path, column, parse))
 

@@ -1,14 +1,20 @@
+import contextlib
+import io
 import re
 import tempfile
 from pathlib import Path
+from unittest import mock
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from wbancomp import _INT, _row_fault, tracefile
+from wbancomp.cli import main
 from wbancomp.codec import RESIDUAL_MAX, RESIDUAL_MIN, codeword_bytes
 from wbancomp.sink import Packet
-from wbancomp.tracefile import PacketTrace, read_trace, write_trace
+from wbancomp.tracefile import (_COLUMNS, _HEADER, MAGIC, PacketTrace,
+                                read_trace, write_trace)
 
 
 HEADER_KEYS = ["samples", "threshold", "adc_bits", "sample_period_ms"]
@@ -214,3 +220,129 @@ def test_one_character_edit_reads_as_written_or_names_its_line(trace, data):
             return
         write_trace(path, read)
         assert path.read_text() == edited
+
+
+def reference_read_trace(path) -> PacketTrace:
+    """read_trace one line at a time, as tracefile read rows before it read
+    blocks: the reference the block reader must agree with. Each line is
+    checked in file order against the header line or the row grammar, then
+    the seq bound, then the Packet."""
+    path = Path(path)
+    with path.open(errors="backslashreplace", newline="\n") as handle:
+        lines = handle.read().split("\n")
+    if lines[-1]:
+        lines.append("")
+    row = re.compile("({}),({}),((?:{}),(?:{}))".format(
+        *(pattern for pattern, _ in _COLUMNS.values())))
+    lineno = 1
+    try:
+        if lines[0] != MAGIC:
+            raise ValueError(f"not a packet trace file: expected {MAGIC!r}")
+        header = {}
+        for lineno, fld in enumerate(_HEADER, start=2):
+            line = lines[lineno - 1]
+            if not re.fullmatch(f"#{fld.name}=(?:{_INT[0]})", line):
+                raise ValueError(f"expected '#{fld.name}=N', N {_INT[1]}")
+            header[fld.name] = int(line[len(fld.name) + 2:])
+        trace = PacketTrace(**header)
+        for lineno, line in enumerate(lines[lineno:-1], start=lineno + 1):
+            match = row.fullmatch(line)
+            if match is None:
+                raise ValueError(_row_fault(_COLUMNS, line))
+            seq, device_id, cells = match.groups()
+            if int(seq) >= trace.samples:
+                raise ValueError(f"seq {seq}: outside [0, {trace.samples})")
+            trace.packets.append(
+                (int(seq), Packet.from_cells(int(device_id), cells)))
+    except ValueError as exc:
+        raise ValueError(f"{path}:{lineno}: {exc}") from None
+    return trace
+
+
+def outcome(read, path, hint: int = tracefile._BLOCK_HINT):
+    """What read gives for the file at path, or the text it raises, with
+    tracefile reading blocks of `hint`."""
+    with mock.patch.object(tracefile, "_BLOCK_HINT", hint):
+        try:
+            return read(path)
+        except ValueError as exc:
+            return str(exc)
+
+
+def decode_error(path, hint: int = tracefile._BLOCK_HINT) -> str:
+    """What decode prints to stderr for the trace at path, with tracefile
+    reading blocks of `hint`."""
+    err = io.StringIO()
+    with (mock.patch.object(tracefile, "_BLOCK_HINT", hint),
+          contextlib.redirect_stderr(err),
+          contextlib.redirect_stdout(io.StringIO())):
+        main(["decode", str(path)])
+    return err.getvalue()
+
+
+# A tiny block of a few rows, and the default.
+HINTS = [40, tracefile._BLOCK_HINT]
+# Row edits: a grammar fault, a seq at #samples, a Packet fault (one byte
+# cannot hold 20 bits, and device 256 is out of range) and a valid row.
+ROW_EDITS = st.sampled_from(["1,1,9,d3x0", "1,1,9,D300", "1,1,20,ff",
+                             "1,256,9,d300", "{samples},1,9,d300",
+                             "1,1,9,d300\r", "1,1,9,d300"])
+
+
+@settings(max_examples=200)
+@given(st.integers(2, 40), st.lists(st.tuples(st.integers(0, 60), ROW_EDITS),
+                                    max_size=3),
+       st.sampled_from(HINTS))
+def test_block_reader_agrees_with_the_line_reader(samples, edits, hint):
+    # Rows of device 1 with a few lines replaced: the first fault in file
+    # order is named, in any block size, by read_trace and by decode.
+    trace = PacketTrace(samples=samples, packets=[
+        (seq % samples, Packet(1, *codeword_bytes(seq % 7 - 3)))
+        for seq in range(60)])
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "t.trace"
+        write_trace(path, trace)
+        lines = path.read_text().split("\n")
+        for index, row in edits:
+            # Line 66 is the empty piece past the last newline.
+            lines[5 + index] = row.format(samples=samples)
+        path.write_text("\n".join(lines))
+        expected = outcome(reference_read_trace, path)
+        assert outcome(read_trace, path, hint) == expected
+        if isinstance(expected, str):
+            assert decode_error(path, hint) == f"error: {expected}\n"
+        else:
+            assert not re.match(rf"error: {re.escape(str(path))}:[0-9]",
+                                decode_error(path, hint))
+
+
+@pytest.mark.parametrize("hint", HINTS)
+@pytest.mark.parametrize("edits, fault", [
+    ({30: "1,1,20,ff", 31: "1,1,9,d3x0"},
+     "30: payload of 1 bytes cannot hold exactly 20 bits"),
+    ({30: "1,1,9,d3x0", 31: "1,1,20,ff"},
+     "30: payload d3x0: not lowercase hex of whole bytes"),
+    ({12: "1,1,20,ff", 40: "1,1,9,d3x0"},
+     "12: payload of 1 bytes cannot hold exactly 20 bits"),
+    ({12: "40,1,9,d300", 40: "1,1,9,d3x0"}, "12: seq 40: outside [0, 40)"),
+    ({12: "1,1,9,d3x0", 40: "40,1,9,d300"},
+     "12: payload d3x0: not lowercase hex of whole bytes"),
+    ({45: "40,1,9,d300"}, "45: seq 40: outside [0, 40)"),
+], ids=["packet-fault-then-grammar-fault", "grammar-fault-then-packet-fault",
+        "packet-fault-blocks-before-a-grammar-fault",
+        "seq-fault-blocks-before-a-grammar-fault",
+        "grammar-fault-blocks-before-a-seq-fault", "seq-at-samples"])
+def test_first_fault_in_file_order_across_blocks(tmp_path, hint, edits,
+                                                 fault):
+    # Lines 6 to 45 hold 40 rows, three or so to a block of the tiny hint.
+    path = tmp_path / "t.trace"
+    write_trace(path, PacketTrace(samples=40, packets=[
+        (seq, Packet(1, *codeword_bytes(1))) for seq in range(40)]))
+    lines = path.read_text().split("\n")
+    for lineno, row in edits.items():
+        lines[lineno - 1] = row
+    path.write_text("\n".join(lines))
+    expected = f"{path}:{fault}"
+    assert outcome(reference_read_trace, path) == expected
+    assert outcome(read_trace, path, hint) == expected
+    assert decode_error(path, hint) == f"error: {expected}\n"
