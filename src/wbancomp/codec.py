@@ -24,11 +24,10 @@ same codewords as the packet trace cells `bit_count,payload_hex`, which
 writers put straight into their rows.
 cell_residuals inverts the second, so a packet of one codeword decodes by
 one lookup of its trace text. Any other bit string goes through
-decode_bits, which looks the next 9 bits (the longest prefix) up in a
-512-entry table, built from encode_prefix, that gives the group and prefix
-length of the codeword starting there, or marks the start malformed with
-the number of bits it takes to see that; one masked shift then reads the
-suffix.
+decode_bits, which writes it out once as '0'/'1' text and walks that a
+codeword at a time: a map from each prefix's text to its group, built on
+first use from encode_prefix, names the prefix at the read position, and
+one int(text, 2) reads the suffix after it.
 """
 
 from __future__ import annotations
@@ -141,66 +140,38 @@ def codeword_cells(residual: int) -> str:
     return _codeword_cells()[residual - RESIDUAL_MIN]
 
 
-# The longest prefix, group 11's '111111110', fills the window exactly.
-_WINDOW_BITS = 9
-_WINDOW_MASK = (1 << _WINDOW_BITS) - 1
-# The length above which decode_bits works through a string by chunks.
-_CHUNK_BITS = 4096
-
-# The two malformed starts, by the negative group their table entries hold.
-# '1110' would alias group 6, which uses the binary prefix '110'.
-_MALFORMED = {-1: "non-canonical prefix '1110'",
-              -2: f"prefix run of more than {_MAX_PREFIX_ONES} leading ones"}
+@cache
+def _prefix_groups() -> dict[str, int]:
+    """The group of each prefix, by its bit text, `'11110'` say. Built on
+    first use, like the encode table."""
+    return {format(prefix, f"0{bits}b"): group for group, (prefix, bits)
+            in enumerate(map(encode_prefix, range(MAX_GROUP + 1)))}
 
 
-def _prefix_table() -> list[tuple[int, int]]:
-    """(group, prefix bits) for every window, indexed by the window's bits.
-
-    The windows no prefix claims start '1110' (malformed after 4 bits) or
-    are nine ones (malformed after 9): their entries hold a negative group
-    and those bit counts.
-    """
-    table = [(-1, 4)] * (1 << _WINDOW_BITS)
-    table[_WINDOW_MASK] = (-2, _WINDOW_BITS)
-    for group in range(MAX_GROUP + 1):
-        prefix, prefix_bits = encode_prefix(group)
-        free = _WINDOW_BITS - prefix_bits
-        start = prefix << free
-        table[start:start + (1 << free)] = [(group, prefix_bits)] * (1 << free)
-    return table
-
-
-_PREFIXES = _prefix_table()
-
-
-def _decode_error(group: int, prefix_bits: int, left: int) -> ValueError:
-    """Why the codeword with this table entry does not fit in `left` bits."""
-    if prefix_bits > left:
-        return ValueError("stream ended inside a codeword prefix")
-    if group < 0:
-        return ValueError(_MALFORMED[group])
-    return ValueError("stream ended inside a codeword suffix")
-
-
-def _next_codeword(value: int, left: int) -> tuple[int, int]:
-    """(residual, bits left) for the codeword at the top of a bit string.
-
-    `value` holds the string's last `left` bits, first bit most significant.
-    """
-    if left >= _WINDOW_BITS:
-        window = (value >> (left - _WINDOW_BITS)) & _WINDOW_MASK
-    else:
-        # The zeros shifted in past the end never complete a prefix: an
-        # entry whose prefix reaches them fails the length check.
-        window = (value << (_WINDOW_BITS - left)) & _WINDOW_MASK
-    group, prefix_bits = _PREFIXES[window]
-    if group < 0 or prefix_bits + group > left:
-        raise _decode_error(group, prefix_bits, left)
-    left -= prefix_bits + group
+def _next_codeword(bits: str, pos: int) -> tuple[int, int]:
+    """(residual, position after it) for the codeword at bits[pos:], where
+    bits is a bit string as '0'/'1' text, first bit first."""
+    end = pos + 3
+    if bits.startswith("111", pos):
+        # A unary prefix: its ones up to the first zero and that zero, or
+        # else the 9 bits of the longest prefix, group 11's '111111110'.
+        end = bits.find("0", end, pos + 9) + 1 or pos + 9
+    group = _prefix_groups().get(bits[pos:end])
+    if group is None:
+        if end > len(bits):
+            raise ValueError("stream ended inside a codeword prefix")
+        if end - pos == 4:
+            # '1110' would alias group 6, which uses the binary prefix '110'.
+            raise ValueError("non-canonical prefix '1110'")
+        raise ValueError(f"prefix run of more than {_MAX_PREFIX_ONES} "
+                         f"leading ones")
+    pos = end + group
+    if pos > len(bits):
+        raise ValueError("stream ended inside a codeword suffix")
+    suffix = int(bits[end:pos] or "0", 2)
     mask = (1 << group) - 1
-    suffix = (value >> left) & mask
     # The suffix MSB is the sign: a group's upper half holds positives.
-    return (suffix if suffix > mask >> 1 else suffix - mask), left
+    return (suffix if suffix > mask >> 1 else suffix - mask), pos
 
 
 def decode_bits(value: int, bit_count: int) -> list[int]:
@@ -212,20 +183,10 @@ def decode_bits(value: int, bit_count: int) -> list[int]:
     '1110'" or "prefix run of more than 8 leading ones" for bit patterns no
     encoder output starts with.
     """
+    bits = f"{value:0{bit_count}b}" if bit_count else ""
     residuals = []
-    left = bit_count
-    while left > _CHUNK_BITS:
-        # Long strings decode by chunks cut off their top: shifting the whole
-        # string once per codeword would take time quadratic in its length.
-        rest = left - _CHUNK_BITS
-        chunk, chunk_left = value >> rest, _CHUNK_BITS
-        while chunk_left >= MAX_CODEWORD_BITS:
-            residual, chunk_left = _next_codeword(chunk, chunk_left)
-            residuals.append(residual)
-        left = rest + chunk_left
-        value &= (1 << left) - 1
-    while left:
-        residual, left = _next_codeword(value, left)
+    pos = 0
+    while pos < bit_count:
+        residual, pos = _next_codeword(bits, pos)
         residuals.append(residual)
     return residuals
-

@@ -181,7 +181,7 @@ class RunLog(NamedTuple):
         summary_path = rundir / SUMMARY_FILE
         try:
             summary = json.loads(summary_path.read_text())
-        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        except ValueError as exc:  # bad JSON or UTF-8, or an over-long int
             raise ValueError(f"{summary_path}: {exc}") from None
         _require_keys(summary, {"duration_ms", "seed", "devices"},
                       str(summary_path))

@@ -5,7 +5,7 @@ reconstructed reading (0 before any packet, so the first packet must carry an
 absolute value). Each decoded residual is added onto that reference. A packet
 holding one codeword as the encoder writes it decodes by one lookup of its
 trace cells' text in the inverted encode table; any other packet goes
-through payload_residual and decode_bits.
+through payload_residual to decode_bits, which walks its bits as text.
 """
 
 from __future__ import annotations

@@ -112,6 +112,7 @@ def _blocks(path: Path) -> Iterator:
         except ValueError as exc:
             raise ValueError(f"{path}:{lineno}: {exc}") from None
         samples = header["samples"]
+        digits = len(str(samples))
         yield PacketTrace(**header)
 
         row = re.compile(_ROW, re.MULTILINE)
@@ -130,13 +131,20 @@ def _blocks(path: Path) -> Iterator:
                         fault = _row_fault(_COLUMNS, line[:-1])
                         break
                     rows.append(match.groups())
-            seqs, device_ids, cells = zip(*rows) if rows else ((), (), ())
-            seqs = list(map(int, seqs))
+            texts, device_ids, cells = zip(*rows) if rows else ((), (), ())
+            count = len(texts)
+            # A seq with more digits than #samples is past it, and may be
+            # past what int() converts: the block stops before it.
+            if texts and len(max(texts, key=len)) > digits:
+                count = next(index for index, text in enumerate(texts)
+                             if len(text) > digits)
+            seqs = list(map(int, texts[:count]))
             if seqs and max(seqs) >= samples:
                 count = next(index for index, seq in enumerate(seqs)
                              if seq >= samples)
-                fault = f"seq {seqs[count]}: outside [0, {samples})"
                 del seqs[count:]
+            if count < len(texts):
+                fault = f"seq {texts[count]}: outside [0, {samples})"
                 device_ids, cells = device_ids[:count], cells[:count]
             first = lineno + 1
             if seqs:

@@ -5,6 +5,7 @@ import io
 import json
 import os
 import random
+import re
 import subprocess
 import sys
 import tempfile
@@ -1089,6 +1090,28 @@ def test_report_refuses_a_duration_too_short_to_count_in_hours(tmp_path,
     assert capsys.readouterr() == (
         "", f"error: {summary}: duration_ms 5e-324: too short to count in "
             f"hours\n")
+
+
+@pytest.mark.skipif(not getattr(sys, "get_int_max_str_digits", int)(),
+                    reason="this interpreter converts ints of any length")
+def test_report_names_runlog_json_for_an_int_past_the_digit_limit(
+        tmp_path, capsys):
+    # json.loads raises a plain ValueError for an int of more than the
+    # interpreter's 4,300 digits, once reported with no file named. The
+    # text is written directly, since json.dumps refuses such an int.
+    out = tmp_path / "run"
+    main(["--out", str(out), "simulate",
+          str(SCENARIO_DIR / "temperature_sleep.cfg")])
+    summary = out / "runlog.json"
+    text, count = re.subn(r'"seed": [0-9]+', '"seed": ' + "9" * 5000,
+                          summary.read_text(), count=1)
+    assert count == 1
+    summary.write_text(text)
+    capsys.readouterr()
+    assert main(["report", str(out)]) == EXIT_DATA
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {summary}: Exceeds the limit")
 
 
 def test_report_on_non_run_directory(tmp_path):

@@ -9,9 +9,9 @@ from hypothesis import strategies as st
 
 from conftest import REPO_ROOT, codeword_literal, literal_bits
 from wbancomp import codec
-from wbancomp.codec import (_CHUNK_BITS, MAX_CODEWORD_BITS, RESIDUAL_MAX,
-                            RESIDUAL_MIN, codeword_bytes, decode_bits,
-                            encode_prefix, encode_suffix, group_of)
+from wbancomp.codec import (MAX_CODEWORD_BITS, RESIDUAL_MAX, RESIDUAL_MIN,
+                            codeword_bytes, decode_bits, encode_prefix,
+                            encode_suffix, group_of)
 
 # Total codeword length per group, for the groups the fixed table covers.
 TABLE_LENGTHS = [3, 4, 5, 6, 7, 8, 9, 12, 14, 16]
@@ -286,8 +286,8 @@ class TestTables:
             decode_all(codeword_literal(5) + "1110")
 
     def test_every_short_string_decodes_like_the_oracle(self):
-        # Every bit string of up to 12 bits: all window entries, every
-        # truncation point of every prefix, and the empty string.
+        # Every bit string of up to 12 bits: every prefix and malformed
+        # start, every truncation point of each, and the empty string.
         for length in range(13):
             for value in range(1 << length):
                 assert (outcome(decode_bits, value, length)
@@ -313,11 +313,13 @@ class TestTables:
 
     def test_encode_tables_are_not_built_at_import(self):
         # Building them costs milliseconds that every CLI start would pay.
+        # The decoder's prefix map is built on first use too.
         check = ("import wbancomp.cli, wbancomp.codec as codec; "
                  "import wbancomp.netmodel, wbancomp.rundir; "
                  "assert codec._codewords.cache_info().currsize == 0; "
                  "assert codec._codeword_cells.cache_info().currsize == 0; "
-                 "assert codec.cell_residuals.cache_info().currsize == 0")
+                 "assert codec.cell_residuals.cache_info().currsize == 0; "
+                 "assert codec._prefix_groups.cache_info().currsize == 0")
         subprocess.run([sys.executable, "-c", check], check=True,
                        cwd=REPO_ROOT / "src")
 
@@ -337,12 +339,11 @@ def payloads(draw):
 
 @st.composite
 def long_streams(draw):
-    """Codewords past decode_bits' chunk length, with up to 24 stray bits
-    put between two of them: the errors of a chunked decode get checked
-    too, wherever they fall."""
+    """Codewords past 4,096 bits, with up to 24 stray bits put between two
+    of them: a long string's errors get checked wherever they fall."""
     rng = random.Random(draw(st.integers(0, 2 ** 32)))
     words, length = [], 0
-    while length <= _CHUNK_BITS + MAX_CODEWORD_BITS:
+    while length <= 4096 + MAX_CODEWORD_BITS:
         words.append(codeword_literal(rng.randint(RESIDUAL_MIN, RESIDUAL_MAX)))
         length += len(words[-1])
     stray = draw(st.integers(0, 24))
@@ -364,6 +365,15 @@ class TestAgainstOracle:
     @settings(max_examples=30)
     @given(long_streams())
     def test_long_stream_decode_matches_oracle(self, stream):
+        assert outcome(decode_bits, *stream) == outcome(oracle_decode, *stream)
+
+    @pytest.mark.parametrize("bits", [
+        "000" * 21845, "000" * 21844 + "111", "1" * 9 + "0" * 65526,
+    ], ids=["zeros", "ends-in-prefix", "nine-ones"])
+    def test_longest_packet_decodes_like_the_oracle(self, bits):
+        # As long as a Packet's bit_count allows.
+        assert len(bits) == 0xFFFF
+        stream = int(bits, 2), len(bits)
         assert outcome(decode_bits, *stream) == outcome(oracle_decode, *stream)
 
     @settings(max_examples=100)

@@ -5,11 +5,14 @@ CSV or a run directory), applies one mutation and runs it through
 cli.main, which must return 0, 1 or 2 and, on failure, print a message
 starting `error:` or `usage error:`. Mutations delete a line, duplicate a
 line, or replace one value, cell or JSON scalar with a fixed token. No
-mutation of a scenario or a run directory grows a number, so no example
-can ask simulate for a huge run. The packet trace and the encode CSV also
+mutation of a scenario grows a number, so no example can ask simulate for
+a huge run. The packet trace, the encode CSV and the run directory also
 take numbers at the edges of the float and int ranges, a quoted cell and a
 non-ASCII digit; none of them is a #samples from 10**8 to sys.maxsize,
-which decode would try to build.
+which decode would try to build. The packet trace, the encode CSV and the
+events file also take a cell of 200,000 digits, past both csv's field
+size limit and int()'s digit limit, and a failure on it must name the
+file.
 A 0xff byte, which no UTF-8 text holds, put anywhere in any input must
 fail with a message that names that file, and in a packet trace or an
 events file, whose every cell is checked, the line that holds the byte.
@@ -32,6 +35,7 @@ TOKENS = ["", "x", "-1", "0", "1.5", "nan", "inf", "1e400", "2,1", "%(x)s",
           "null", "[]"]
 ROW_TOKENS = TOKENS + ["5e-324", "-0.0", "1.7976931348623157e308",
                        "9" * 400, "-" + "9" * 400, '"5"', "\u0663"]
+LONG_CELL = "9" * 200_000
 
 SCENARIO = """\
 [run]
@@ -86,17 +90,22 @@ def inputs(tmp_path_factory):
 
 @st.composite
 def mutated(draw, text: str, is_json: bool = False,
-            tokens: list[str] = TOKENS) -> str:
+            tokens: list[str] = TOKENS, long_cell: bool = False) -> str:
     """text with one line deleted or duplicated, or one value replaced by
-    one of tokens.
+    one of tokens or, with long_cell, by LONG_CELL.
 
     A value is a JSON scalar, or else a comma-separated cell of what
     follows a line's last `=` (the whole line when it has none).
     """
     lines = text.splitlines(keepends=True)
     index = draw(st.integers(0, len(lines) - 1))
-    op = draw(st.sampled_from(["delete", "duplicate", "replace"]))
+    ops = ["delete", "duplicate", "replace"]
+    if long_cell:
+        ops.append("lengthen")
+    op = draw(st.sampled_from(ops))
     token = draw(st.sampled_from(tokens))
+    if op == "lengthen":
+        token = LONG_CELL
     if op == "delete":
         del lines[index]
     elif op == "duplicate":
@@ -144,6 +153,12 @@ def run_cli(argv) -> tuple[int, str, str]:
     return rc, out.getvalue(), err.getvalue()
 
 
+def assert_long_cell_names(path: Path, text: str, rc: int, err: str) -> None:
+    """A failure on an input that holds the 200,000-digit cell names it."""
+    if LONG_CELL in text and rc != EXIT_OK:
+        assert err.startswith(f"error: {path}"), err[:300]
+
+
 @SETTINGS
 @given(st.data())
 def test_mutated_scenario(inputs, data):
@@ -162,37 +177,42 @@ def test_mutated_scenario(inputs, data):
 @given(st.data())
 def test_mutated_packet_trace(inputs, data):
     text = data.draw(mutated((inputs / "codes.trace").read_text(),
-                             tokens=ROW_TOKENS))
+                             tokens=ROW_TOKENS, long_cell=True))
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "codes.trace"
         path.write_text(text)
-        run_cli(["--out", str(Path(tmp) / "codes.csv"), "decode", str(path)])
+        rc, _, err = run_cli(["--out", str(Path(tmp) / "codes.csv"),
+                              "decode", str(path)])
+    assert_long_cell_names(path, text, rc, err)
 
 
 @SETTINGS
 @given(st.data())
 def test_mutated_encode_csv(inputs, data):
     text = data.draw(mutated((inputs / "codes.csv").read_text(),
-                             tokens=ROW_TOKENS))
+                             tokens=ROW_TOKENS, long_cell=True))
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "codes.csv"
         path.write_text(text)
-        run_cli(["--out", str(Path(tmp) / "codes.trace"), "encode",
-                 str(path), "--threshold", "2"])
+        rc, _, err = run_cli(["--out", str(Path(tmp) / "codes.trace"),
+                              "encode", str(path), "--threshold", "2"])
+    assert_long_cell_names(path, text, rc, err)
 
 
 @SETTINGS
 @given(st.data())
 def test_mutated_run_directory(inputs, data):
     name = data.draw(st.sampled_from(["runlog_events.csv", "runlog.json"]))
-    text = data.draw(mutated((inputs / "run" / name).read_text(),
-                             is_json=name.endswith(".json")))
+    is_json = name.endswith(".json")
+    text = data.draw(mutated((inputs / "run" / name).read_text(), is_json,
+                             ROW_TOKENS, long_cell=not is_json))
     fmt = data.draw(st.sampled_from(["csv", "json"]))
     with tempfile.TemporaryDirectory() as tmp:
         rundir = Path(tmp) / "run"
         shutil.copytree(inputs / "run", rundir)
         (rundir / name).write_text(text)
-        rc, out, _ = run_cli(["--format", fmt, "report", str(rundir)])
+        rc, out, err = run_cli(["--format", fmt, "report", str(rundir)])
+    assert_long_cell_names(rundir / name, text, rc, err)
     if rc == EXIT_OK and fmt == "json":
         # Strict JSON: no NaN or Infinity.
         json.loads(out, parse_constant=_reject)

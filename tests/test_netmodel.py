@@ -413,7 +413,7 @@ def assert_trace_rebuilds_readings(sc, log, rundir):
     """A sink reading the saved packets.trace rebuilds every row's
     reconstructed reading, which simulate takes from device memory.
 
-    The sink decodes codec payloads by the window decoder, not by the cells
+    The sink decodes codec payloads by decode_bits, not by the cells
     table simulate writes them from, and reads CGWC payloads as raw
     readings. Each sent row holds its device's value after its packet, and
     each suppressed row the last value sent.

@@ -250,7 +250,10 @@ def reference_read_trace(path) -> PacketTrace:
             if match is None:
                 raise ValueError(_row_fault(_COLUMNS, line))
             seq, device_id, cells = match.groups()
-            if int(seq) >= trace.samples:
+            # Canonical ints order by length, then as text; int() would
+            # refuse a seq past its digit limit.
+            limit = str(trace.samples)
+            if (len(seq), seq) >= (len(limit), limit):
                 raise ValueError(f"seq {seq}: outside [0, {trace.samples})")
             trace.packets.append(
                 (int(seq), Packet.from_cells(int(device_id), cells)))
@@ -282,10 +285,14 @@ def decode_error(path, hint: int = tracefile._BLOCK_HINT) -> str:
 
 # A tiny block of a few rows, and the default.
 HINTS = [40, tracefile._BLOCK_HINT]
-# Row edits: a grammar fault, a seq at #samples, a Packet fault (one byte
-# cannot hold 20 bits, and device 256 is out of range) and a valid row.
+# A seq past the interpreter's 4,300-digit limit on int().
+LONG_SEQ = "9" * 5000
+# Row edits: a grammar fault, a seq at #samples, one a digit longer and one
+# past int()'s limit, a Packet fault (one byte cannot hold 20 bits, and
+# device 256 is out of range) and a valid row.
 ROW_EDITS = st.sampled_from(["1,1,9,d3x0", "1,1,9,D300", "1,1,20,ff",
                              "1,256,9,d300", "{samples},1,9,d300",
+                             "{samples}0,1,9,d300", LONG_SEQ + ",1,9,d300",
                              "1,1,9,d300\r", "1,1,9,d300"])
 
 
@@ -328,10 +335,17 @@ def test_block_reader_agrees_with_the_line_reader(samples, edits, hint):
     ({12: "1,1,9,d3x0", 40: "40,1,9,d300"},
      "12: payload d3x0: not lowercase hex of whole bytes"),
     ({45: "40,1,9,d300"}, "45: seq 40: outside [0, 40)"),
+    ({30: LONG_SEQ + ",1,9,d300"}, f"30: seq {LONG_SEQ}: outside [0, 40)"),
+    ({30: "40,1,9,d300", 31: LONG_SEQ + ",1,9,d300"},
+     "30: seq 40: outside [0, 40)"),
+    ({30: LONG_SEQ + ",1,9,d300", 31: "40,1,9,d300"},
+     f"30: seq {LONG_SEQ}: outside [0, 40)"),
 ], ids=["packet-fault-then-grammar-fault", "grammar-fault-then-packet-fault",
         "packet-fault-blocks-before-a-grammar-fault",
         "seq-fault-blocks-before-a-grammar-fault",
-        "grammar-fault-blocks-before-a-seq-fault", "seq-at-samples"])
+        "grammar-fault-blocks-before-a-seq-fault", "seq-at-samples",
+        "seq-past-the-int-digit-limit", "seq-fault-then-long-seq",
+        "long-seq-then-seq-fault"])
 def test_first_fault_in_file_order_across_blocks(tmp_path, hint, edits,
                                                  fault):
     # Lines 6 to 45 hold 40 rows, three or so to a block of the tiny hint.
