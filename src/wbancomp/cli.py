@@ -117,7 +117,6 @@ def cmd_encode(args) -> int:
     from . import metrics, tracefile
     from .codec import MAX_GROUP, RESIDUAL_MIN, _codeword_cells
     from .control import DeviceState
-    from .signals import read_column
 
     if args.out is None:
         raise UsageError("encode requires --out for the packet trace")
@@ -143,7 +142,8 @@ def cmd_encode(args) -> int:
     # fault in file order.
     codes: list[int] = []
     top = 1 << args.adc_bits
-    for numbers, block in read_column(Path(args.input), args.column, int):
+    for numbers, block in tracefile.read_column(Path(args.input), args.column,
+                                                int):
         if min(block) < 0 or max(block) >= top:
             index = next(index for index, code in enumerate(block)
                          if not 0 <= code < top)
@@ -207,7 +207,7 @@ def cmd_decode(args) -> int:
                     zip(block_ids, cells, block_residuals)):
                 if residual is None or device_id not in device_ids:
                     try:
-                        packet = Packet.from_cells(int(device_id), row_cells)
+                        packet = Packet.from_cells(device_id, row_cells)
                     except ValueError as exc:
                         raise ValueError(
                             f"{path}:{first + index}: {exc}") from None

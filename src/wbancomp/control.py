@@ -9,12 +9,10 @@ drifts from the truth by more than the threshold.
 from __future__ import annotations
 
 from collections.abc import Iterator, Sequence
-from dataclasses import dataclass, field
 
 from . import MAX_ADC_BITS
 
 
-@dataclass
 class DeviceState:
     """Per-device filter memory.
 
@@ -23,21 +21,21 @@ class DeviceState:
     which the sink reconstructs exactly by holding its last value.
     """
 
-    device_id: int
-    threshold: int
-    suppress_zero: bool = True
-    adc_bits: int = 10
-    first_reading: bool = field(default=True, init=False)
-    last_reading: int = field(default=0, init=False)
-    consecutive_suppressed: int = field(default=0, init=False)
-
-    def __post_init__(self):
-        if not 0 <= self.device_id <= 255:
-            raise ValueError(f"device_id {self.device_id} outside [0, 255]")
-        if self.threshold < 0:
+    def __init__(self, device_id: int, threshold: int,
+                 suppress_zero: bool = True, adc_bits: int = 10):
+        if not 0 <= device_id <= 255:
+            raise ValueError(f"device_id {device_id} outside [0, 255]")
+        if threshold < 0:
             raise ValueError("threshold must be non-negative")
-        if not 1 <= self.adc_bits <= MAX_ADC_BITS:
+        if not 1 <= adc_bits <= MAX_ADC_BITS:
             raise ValueError(f"adc_bits must be in [1, {MAX_ADC_BITS}]")
+        self.device_id = device_id
+        self.threshold = threshold
+        self.suppress_zero = suppress_zero
+        self.adc_bits = adc_bits
+        self.first_reading = True
+        self.last_reading = 0
+        self.consecutive_suppressed = 0
 
     def process_sample(self, value: int) -> int | None:
         """Return the residual to transmit, or None when the sample is suppressed.

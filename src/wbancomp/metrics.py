@@ -15,9 +15,6 @@ rounds to 2 decimals, half-up.
 
 from __future__ import annotations
 
-import csv
-import io
-import json
 from math import isfinite
 from typing import TYPE_CHECKING, NamedTuple
 
@@ -166,6 +163,9 @@ def _fields_dict(m: DeviceMetrics, fmt) -> dict:
 
 
 def to_csv(devices: list[DeviceMetrics]) -> str:
+    import csv
+    import io
+
     buf = io.StringIO()
     writer = csv.DictWriter(buf, DeviceMetrics._fields,
                             lineterminator="\n")
@@ -176,6 +176,8 @@ def to_csv(devices: list[DeviceMetrics]) -> str:
 
 
 def to_json(devices: list[DeviceMetrics], run: RunMetrics) -> str:
+    import json
+
     doc = {
         "run": {
             "device_count": run.device_count,

@@ -148,7 +148,7 @@ class RunLog(NamedTuple):
         for row in self.packet_rows:
             seq, device_id, cells = row[:-1].split(",", 2)
             packets.append((int(device_id), int(seq),
-                            Packet.from_cells(int(device_id), cells)))
+                            Packet.from_cells(device_id, cells)))
         return packets
 
     def save(self, rundir: Path) -> None:

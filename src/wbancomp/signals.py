@@ -1,6 +1,7 @@
 """Input signals: CSV trace ingestion and synthetic generators, as ADC codes.
 
-File traces are numeric CSV columns (MIT-BIH-style exports work as-is);
+File traces are numeric CSV columns (MIT-BIH-style exports work as-is),
+read by tracefile.read_column, which encode reads its readings with too;
 physical values are quantized onto the ADC range with floor rounding and
 saturation. Synthetic generators produce code-space sequences directly and
 are deterministic per seed:
@@ -12,11 +13,9 @@ are deterministic per seed:
 
 from __future__ import annotations
 
-import csv
-import io
 import math
 import random
-from collections.abc import Callable, Iterator, Sequence
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -112,87 +111,6 @@ def parse_range(text: str) -> tuple[float, float]:
     return lo, hi
 
 
-def read_column(path: Path, column: int, parse: Callable[[str], float]
-                ) -> Iterator[tuple[Sequence[int], list]]:
-    """Yield blocks (line numbers, values) of one column of a CSV file:
-    values[i] is parse of the cell on line numbers[i].
-
-    Blank rows are skipped. A first row whose cell `parse` rejects is taken
-    as a header, so one function decides both what is a header and what is a
-    value. A UTF-8 byte-order mark at the start is not part of the first
-    cell. Errors name the file and line; the readings before the first
-    fault are yielded before it is raised.
-
-    The file is read once. Text that csv.reader splits exactly at `\\n` and
-    `,` (no `"`, `\\r` or NUL, and no line longer than the csv field size
-    limit) is parsed a column at a time and yielded as one block. Any other
-    text, and any text with a fault, is read again from its start by
-    csv.reader, a row at a time, which names the first fault.
-    """
-    try:
-        with path.open(newline="", encoding="utf-8-sig") as handle:
-            text = handle.read()
-    except UnicodeDecodeError as exc:
-        raise ValueError(f"{path}: {exc}") from None
-    rows = text.split("\n")
-    if not rows[-1]:
-        rows.pop()
-    if (rows and not any(char in text for char in '"\r\0')
-            and max(map(len, rows)) <= csv.field_size_limit()):
-        try:
-            cells = (rows if column == 0 and "," not in text else
-                     [row.split(",", column + 1)[column] for row in rows])
-            try:
-                parse(cells[0])
-                first = 1
-            except ValueError:
-                # A header, or a blank row, which is skipped to the same
-                # effect when every row after it parses.
-                first = 2
-            values = list(map(parse, cells[first - 1:]))
-        except (ValueError, IndexError):
-            values = []
-        if values:
-            yield range(first, first + len(values)), values
-            return
-    yield from _csv_rows(path, text, column, parse)
-
-
-def _csv_rows(path: Path, text: str, column: int,
-              parse: Callable[[str], float]
-              ) -> Iterator[tuple[list[int], list]]:
-    """read_column's rule, a csv.reader row at a time."""
-    header = False
-    numbers, values = [], []
-    fault = None
-    reader = csv.reader(io.StringIO(text, newline=""))
-    try:
-        for row in reader:
-            try:
-                value = parse(row[column])
-            except (ValueError, IndexError):
-                # No blank cell parses, so blank rows land here too.
-                if not any(cell.strip() for cell in row):
-                    continue
-                if header or values:
-                    fault = (f"non-numeric or missing value in column "
-                             f"{column}")
-                    break
-                header = True
-                continue
-            numbers.append(reader.line_num)
-            values.append(value)
-    except csv.Error as exc:
-        fault = str(exc)
-    if values:
-        yield numbers, values
-    if fault is not None:
-        raise ValueError(f"{path}:{reader.line_num}: {fault}")
-    if not values:
-        raise ValueError(f"{path}: header but no readings" if header
-                         else f"{path}: empty, no readings")
-
-
 def trace_codes(spec: TraceSpec) -> tuple[list[int], int]:
     """The ADC codes of any TraceSpec, and how many readings clamped.
 
@@ -202,6 +120,9 @@ def trace_codes(spec: TraceSpec) -> tuple[list[int], int]:
     row is treated as a header, a non-finite reading elsewhere is an error,
     and values outside the ADC range saturate.
     """
+    # Imported here, so that parsing a scenario loads no tracefile.
+    from .tracefile import read_column
+
     source = spec.source
     if isinstance(source, SyntheticSource):
         count = spec.sample_count()

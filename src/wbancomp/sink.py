@@ -10,8 +10,6 @@ through payload_residual to decode_bits, which walks its bits as text.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .codec import cell_residuals, decode_bits
 
 
@@ -32,39 +30,62 @@ def payload_residual(bit_count: int, payload: bytes) -> int:
     return sum(residuals)
 
 
-@dataclass(slots=True)
 class Packet:
-    """Unit of transfer between device and sink: a record checked when made.
+    """Unit of transfer between device and sink: a record checked when made,
+    equal to another Packet with the same three fields.
 
     The payload bytes hold exactly bit_count valid bits MSB-first,
     zero-padded to a byte boundary. The id and bit-count ranges bound what
     a packet trace line may carry.
     """
 
-    device_id: int
-    bit_count: int
-    payload: bytes
+    __slots__ = ("device_id", "bit_count", "payload")
 
-    def __post_init__(self):
-        if not 0 <= self.device_id <= 255:
-            raise ValueError(f"device_id {self.device_id} outside [0, 255]")
-        if not 0 <= self.bit_count <= 0xFFFF:
-            raise ValueError(f"bit_count {self.bit_count} outside [0, 65535]")
-        if len(self.payload) != (self.bit_count + 7) // 8:
+    def __init__(self, device_id: int, bit_count: int, payload: bytes):
+        if not 0 <= device_id <= 255:
+            raise ValueError(f"device_id {device_id} outside [0, 255]")
+        if not 0 <= bit_count <= 0xFFFF:
+            raise ValueError(f"bit_count {bit_count} outside [0, 65535]")
+        if len(payload) != (bit_count + 7) // 8:
             raise ValueError(
-                f"payload of {len(self.payload)} bytes cannot hold exactly "
-                f"{self.bit_count} bits"
+                f"payload of {len(payload)} bytes cannot hold exactly "
+                f"{bit_count} bits"
             )
+        self.device_id = device_id
+        self.bit_count = bit_count
+        self.payload = payload
+
+    def _astuple(self) -> tuple[int, int, bytes]:
+        return self.device_id, self.bit_count, self.payload
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._astuple() == other._astuple()
+
+    def __repr__(self) -> str:
+        return f"Packet{self._astuple()!r}"
 
     @classmethod
     def from_bits(cls, device_id: int, bits: tuple[int, bytes]) -> "Packet":
         return cls(device_id, *bits)
 
     @classmethod
-    def from_cells(cls, device_id: int, cells: str) -> "Packet":
-        """The packet of a trace row's `bit_count,payload_hex` cells."""
+    def from_cells(cls, device_id: str, cells: str) -> "Packet":
+        """The packet of a trace row's device_id cell and its
+        `bit_count,payload_hex` cells."""
         bit_count, payload = cells.split(",")
-        return cls(device_id, int(bit_count), bytes.fromhex(payload))
+        return cls(_cell_int("device_id", device_id, 255),
+                   _cell_int("bit_count", bit_count, 0xFFFF),
+                   bytes.fromhex(payload))
+
+
+def _cell_int(name: str, cell: str, top: int) -> int:
+    """The int of a cell, refused as outside [0, top] by its text when it
+    has more digits than top: int() converts at most 4,300 digits."""
+    if len(cell) > len(str(top)) or not 0 <= (value := int(cell)) <= top:
+        raise ValueError(f"{name} {cell} outside [0, {top}]")
+    return value
 
 
 class Sink:
@@ -96,7 +117,7 @@ class Sink:
             raise ValueError(f"device {device_id} not registered")
         residual = cell_residuals().get(cells)
         if residual is None:
-            packet = Packet.from_cells(device_id, cells)
+            packet = Packet.from_cells(str(device_id), cells)
             residual = payload_residual(packet.bit_count, packet.payload)
         value = self._reference[device_id] + residual
         self._reference[device_id] = value

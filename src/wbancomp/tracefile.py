@@ -1,8 +1,9 @@
-"""Hex-encoded packet trace files.
+"""The package's row files: hex-encoded packet traces, and the CSV column
+that encode and file traces read.
 
 read_trace accepts exactly what write_trace writes: the MAGIC line, one
-`#NAME=N` line per integer field of PacketTrace in field order, then one
-row per packet,
+`#NAME=N` line per name in _HEADER, in that order, then one row per
+packet,
 
     <seq>,<device_id>,<bit_count>,<payload_hex>
 
@@ -15,14 +16,18 @@ hand them to write_rows; read_rows checks the header and yields the rows'
 cells as columns, a block of lines at a time, each block split by one
 search, and read_trace builds a Packet of each row. The integer cell
 pattern and the fault locator come from the package, which shares them
-with rundir.
+with rundir. PacketTrace is a plain class, so that encode and decode load
+no dataclasses.
+
+read_column yields one column of a CSV file in blocks. encode reads its
+readings with it, and signals reads file traces with it.
 """
 
 from __future__ import annotations
 
+import io
 import re
-from collections.abc import Iterator
-from dataclasses import dataclass, field, fields
+from collections.abc import Callable, Iterator, Sequence
 from pathlib import Path
 from typing import TYPE_CHECKING
 
@@ -34,19 +39,34 @@ if TYPE_CHECKING:
 MAGIC = "#packet-trace v1"
 
 
-@dataclass
 class PacketTrace:
-    """Packets plus the metadata needed to replay them at sample cadence."""
+    """Packets plus the metadata needed to replay them at sample cadence,
+    equal to another PacketTrace with the same five fields. packets holds
+    (seq, Packet) pairs, a new list when None is given."""
 
-    samples: int
-    threshold: int = 0
-    adc_bits: int = 10
-    sample_period_ms: int = 0
-    packets: list[tuple[int, Packet]] = field(default_factory=list)  # (seq, pkt)
+    def __init__(self, samples: int, threshold: int = 0, adc_bits: int = 10,
+                 sample_period_ms: int = 0,
+                 packets: list[tuple[int, Packet]] | None = None):
+        self.samples = samples
+        self.threshold = threshold
+        self.adc_bits = adc_bits
+        self.sample_period_ms = sample_period_ms
+        self.packets = [] if packets is None else packets
+
+    def _astuple(self) -> tuple:
+        return (*(getattr(self, name) for name in _HEADER), self.packets)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._astuple() == other._astuple()
+
+    def __repr__(self) -> str:
+        return f"PacketTrace{self._astuple()!r}"
 
 
-# The `#key=value` header lines, one per integer field, in file order.
-_HEADER = [fld for fld in fields(PacketTrace) if fld.name != "packets"]
+# The `#name=value` header lines, one per integer field, in file order.
+_HEADER = ("samples", "threshold", "adc_bits", "sample_period_ms")
 
 _COLUMNS = {"seq": _INT, "device_id": _INT, "bit_count": _INT,
             "payload": (r"(?:[0-9a-f]{2})*", "lowercase hex of whole bytes")}
@@ -64,7 +84,7 @@ def write_rows(path: str | Path, trace: PacketTrace, rows: list[str]) -> None:
     `seq,device_id,bit_count,payload_hex` and a newline. trace.packets is
     not written."""
     lines = [MAGIC]
-    lines.extend(f"#{fld.name}={getattr(trace, fld.name)}" for fld in _HEADER)
+    lines.extend(f"#{name}={getattr(trace, name)}" for name in _HEADER)
     Path(path).write_text("\n".join(lines) + "\n" + "".join(rows),
                           newline="\n")
 
@@ -104,11 +124,11 @@ def _blocks(path: Path) -> Iterator:
                 raise ValueError(
                     f"not a packet trace file: expected {MAGIC!r}")
             header = {}
-            for lineno, fld in enumerate(_HEADER, start=2):
+            for lineno, name in enumerate(_HEADER, start=2):
                 line = handle.readline().removesuffix("\n")
-                if not re.fullmatch(f"#{fld.name}=(?:{_INT[0]})", line):
-                    raise ValueError(f"expected '#{fld.name}=N', N {_INT[1]}")
-                header[fld.name] = int(line[len(fld.name) + 2:])
+                if not re.fullmatch(f"#{name}=(?:{_INT[0]})", line):
+                    raise ValueError(f"expected '#{name}=N', N {_INT[1]}")
+                header[name] = int(line[len(name) + 2:])
         except ValueError as exc:
             raise ValueError(f"{path}:{lineno}: {exc}") from None
         samples = header["samples"]
@@ -165,8 +185,93 @@ def read_trace(path: str | Path) -> PacketTrace:
         for lineno, seq, device_id, row_cells in zip(
                 range(first, first + len(seqs)), seqs, device_ids, cells):
             try:
-                packet = Packet.from_cells(int(device_id), row_cells)
+                packet = Packet.from_cells(device_id, row_cells)
             except ValueError as exc:
                 raise ValueError(f"{Path(path)}:{lineno}: {exc}") from None
             trace.packets.append((seq, packet))
     return trace
+
+
+def read_column(path: Path, column: int, parse: Callable[[str], float]
+                ) -> Iterator[tuple[Sequence[int], list]]:
+    """Yield blocks (line numbers, values) of one column of a CSV file:
+    values[i] is parse of the cell on line numbers[i].
+
+    Blank rows are skipped. A first row whose cell `parse` rejects is taken
+    as a header, so one function decides both what is a header and what is a
+    value. A UTF-8 byte-order mark at the start is not part of the first
+    cell. Errors name the file and line; the readings before the first
+    fault are yielded before it is raised.
+
+    The file is read once. Text that csv.reader splits exactly at `\\n` and
+    `,` (no `"`, `\\r` or NUL, and no line longer than the csv field size
+    limit) is parsed a column at a time and yielded as one block. Any other
+    text, and any text with a fault, is read again from its start by
+    csv.reader, a row at a time, which names the first fault.
+    """
+    import csv  # only here and in _csv_rows: decode reads no CSV
+
+    try:
+        with path.open(newline="", encoding="utf-8-sig") as handle:
+            text = handle.read()
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path}: {exc}") from None
+    rows = text.split("\n")
+    if not rows[-1]:
+        rows.pop()
+    if (rows and not any(char in text for char in '"\r\0')
+            and max(map(len, rows)) <= csv.field_size_limit()):
+        try:
+            cells = (rows if column == 0 and "," not in text else
+                     [row.split(",", column + 1)[column] for row in rows])
+            try:
+                parse(cells[0])
+                first = 1
+            except ValueError:
+                # A header, or a blank row, which is skipped to the same
+                # effect when every row after it parses.
+                first = 2
+            values = list(map(parse, cells[first - 1:]))
+        except (ValueError, IndexError):
+            values = []
+        if values:
+            yield range(first, first + len(values)), values
+            return
+    yield from _csv_rows(path, text, column, parse)
+
+
+def _csv_rows(path: Path, text: str, column: int,
+              parse: Callable[[str], float]
+              ) -> Iterator[tuple[list[int], list]]:
+    """read_column's rule, a csv.reader row at a time."""
+    import csv
+
+    header = False
+    numbers, values = [], []
+    fault = None
+    reader = csv.reader(io.StringIO(text, newline=""))
+    try:
+        for row in reader:
+            try:
+                value = parse(row[column])
+            except (ValueError, IndexError):
+                # No blank cell parses, so blank rows land here too.
+                if not any(cell.strip() for cell in row):
+                    continue
+                if header or values:
+                    fault = (f"non-numeric or missing value in column "
+                             f"{column}")
+                    break
+                header = True
+                continue
+            numbers.append(reader.line_num)
+            values.append(value)
+    except csv.Error as exc:
+        fault = str(exc)
+    if values:
+        yield numbers, values
+    if fault is not None:
+        raise ValueError(f"{path}:{reader.line_num}: {fault}")
+    if not values:
+        raise ValueError(f"{path}: header but no readings" if header
+                         else f"{path}: empty, no readings")

@@ -96,16 +96,16 @@ def test_encode_reads_any_csv_line_end(tmp_path, capsys, end):
 
 def test_encode_reads_its_input_once(tmp_path, capsys, monkeypatch):
     # The reading out of range is named from the one pass that read it.
-    from wbancomp import signals
+    from wbancomp import tracefile
 
     calls = []
-    read_column = signals.read_column
+    read_column = tracefile.read_column
 
     def counted(*args):
         calls.append(args)
         return read_column(*args)
 
-    monkeypatch.setattr(signals, "read_column", counted)
+    monkeypatch.setattr(tracefile, "read_column", counted)
     src = tmp_path / "codes.csv"
     src.write_text("5\n6\n1024\n7\n")
     assert main(["--out", str(tmp_path / "x.trace"), "encode",

@@ -95,10 +95,26 @@ def test_out_of_range_reading_rejected():
 
 
 def test_bad_construction_rejected():
-    with pytest.raises(ValueError):
-        DeviceState(device_id=1, threshold=-1)
-    with pytest.raises(ValueError):
-        DeviceState(device_id=300, threshold=0)
+    for kwargs, message in (
+            ({"threshold": -1}, "threshold must be non-negative"),
+            ({"device_id": 300}, r"device_id 300 outside \[0, 255\]"),
+            ({"device_id": -1}, r"device_id -1 outside \[0, 255\]"),
+            ({"adc_bits": 0}, r"adc_bits must be in \[1, 16\]"),
+            ({"adc_bits": 17}, r"adc_bits must be in \[1, 16\]")):
+        with pytest.raises(ValueError, match=message):
+            DeviceState(**{"device_id": 1, "threshold": 0, **kwargs})
+
+
+def test_built_positionally_or_by_keyword():
+    # The benchmark's replay passes all four positionally.
+    for state in (DeviceState(3, 2, False, 11),
+                  DeviceState(device_id=3, threshold=2, suppress_zero=False,
+                              adc_bits=11)):
+        assert (state.device_id, state.threshold, state.suppress_zero,
+                state.adc_bits) == (3, 2, False, 11)
+        assert filter_fields(state) == (True, 0, 0)
+    state = DeviceState(3, 2)
+    assert (state.suppress_zero, state.adc_bits) == (True, 10)
 
 
 def test_determinism():

@@ -56,21 +56,31 @@ def modules_after(*argv) -> set[str]:
     return set(modules)
 
 
-def loaded_after(*argv) -> set[str]:
-    """The package's modules loaded once the command line has run."""
-    return {module.removeprefix("wbancomp.")
-            for module in modules_after(*argv)
+def package_modules(modules: set[str]) -> set[str]:
+    """The package's modules among modules, by their names in the package."""
+    return {module.removeprefix("wbancomp.") for module in modules
             if module.startswith("wbancomp.")}
 
 
+def loaded_after(*argv) -> set[str]:
+    """The package's modules loaded once the command line has run."""
+    return package_modules(modules_after(*argv))
+
+
 @pytest.fixture(scope="module")
-def codec_imports(tmp_path_factory):
+def codec_modules(tmp_path_factory):
+    """Every module loaded by encode, and by decode of its trace."""
     tmp = tmp_path_factory.mktemp("codec")
     src, trace = tmp / "codes.csv", tmp / "packets.trace"
     write_codes(src, pinned_readings())
-    encode = loaded_after("--out", trace, "encode", src, "--adc-bits", "11")
-    decode = loaded_after("--out", tmp / "recon.csv", "decode", trace)
+    encode = modules_after("--out", trace, "encode", src, "--adc-bits", "11")
+    decode = modules_after("--out", tmp / "recon.csv", "decode", trace)
     return encode, decode
+
+
+@pytest.fixture(scope="module")
+def codec_imports(codec_modules):
+    return tuple(map(package_modules, codec_modules))
 
 
 def test_simulate_and_encode_load_no_sink(codec_imports, tmp_path):
@@ -89,8 +99,17 @@ def test_codec_commands_load_no_simulator(codec_imports):
 
 def test_decode_loads_only_the_sink_side(codec_imports):
     _, decode = codec_imports
-    assert decode.isdisjoint({"metrics", "signals", "bitstream"})
-    assert decode <= {"cli", "tracefile", "sink", "codec"}
+    assert decode == {"cli", "tracefile", "sink", "codec"}
+
+
+def test_codec_commands_load_no_dataclasses(codec_modules):
+    # Their records are plain classes: dataclasses (with inspect) would
+    # generate and compile code for each one at every start.
+    for loaded in codec_modules:
+        assert loaded.isdisjoint({"dataclasses", "inspect"})
+    # encode reads its CSV through tracefile, and writes no JSON.
+    encode, _ = codec_modules
+    assert encode.isdisjoint({"wbancomp.signals", "json"})
 
 
 @pytest.fixture(scope="module")

@@ -9,8 +9,9 @@ from conftest import DATA_DIR, run_pipeline
 from wbancomp.codec import group_of
 from wbancomp.control import DeviceState
 from wbancomp.signals import (_GENERATORS, FileSource, SyntheticSource,
-                              TraceSpec, quantize, read_column, synth,
-                              trace_codes, trace_samples)
+                              TraceSpec, quantize, synth, trace_codes,
+                              trace_samples)
+from wbancomp.tracefile import read_column
 
 
 class TestQuantize:

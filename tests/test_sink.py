@@ -70,6 +70,16 @@ class TestPacket:
         with pytest.raises(ValueError):
             Packet(256, 3, bytes(1))
 
+    def test_equal_when_every_field_is(self):
+        packet = Packet(7, 9, bytes([0b11010011, 0]))
+        assert packet == Packet(7, *literal_bits("110100110"))
+        for other in (Packet(8, 9, packet.payload),
+                      Packet(7, 10, packet.payload),
+                      Packet(7, 9, bytes([0b11010011, 0b10000000]))):
+            assert packet != other
+        assert packet.__eq__((7, 9, packet.payload)) is NotImplemented
+        assert packet != (7, 9, packet.payload)
+
 
 class TestSink:
     def test_register_starts_reference_at_zero(self):

@@ -43,6 +43,27 @@ def test_write_read_round_trip(tmp_path):
     assert loaded.packets == trace.packets
 
 
+def test_trace_equal_when_every_field_is():
+    trace = sample_trace()
+    assert trace == sample_trace()
+    for name, value in (("samples", 11), ("threshold", 2), ("adc_bits", 11),
+                        ("sample_period_ms", 501),
+                        ("packets", trace.packets[:2])):
+        other = sample_trace()
+        setattr(other, name, value)
+        assert trace != other, name
+    assert trace.__eq__(trace.packets) is NotImplemented
+    assert trace != trace.packets
+
+
+def test_each_trace_gets_its_own_packet_list():
+    first, second = PacketTrace(samples=1), PacketTrace(samples=1)
+    first.packets.append((0, Packet(1, 0, b"")))
+    assert second.packets == []
+    assert (first.threshold, first.adc_bits,
+            first.sample_period_ms) == (0, 10, 0)
+
+
 def test_payload_is_hex_encoded(tmp_path):
     path = tmp_path / "t.trace"
     write_trace(path, sample_trace())
@@ -239,11 +260,11 @@ def reference_read_trace(path) -> PacketTrace:
         if lines[0] != MAGIC:
             raise ValueError(f"not a packet trace file: expected {MAGIC!r}")
         header = {}
-        for lineno, fld in enumerate(_HEADER, start=2):
+        for lineno, name in enumerate(_HEADER, start=2):
             line = lines[lineno - 1]
-            if not re.fullmatch(f"#{fld.name}=(?:{_INT[0]})", line):
-                raise ValueError(f"expected '#{fld.name}=N', N {_INT[1]}")
-            header[fld.name] = int(line[len(fld.name) + 2:])
+            if not re.fullmatch(f"#{name}=(?:{_INT[0]})", line):
+                raise ValueError(f"expected '#{name}=N', N {_INT[1]}")
+            header[name] = int(line[len(name) + 2:])
         trace = PacketTrace(**header)
         for lineno, line in enumerate(lines[lineno:-1], start=lineno + 1):
             match = row.fullmatch(line)
@@ -256,7 +277,7 @@ def reference_read_trace(path) -> PacketTrace:
             if (len(seq), seq) >= (len(limit), limit):
                 raise ValueError(f"seq {seq}: outside [0, {trace.samples})")
             trace.packets.append(
-                (int(seq), Packet.from_cells(int(device_id), cells)))
+                (int(seq), Packet.from_cells(device_id, cells)))
     except ValueError as exc:
         raise ValueError(f"{path}:{lineno}: {exc}") from None
     return trace
@@ -285,14 +306,16 @@ def decode_error(path, hint: int = tracefile._BLOCK_HINT) -> str:
 
 # A tiny block of a few rows, and the default.
 HINTS = [40, tracefile._BLOCK_HINT]
-# A seq past the interpreter's 4,300-digit limit on int().
-LONG_SEQ = "9" * 5000
+# A cell past the interpreter's 4,300-digit limit on int().
+LONG_CELL = "9" * 5000
 # Row edits: a grammar fault, a seq at #samples, one a digit longer and one
-# past int()'s limit, a Packet fault (one byte cannot hold 20 bits, and
-# device 256 is out of range) and a valid row.
+# past int()'s limit, a Packet fault (one byte cannot hold 20 bits, device
+# 256 is out of range, and so are a device id and a bit count past int()'s
+# limit) and a valid row.
 ROW_EDITS = st.sampled_from(["1,1,9,d3x0", "1,1,9,D300", "1,1,20,ff",
                              "1,256,9,d300", "{samples},1,9,d300",
-                             "{samples}0,1,9,d300", LONG_SEQ + ",1,9,d300",
+                             "{samples}0,1,9,d300", LONG_CELL + ",1,9,d300",
+                             f"1,{LONG_CELL},9,d300", f"1,1,{LONG_CELL},ff",
                              "1,1,9,d300\r", "1,1,9,d300"])
 
 
@@ -335,17 +358,24 @@ def test_block_reader_agrees_with_the_line_reader(samples, edits, hint):
     ({12: "1,1,9,d3x0", 40: "40,1,9,d300"},
      "12: payload d3x0: not lowercase hex of whole bytes"),
     ({45: "40,1,9,d300"}, "45: seq 40: outside [0, 40)"),
-    ({30: LONG_SEQ + ",1,9,d300"}, f"30: seq {LONG_SEQ}: outside [0, 40)"),
-    ({30: "40,1,9,d300", 31: LONG_SEQ + ",1,9,d300"},
+    ({30: LONG_CELL + ",1,9,d300"}, f"30: seq {LONG_CELL}: outside [0, 40)"),
+    ({30: "40,1,9,d300", 31: LONG_CELL + ",1,9,d300"},
      "30: seq 40: outside [0, 40)"),
-    ({30: LONG_SEQ + ",1,9,d300", 31: "40,1,9,d300"},
-     f"30: seq {LONG_SEQ}: outside [0, 40)"),
+    ({30: LONG_CELL + ",1,9,d300", 31: "40,1,9,d300"},
+     f"30: seq {LONG_CELL}: outside [0, 40)"),
+    ({30: f"1,{LONG_CELL},9,d300"},
+     f"30: device_id {LONG_CELL} outside [0, 255]"),
+    ({30: f"1,1,{LONG_CELL},ff"},
+     f"30: bit_count {LONG_CELL} outside [0, 65535]"),
+    ({30: f"1,256,{LONG_CELL},ff"}, "30: device_id 256 outside [0, 255]"),
 ], ids=["packet-fault-then-grammar-fault", "grammar-fault-then-packet-fault",
         "packet-fault-blocks-before-a-grammar-fault",
         "seq-fault-blocks-before-a-grammar-fault",
         "grammar-fault-blocks-before-a-seq-fault", "seq-at-samples",
         "seq-past-the-int-digit-limit", "seq-fault-then-long-seq",
-        "long-seq-then-seq-fault"])
+        "long-seq-then-seq-fault", "device-id-past-the-int-digit-limit",
+        "bit-count-past-the-int-digit-limit",
+        "device-id-named-before-a-long-bit-count"])
 def test_first_fault_in_file_order_across_blocks(tmp_path, hint, edits,
                                                  fault):
     # Lines 6 to 45 hold 40 rows, three or so to a block of the tiny hint.
