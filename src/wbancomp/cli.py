@@ -174,13 +174,13 @@ def cmd_decode(args) -> int:
     one per line, to --out or stdout.
 
     Every row is checked first, in file order, as read_trace checks it, but
-    a row whose cells are an encoder codeword builds no Packet, unless it is
-    its device's first: its residual is one lookup. The rows then fold in
-    stable seq order, sorted only when the file's seqs are not already in
-    order, into running values, so packets at one sample apply in file
-    order, and each sample shows the value after every packet up to its
-    index. A lookup miss is decoded in that order, and a fault is named at
-    the first packet in that order that has one.
+    a row whose cells are an encoder codeword builds no Packet: its residual
+    is one lookup. The rows then fold in stable seq order, sorted only when
+    the file's seqs are not already in order, into running values, so
+    packets at one sample apply in file order, and each sample shows the
+    value after every packet up to its index. A lookup miss is decoded in
+    that order, and a fault is named at the first packet in that order that
+    has one.
     """
     from itertools import accumulate, islice
     from operator import gt, mul, sub
@@ -200,21 +200,18 @@ def cmd_decode(args) -> int:
     missed = False
     for first, block_seqs, block_ids, cells in blocks:
         block_residuals = list(map(residual_of.get, cells))
-        # A Packet checks every miss, and each device's first row, whose id
-        # it range-checks.
-        if None in block_residuals or not device_ids.issuperset(block_ids):
-            for index, (device_id, row_cells, residual) in enumerate(
-                    zip(block_ids, cells, block_residuals)):
-                if residual is None or device_id not in device_ids:
+        # A Packet checks every miss; read_rows has checked every id.
+        if None in block_residuals:
+            missed = True
+            for index, residual in enumerate(block_residuals):
+                if residual is None:
                     try:
-                        packet = Packet.from_cells(device_id, row_cells)
+                        block_residuals[index] = Packet.from_cells(
+                            block_ids[index], cells[index])
                     except ValueError as exc:
                         raise ValueError(
                             f"{path}:{first + index}: {exc}") from None
-                    device_ids.add(device_id)
-                    if residual is None:
-                        block_residuals[index] = packet
-                        missed = True
+        device_ids.update(block_ids)
         seqs += block_seqs
         residuals += block_residuals
     # A reading is an ADC code of adc_bits bits, which encode caps at the

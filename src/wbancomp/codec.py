@@ -34,11 +34,9 @@ from __future__ import annotations
 
 from functools import cache
 
-RESIDUAL_MIN = -2047
-RESIDUAL_MAX = 2047
+from . import MAX_CODEWORD_BITS, RESIDUAL_MAX, RESIDUAL_MIN
+
 MAX_GROUP = 11
-# The longest codeword: group 11's 9-bit prefix and 11-bit suffix.
-MAX_CODEWORD_BITS = 20
 
 # Groups 0..6 use the 3-bit binary prefix; 7..11 the unary-extended one.
 _BINARY_PREFIX_MAX = 6

@@ -5,11 +5,12 @@ run's DeviceRuns, packets.trace the packets sent, and metrics.csv and
 metrics.json the metrics computed from them. A RunLog holds its events and
 its packets as those files' rows, the text the simulator writes: events as
 csv.writer would, packets as write_trace would. load reads back the first
-two files: it checks every events cell against its column's pattern, the
-shape of what the writer emits, and folds the rows into the metrics' delay
-sums. A byte that is not UTF-8 reads as the text `\\xNN`, which no pattern
-matches, so it is a bad cell of its line. The same pattern parses a log's
-rows back into SampleEvents, and its packet rows split back into Packets.
+two files: it reads the events rows through the package's block reader,
+which tracefile shares, checks every cell against its column's pattern and
+bound, and folds the rows into the metrics' delay sums. A byte that is not
+UTF-8 reads as the text `\\xNN`, which no pattern matches, so it is a bad
+cell of its line. The same pattern parses a log's rows back into
+SampleEvents, and its packet rows split back into Packets.
 """
 
 from __future__ import annotations
@@ -22,7 +23,8 @@ from collections.abc import Sequence
 from pathlib import Path
 from typing import NamedTuple
 
-from . import _INT, _row_fault, metrics
+from . import (MAX_ADC_BITS, MAX_CODEWORD_BITS, RESIDUAL_MAX, RESIDUAL_MIN,
+               _INT, _int_in, _row_blocks, metrics)
 
 
 class SampleEvent(NamedTuple):
@@ -226,22 +228,21 @@ _TRACE_FILE = "packets.trace"
 _FLOAT = (r"-0\.0|(?:0|[1-9][0-9]{0,15})\.(?:0|[0-9]*[1-9])|[1-9](?:\.[0-9]*"
           r"[1-9])?e(?:-[0-9]{2,3}|\+(?:[0-9]{2}|[12][0-9]{2}|30[0-8]))",
           "a finite non-negative float as repr writes it")
+# Readings are ADC codes. Codeword widths cover raw ones of MAX_ADC_BITS.
+_READING = _int_in(0, (1 << MAX_ADC_BITS) - 1)
 _EVENT_COLUMNS = dict(zip(SampleEvent._fields, (
-    _INT, _INT, _FLOAT, _INT, (r"[01]", "0 or 1"),
-    (r"0|-?[1-9][0-9]*|", "a canonical integer, or blank"), _INT, _FLOAT,
-    _FLOAT, _FLOAT, (_FLOAT[0] + "|", _FLOAT[1] + ", or blank"), _INT)))
+    _INT, _INT, _FLOAT, _READING, (r"[01]", "0 or 1"),
+    _int_in(RESIDUAL_MIN, RESIDUAL_MAX, "a canonical integer, or blank", "|"),
+    _int_in(0, MAX_CODEWORD_BITS), _FLOAT, _FLOAT, _FLOAT,
+    (_FLOAT[0] + "|", _FLOAT[1] + ", or blank"), _READING)))
 # The patterns below are compiled on first use, so commands that read no run
 # directory skip them.
-_ROW = ",".join(f"({pattern})" for pattern, _ in _EVENT_COLUMNS.values())
+_ROW = ",".join(f"({pattern})" for pattern, *_ in _EVENT_COLUMNS.values())
 # One whole valid line, grouping only the cells the fold reads.
 _FOLD_ROW = "^{}\n".format(",".join(
     f"({pattern})" if name in ("device_id", "seq", "transmitted",
                                "codeword_bits", "cd_ms", "dtr_ms", "dd_ms")
-    else f"(?:{pattern})" for name, (pattern, _) in _EVENT_COLUMNS.items()))
-# The size of the blocks of lines the events file is read in. One search
-# over a whole file holds memory that grows with the file, so the searches
-# stay on bounded blocks.
-_BLOCK_HINT = 1 << 16
+    else f"(?:{pattern})" for name, (pattern, *_) in _EVENT_COLUMNS.items()))
 # Each events column's cell as its SampleEvent field, blank as None.
 _EVENT_TYPES = (int, int, float, int, int,
                 lambda cell: int(cell) if cell else None, int, float, float,
@@ -251,73 +252,50 @@ _EVENT_TYPES = (int, int, float, int, int,
 def _fold_events(path: Path, sums: dict, summary: str) -> None:
     """Fold the rows of the events file at path into their devices' sums.
 
-    The file is read a block of whole lines at a time, and one search of a
-    block yields the fold's cells of each valid line. A block with fewer
-    rows than lines, or holding `e+308`, is matched a line at a time up to
-    its first fault, raised once the rows before it have folded. Lines end
-    at `\\n` alone, and undecodable bytes read as `\\xNN`, so a `\\r` or such
-    a byte faults its line like any bad cell.
+    _row_blocks checks each cell against its column, and _overflow the floats
+    it cannot, and yields the cells the fold reads; the rows before the first
+    fault fold first. Lines end at `\\n` alone and undecodable bytes read as
+    `\\xNN`, so a `\\r` or such a byte faults its line like any bad cell.
     """
-    fold_row = re.compile(_FOLD_ROW, re.MULTILINE)
     # Ids and cells are canonical ints, so each id has one text.
     by_text = {str(device_id): device_sums
                for device_id, device_sums in sums.items()}
-    lineno = 1
-    try:
-        with path.open(errors="backslashreplace", newline="\n") as handle:
-            if handle.readline().rstrip("\n") != ",".join(_EVENT_COLUMNS):
-                raise ValueError("unexpected event columns")
-            while lines := handle.readlines(_BLOCK_HINT):
-                if not lines[-1].endswith("\n"):
-                    lines[-1] += "\n"
-                block = "".join(lines)
-                rows = fold_row.findall(block)
-                fault = None
-                if len(rows) < len(lines) or "e+308" in block:
-                    rows = []
-                    for line in lines:
-                        row = fold_row.match(line)
-                        fault = (_overflow(line) if row
-                                 else _row_fault(_EVENT_COLUMNS, line[:-1]))
-                        if fault:
-                            break
-                        rows.append(row.groups())
-                first = lineno + 1
-                for lineno, (device_id, seq, transmitted, bits, cd_ms, dtr_ms,
-                             dd_ms) in enumerate(rows, first):
-                    device_sums = by_text.get(device_id)
-                    if device_sums is None:
-                        # int() rejects an over-long cell, as a lookup by
-                        # int would.
-                        raise ValueError(
-                            f"device {int(device_id)} is not in {summary}")
-                    # Devices may interleave; each one's rows keep seq order.
-                    if int(seq) != device_sums.rows:
-                        raise ValueError(f"seq {seq}: expected "
-                                         f"{device_sums.rows} for device "
-                                         f"{device_id}")
-                    if transmitted == "0":
-                        device_sums.rows += 1
-                        continue
-                    cd_ms, dtr_ms, dd_ms = map(float, (cd_ms, dtr_ms, dd_ms))
-                    # Finite cells can add up past the float range.
-                    if not math.isfinite(cd_ms + dd_ms + dtr_ms):
-                        raise ValueError(
-                            "cd_ms + dd_ms + dtr_ms is not finite")
-                    device_sums.add(int(bits), cd_ms, dtr_ms, dd_ms)
-                if fault is not None:
-                    lineno = first + len(rows)
-                    raise ValueError(fault)
-    except ValueError as exc:
-        raise ValueError(f"{path}:{lineno}: {exc}") from None
+    with path.open(errors="backslashreplace", newline="\n") as handle:
+        if handle.readline().rstrip("\n") != ",".join(_EVENT_COLUMNS):
+            raise ValueError(f"{path}:1: unexpected event columns")
+        for first, rows in _row_blocks(
+                handle, path, 1, re.compile(_FOLD_ROW, re.MULTILINE),
+                _EVENT_COLUMNS, _overflow):
+            for lineno, (device_id, seq, transmitted, bits, cd_ms, dtr_ms,
+                         dd_ms) in enumerate(rows, first):
+                device_sums = by_text.get(device_id)
+                if device_sums is None:
+                    raise ValueError(f"{path}:{lineno}: device_id "
+                                     f"{device_id} is not in {summary}")
+                # Devices may interleave; each one's rows keep seq order.
+                if seq != str(device_sums.rows):
+                    raise ValueError(f"{path}:{lineno}: seq {seq}: expected "
+                                     f"{device_sums.rows} for device "
+                                     f"{device_id}")
+                if transmitted == "0":
+                    device_sums.rows += 1
+                    continue
+                cd_ms, dtr_ms, dd_ms = map(float, (cd_ms, dtr_ms, dd_ms))
+                # Finite cells can add up past the float range.
+                if not math.isfinite(cd_ms + dd_ms + dtr_ms):
+                    raise ValueError(f"{path}:{lineno}: cd_ms + dd_ms + "
+                                     f"dtr_ms is not finite")
+                device_sums.add(int(bits), cd_ms, dtr_ms, dd_ms)
 
 
-def _overflow(line: str) -> str | None:
-    """The fault of a valid line's first float cell past the float range:
-    the float pattern bounds the exponent, not the mantissa."""
-    for name, cell in zip(_EVENT_COLUMNS, line.split(",")):
-        if cell.endswith("e+308") and math.isinf(float(cell)):
-            return f"{name} {cell}: not {_FLOAT[1]}"
+def _overflow(text: str) -> str | None:
+    """The fault of the first float cell past the float range in text, valid
+    lines: the float pattern bounds the exponent, not the mantissa."""
+    if "e+308" in text:
+        for line in text.splitlines():
+            for name, cell in zip(_EVENT_COLUMNS, line.split(",")):
+                if cell.endswith("e+308") and math.isinf(float(cell)):
+                    return f"{name} {cell}: not {_FLOAT[1]}"
     return None
 
 

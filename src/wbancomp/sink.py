@@ -75,17 +75,7 @@ class Packet:
         """The packet of a trace row's device_id cell and its
         `bit_count,payload_hex` cells."""
         bit_count, payload = cells.split(",")
-        return cls(_cell_int("device_id", device_id, 255),
-                   _cell_int("bit_count", bit_count, 0xFFFF),
-                   bytes.fromhex(payload))
-
-
-def _cell_int(name: str, cell: str, top: int) -> int:
-    """The int of a cell, refused as outside [0, top] by its text when it
-    has more digits than top: int() converts at most 4,300 digits."""
-    if len(cell) > len(str(top)) or not 0 <= (value := int(cell)) <= top:
-        raise ValueError(f"{name} {cell} outside [0, {top}]")
-    return value
+        return cls(int(device_id), int(bit_count), bytes.fromhex(payload))
 
 
 class Sink:

@@ -7,17 +7,16 @@ packet,
 
     <seq>,<device_id>,<bit_count>,<payload_hex>
 
-with canonical non-negative integers and lowercase hex of whole bytes. Each
-line ends at `\\n`: a `\\r`, or a byte that is not UTF-8, which reads as the
-text `\\xNN`, is a bad cell of its line. The header carries the per-device
-sample count so a decoder can rebuild the full sample cadence, holding the
-last value across suppressed samples. Writers that build the rows as text
-hand them to write_rows; read_rows checks the header and yields the rows'
-cells as columns, a block of lines at a time, each block split by one
-search, and read_trace builds a Packet of each row. The integer cell
-pattern and the fault locator come from the package, which shares them
-with rundir. PacketTrace is a plain class, so that encode and decode load
-no dataclasses.
+with canonical integers, a device id in [0, 255] and a bit count in
+[0, 65535], and lowercase hex of whole bytes. Each line ends at `\\n`: a
+`\\r`, or a byte that is not UTF-8, which reads as the text `\\xNN`, is a
+bad cell of its line. The header carries the per-device sample count so a
+decoder can rebuild the full sample cadence, holding the last value across
+suppressed samples. Writers that build the rows as text hand them to
+write_rows; read_rows checks the header and reads the rows through the
+package's block reader, which rundir shares, and read_trace builds a
+Packet of each row. PacketTrace is a plain class, so that encode and
+decode load no dataclasses.
 
 read_column yields one column of a CSV file in blocks. encode reads its
 readings with it, and signals reads file traces with it.
@@ -27,11 +26,12 @@ from __future__ import annotations
 
 import io
 import re
+import sys
 from collections.abc import Callable, Iterator, Sequence
 from pathlib import Path
 from typing import TYPE_CHECKING
 
-from . import _INT, _row_fault
+from . import _INT, _int_in, _row_blocks
 
 if TYPE_CHECKING:
     from .sink import Packet
@@ -68,15 +68,13 @@ class PacketTrace:
 # The `#name=value` header lines, one per integer field, in file order.
 _HEADER = ("samples", "threshold", "adc_bits", "sample_period_ms")
 
-_COLUMNS = {"seq": _INT, "device_id": _INT, "bit_count": _INT,
+_COLUMNS = {"seq": _INT, "device_id": _int_in(0, 255),
+            "bit_count": _int_in(0, 0xFFFF),
             "payload": (r"(?:[0-9a-f]{2})*", "lowercase hex of whole bytes")}
 # One whole valid row, from a line start: groups seq, device_id, and the
 # bit_count and payload cells as one text. Compiled when a trace is read.
 _ROW = "^({}),({}),((?:{}),(?:{}))\n".format(
-    *(pattern for pattern, _ in _COLUMNS.values()))
-# The size of the blocks of lines the rows are read in, as rundir reads its
-# events file: one search over a whole file holds memory that grows with it.
-_BLOCK_HINT = 1 << 16
+    *(pattern for pattern, *_ in _COLUMNS.values()))
 
 
 def write_rows(path: str | Path, trace: PacketTrace, rows: list[str]) -> None:
@@ -102,13 +100,11 @@ def read_rows(path: str | Path) -> tuple[PacketTrace, Iterator[
 
     Each block is the line number of its first row, then its rows' seqs,
     device_id cells, and bit_count and payload cells as one text, `9,d300`
-    say, as they matched. A malformed header raises ValueError at once,
-    naming PATH:LINE and the expected header line. The iterator raises one
-    naming PATH:LINE and the row's bad cell or cell count, or a seq outside
-    [0, #samples), after it has yielded the rows before that one. Lines end
-    at `\\n` alone, so a `\\r` is a bad cell of its line, and the file is
-    decoded with each byte that is not UTF-8 as the text `\\xNN`, which no
-    header line or cell matches.
+    say. A malformed header, or a value of more digits than sys.maxsize,
+    raises ValueError at once, naming PATH:LINE and the header. The
+    iterator raises one naming PATH:LINE and the row's bad cell or cell
+    count, or a seq outside [0, #samples), after it has yielded the rows
+    before that one.
     """
     blocks = _blocks(Path(path))
     return next(blocks), blocks
@@ -117,61 +113,42 @@ def read_rows(path: str | Path) -> tuple[PacketTrace, Iterator[
 def _blocks(path: Path) -> Iterator:
     """read_rows' header, then its blocks. The file stays open, and closes
     when the iterator ends or is dropped."""
-    lineno = 1
     with path.open(errors="backslashreplace", newline="\n") as handle:
-        try:
-            if handle.readline().removesuffix("\n") != MAGIC:
+        if handle.readline().removesuffix("\n") != MAGIC:
+            raise ValueError(
+                f"{path}:1: not a packet trace file: expected {MAGIC!r}")
+        header = {}
+        for lineno, name in enumerate(_HEADER, start=2):
+            line = handle.readline().removesuffix("\n")
+            if not re.fullmatch(f"#{name}=(?:{_INT[0]})", line):
                 raise ValueError(
-                    f"not a packet trace file: expected {MAGIC!r}")
-            header = {}
-            for lineno, name in enumerate(_HEADER, start=2):
-                line = handle.readline().removesuffix("\n")
-                if not re.fullmatch(f"#{name}=(?:{_INT[0]})", line):
-                    raise ValueError(f"expected '#{name}=N', N {_INT[1]}")
-                header[name] = int(line[len(name) + 2:])
-        except ValueError as exc:
-            raise ValueError(f"{path}:{lineno}: {exc}") from None
+                    f"{path}:{lineno}: expected '#{name}=N', N {_INT[1]}")
+            # encode writes none longer; int() takes 4,300 digits.
+            if len(line) - len(name) - 2 > len(str(sys.maxsize)):
+                raise ValueError(
+                    f"{path}:{lineno}: #{name}: more digits than sys.maxsize")
+            header[name] = int(line[len(name) + 2:])
         samples = header["samples"]
         digits = len(str(samples))
         yield PacketTrace(**header)
 
         row = re.compile(_ROW, re.MULTILINE)
-        lineno = len(_HEADER) + 1
-        while lines := handle.readlines(_BLOCK_HINT):
-            if not lines[-1].endswith("\n"):
-                lines[-1] += "\n"
-            rows = row.findall("".join(lines))
-            fault = None
-            if len(rows) < len(lines):
-                # Match again a line at a time, up to the first bad line.
-                rows = []
-                for line in lines:
-                    match = row.match(line)
-                    if match is None:
-                        fault = _row_fault(_COLUMNS, line[:-1])
-                        break
-                    rows.append(match.groups())
-            texts, device_ids, cells = zip(*rows) if rows else ((), (), ())
+        for first, rows in _row_blocks(handle, path, lineno, row, _COLUMNS):
+            texts, device_ids, cells = zip(*rows)
             count = len(texts)
             # A seq with more digits than #samples is past it, and may be
             # past what int() converts: the block stops before it.
-            if texts and len(max(texts, key=len)) > digits:
-                count = next(index for index, text in enumerate(texts)
-                             if len(text) > digits)
+            if len(max(texts, key=len)) > digits:
+                count = [len(text) > digits for text in texts].index(True)
             seqs = list(map(int, texts[:count]))
             if seqs and max(seqs) >= samples:
-                count = next(index for index, seq in enumerate(seqs)
-                             if seq >= samples)
+                count = [seq >= samples for seq in seqs].index(True)
                 del seqs[count:]
-            if count < len(texts):
-                fault = f"seq {texts[count]}: outside [0, {samples})"
-                device_ids, cells = device_ids[:count], cells[:count]
-            first = lineno + 1
             if seqs:
-                yield first, seqs, device_ids, cells
-            if fault is not None:
-                raise ValueError(f"{path}:{first + len(seqs)}: {fault}")
-            lineno += len(lines)
+                yield first, seqs, device_ids[:count], cells[:count]
+            if count < len(texts):
+                raise ValueError(f"{path}:{first + count}: seq "
+                                 f"{texts[count]}: outside [0, {samples})")
 
 
 def read_trace(path: str | Path) -> PacketTrace:

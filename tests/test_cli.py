@@ -481,8 +481,8 @@ _HUGE_INT = "1" + "0" * 400
      "runlog.json: duration_ms: not a positive number"),
     ("report", ('"battery_mah": 400.0', f'"battery_mah": {_HUGE_INT}'),
      "runlog.json: device 0: battery_mah: not a number"),
-    ("decode", ("#samples=120", "#samples=10000000000000000000"),
-     "huge.trace: #samples=10000000000000000000: too many samples to decode "
+    ("decode", ("#samples=120", "#samples=9999999999999999999"),
+     "huge.trace: #samples=9999999999999999999: too many samples to decode "
      "in memory"),
 ], ids=["duration", "sample-period", "report-duration", "report-battery",
         "decode-samples"])

@@ -16,11 +16,15 @@ file.
 A 0xff byte, which no UTF-8 text holds, put anywhere in any input must
 fail with a message that names that file, and in a packet trace or an
 events file, whose every cell is checked, the line that holds the byte.
+Every integer cell of those two files, and each trace header value, is
+also set, one at a time, to a long cell or one just past its bound, which
+must be refused at its line by its column's name.
 """
 
 import contextlib
 import io
 import json
+import re
 import shutil
 import tempfile
 from pathlib import Path
@@ -251,3 +255,65 @@ def test_byte_that_is_not_utf8_names_its_file(inputs, data):
     where = (f"{path}:{lineno}"
              if name in ("codes.trace", "run/runlog_events.csv") else path)
     assert err.startswith(f"error: {where}: "), err
+
+
+# A cell past int()'s 4,300-digit limit, and one past csv's field limit too.
+LONG_CELLS = ["9" * 5000, LONG_CELL]
+# Each integer column of runlog_events.csv, and a short cell past its bound.
+EVENT_INTS = {"device_id": "256", "seq": "100000", "value": "65536",
+              "transmitted": "2", "residual": "2048", "codeword_bits": "21",
+              "reconstructed": "65536"}
+# Each integer cell of a packet trace by its line (a row's on line 6), and a
+# short cell past its bound; None is the trace's own #samples.
+TRACE_INTS = {"#samples": (2, "1" + "0" * 19),
+              "#threshold": (3, "1" + "0" * 19),
+              "#adc_bits": (4, "1" + "0" * 19),
+              "#sample_period_ms": (5, "1" + "0" * 19), "seq": (6, None),
+              "device_id": (6, "256"), "bit_count": (6, "65536")}
+
+
+def assert_refused_by_name(rc: int, err: str, path: Path, lineno: int,
+                           name: str) -> None:
+    assert rc == EXIT_DATA
+    assert re.match(rf"error: {re.escape(str(path))}:{lineno}: "
+                    rf"{re.escape(name)}[ :]", err), err[:300]
+    assert "set_int_max_str_digits" not in err
+
+
+@pytest.mark.parametrize("transmitted", ["1", "0"], ids=["sent", "suppressed"])
+@pytest.mark.parametrize("column", list(EVENT_INTS))
+def test_every_integer_events_cell_is_bounded(inputs, tmp_path, column,
+                                              transmitted):
+    rundir = tmp_path / "run"
+    shutil.copytree(inputs / "run", rundir)
+    path = rundir / "runlog_events.csv"
+    lines = path.read_text().splitlines(keepends=True)
+    names = lines[0].rstrip("\n").split(",")
+    index = next(index for index, line in enumerate(lines) if index and
+                 line.split(",")[names.index("transmitted")] == transmitted)
+    for cell in [*LONG_CELLS, EVENT_INTS[column]]:
+        cells = lines[index].rstrip("\n").split(",")
+        cells[names.index(column)] = cell
+        path.write_text("".join(lines[:index]) + ",".join(cells) + "\n"
+                        + "".join(lines[index + 1:]))
+        rc, _, err = run_cli(["report", str(rundir)])
+        assert_refused_by_name(rc, err, path, index + 1, column)
+
+
+@pytest.mark.parametrize("name", list(TRACE_INTS))
+def test_every_integer_trace_cell_is_bounded(inputs, tmp_path, name):
+    path = tmp_path / "codes.trace"
+    lines = (inputs / "codes.trace").read_text().splitlines(keepends=True)
+    lineno, short = TRACE_INTS[name]
+    for cell in [*LONG_CELLS, short or lines[1].rstrip("\n").split("=")[1]]:
+        edited = list(lines)
+        if name.startswith("#"):
+            edited[lineno - 1] = f"{name}={cell}\n"
+        else:
+            cells = edited[lineno - 1].rstrip("\n").split(",")
+            cells[["seq", "device_id", "bit_count"].index(name)] = cell
+            edited[lineno - 1] = ",".join(cells) + "\n"
+        path.write_text("".join(edited))
+        rc, _, err = run_cli(["--out", str(tmp_path / "out.csv"), "decode",
+                              str(path)])
+        assert_refused_by_name(rc, err, path, lineno, name)

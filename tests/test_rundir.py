@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import SCENARIO_DIR
+import wbancomp
 from wbancomp import _row_fault, metrics, rundir
 from wbancomp.cli import EXIT_OK, main
 from wbancomp.rundir import (_EVENT_COLUMNS, _FLOAT, _ROW, DelaySums,
@@ -54,10 +55,13 @@ def reference_fold(path, sums: dict, summary: str) -> None:
                             raise ValueError(f"{name} {cell}: not {_FLOAT[1]}")
                 (device_id, seq, _, _, transmitted, _, bits, cd_ms, dtr_ms,
                  dd_ms, _, _) = match.groups()
-                device_sums = sums.get(int(device_id))
+                # By text, as int() refuses a cell past its digit limit.
+                device_sums = {str(key): value
+                               for key, value in sums.items()}.get(device_id)
                 if device_sums is None:
-                    raise ValueError(f"device {device_id} is not in {summary}")
-                if int(seq) != device_sums.rows:
+                    raise ValueError(
+                        f"device_id {device_id} is not in {summary}")
+                if seq != str(device_sums.rows):
                     raise ValueError(f"seq {seq}: expected {device_sums.rows} "
                                      f"for device {device_id}")
                 if transmitted == "0":
@@ -97,10 +101,10 @@ def expected(run) -> dict | str:
     return sums
 
 
-def loaded(run, hint: int = rundir._BLOCK_HINT) -> dict | str:
+def loaded(run, hint: int = wbancomp._BLOCK_HINT) -> dict | str:
     """RunLog.load's sums of the run, read in blocks of `hint`, or its error
     message."""
-    with mock.patch.object(rundir, "_BLOCK_HINT", hint):
+    with mock.patch.object(wbancomp, "_BLOCK_HINT", hint):
         try:
             return RunLog.load(run).sums
         except ValueError as exc:
@@ -119,7 +123,8 @@ def set_cell(line: str, column: str, text: str) -> str:
 
 CELL_TEXTS = ["", "x", "0", "1", "2", "3", "4", "01", "-1", " 1", "-0.0",
               "49.0", "1e+308", "9e+308", "1.7976931348623157e+308",
-              "1.7976931348623159e+308", "nan", "5e-324"]
+              "1.7976931348623159e+308", "nan", "5e-324", "20", "21", "2047",
+              "-2048", "65535", "65536", "9" * 5000]
 
 
 @st.composite
@@ -154,7 +159,7 @@ def mutated(draw, lines):
 def test_block_fold_agrees_with_the_line_fold(run, lines, data):
     write_events(run, data.draw(mutated(lines)))
     hint = data.draw(st.sampled_from([1, 64, 333, 1000, 4096,
-                                      rundir._BLOCK_HINT]))
+                                      wbancomp._BLOCK_HINT]))
     assert loaded(run, hint) == expected(run)
 
 
@@ -170,7 +175,7 @@ def test_unedited_run_folds_alike_in_any_block_size(run, lines):
     write_events(run, lines)
     sums = expected(run)
     assert isinstance(sums, dict) and sums[1].rows == 120
-    for hint in (1, 100, 1000, 5000, rundir._BLOCK_HINT):
+    for hint in (1, 100, 1000, 5000, wbancomp._BLOCK_HINT):
         assert loaded(run, hint) == sums
 
 
@@ -258,7 +263,7 @@ def test_undecodable_bytes_after_the_lines_before_them(run, lines, fault_line):
     write_events(run, edited, b"\xff\n")
     fault = (f":{fault_line}: value x:" if fault_line
              else f":{len(lines) + 1}: 1 cells, expected 12")
-    for hint in (1000, rundir._BLOCK_HINT):
+    for hint in (1000, wbancomp._BLOCK_HINT):
         assert loaded(run, hint) == expected(run)
         assert fault in loaded(run, hint)
 
@@ -275,6 +280,6 @@ def test_undecodable_bytes_after_the_lines_before_them(run, lines, fault_line):
 def test_carriage_return_faults_its_line(run, lines, edit, fault):
     # A line ends at "\n" alone, as RunLog.save writes it.
     write_events(run, edit(lines))
-    for hint in (1000, rundir._BLOCK_HINT):
+    for hint in (1000, wbancomp._BLOCK_HINT):
         assert loaded(run, hint) == expected(run)
         assert fault in loaded(run, hint)

@@ -1,6 +1,7 @@
 import contextlib
 import io
 import re
+import sys
 import tempfile
 from pathlib import Path
 from unittest import mock
@@ -9,7 +10,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wbancomp import _INT, _row_fault, tracefile
+import wbancomp
+from wbancomp import _INT, _row_fault
 from wbancomp.cli import main
 from wbancomp.codec import RESIDUAL_MAX, RESIDUAL_MIN, codeword_bytes
 from wbancomp.sink import Packet
@@ -254,7 +256,7 @@ def reference_read_trace(path) -> PacketTrace:
     if lines[-1]:
         lines.append("")
     row = re.compile("({}),({}),((?:{}),(?:{}))".format(
-        *(pattern for pattern, _ in _COLUMNS.values())))
+        *(pattern for pattern, *_ in _COLUMNS.values())))
     lineno = 1
     try:
         if lines[0] != MAGIC:
@@ -264,6 +266,8 @@ def reference_read_trace(path) -> PacketTrace:
             line = lines[lineno - 1]
             if not re.fullmatch(f"#{name}=(?:{_INT[0]})", line):
                 raise ValueError(f"expected '#{name}=N', N {_INT[1]}")
+            if len(line) - len(f"#{name}=") > len(str(sys.maxsize)):
+                raise ValueError(f"#{name}: more digits than sys.maxsize")
             header[name] = int(line[len(name) + 2:])
         trace = PacketTrace(**header)
         for lineno, line in enumerate(lines[lineno:-1], start=lineno + 1):
@@ -283,21 +287,21 @@ def reference_read_trace(path) -> PacketTrace:
     return trace
 
 
-def outcome(read, path, hint: int = tracefile._BLOCK_HINT):
+def outcome(read, path, hint: int = wbancomp._BLOCK_HINT):
     """What read gives for the file at path, or the text it raises, with
     tracefile reading blocks of `hint`."""
-    with mock.patch.object(tracefile, "_BLOCK_HINT", hint):
+    with mock.patch.object(wbancomp, "_BLOCK_HINT", hint):
         try:
             return read(path)
         except ValueError as exc:
             return str(exc)
 
 
-def decode_error(path, hint: int = tracefile._BLOCK_HINT) -> str:
+def decode_error(path, hint: int = wbancomp._BLOCK_HINT) -> str:
     """What decode prints to stderr for the trace at path, with tracefile
     reading blocks of `hint`."""
     err = io.StringIO()
-    with (mock.patch.object(tracefile, "_BLOCK_HINT", hint),
+    with (mock.patch.object(wbancomp, "_BLOCK_HINT", hint),
           contextlib.redirect_stderr(err),
           contextlib.redirect_stdout(io.StringIO())):
         main(["decode", str(path)])
@@ -305,15 +309,16 @@ def decode_error(path, hint: int = tracefile._BLOCK_HINT) -> str:
 
 
 # A tiny block of a few rows, and the default.
-HINTS = [40, tracefile._BLOCK_HINT]
+HINTS = [40, wbancomp._BLOCK_HINT]
 # A cell past the interpreter's 4,300-digit limit on int().
 LONG_CELL = "9" * 5000
-# Row edits: a grammar fault, a seq at #samples, one a digit longer and one
-# past int()'s limit, a Packet fault (one byte cannot hold 20 bits, device
-# 256 is out of range, and so are a device id and a bit count past int()'s
-# limit) and a valid row.
+# Row edits: a grammar fault, a Packet fault (one byte cannot hold 20 bits),
+# a device id or bit count past its bound, short or past int()'s limit, a
+# seq at #samples, one a digit longer and one past int()'s limit, and a
+# valid row.
 ROW_EDITS = st.sampled_from(["1,1,9,d3x0", "1,1,9,D300", "1,1,20,ff",
-                             "1,256,9,d300", "{samples},1,9,d300",
+                             "1,256,9,d300", "1,1,65536,ff",
+                             "{samples},1,9,d300",
                              "{samples}0,1,9,d300", LONG_CELL + ",1,9,d300",
                              f"1,{LONG_CELL},9,d300", f"1,1,{LONG_CELL},ff",
                              "1,1,9,d300\r", "1,1,9,d300"])
