@@ -11,11 +11,12 @@ import re
 __version__ = "0.1.0"
 
 # Limits shared by the modules that check them, kept here so that building
-# the command-line parser, or checking an events file, loads none of those
-# modules: the codec carries residuals of groups 0 to 11, and its longest
-# codeword is group 11's 9-bit prefix and 11-bit suffix.
+# the command-line parser, checking an events file or parsing a scenario
+# loads none of those modules: the codec carries residuals of groups 0 to
+# 11, and its longest codeword is group 11's 9-bit prefix and 11-bit suffix.
 SYNTH_KINDS = ("temperature", "ecg", "ppg")
 MAX_ADC_BITS = 16
+MAX_GROUP = 11
 RESIDUAL_MIN = -2047
 RESIDUAL_MAX = 2047
 MAX_CODEWORD_BITS = 20
@@ -94,10 +95,11 @@ def _row_blocks(handle, path, lineno: int, row: re.Pattern, columns: dict,
 _HOMES = {
     "bitstream": ("BitReader", "decode_residual", "encode_residual"),
     "codec": ("encode_prefix", "group_of"),
+    "config": ("ChannelModel", "DeviceConfig", "RadioEnergyModel", "Scenario",
+               "SleepPolicy"),
     "control": ("DeviceState",),
     "metrics": ("lifetime",),
-    "netmodel": ("ChannelModel", "DeviceConfig", "EnergyLedger",
-                 "RadioEnergyModel", "Scenario", "SleepPolicy", "simulate"),
+    "netmodel": ("EnergyLedger", "simulate"),
     "rundir": ("RunLog",),
     "signals": ("FileSource", "Sample", "SyntheticSource", "TraceSpec",
                 "quantize", "synth", "trace_samples"),

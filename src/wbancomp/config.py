@@ -1,11 +1,17 @@
-"""Scenario files: sectioned key-value text parsed into a Scenario.
+"""Scenarios: the records that describe a run, and the sectioned key-value
+text files parsed into a Scenario.
+
+The records are checked dataclasses: a Scenario holds its DeviceConfigs
+and the ChannelModel, RadioEnergyModel and SleepPolicy they share. They
+live here, not with the simulator, so that parsing a scenario loads no
+module of the device loop or the codec.
 
 Layout:
 
     [run]            duration_s, seed
-    [channel]        the fields of netmodel.ChannelModel
-    [energy]         the fields of netmodel.RadioEnergyModel
-    [sleep]          the fields of netmodel.SleepPolicy
+    [channel]        the fields of ChannelModel
+    [energy]         the fields of RadioEnergyModel
+    [sleep]          the fields of SleepPolicy
     [device:NAME]    id, mode, threshold, sample_period_ms, adc_bits, cd_ms,
                      dd_ms, suppress_zero, RadioEnergyModel fields overriding
                      [energy], and signal=<temperature|ecg|ppg> with seed and
@@ -20,14 +26,159 @@ from __future__ import annotations
 
 import configparser
 import math
-from dataclasses import fields as dataclass_fields, replace
+from dataclasses import dataclass, fields as dataclass_fields, replace
 from pathlib import Path
 
-from . import SYNTH_KINDS
-from .netmodel import (ChannelModel, DeviceConfig, RadioEnergyModel, Scenario,
-                       SleepPolicy)
+from . import MAX_CODEWORD_BITS, MAX_GROUP, SYNTH_KINDS
 from .signals import (PARAM_NAMES, FileSource, SyntheticSource, TraceSpec,
                       parse_range)
+
+MODES = ("CGWC", "CGLL", "CGLS")  # no compression / lossless / lossy
+
+
+@dataclass(frozen=True)
+class ChannelModel:
+    """Per-packet transit delay: base latency plus an optional per-bit term."""
+
+    base_latency_ms: float = 49.0
+    per_bit_delay_ms: float = 0.0
+
+    def __post_init__(self):
+        if self.base_latency_ms < 0 or self.per_bit_delay_ms < 0:
+            raise ValueError("channel delays must be non-negative")
+
+    def transit_ms(self, bit_count: int) -> float:
+        return self.base_latency_ms + self.per_bit_delay_ms * bit_count
+
+
+@dataclass(frozen=True)
+class RadioEnergyModel:
+    """Whole-device current per radio/CPU state, plus the battery size."""
+
+    tx_ma: float = 24.0
+    idle_ma: float = 8.0
+    sleep_ma: float = 0.2
+    cpu_active_ma: float = 10.0
+    wake_latency_ms: float = 0.0
+    battery_mah: float = 400.0
+
+    def __post_init__(self):
+        currents = (self.tx_ma, self.idle_ma, self.sleep_ma, self.cpu_active_ma)
+        if any(c < 0 for c in currents):
+            raise ValueError("currents must be non-negative")
+        if not self.sleep_ma < self.idle_ma < self.tx_ma:
+            raise ValueError("expected sleep_ma < idle_ma < tx_ma")
+        if self.wake_latency_ms < 0:
+            raise ValueError("wake_latency_ms must be non-negative")
+        if self.battery_mah <= 0:
+            raise ValueError("battery_mah must be positive")
+
+    def current_ma(self, state: str) -> float:
+        try:
+            return {
+                "tx": self.tx_ma,
+                "idle": self.idle_ma,
+                "sleep": self.sleep_ma,
+                "cpu": self.cpu_active_ma,
+            }[state]
+        except KeyError:
+            raise ValueError(f"unknown energy state {state!r}") from None
+
+
+@dataclass(frozen=True)
+class SleepPolicy:
+    """Radio sleeps once a device suppresses this many samples in a row."""
+
+    enabled: bool = False
+    suppressions_before_sleep: int = 2
+
+    def __post_init__(self):
+        if self.suppressions_before_sleep < 1:
+            raise ValueError("suppressions_before_sleep must be at least 1")
+
+
+@dataclass(frozen=True)
+class DeviceConfig:
+    """One wearable device in a scenario."""
+
+    name: str
+    device_id: int
+    mode: str
+    trace: TraceSpec
+    threshold: int = 0
+    cd_ms: float = 1.0
+    dd_ms: float = 1.0
+    suppress_zero: bool = True
+    energy: RadioEnergyModel | None = None  # overrides the scenario model
+
+    def __post_init__(self):
+        if not 0 <= self.device_id <= 255:
+            raise ValueError(f"device_id {self.device_id} outside [0, 255]")
+        if self.mode not in MODES:
+            raise ValueError(f"mode must be one of {MODES}, got {self.mode!r}")
+        if self.threshold < 0:
+            raise ValueError("threshold must be non-negative")
+        if self.cd_ms < 0 or self.dd_ms < 0:
+            raise ValueError("cd_ms and dd_ms must be non-negative")
+
+
+@dataclass(frozen=True)
+class Scenario:
+    """Full simulation input: devices, channel, energy model, sleep policy."""
+
+    duration_s: float
+    devices: tuple[DeviceConfig, ...]
+    channel: ChannelModel = ChannelModel()
+    energy: RadioEnergyModel = RadioEnergyModel()
+    sleep: SleepPolicy = SleepPolicy()
+    seed: int = 0
+
+    def __post_init__(self):
+        if self.duration_s <= 0:
+            raise ValueError("duration_s must be positive")
+        if not self.devices:
+            raise ValueError("scenario needs at least one device")
+        ids = [d.device_id for d in self.devices]
+        if len(set(ids)) != len(ids):
+            raise ValueError(f"device ids are not unique: {ids}")
+        for dev in self.devices:
+            spec = dev.trace
+            if spec.duration_s is not None and spec.duration_s != self.duration_s:
+                raise ValueError(
+                    f"device {dev.name}: trace duration differs from scenario"
+                )
+            try:
+                count = replace(spec, duration_s=self.duration_s).sample_count()
+            except ValueError as exc:
+                raise ValueError(f"device {dev.name}: {exc}") from None
+            if count < 1:
+                raise ValueError(f"device {dev.name}: no samples in duration")
+            if dev.mode == "CGLL" and dev.threshold != 0:
+                raise ValueError(f"device {dev.name}: CGLL requires threshold 0")
+            if dev.mode == "CGLS" and dev.threshold < 1:
+                raise ValueError(f"device {dev.name}: CGLS requires threshold >= 1")
+            if dev.mode != "CGWC" and spec.adc_bits > MAX_GROUP:
+                raise ValueError(f"device {dev.name}: codec covers at most "
+                                 f"{MAX_GROUP}-bit readings")
+            model = dev.energy or self.energy
+            coded = dev.mode != "CGWC"
+            # The loop's rest after a send, in its order and with the largest
+            # terms it can charge: a raw device spends no cpu time, and only
+            # a coded device that sleeps wakes. As float subtraction is
+            # monotone, no run that passes charges a negative rest.
+            transit_ms = self.channel.transit_ms(
+                MAX_CODEWORD_BITS if coded else spec.adc_bits)
+            cd_ms = dev.cd_ms if coded else 0.0
+            wake_ms = (model.wake_latency_ms if coded and self.sleep.enabled
+                       else 0.0)
+            rest_ms = spec.sample_period_ms - cd_ms - wake_ms - transit_ms
+            if rest_ms < 0:
+                raise ValueError(
+                    f"device {dev.name}: per-sample busy time leaves a rest "
+                    f"of {rest_ms!r}ms of the {spec.sample_period_ms}ms "
+                    f"sample period"
+                )
+
 
 # Default per-sample processing costs by signal class, ms.
 DEFAULT_CD_MS = {"temperature": 1.0, "ecg": 3.0, "ppg": 2.0, "file": 3.0}

@@ -182,8 +182,9 @@ class RunLog(NamedTuple):
         opened raises the OSError of its open."""
         summary_path = rundir / SUMMARY_FILE
         try:
-            summary = json.loads(summary_path.read_text())
-        except ValueError as exc:  # bad JSON or UTF-8, or an over-long int
+            summary = json.loads(summary_path.read_text(),
+                                 parse_int=_parse_int)
+        except ValueError as exc:  # bad JSON or UTF-8
             raise ValueError(f"{summary_path}: {exc}") from None
         _require_keys(summary, {"duration_ms", "seed", "devices"},
                       str(summary_path))
@@ -192,7 +193,8 @@ class RunLog(NamedTuple):
             raise ValueError(f"{summary_path}: duration_ms: not a positive "
                              f"number")
         if not _is_int(summary["seed"]):
-            raise ValueError(f"{summary_path}: seed: not an integer")
+            raise ValueError(f"{summary_path}: seed: "
+                             f"{_not('an integer', summary['seed'])}")
         if not isinstance(summary["devices"], list):
             raise ValueError(f"{summary_path}: devices is not a list")
         devices = []
@@ -202,7 +204,8 @@ class RunLog(NamedTuple):
             _require_keys(entry, _DEVICE_RUN_CHECKS.keys(), where)
             for key, (check, kind, numbers) in _DEVICE_RUN_CHECKS.items():
                 if not check(entry[key]):
-                    raise ValueError(f"{where}: {key}: not {kind}")
+                    raise ValueError(
+                        f"{where}: {key}: {_not(kind, entry[key])}")
                 if any(number < 0 for number in numbers(entry[key])):
                     raise ValueError(f"{where}: {key}: holds a negative "
                                      f"number")
@@ -297,6 +300,28 @@ def _overflow(text: str) -> str | None:
                 if cell.endswith("e+308") and math.isinf(float(cell)):
                     return f"{name} {cell}: not {_FLOAT[1]}"
     return None
+
+
+class _LongInt(float):
+    """A JSON integer of more digits than sys.maxsize, held as its float:
+    int() would raise the interpreter's advice past 4,300 digits. A number
+    field takes it within the float range; an integer field refuses it."""
+
+
+def _parse_int(text: str) -> int | float:
+    """A JSON integer: an int, or a _LongInt if it has more digits than
+    sys.maxsize, the bound a trace header value has too."""
+    if len(text.lstrip("-")) > len(str(sys.maxsize)):
+        return _LongInt(text)
+    return int(text)
+
+
+def _not(kind: str, value) -> str:
+    """The fault of a value that is not of kind: an integer past the digits
+    of sys.maxsize is named by them."""
+    if kind == "an integer" and isinstance(value, _LongInt):
+        return "more digits than sys.maxsize"
+    return f"not {kind}"
 
 
 def _is_int(value) -> bool:

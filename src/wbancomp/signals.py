@@ -32,12 +32,16 @@ class Sample:
 
 @dataclass(frozen=True)
 class FileSource:
+    """A numeric column of a CSV trace file, by its index."""
+
     path: str
     value_column: int = 0
 
 
 @dataclass(frozen=True)
 class SyntheticSource:
+    """A seeded synthetic generator of one of SYNTH_KINDS, with its params."""
+
     kind: str
     seed: int = 0
     params: dict = field(default_factory=dict)

@@ -92,6 +92,39 @@ def test_simulate_and_encode_load_no_sink(codec_imports, tmp_path):
     assert "sink" not in encode | simulate
 
 
+def test_simulate_loads_the_whole_model_once(tmp_path):
+    # simulate runs the model, the codec's trace cells and the run
+    # directory's writer; nothing else, so no start-up cost hides here.
+    assert loaded_after("--out", tmp_path / "run", "simulate",
+                        SCENARIO_DIR / "temperature_sleep.cfg") == {
+        "cli", "config", "signals", "netmodel", "codec", "control",
+        "metrics", "rundir", "tracefile"}
+
+
+# Parses each scenario file named, as a run's setup does, then prints the
+# modules loaded.
+PARSE_AND_LIST = """\
+import sys
+import wbancomp.cli
+from wbancomp import config
+for path in sys.argv[1:]:
+    config.parse_scenario(path)
+print(*sorted(sys.modules))
+"""
+
+
+def test_parsing_a_scenario_loads_no_simulator():
+    # The scenario's records live in config, so parsing one loads none of
+    # the device loop, the codec or the run directory, nor their json.
+    scenarios = sorted(SCENARIO_DIR.glob("*.cfg"))
+    assert scenarios
+    run = python("-c", PARSE_AND_LIST, *scenarios)
+    assert run.returncode == 0, run.stderr
+    modules = set(run.stdout.split())
+    assert package_modules(modules) == {"cli", "config", "signals"}
+    assert modules.isdisjoint({"json", "decimal"})
+
+
 def test_codec_commands_load_no_simulator(codec_imports):
     for loaded in codec_imports:
         assert loaded.isdisjoint({"netmodel", "config", "rundir"})
@@ -145,7 +178,7 @@ def test_codec_imports_no_package_module():
     # Its limits live in the package, which rundir reads without the codec.
     assert [text for text in import_statements(SRC / "codec.py")
             if text.startswith("from .") or "wbancomp" in text] == [
-        "from . import MAX_CODEWORD_BITS, RESIDUAL_MAX, RESIDUAL_MIN"]
+        "from . import MAX_CODEWORD_BITS, MAX_GROUP, RESIDUAL_MAX, RESIDUAL_MIN"]
 
 
 def test_netmodel_imports_nothing_from_sink():
