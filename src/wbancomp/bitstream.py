@@ -6,8 +6,7 @@ Both work on codec's (bit_count, payload) pairs. No command runs them.
 
 from __future__ import annotations
 
-from . import RESIDUAL_MIN
-from .codec import _check_range, _codewords, _next_codeword
+from .codec import _next_codeword, codeword_bytes
 
 
 class BitReader:
@@ -27,10 +26,8 @@ class BitReader:
 
 
 def encode_residual(residual: int) -> tuple[int, bytes]:
-    """(bit_count, payload) of the residual's codeword, codeword_bytes'
-    pair, looked up in the encode table as a stream of residuals wants."""
-    _check_range(residual)
-    return _codewords()[residual - RESIDUAL_MIN]
+    """(bit_count, payload) of the residual's codeword."""
+    return codeword_bytes(residual)
 
 
 def decode_residual(reader: BitReader) -> int:

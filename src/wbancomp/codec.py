@@ -17,14 +17,11 @@ Supported residuals span [-2047, 2047] (groups 0..11), enough for full-scale
 deltas of anything up to an 11-bit ADC, first absolute readings included.
 
 encode_prefix and encode_suffix are the specification: each returns its
-bits as a (value, length) pair of ints. A codeword is worked out from
-its group's bit count, shifted prefix, suffix mask and padding, found once
-from encode_prefix, and its suffix by encode_suffix's rule. codeword_bytes
-and codeword_cells work out one per call, for callers that need a few.
-The encode tables hold all 4095, built on first use the same way: the
-(bit_count, payload bytes) of each, and the same codewords as the packet
-trace cells `bit_count,payload_hex`, which encode puts straight into its
-rows.
+bits as a (value, length) pair of ints. Encoding indexes a table of the
+(bit_count, payload bytes) of all 4095 codewords, built on first use from
+each group's prefix and encode_suffix's rule, or a second table of the
+same codewords as the packet trace cells `bit_count,payload_hex`, which
+writers put straight into their rows.
 cell_residuals inverts the second, so a packet of one codeword decodes by
 one lookup of its trace text. Any other bit string goes through
 decode_bits, which writes it out once as '0'/'1' text and walks that a
@@ -83,10 +80,16 @@ def encode_suffix(residual: int, group: int) -> tuple[int, int]:
 
 
 @cache
-def _groups() -> tuple[tuple[int, int, int, int, int], ...]:
-    """Per group: bit count, prefix shifted past the suffix, suffix mask, pad
-    bits and payload bytes, worked out once from encode_prefix. Built on
-    first use, like the tables below."""
+def _codewords() -> tuple[tuple[int, bytes], ...]:
+    """Every codeword as (bit_count, payload bytes), by residual - RESIDUAL_MIN.
+
+    Built on first use, not at import, because building it takes
+    milliseconds. Each group's prefix, bit count and padding are worked out
+    once, and each suffix inline by encode_suffix's rule: the residual, less
+    one if negative, truncated to the group's bits.
+    """
+    # Per group: bit count, prefix shifted past the suffix, suffix mask,
+    # pad bits and payload bytes.
     groups = []
     for group in range(MAX_GROUP + 1):
         prefix, prefix_bits = encode_prefix(group)
@@ -94,26 +97,6 @@ def _groups() -> tuple[tuple[int, int, int, int, int], ...]:
         pad = -bit_count % 8
         groups.append((bit_count, prefix << group, (1 << group) - 1, pad,
                        (bit_count + pad) // 8))
-    return tuple(groups)
-
-
-def _codeword(e: int) -> tuple[int, bytes]:
-    """(bit_count, payload bytes) of the codeword of e, a residual in range:
-    its group's constants, and its suffix by encode_suffix's rule, the
-    residual, less one if negative, truncated to the group's bits."""
-    bit_count, high, mask, pad, size = _groups()[abs(e).bit_length()]
-    suffix = (e - (e < 0)) & mask
-    return bit_count, ((high | suffix) << pad).to_bytes(size, "big")
-
-
-@cache
-def _codewords() -> tuple[tuple[int, bytes], ...]:
-    """Every codeword as (bit_count, payload bytes), by residual - RESIDUAL_MIN.
-
-    Built on first use, not at import, because building it takes
-    milliseconds: _codeword's work in one loop, without a call per entry.
-    """
-    groups = _groups()
     table = []
     for e in range(RESIDUAL_MIN, RESIDUAL_MAX + 1):
         bit_count, high, mask, pad, size = groups[abs(e).bit_length()]
@@ -126,7 +109,7 @@ def _codewords() -> tuple[tuple[int, bytes], ...]:
 def codeword_bytes(residual: int) -> tuple[int, bytes]:
     """(bit_count, payload) of a packet carrying just the residual's codeword."""
     _check_range(residual)
-    return _codeword(residual)
+    return _codewords()[residual - RESIDUAL_MIN]
 
 
 @cache
@@ -149,8 +132,8 @@ def cell_residuals() -> dict[str, int]:
 
 def codeword_cells(residual: int) -> str:
     """The `bit_count,payload_hex` trace cells of codeword_bytes(residual)."""
-    bits, payload = codeword_bytes(residual)
-    return f"{bits},{payload.hex()}"
+    _check_range(residual)
+    return _codeword_cells()[residual - RESIDUAL_MIN]
 
 
 @cache

@@ -28,9 +28,8 @@ from itertools import chain, repeat
 from operator import add
 
 from .codec import codeword_bytes, codeword_cells
-# MODES, ChannelModel, SleepPolicy and lifetime: read from here too.
-from .config import (MODES, ChannelModel, DeviceConfig, RadioEnergyModel,
-                     Scenario, SleepPolicy)
+# SleepPolicy and lifetime: read from here too.
+from .config import DeviceConfig, RadioEnergyModel, Scenario, SleepPolicy
 from .control import DeviceState
 from .metrics import MS_PER_HOUR, lifetime
 from .rundir import DelaySums, DeviceRun, RunLog

@@ -193,8 +193,7 @@ class RunLog(NamedTuple):
             raise ValueError(f"{summary_path}: duration_ms: not a positive "
                              f"number")
         if not _is_int(summary["seed"]):
-            raise ValueError(f"{summary_path}: seed: "
-                             f"{_not('an integer', summary['seed'])}")
+            raise ValueError(f"{summary_path}: seed: not an integer")
         if not isinstance(summary["devices"], list):
             raise ValueError(f"{summary_path}: devices is not a list")
         devices = []
@@ -204,8 +203,7 @@ class RunLog(NamedTuple):
             _require_keys(entry, _DEVICE_RUN_CHECKS.keys(), where)
             for key, (check, kind, numbers) in _DEVICE_RUN_CHECKS.items():
                 if not check(entry[key]):
-                    raise ValueError(
-                        f"{where}: {key}: {_not(kind, entry[key])}")
+                    raise ValueError(f"{where}: {key}: not {kind}")
                 if any(number < 0 for number in numbers(entry[key])):
                     raise ValueError(f"{where}: {key}: holds a negative "
                                      f"number")
@@ -302,26 +300,15 @@ def _overflow(text: str) -> str | None:
     return None
 
 
-class _LongInt(float):
-    """A JSON integer of more digits than sys.maxsize, held as its float:
-    int() would raise the interpreter's advice past 4,300 digits. A number
-    field takes it within the float range; an integer field refuses it."""
-
-
 def _parse_int(text: str) -> int | float:
-    """A JSON integer: an int, or a _LongInt if it has more digits than
-    sys.maxsize, the bound a trace header value has too."""
-    if len(text.lstrip("-")) > len(str(sys.maxsize)):
-        return _LongInt(text)
-    return int(text)
-
-
-def _not(kind: str, value) -> str:
-    """The fault of a value that is not of kind: an integer past the digits
-    of sys.maxsize is named by them."""
-    if kind == "an integer" and isinstance(value, _LongInt):
-        return "more digits than sys.maxsize"
-    return f"not {kind}"
+    """A JSON integer: an int, or its float past the interpreter's digit
+    limit, where int() raises the limit's advice and names no key. An
+    integer field then refuses it, and a number field reads it as any
+    number."""
+    try:
+        return int(text)
+    except ValueError:
+        return float(text)
 
 
 def _is_int(value) -> bool:

@@ -323,22 +323,6 @@ class TestTables:
         subprocess.run([sys.executable, "-c", check], check=True,
                        cwd=REPO_ROOT / "src")
 
-    def test_simulate_builds_no_encode_table(self, tmp_path):
-        # The device loop caches each residual's cells, so it needs a few
-        # codewords, each worked out alone: the tables would cost it
-        # milliseconds per run.
-        check = ("import contextlib, io, sys\n"
-                 "import wbancomp.codec as codec\n"
-                 "from wbancomp.cli import main\n"
-                 "with contextlib.redirect_stdout(io.StringIO()):\n"
-                 "    assert main(sys.argv[1:]) == 0\n"
-                 "assert codec._codewords.cache_info().currsize == 0\n"
-                 "assert codec._codeword_cells.cache_info().currsize == 0\n")
-        subprocess.run([sys.executable, "-c", check, "--out",
-                        str(tmp_path / "run"), "simulate",
-                        str(REPO_ROOT / "scenarios" / "four_device.cfg")],
-                       check=True, cwd=REPO_ROOT / "src")
-
     def test_encode_table_is_pinned(self):
         # The bytes of every codeword any packet or trace carries.
         digest = hashlib.sha256(repr(codec._codewords()).encode()).hexdigest()

@@ -4,8 +4,8 @@ from dataclasses import fields
 import pytest
 
 from conftest import SCENARIO_DIR
-from wbancomp.config import parse_scenario
-from wbancomp.netmodel import ChannelModel, RadioEnergyModel, SleepPolicy
+from wbancomp.config import (ChannelModel, RadioEnergyModel, SleepPolicy,
+                             parse_scenario)
 from wbancomp.signals import FileSource, SyntheticSource
 
 MINIMAL = """\

@@ -6,7 +6,8 @@ import pytest
 
 from conftest import SCENARIO_DIR
 from wbancomp import config, metrics
-from wbancomp.netmodel import ChannelModel, DeviceConfig, Scenario, simulate
+from wbancomp.config import ChannelModel, DeviceConfig, Scenario
+from wbancomp.netmodel import simulate
 from wbancomp.rundir import DelaySums, RunLog
 from wbancomp.signals import SyntheticSource, TraceSpec
 

@@ -15,11 +15,11 @@ from hypothesis import strategies as st
 from conftest import DATA_DIR, SCENARIO_DIR
 from wbancomp import cli, metrics
 from wbancomp.codec import codeword_bytes
-from wbancomp.config import parse_scenario
-from wbancomp.netmodel import (MODES, MS_PER_HOUR, ChannelModel, DeviceConfig,
-                               EnergyLedger, RadioEnergyModel, Scenario,
-                               SleepPolicy, _SharedWork, lifetime,
-                               simulate)
+from wbancomp.config import (MODES, ChannelModel, DeviceConfig,
+                             RadioEnergyModel, Scenario, SleepPolicy,
+                             parse_scenario)
+from wbancomp.netmodel import (MS_PER_HOUR, EnergyLedger, _SharedWork,
+                               lifetime, simulate)
 from wbancomp.rundir import RunLog, SampleEvent
 from wbancomp.signals import (SYNTH_KINDS, FileSource, SyntheticSource,
                               TraceSpec)
