@@ -108,11 +108,11 @@ def cmd_encode(args) -> int:
     and print the reading and packet counts.
 
     read_column reads the file once, a column at a time when csv.reader
-    would split it at newlines and commas alone. Each block of readings is
-    range-checked with min and max, and the line of its first bad reading
-    is looked up only when that check fails. Each transmitted residual's
-    row indexes the codeword cells table directly: readings of at most
-    MAX_GROUP bits keep every residual inside it.
+    would split it at newlines and commas alone. Each block of readings
+    goes to DeviceState.transmits, which range-checks it, and the line of
+    its first bad reading is looked up only when that check fails. Each
+    transmitted residual's row indexes the codeword cells table directly:
+    readings of at most MAX_GROUP bits keep every residual inside it.
     """
     from . import metrics, tracefile
     from .codec import MAX_GROUP, RESIDUAL_MIN, _codeword_cells
@@ -138,26 +138,28 @@ def cmd_encode(args) -> int:
         adc_bits=args.adc_bits,
     )
     # read_column yields at least one reading or raises, and yields the
-    # readings before a fault first, so checking each block names the first
-    # fault in file order.
-    codes: list[int] = []
-    top = 1 << args.adc_bits
+    # readings before a fault first, so filtering each block names the
+    # first fault in file order. Each packet is its trace row's text.
+    cells = _codeword_cells()
+    device_cell = f",{args.device_id},"
+    samples = 0
+    rows: list[str] = []
     for numbers, block in tracefile.read_column(Path(args.input), args.column,
                                                 int):
-        if min(block) < 0 or max(block) >= top:
+        try:
+            rows += [f"{samples + seq}{device_cell}"
+                     f"{cells[residual - RESIDUAL_MIN]}\n"
+                     for seq, residual in state.transmits(block)]
+        except ValueError:
+            top = 1 << args.adc_bits
             index = next(index for index, code in enumerate(block)
                          if not 0 <= code < top)
             raise ValueError(f"{args.input}:{numbers[index]}: reading "
                              f"{block[index]} outside {args.adc_bits}-bit "
-                             f"range")
-        codes += block
-    # Each packet is its trace row's text.
-    cells = _codeword_cells()
-    device_cell = f",{args.device_id},"
-    rows = [f"{seq}{device_cell}{cells[residual - RESIDUAL_MIN]}\n"
-            for seq, residual in state.transmits(codes)]
+                             f"range") from None
+        samples += len(block)
     trace = tracefile.PacketTrace(
-        samples=len(codes),
+        samples=samples,
         threshold=args.threshold,
         adc_bits=args.adc_bits,
         sample_period_ms=args.sample_period_ms,
@@ -173,47 +175,25 @@ def cmd_decode(args) -> int:
     """Write the reading of every sample of a single-device packet trace,
     one per line, to --out or stdout.
 
-    Every row is checked first, in file order, as read_trace checks it, but
-    a row whose cells are an encoder codeword builds no Packet: its residual
-    is one lookup. The rows then fold in stable seq order, sorted only when
-    the file's seqs are not already in order, into running values, so
-    packets at one sample apply in file order, and each sample shows the
-    value after every packet up to its index. A lookup miss is decoded in
-    that order, and a fault is named at the first packet in that order that
-    has one.
+    The header is checked first, then every row in file order, as
+    read_rows checks it. A row whose cells are an encoder codeword decodes
+    by one lookup; any other goes to sink.cells_residual, and a row fault
+    is named at its line. No Packet is built. The rows then fold in stable
+    seq order, sorted only when the file's seqs are not already in order,
+    into running values, so packets at one sample apply in file order, and
+    each sample shows the value after every packet up to its index. A
+    reading outside the ADC range is named at the first packet in that
+    order that makes one.
     """
     from itertools import accumulate, islice
     from operator import gt, mul, sub
 
     from . import tracefile
     from .codec import MAX_GROUP, cell_residuals
-    from .sink import Packet, payload_residual
+    from .sink import cells_residual
 
     path = Path(args.input)
     trace, blocks = tracefile.read_rows(path)
-    residual_of = cell_residuals()
-    # Each row's seq and residual, in file order; a lookup miss holds its
-    # Packet until the fold decodes it.
-    seqs: list[int] = []
-    residuals: list = []
-    device_ids: set[str] = set()
-    missed = False
-    for first, block_seqs, block_ids, cells in blocks:
-        block_residuals = list(map(residual_of.get, cells))
-        # A Packet checks every miss; read_rows has checked every id.
-        if None in block_residuals:
-            missed = True
-            for index, residual in enumerate(block_residuals):
-                if residual is None:
-                    try:
-                        block_residuals[index] = Packet.from_cells(
-                            block_ids[index], cells[index])
-                    except ValueError as exc:
-                        raise ValueError(
-                            f"{path}:{first + index}: {exc}") from None
-        device_ids.update(block_ids)
-        seqs += block_seqs
-        residuals += block_residuals
     # A reading is an ADC code of adc_bits bits, which encode caps at the
     # codec's widest group. simulate's run-directory traces write 0 there,
     # and mix codec payloads with raw CGWC ones.
@@ -224,6 +204,24 @@ def cmd_decode(args) -> int:
     if adc_bits > MAX_GROUP:
         raise ValueError(f"{args.input}: #adc_bits={adc_bits}: outside "
                          f"[1, {MAX_GROUP}]")
+    residual_of = cell_residuals()
+    # Each row's seq and residual, in file order.
+    seqs: list[int] = []
+    residuals: list[int] = []
+    device_ids: set[str] = set()
+    for first, block_seqs, block_ids, cells in blocks:
+        block_residuals = list(map(residual_of.get, cells))
+        if None in block_residuals:
+            for index, residual in enumerate(block_residuals):
+                if residual is None:
+                    try:
+                        block_residuals[index] = cells_residual(cells[index])
+                    except ValueError as exc:
+                        raise ValueError(
+                            f"{path}:{first + index}: {exc}") from None
+        device_ids.update(block_ids)
+        seqs += block_seqs
+        residuals += block_residuals
     if len(device_ids) > 1:
         raise ValueError(
             f"{args.input}: trace holds {len(device_ids)} devices; decode "
@@ -235,27 +233,14 @@ def cmd_decode(args) -> int:
         order = sorted(range(len(seqs)), key=seqs.__getitem__)
         seqs = [seqs[index] for index in order]
         residuals = [residuals[index] for index in order]
-    fault = None
-    for index, residual in enumerate(residuals if missed else ()):
-        if isinstance(residual, Packet):
-            try:
-                residuals[index] = payload_residual(residual.bit_count,
-                                                    residual.payload)
-            except ValueError as exc:
-                fault = index, exc
-                del residuals[index:]
-                break
     values = list(accumulate(residuals))
     top = 1 << adc_bits
-    # The values before a miss that fails to decode can fault first.
-    if values and (min(values) < 0 or max(values) >= top):
+    if min(values) < 0 or max(values) >= top:
         index = next(index for index, value in enumerate(values)
                      if not 0 <= value < top)
-        fault = index, f"reading {values[index]} outside [0, 2**{adc_bits})"
-    if fault is not None:
-        index, exc = fault
         raise ValueError(
-            f"{args.input}: packet at sample {seqs[index]}: {exc}")
+            f"{args.input}: packet at sample {seqs[index]}: reading "
+            f"{values[index]} outside [0, 2**{adc_bits})")
     # Each value holds from its packet's sample up to the next packet's,
     # the last one to the end; the samples before the first hold 0.
     line_of = [f"{value}\n" for value in range(top)]

@@ -17,12 +17,12 @@ Supported residuals span [-2047, 2047] (groups 0..11), enough for full-scale
 deltas of anything up to an 11-bit ADC, first absolute readings included.
 
 encode_prefix and encode_suffix are the specification: each returns its
-bits as a (value, length) pair of ints. Encoding indexes a table of the
-(bit_count, payload bytes) of all 4095 codewords, built on first use from
-each group's prefix and encode_suffix's rule, or a second table of the
-same codewords as the packet trace cells `bit_count,payload_hex`, which
-writers put straight into their rows.
-cell_residuals inverts the second, so a packet of one codeword decodes by
+bits as a (value, length) pair of ints. Encoding indexes one table of all
+4095 codewords as their packet trace cells `bit_count,payload_hex`, which
+writers put straight into their rows, built on first use from each group's
+prefix and encode_suffix's rule. codeword_bytes reads a codeword's
+(bit_count, payload bytes) back from its cells.
+cell_residuals inverts the table, so a packet of one codeword decodes by
 one lookup of its trace text. Any other bit string goes through
 decode_bits, which writes it out once as '0'/'1' text and walks that a
 codeword at a time: a map from each prefix's text to its group, built on
@@ -80,43 +80,31 @@ def encode_suffix(residual: int, group: int) -> tuple[int, int]:
 
 
 @cache
-def _codewords() -> tuple[tuple[int, bytes], ...]:
-    """Every codeword as (bit_count, payload bytes), by residual - RESIDUAL_MIN.
+def _codeword_cells() -> tuple[str, ...]:
+    """Every codeword as its packet trace cells, `bit_count,payload_hex`,
+    by residual - RESIDUAL_MIN.
 
     Built on first use, not at import, because building it takes
     milliseconds. Each group's prefix, bit count and padding are worked out
     once, and each suffix inline by encode_suffix's rule: the residual, less
     one if negative, truncated to the group's bits.
     """
-    # Per group: bit count, prefix shifted past the suffix, suffix mask,
-    # pad bits and payload bytes.
+    # Per group: the bit_count cell and its comma, prefix shifted past the
+    # suffix, suffix mask, pad bits and payload bytes.
     groups = []
     for group in range(MAX_GROUP + 1):
         prefix, prefix_bits = encode_prefix(group)
         bit_count = prefix_bits + group
         pad = -bit_count % 8
-        groups.append((bit_count, prefix << group, (1 << group) - 1, pad,
-                       (bit_count + pad) // 8))
+        groups.append((f"{bit_count},", prefix << group, (1 << group) - 1,
+                       pad, (bit_count + pad) // 8))
     table = []
     for e in range(RESIDUAL_MIN, RESIDUAL_MAX + 1):
-        bit_count, high, mask, pad, size = groups[abs(e).bit_length()]
+        head, high, mask, pad, size = groups[abs(e).bit_length()]
         suffix = (e - (e < 0)) & mask
         payload = ((high | suffix) << pad).to_bytes(size, "big")
-        table.append((bit_count, payload))
+        table.append(head + payload.hex())
     return tuple(table)
-
-
-def codeword_bytes(residual: int) -> tuple[int, bytes]:
-    """(bit_count, payload) of a packet carrying just the residual's codeword."""
-    _check_range(residual)
-    return _codewords()[residual - RESIDUAL_MIN]
-
-
-@cache
-def _codeword_cells() -> tuple[str, ...]:
-    """Every codeword as its packet trace cells, `bit_count,payload_hex`,
-    by residual - RESIDUAL_MIN. Built on first use, like the encode table."""
-    return tuple(f"{bits},{payload.hex()}" for bits, payload in _codewords())
 
 
 @cache
@@ -131,9 +119,16 @@ def cell_residuals() -> dict[str, int]:
 
 
 def codeword_cells(residual: int) -> str:
-    """The `bit_count,payload_hex` trace cells of codeword_bytes(residual)."""
+    """The `bit_count,payload_hex` trace cells of the residual's codeword."""
     _check_range(residual)
     return _codeword_cells()[residual - RESIDUAL_MIN]
+
+
+def codeword_bytes(residual: int) -> tuple[int, bytes]:
+    """(bit_count, payload) of a packet carrying just the residual's
+    codeword, read back from its trace cells."""
+    bit_count, payload = codeword_cells(residual).split(",")
+    return int(bit_count), bytes.fromhex(payload)
 
 
 @cache

@@ -62,10 +62,13 @@ def average_delay(runlog: RunLog) -> float:
 def display_round(value: float, places: int = 2) -> float:
     """Round half-up for table display, the way the result tables print."""
     # Imported here: only simulate's table and encode's summary round.
-    from decimal import ROUND_HALF_UP, Decimal
+    from decimal import ROUND_HALF_UP, Context, Decimal
 
+    # Digits enough for any finite float's integer part, 309 at most, and
+    # the places: the default context's 28 end at 1e26.
+    context = Context(prec=309 + places, rounding=ROUND_HALF_UP)
     quantum = Decimal(1).scaleb(-places)
-    return float(Decimal(repr(value)).quantize(quantum, rounding=ROUND_HALF_UP))
+    return float(Decimal(repr(value)).quantize(quantum, context=context))
 
 
 class DeviceMetrics(NamedTuple):
@@ -125,6 +128,8 @@ def compute(runlog: RunLog) -> tuple[list[DeviceMetrics], RunMetrics]:
                 raise ValueError("delay sums are not finite")
             if not isfinite(dec):
                 raise ValueError("state_charge_mah sum is not finite")
+            if not isfinite(life):
+                raise ValueError("lifetime_h is not finite")
         except ValueError as exc:
             raise ValueError(f"device {index}: {exc}") from None
         cd = sums.cd_ms / sent

@@ -27,7 +27,7 @@ from functools import reduce
 from itertools import chain, repeat
 from operator import add
 
-from .codec import codeword_bytes, codeword_cells
+from .codec import codeword_cells
 # SleepPolicy and lifetime: read from here too.
 from .config import DeviceConfig, RadioEnergyModel, Scenario, SleepPolicy
 from .control import DeviceState
@@ -195,9 +195,9 @@ def _device_loop(cfg: DeviceConfig, scenario: Scenario, rows: list[str],
         else:
             known = codewords.get(residual)
             if known is None:
+                cells = codeword_cells(residual)
                 known = codewords[residual] = (
-                    codeword_cells(residual),
-                    *sent_cells(codeword_bytes(residual)[0]))
+                    cells, *sent_cells(int(cells.partition(",")[0])))
             cells, bit_count, bits, dtr_ms, dtr_cell = known
         # A stretch long enough to put the radio to sleep ends in a wake.
         wake_ms = model.wake_latency_ms if quiet > awake_quiet else 0.0

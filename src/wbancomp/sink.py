@@ -1,11 +1,12 @@
 """Sink-side decompression: decode packets and rebuild absolute readings.
 
-The sink keeps a reference list mapping each registered device to its last
-reconstructed reading (0 before any packet, so the first packet must carry an
-absolute value). Each decoded residual is added onto that reference. A packet
-holding one codeword as the encoder writes it decodes by one lookup of its
-trace cells' text in the inverted encode table; any other packet goes
-through payload_residual to decode_bits, which walks its bits as text.
+cells_residual decodes a packet given as its trace cells, `9,d300` say: an
+encoder's codeword by one lookup in the inverted encode table, any other
+packet by decode_bits, which walks its bits as text. decode and
+Sink.on_cells both call it. The sink keeps a reference list mapping each
+registered device to its last reconstructed reading (0 before any packet,
+so the first packet must carry an absolute value), and adds each packet's
+residuals onto it.
 """
 
 from __future__ import annotations
@@ -13,12 +14,29 @@ from __future__ import annotations
 from .codec import cell_residuals, decode_bits
 
 
-def payload_residual(bit_count: int, payload: bytes) -> int:
-    """The sum of the residuals in a packet's bits, by decode_bits.
+def _check_bits(bit_count: int, payload: bytes) -> None:
+    """Packet's check of a bit count and the payload that holds it."""
+    if not 0 <= bit_count <= 0xFFFF:
+        raise ValueError(f"bit_count {bit_count} outside [0, 65535]")
+    if len(payload) != (bit_count + 7) // 8:
+        raise ValueError(
+            f"payload of {len(payload)} bytes cannot hold exactly "
+            f"{bit_count} bits"
+        )
+
+
+def cells_residual(cells: str) -> int:
+    """The sum of the residuals in a packet given as its trace cells.
 
     The payload must hold a whole number of codewords in exactly bit_count
     bits, with its pad bits clear; else this raises ValueError.
     """
+    residual = cell_residuals().get(cells)
+    if residual is not None:
+        return residual
+    bit_count, payload = cells.split(",")
+    bit_count, payload = int(bit_count), bytes.fromhex(payload)
+    _check_bits(bit_count, payload)
     # Encoder payloads all hit the lookup table, so only here can pads be set.
     pad = 8 * len(payload) - bit_count
     word = int.from_bytes(payload, "big")
@@ -44,13 +62,7 @@ class Packet:
     def __init__(self, device_id: int, bit_count: int, payload: bytes):
         if not 0 <= device_id <= 255:
             raise ValueError(f"device_id {device_id} outside [0, 255]")
-        if not 0 <= bit_count <= 0xFFFF:
-            raise ValueError(f"bit_count {bit_count} outside [0, 65535]")
-        if len(payload) != (bit_count + 7) // 8:
-            raise ValueError(
-                f"payload of {len(payload)} bytes cannot hold exactly "
-                f"{bit_count} bits"
-            )
+        _check_bits(bit_count, payload)
         self.device_id = device_id
         self.bit_count = bit_count
         self.payload = payload
@@ -105,11 +117,7 @@ class Sink:
         """
         if device_id not in self._reference:
             raise ValueError(f"device {device_id} not registered")
-        residual = cell_residuals().get(cells)
-        if residual is None:
-            packet = Packet.from_cells(str(device_id), cells)
-            residual = payload_residual(packet.bit_count, packet.payload)
-        value = self._reference[device_id] + residual
+        value = self._reference[device_id] + cells_residual(cells)
         self._reference[device_id] = value
         return value
 

@@ -183,7 +183,10 @@ def test_decode_truncated_packet_reports_index(tmp_path, capsys):
     trace.write_text("\n".join(lines) + "\n")
     rc = main(["decode", str(trace)])
     assert rc == EXIT_DATA
-    assert f"packet at sample {seq}" in capsys.readouterr().err
+    # A row that fails to decode is named by its line, the file's last.
+    assert capsys.readouterr().err == (
+        f"error: {trace}:{len(lines)}: stream ended inside a codeword "
+        f"prefix\n")
 
 
 def write_packet_trace(path: Path, samples: int, rows) -> None:
@@ -214,15 +217,23 @@ def test_decode_holds_values_in_sample_order(tmp_path, samples, rows, held):
 
 
 def test_decode_names_first_failing_packet_in_sample_order(tmp_path, capsys):
+    # Two packets whose readings fall below 0, the later sample first in
+    # the file: 10 - 20 at sample 4, and 10 - 11 at sample 3.
     trace = tmp_path / "t.trace"
+    write_packet_trace(trace, 6, [(0, 10), (4, -20), (3, -11)])
+    assert main(["decode", str(trace)]) == EXIT_DATA
+    assert capsys.readouterr().err == (
+        f"error: {trace}: packet at sample 3: reading -1 outside "
+        f"[0, 2**10)\n")
+    # A row no codeword fills is a row fault, named by its line in file
+    # order before any reading is checked: two packets whose payload starts
+    # with the malformed prefix '1110', the later sample on line 7.
     write_packet_trace(trace, 6, [(0, 10)])
-    # Two packets whose payload starts with the malformed prefix '1110',
-    # the later sample first in the file.
     with trace.open("a") as handle:
         handle.write("4,1,4,e0\n3,1,4,e0\n")
     assert main(["decode", str(trace)]) == EXIT_DATA
-    err = capsys.readouterr().err
-    assert "packet at sample 3: non-canonical prefix '1110'" in err
+    assert capsys.readouterr().err == (
+        f"error: {trace}:7: non-canonical prefix '1110'\n")
 
 
 @st.composite
@@ -251,17 +262,17 @@ def decode_traces(draw):
 
 
 def folded_readings(samples, rows, bad) -> str:
-    """What decode prints for decode_traces' trace, or the error it names:
-    the rows fold through one running value in stable seq order."""
+    """What decode prints for decode_traces' trace, or the error it names
+    after the trace's path: the bad row by its line, rows starting on line
+    6, else the rows fold through one running value in stable seq order."""
+    if bad is not None:
+        return f":{6 + bad}: non-canonical prefix '1110'"
     lines, value, held = [], 0, "0"
-    for index, (seq, residuals) in sorted(enumerate(rows),
-                                          key=lambda row: row[1][0]):
+    for seq, residuals in sorted(rows, key=lambda row: row[0]):
         lines += [held] * (seq - len(lines))
-        if index == bad:
-            return f"packet at sample {seq}: non-canonical prefix '1110'"
         value += sum(residuals)
         if not 0 <= value < 2048:
-            return (f"packet at sample {seq}: reading {value} outside "
+            return (f": packet at sample {seq}: reading {value} outside "
                     f"[0, 2**11)")
         held = str(value)
     lines += [held] * (samples - len(lines))
@@ -287,7 +298,20 @@ def test_decode_folds_shuffled_rows_in_seq_order(trace_rows):
             assert out.read_text() == expected
         else:
             assert (code, err.getvalue()) == (
-                EXIT_DATA, f"error: {trace}: {expected}\n")
+                EXIT_DATA, f"error: {trace}{expected}\n")
+
+
+def test_decode_builds_no_packet(tmp_path, capsys, monkeypatch):
+    # Rows of several codewords miss the lookup, and decode from their
+    # cells all the same.
+    def refuse(*args):
+        raise AssertionError("decode built a Packet")
+
+    trace = tmp_path / "t.trace"
+    write_packet_trace(trace, 4, [(0, 10, 5), (2, -3, 1)])
+    monkeypatch.setattr(Packet, "__init__", refuse)
+    assert main(["decode", str(trace)]) == EXIT_OK
+    assert capsys.readouterr().out == "15\n15\n13\n13\n"
 
 
 # What encode writes for the single reading 38 (codeword d300, 9 bits).
@@ -297,7 +321,7 @@ GOLDEN_TRACE = ("#packet-trace v1\n#samples=1\n#threshold=0\n#adc_bits=10\n"
 
 @pytest.mark.parametrize("row, message", [
     # A 9-bit codeword (39, as d380 carries it) with its 7 pad bits set.
-    ("0,1,9,d3ff", ": packet at sample 0: pad bits past bit_count are set"),
+    ("0,1,9,d3ff", ":6: pad bits past bit_count are set"),
     # One hex digit short of 20 bits.
     ("0,1,20,ffff0", ":6: payload ffff0: not lowercase hex of whole bytes"),
 ], ids=["set-pad-bits", "odd-length-hex"])
@@ -805,6 +829,22 @@ def test_simulate_invalid_config(tmp_path, capsys):
     assert "CGLS" in capsys.readouterr().err
 
 
+def test_simulate_prints_a_lifetime_past_1e26(tmp_path, capsys):
+    # The table's half-up rounding once ran out of decimal digits at 1e26.
+    cfg = tmp_path / "big.cfg"
+    cfg.write_text("[run]\nduration_s = 10\n[energy]\nbattery_mah = 1e30\n"
+                   "[device:t]\nid = 1\nmode = CGLL\nsignal = temperature\n"
+                   "sample_period_ms = 1000\n")
+    out = tmp_path / "run"
+    assert main(["--out", str(out), "simulate", str(cfg)]) == EXIT_OK
+    table = capsys.readouterr().out.splitlines()
+    life = float(table[1].split()[-1])
+    assert life > 1e26
+    # Past 2**53 a float is whole, so rounding leaves it as it is.
+    metrics = (out / "metrics.csv").read_text().splitlines()
+    assert life == float(metrics[1].split(",")[-1])
+
+
 @pytest.mark.parametrize("signal, param", [
     ("temperature", "step_probability = 2"),
     ("ecg", "beat_period = 3"),
@@ -1181,6 +1221,14 @@ def _infinite_battery(doc):
     doc["devices"][0]["battery_mah"] = float("inf")
 
 
+def _infinite_lifetime(doc):
+    # Finite values whose lifetime is past the float range.
+    device = doc["devices"][0]
+    device["battery_mah"] = 1.7e308
+    device["state_charge_mah"] = dict.fromkeys(device["state_charge_mah"],
+                                               1e-3)
+
+
 def _set_cell(index, text):
     def edit(line):
         cells = line.rstrip("\n").split(",")
@@ -1225,10 +1273,13 @@ def _swap_rows(lines):
     # json writes and reads Infinity, which is not JSON.
     (_edit_summary(_infinite_battery),
      "runlog.json: device 0: battery_mah: not a number"),
+    (_edit_summary(_infinite_lifetime),
+     "runlog.json: device 0: lifetime_h is not finite"),
 ], ids=["short-row", "non-numeric-cell", "non-numeric-value",
         "non-numeric-arrival", "deleted-event-row", "deleted-last-row",
         "missing-device-key", "mistyped-device-value",
-        "inconsistent-device-values", "infinite-device-value"])
+        "inconsistent-device-values", "infinite-device-value",
+        "infinite-lifetime"])
 def test_report_locates_malformed_run_dir(tmp_path, capsys, mangle, where):
     out = tmp_path / "run"
     main(["--out", str(out), "simulate",

@@ -12,6 +12,7 @@ from wbancomp import codec
 from wbancomp.codec import (MAX_CODEWORD_BITS, RESIDUAL_MAX, RESIDUAL_MIN,
                             codeword_bytes, decode_bits, encode_prefix,
                             encode_suffix, group_of)
+from wbancomp.sink import cells_residual
 
 # Total codeword length per group, for the groups the fixed table covers.
 TABLE_LENGTHS = [3, 4, 5, 6, 7, 8, 9, 12, 14, 16]
@@ -269,10 +270,11 @@ class TestTables:
             suffix, suffix_bits = encode_suffix(e, group)
             bit_count = prefix_bits + suffix_bits
             pad = -bit_count % 8
-            words.append((bit_count, ((prefix << suffix_bits | suffix) << pad)
-                          .to_bytes((bit_count + pad) // 8, "big")))
+            payload = ((prefix << suffix_bits | suffix) << pad).to_bytes(
+                (bit_count + pad) // 8, "big")
+            words.append(f"{bit_count},{payload.hex()}")
         assert len(words) == 4095
-        assert codec._codewords() == tuple(words)
+        assert codec._codeword_cells() == tuple(words)
 
     def test_codeword_bytes_range_error(self):
         for e in (RESIDUAL_MIN - 1, RESIDUAL_MAX + 1):
@@ -316,7 +318,6 @@ class TestTables:
         # The decoder's prefix map is built on first use too.
         check = ("import wbancomp.cli, wbancomp.codec as codec; "
                  "import wbancomp.netmodel, wbancomp.rundir; "
-                 "assert codec._codewords.cache_info().currsize == 0; "
                  "assert codec._codeword_cells.cache_info().currsize == 0; "
                  "assert codec.cell_residuals.cache_info().currsize == 0; "
                  "assert codec._prefix_groups.cache_info().currsize == 0")
@@ -325,7 +326,9 @@ class TestTables:
 
     def test_encode_table_is_pinned(self):
         # The bytes of every codeword any packet or trace carries.
-        digest = hashlib.sha256(repr(codec._codewords()).encode()).hexdigest()
+        words = tuple(map(codeword_bytes,
+                          range(RESIDUAL_MIN, RESIDUAL_MAX + 1)))
+        digest = hashlib.sha256(repr(words).encode()).hexdigest()
         assert digest == ("df8db2d841c94c1e2322682f2c75c7c6"
                           "e1bd034835fad5231a89e2cb7ef2403b")
 
@@ -353,7 +356,32 @@ def long_streams(draw):
     return int(stream, 2), len(stream)
 
 
+def cells_oracle(data: bytes, bit_count: int) -> int:
+    """sink.cells_residual written from the spec: the payload length and
+    pad bits checked, then the sum of oracle_decode's residuals."""
+    if len(data) != (bit_count + 7) // 8:
+        raise ValueError(f"payload of {len(data)} bytes cannot hold exactly "
+                         f"{bit_count} bits")
+    if int.from_bytes(data, "big") % (1 << (8 * len(data) - bit_count)):
+        raise ValueError("pad bits past bit_count are set")
+    residuals = oracle_decode(payload_value(data, bit_count), bit_count)
+    if not residuals:
+        raise ValueError("packet carries no codewords")
+    return sum(residuals)
+
+
 class TestAgainstOracle:
+    @settings(max_examples=300)
+    @given(payloads() | st.builds(
+        lambda pair: pair[::-1],
+        st.integers(RESIDUAL_MIN, RESIDUAL_MAX).map(codeword_bytes)))
+    def test_cells_residual_matches_oracle(self, payload):
+        # An encoder's codeword, which the lookup hits, or arbitrary bits,
+        # which mostly miss it.
+        data, bit_count = payload
+        assert (outcome(cells_residual, f"{bit_count},{data.hex()}")
+                == outcome(cells_oracle, data, bit_count))
+
     @settings(max_examples=300)
     @given(payloads())
     def test_payload_decode_matches_oracle(self, payload):

@@ -23,7 +23,7 @@ from wbancomp.netmodel import (MS_PER_HOUR, EnergyLedger, _SharedWork,
 from wbancomp.rundir import RunLog, SampleEvent
 from wbancomp.signals import (SYNTH_KINDS, FileSource, SyntheticSource,
                               TraceSpec)
-from wbancomp.sink import Packet, payload_residual
+from wbancomp.sink import Packet, cells_residual
 from wbancomp.tracefile import read_rows, read_trace
 
 
@@ -413,10 +413,10 @@ def assert_trace_rebuilds_readings(sc, log, rundir):
     """A sink reading the saved packets.trace rebuilds every row's
     reconstructed reading, which simulate takes from device memory.
 
-    The sink decodes codec payloads by decode_bits, not by the cells
-    table simulate writes them from, and reads CGWC payloads as raw
-    readings. Each sent row holds its device's value after its packet, and
-    each suppressed row the last value sent.
+    The sink decodes codec payloads by cells_residual, as decode does,
+    and reads CGWC payloads as raw readings. Each sent row holds its
+    device's value after its packet, and each suppressed row the last
+    value sent.
     """
     modes = {cfg.device_id: cfg.mode for cfg in sc.devices}
     held = dict.fromkeys(modes, 0)
@@ -425,13 +425,11 @@ def assert_trace_rebuilds_readings(sc, log, rundir):
     for seq, device_id, cells in (row for _, *columns in blocks
                                   for row in zip(*columns)):
         device_id = int(device_id)
-        bit_count, payload = cells.split(",")
-        bit_count, payload = int(bit_count), bytes.fromhex(payload)
         if modes[device_id] == "CGWC":
-            held[device_id] = int.from_bytes(payload, "big") >> (
-                -bit_count % 8)
+            bit_count, payload = cells.split(",")
+            held[device_id] = int(payload, 16) >> (-int(bit_count) % 8)
         else:
-            held[device_id] += payload_residual(bit_count, payload)
+            held[device_id] += cells_residual(cells)
         arrived[device_id, seq] = held[device_id]
     last = {}
     for ev in log.events:
